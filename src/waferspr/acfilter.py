@@ -13,7 +13,8 @@ labeled 1 are the minimum-cut source side.
 
 All costs are exact rationals; capacities are scaled by the LCM of the
 denominators before solving, so optimality is exact rather than
-tolerance-based.
+tolerance-based.  Costs whose scaled capacities exceed the solver's int32
+range raise ConfigError; they are never rounded.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from math import lcm
 
 import numpy as np
 
-from .errors import DimensionError, EmptyWaferError
+from .errors import ConfigError, DimensionError, EmptyWaferError
 from .flow import FlowNetwork, max_flow_min_cut
-from .wafer import Neighborhood, WaferMap, build_graph
+from .wafer import AdjacencyGraph, Neighborhood, WaferMap, build_graph
 
 
 def as_fraction(value) -> Fraction:
@@ -73,17 +74,21 @@ class FilterResult:
 
 def ac_objective(wmap: WaferMap, cfg: AcConfig, labels) -> Fraction:
     """Exact rational objective of a labeling; the recomputation check."""
-    graph = build_graph(wmap, cfg.nb)
+    return _objective(build_graph(wmap, cfg.nb), wmap.defect_bits(), cfg, labels)
+
+
+def _objective(graph: AdjacencyGraph, d: np.ndarray, cfg: AcConfig, labels) -> Fraction:
     labels = np.asarray(labels)
     if labels.shape != (graph.node_count,):
         raise DimensionError(
             f"labels length {labels.size} != node count {graph.node_count}"
         )
-    d = wmap.defect_bits()
-    n_kept_functional = int(np.sum((labels == 1) & (d == 0)))
-    n_kept_defective = int(np.sum((labels == 1) & (d == 1)))
+    kept = labels == 1
+    n_kept_functional = int(np.sum(kept & (d == 0)))
+    n_kept_defective = int(np.sum(kept & (d == 1)))
     deviation = cfg.w_mag * (n_kept_functional - n_kept_defective)
-    cross = sum(1 for i, j in graph.edges if labels[i] != labels[j])
+    i, j = graph.edges.T
+    cross = int(np.count_nonzero(labels[i] != labels[j]))
     return deviation + cfg.u * cross
 
 
@@ -105,27 +110,34 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
     w_int = int(cfg.w_mag * scale)
 
     s, t = n, n + 1
-    arcs = []
-    if u_int > 0:
-        for i, j in graph.edges:
-            arcs.append((i, j, u_int))
-            arcs.append((j, i, u_int))
+    edges = graph.edges if u_int > 0 else graph.edges[:0]
     d = wmap.defect_bits()
-    for i in range(n):
-        if d[i]:
-            arcs.append((s, i, w_int))  # w_i < 0: arc from source
-        else:
-            arcs.append((i, t, w_int))  # w_i > 0: arc to sink
-    cut = max_flow_min_cut(FlowNetwork(n + 2, tuple(arcs), s, t))
+    defective = d == 1
+    chips = np.arange(n)
+    # Each grid edge becomes two antiparallel arcs of capacity u; a defective
+    # chip (w_i < 0) gets an arc from the source, a functional one an arc
+    # to the sink, both of capacity w_mag.
+    tails = np.concatenate([edges[:, 0], edges[:, 1], np.full(int(defective.sum()), s),
+                            chips[~defective]])
+    heads = np.concatenate([edges[:, 1], edges[:, 0], chips[defective],
+                            np.full(int((~defective).sum()), t)])
+    # An object or float array here means a capacity beyond int64, which
+    # FlowNetwork rejects.
+    caps = np.repeat(np.array([u_int, w_int]), [2 * len(edges), n])
+    try:
+        cut = max_flow_min_cut(FlowNetwork(n + 2, np.column_stack([tails, heads, caps]), s, t))
+    except ValueError as exc:
+        raise ConfigError(
+            f"u={cfg.u} and w_mag={cfg.w_mag} scale to integer capacities "
+            f"{u_int} and {w_int}, beyond what the exact solver accepts: {exc}"
+        ) from exc
 
-    labels = np.zeros(n, dtype=np.int8)
-    for v in cut.source_set:
-        if v < n:
-            labels[v] = 1
-    objective = ac_objective(wmap, cfg, labels)
+    labels = np.zeros(n + 2, dtype=np.int8)
+    labels[list(cut.source_set)] = 1
+    labels = labels[:n]
     return FilterResult(
-        labels=tuple(int(x) for x in labels),
-        objective_value=objective,
+        labels=tuple(labels.tolist()),
+        objective_value=_objective(graph, d, cfg, labels),
         kept_count=int(labels.sum()),
     )
 

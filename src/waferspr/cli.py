@@ -281,6 +281,8 @@ def cmd_evaluate(args) -> int:
             lookup = _truth_lookup_from_sidecar(truth_doc)
             truth = [lookup(k) for k in keys]
     elif args.wafer:
+        if not args.reconstruct:
+            raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
         inputs.append(args.wafer)
         wmap = _read_wafer(args.wafer, args.format)
         lookup = _truth_lookup_from_reconstruction(wmap)

@@ -80,7 +80,7 @@ def _reachable_count(adj, start_set, blocked):
     return len(seen - set(start_set))
 
 
-def _extend_path(adj, comp_size, path, used, need, budget):
+def _extend_path(adj, path, used, need, budget):
     """Depth-first right-extension; returns a full path once len >= need."""
     if len(path) >= need:
         return list(path)
@@ -94,7 +94,7 @@ def _extend_path(adj, comp_size, path, used, need, budget):
         if v not in used:
             path.append(v)
             used.add(v)
-            found = _extend_path(adj, comp_size, path, used, need, budget)
+            found = _extend_path(adj, path, used, need, budget)
             if found:
                 return found
             used.discard(v)
@@ -106,7 +106,7 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _path_through(adj, comp, v, need, budget):
+def _path_through(adj, v, need, budget):
     """Some simple path with >= need nodes passing through v, or None.
 
     Enumerates left arms rooted at v exhaustively; for each arm, searches
@@ -118,7 +118,7 @@ def _path_through(adj, comp, v, need, budget):
 
     def try_right():
         remaining = need - len(left) + 1  # right arm includes v
-        right = _extend_path(adj, len(comp), [v], set(used), remaining, budget)
+        right = _extend_path(adj, [v], set(used), remaining, budget)
         if right:
             return list(reversed(left[1:])) + right
         return None
@@ -150,7 +150,7 @@ def _exact_kept(adj, comp, m, budget):
     for v in comp:
         if v in kept:
             continue
-        path = _path_through(adj, comp, v, m, budget)
+        path = _path_through(adj, v, m, budget)
         if path:
             kept.update(path)
     return kept
@@ -189,7 +189,7 @@ def longest_simple_path_at_least(nodes, edges, length: int) -> bool:
     budget = _Budget(SEARCH_BUDGET)
     try:
         for v in nodes:
-            if _extend_path(adj, len(nodes), [v], {v}, length, budget):
+            if _extend_path(adj, [v], {v}, length, budget):
                 return True
         return False
     except _BudgetExceeded:
@@ -204,13 +204,13 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     if cfg is None:
         cfg = CpfConfig()
     graph = build_graph(wmap, cfg.nb)
-    d = wmap.defect_bits()
-    defective = [i for i in range(graph.node_count) if d[i]]
+    d = wmap.defect_bits().astype(bool)
+    defective = np.flatnonzero(d).tolist()
     adj = {i: [] for i in defective}
-    for i, j in graph.edges:
-        if d[i] and d[j]:
-            adj[i].append(j)
-            adj[j].append(i)
+    both = d[graph.edges[:, 0]] & d[graph.edges[:, 1]]
+    for i, j in graph.edges[both].tolist():
+        adj[i].append(j)
+        adj[j].append(i)
 
     m = cfg.m_threshold
     labels = np.zeros(graph.node_count, dtype=np.int8)
@@ -231,7 +231,7 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
             budget = _Budget(SEARCH_BUDGET)
             try:
                 found = any(
-                    _extend_path(adj, len(comp), [v], {v}, m, budget) for v in comp
+                    _extend_path(adj, [v], {v}, m, budget) for v in comp
                 )
             except _BudgetExceeded:
                 found = True  # size >= m already checked

@@ -1,27 +1,56 @@
 """Exact maximum-flow / minimum-cut on integer-capacity s-t networks.
 
-Highest-label push-relabel with gap relabeling and an initial reverse-BFS
-height labeling.  Runs to a feasible maximum flow (no leftover excess), so
-the minimum-cut source side can be extracted canonically as the set of
-nodes reachable from the source in the final residual network, which is
-the inclusion-minimal minimum-cut source set.
+Parallel arcs are summed into one sparse capacity matrix, which SciPy's
+compiled Dinic solver (`scipy.sparse.csgraph.maximum_flow`) brings to a
+maximum flow.  The minimum-cut source side is the set of nodes reachable
+from the source over positive residual capacity.  That set is the same
+for every maximum flow: it is the inclusion-minimal minimum-cut source
+set, so the cut does not depend on which maximum flow the solver finds.
 
-Capacities must be nonnegative integers; Python integers do not overflow,
-so no capacity-range check is needed.  Parallel arcs are summed into a
-single residual entry.
+The solver computes in int32 and wraps silently on overflow.  So after
+parallel arcs are summed, any capacity above INT32_MAX raises ValueError;
+capacities are never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-@dataclass(frozen=True)
+INT32_MAX = 2**31 - 1
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _arc_array(arcs) -> np.ndarray:
+    """Arcs as a read-only (m, 3) int64 array; rejects floats and values
+    that do not fit int64."""
+    arr = np.asarray(arcs)
+    if arr.size == 0:
+        arr = np.empty((0, 3), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"arcs must be (from, to, capacity) triples, got shape {arr.shape}")
+    if arr.dtype.kind == "u" and arr.size and arr.max() > _INT64_MAX:
+        raise ValueError("arc values must fit in int64")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"arc values must be integers within int64, got {arr.dtype}")
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """s-t network. Arcs are (from, to, capacity) with integer capacity >= 0."""
+    """s-t network. Arcs are (from, to, capacity) with integer capacity >= 0.
+
+    `arcs` may be any sequence of triples; it is stored as a read-only
+    (m, 3) int64 array.
+    """
 
     node_count: int
-    arcs: tuple
+    arcs: np.ndarray
     source: int
     sink: int
 
@@ -30,18 +59,16 @@ class FlowNetwork:
             raise ValueError("source/sink out of range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        arcs = []
-        for u, v, c in self.arcs:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+        arcs = _arc_array(self.arcs)
+        if arcs.size:
+            ends = arcs[:, :2]
+            if ends.min() < 0 or ends.max() >= self.node_count:
+                bad = ((ends < 0) | (ends >= self.node_count)).any(axis=1)
+                u, v = ends[np.argmax(bad)].tolist()
                 raise ValueError(f"arc endpoint out of range: ({u}, {v})")
-            if isinstance(c, float):
-                raise ValueError("capacities must be integers, got float")
-            c = int(c)
-            if c < 0:
+            if arcs[:, 2].min() < 0:
                 raise ValueError("capacities must be nonnegative")
-            arcs.append((u, v, c))
-        object.__setattr__(self, "arcs", tuple(arcs))
+        object.__setattr__(self, "arcs", arcs)
 
 
 @dataclass(frozen=True)
@@ -52,201 +79,45 @@ class CutResult:
     source_set: frozenset
 
 
-class PushRelabelSolver:
-    """Single-use solver instance; owns its working state.
+def _capacities(net: FlowNetwork) -> csr_array:
+    """int32 capacity matrix with parallel arcs summed and self-loops dropped."""
+    tails, heads, caps = net.arcs.T
+    keep = (tails != heads) & (caps > 0)
+    tails, heads, caps = tails[keep], heads[keep], caps[keep]
+    # Each arc fits int32 before the sum, so the int64 sum cannot wrap.
+    if caps.size and caps.max() > INT32_MAX:
+        raise ValueError(f"capacity {int(caps.max())} exceeds the solver's limit {INT32_MAX}")
+    n = net.node_count
+    cap = csr_array((caps, (tails, heads)), shape=(n, n))
+    cap.sum_duplicates()
+    if cap.data.size and cap.data.max() > INT32_MAX:
+        raise ValueError(f"summed parallel capacity {int(cap.data.max())} exceeds "
+                         f"the solver's limit {INT32_MAX}")
+    return cap.astype(np.int32)
 
-    After solve(), `net_flows()` yields the per-pair net flows for
-    diagnostics (conservation checks in tests).
-    """
 
-    def __init__(self, net: FlowNetwork):
-        self.net = net
-        n = net.node_count
-        # Sum parallel arcs, then lay out antiparallel pairs as xor-paired
-        # residual entries: arc e is u->v, arc e^1 is v->u.
-        capmap: dict = {}
-        pairs = []  # unordered pairs in first-appearance order (determinism)
-        seen = set()
-        for u, v, c in net.arcs:
-            if u == v:
-                continue  # self-loops carry no flow
-            capmap[(u, v)] = capmap.get((u, v), 0) + c
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-        to = []
-        cap = []
-        adj = [[] for _ in range(n)]
-        for a, b in pairs:
-            ca = capmap.get((a, b), 0)
-            cb = capmap.get((b, a), 0)
-            if ca == 0 and cb == 0:
-                continue
-            e = len(to)
-            to.append(b)
-            cap.append(ca)
-            to.append(a)
-            cap.append(cb)
-            adj[a].append(e)
-            adj[b].append(e + 1)
-        self._to = to
-        self._cap = cap
-        self._orig_cap = list(cap)
-        self._adj = adj
-        self._solved = False
-        self._result = None
+def _maximum_flow(net: FlowNetwork):
+    cap = _capacities(net)
+    return cap, maximum_flow(cap, net.source, net.sink, method="dinic")
 
-    # -- core ------------------------------------------------------------
 
-    def solve(self) -> CutResult:
-        if self._solved:
-            return self._result
-        n = self.net.node_count
-        s, t = self.net.source, self.net.sink
-        to, cap, adj = self._to, self._cap, self._adj
-        H = self._bfs_heights()
-        H[s] = n
-        excess = [0] * n
-        cur = [0] * n
-        max_h = 2 * n + 1
-        cnt = [0] * (max_h + 1)
-        for v in range(n):
-            cnt[H[v]] += 1
-        buckets = [[] for _ in range(max_h + 1)]
-
-        # saturate all source arcs
-        for e in adj[s]:
-            d = cap[e]
-            if d > 0:
-                v = to[e]
-                cap[e] = 0
-                cap[e ^ 1] += d
-                excess[v] += d
-                excess[s] -= d
-                if v != t and v != s:
-                    buckets[H[v]].append(v)
-
-        hi = max_h
-        while hi >= 0:
-            if not buckets[hi]:
-                hi -= 1
-                continue
-            u = buckets[hi].pop()
-            if u == s or u == t or excess[u] == 0 or H[u] != hi:
-                continue  # stale entry
-            # discharge u until its excess is gone or it is relabeled
-            eu = excess[u]
-            arcs_u = adj[u]
-            deg = len(arcs_u)
-            c = cur[u]
-            hu = H[u]
-            while eu > 0:
-                if c == deg:
-                    # relabel
-                    new_h = max_h
-                    for e in arcs_u:
-                        if cap[e] > 0:
-                            hv = H[to[e]]
-                            if hv + 1 < new_h:
-                                new_h = hv + 1
-                    old_h = hu
-                    cnt[old_h] -= 1
-                    cnt[new_h] += 1
-                    H[u] = new_h
-                    cur[u] = 0
-                    excess[u] = eu
-                    if cnt[old_h] == 0 and 0 < old_h < n:
-                        # gap: nodes strictly above the gap and below n can
-                        # never reach t again; lift them past n.
-                        for v in range(n):
-                            hv = H[v]
-                            if old_h < hv < n and v != s:
-                                cnt[hv] -= 1
-                                H[v] = n + 1
-                                cnt[n + 1] += 1
-                                if excess[v] > 0 and v != t:
-                                    buckets[n + 1].append(v)
-                                    if n + 1 > hi:
-                                        hi = n + 1
-                    if H[u] <= max_h and excess[u] > 0:
-                        buckets[H[u]].append(u)
-                        if H[u] > hi:
-                            hi = H[u]
-                    break
-                e = arcs_u[c]
-                ce = cap[e]
-                if ce > 0:
-                    v = to[e]
-                    if hu == H[v] + 1:
-                        d = eu if eu < ce else ce
-                        cap[e] = ce - d
-                        cap[e ^ 1] += d
-                        eu -= d
-                        was = excess[v]
-                        excess[v] = was + d
-                        if was == 0 and v != s and v != t:
-                            buckets[H[v]].append(v)
-                        continue
-                c += 1
-            else:
-                excess[u] = 0
-                cur[u] = c
-
-        flow = excess[t]
-        source_set = self._residual_reachable(s)
-        self._result = CutResult(max_flow_value=flow, source_set=frozenset(source_set))
-        self._solved = True
-        return self._result
-
-    def _bfs_heights(self):
-        """Exact distance-to-sink labels over positive-capacity arcs."""
-        n = self.net.node_count
-        t = self.net.sink
-        to, cap, adj = self._to, self._cap, self._adj
-        H = [n] * n
-        H[t] = 0
-        queue = [t]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            hx = H[x]
-            for e in adj[x]:
-                # arc e^1 is to[e] -> x; usable if it has capacity
-                y = to[e]
-                if H[y] == n and cap[e ^ 1] > 0:
-                    H[y] = hx + 1
-                    queue.append(y)
-        return H
-
-    def _residual_reachable(self, s):
-        to, cap, adj = self._to, self._cap, self._adj
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in adj[u]:
-                if cap[e] > 0:
-                    v = to[e]
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return seen
-
-    def net_flows(self):
-        """(u, v, flow) per residual pair with positive net u->v flow."""
-        out = []
-        for e in range(0, len(self._to), 2):
-            f = self._orig_cap[e] - self._cap[e]
-            v, u = self._to[e], self._to[e ^ 1]
-            if f > 0:
-                out.append((u, v, f))
-            elif f < 0:
-                out.append((v, u, -f))
-        return out
+def flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
+    """A maximum flow: its value and the (u, v, f) rows, as an int64 array,
+    of every node pair with positive net flow f from u to v."""
+    _, res = _maximum_flow(net)
+    f = res.flow.tocoo()
+    pos = f.data > 0
+    rows = np.column_stack([f.row[pos], f.col[pos], f.data[pos]]).astype(np.int64)
+    return int(res.flow_value), rows
 
 
 def max_flow_min_cut(net: FlowNetwork) -> CutResult:
     """Exact max flow and the inclusion-minimal min-cut source set."""
-    return PushRelabelSolver(net).solve()
+    cap, res = _maximum_flow(net)
+    residual = csr_array(cap.astype(np.int64) - res.flow.astype(np.int64))
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    reachable = breadth_first_order(residual, net.source, directed=True,
+                                    return_predecessors=False)
+    return CutResult(max_flow_value=int(res.flow_value),
+                     source_set=frozenset(reachable.tolist()))

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from .errors import EmptyInputError, InternalError, NumericalError
+from .validation import canonical_labels
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -539,16 +540,6 @@ def _potential_and_grad(Sm, Z, kernel, A, h):
     return -(ll + marg), -(gll + gmarg)
 
 
-def _canonical_labels(A):
-    mapping = {}
-    out = []
-    for a in A:
-        if a not in mapping:
-            mapping[a] = len(mapping) + 1
-        out.append(mapping[a])
-    return tuple(out)
-
-
 def _component_init(coords) -> np.ndarray:
     """Initial assignments from Chebyshev-adjacency connected components.
 
@@ -644,7 +635,7 @@ def iwmm_fit(
             best_A = state.A.copy()
             best_Z = state.Z.copy()
 
-    assignments = _canonical_labels(best_A.tolist())
+    assignments = canonical_labels(best_A)
     return IwmmResult(
         assignments=assignments,
         k_hat=len(set(assignments)),

@@ -134,22 +134,23 @@ class WaferMap:
         return WaferMap(self.rows, self.cols, cells, name=self.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyGraph:
     """Dense-indexed graph over in-mask cells.
 
     Node ids are 0..node_count-1 in row-major order over in-mask cells;
-    `coords[i]` recovers the grid position of node i.  Edges are canonical
-    (i, j) with i < j, no duplicates, no self-loops.
+    `coords[i]` recovers the grid position of node i.  `edges` is a
+    read-only (m, 2) int64 array of canonical pairs (i, j) with i < j,
+    sorted lexicographically, with no duplicates and no self-loops.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     coords: tuple[tuple[int, int], ...]
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             adj[i].append(j)
             adj[j].append(i)
         return adj
@@ -158,7 +159,10 @@ class AdjacencyGraph:
 def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
     """Parse a wafer map from bytes or str in 'ascii' or 'csv' format."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 text: {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
@@ -242,19 +246,22 @@ def build_graph(wmap: WaferMap, nb: Neighborhood = Neighborhood.KING) -> Adjacen
 
     Deterministic: row-major node ids, canonical sorted edge list.
     """
-    grid = wmap.grid()
     inside = wmap.in_mask()
-    node_id = -np.ones((wmap.rows, wmap.cols), dtype=np.int64)
-    coords = wmap.in_mask_coords()
-    for i, (r, c) in enumerate(coords):
-        node_id[r, c] = i
+    rows, cols = inside.shape
+    node_id = np.full(inside.shape, -1, dtype=np.int64)
+    node_id[inside] = np.arange(int(inside.sum()))
 
-    edges = []
-    for r, c in coords:
-        i = node_id[r, c]
-        for dr, dc in nb.forward_offsets:
-            r2, c2 = r + dr, c + dc
-            if 0 <= r2 < wmap.rows and 0 <= c2 < wmap.cols and inside[r2, c2]:
-                edges.append((int(i), int(node_id[r2, c2])))
-    edges.sort()
-    return AdjacencyGraph(len(coords), tuple(edges), tuple(coords))
+    # Pair every cell with its neighbor at each forward offset by slicing
+    # the id grid against a shifted copy of itself.
+    pairs = []
+    for dr, dc in nb.forward_offsets:
+        c0, c1 = max(0, -dc), cols - max(0, dc)
+        a = node_id[: rows - dr, c0:c1]
+        b = node_id[dr:, c0 + dc : c1 + dc]
+        keep = (a >= 0) & (b >= 0)
+        pairs.append(np.column_stack([a[keep], b[keep]]))
+    edges = np.concatenate(pairs)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    edges.flags.writeable = False
+    coords = tuple(wmap.in_mask_coords())
+    return AdjacencyGraph(len(coords), edges, coords)

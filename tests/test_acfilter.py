@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum
 from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
-from waferspr.errors import DimensionError
+from waferspr.errors import ConfigError, DimensionError
 from waferspr.wafer import Neighborhood, WaferMap, parse_wafer
 
 HOLE = "111\n101\n111\n"  # all defective except functional center
@@ -27,6 +27,14 @@ def test_config_validation():
         AcConfig(u=-1)
     with pytest.raises(ValueError):
         AcConfig(u=Fraction(1, 2), w_mag=0)
+
+
+@pytest.mark.parametrize("u", [Fraction(1, 2**31), 0.1 + 0.2, Fraction(1, 2**70)])
+def test_capacities_beyond_solver_range_rejected(u):
+    # Scaled by the LCM of the denominators, w_mag = 1 becomes 2**31,
+    # 2.5e16 and 2**70: beyond int32, and the last beyond int64.
+    with pytest.raises(ConfigError, match="u=.*w_mag="):
+        ac_filter(parse_wafer(HOLE), AcConfig(u=u))
 
 
 def test_u_zero_is_identity():

@@ -54,9 +54,22 @@ def test_filter_bad_u_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_filter_u_beyond_solver_range_exits_3(tmp_path, capsys):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    assert run_cli("filter", wafer, "--u", "1e-10", "--out", tmp_path / "o") == 3
+    assert "u=1/10000000000" in capsys.readouterr().err
+
+
 def test_filter_parse_error_exits_2(tmp_path):
     wafer = tmp_path / "in.txt"
     wafer.write_text("01\n0\n")
+    assert run_cli("filter", wafer, "--out", tmp_path / "o") == 2
+
+
+def test_filter_non_utf8_exits_2(tmp_path):
+    wafer = tmp_path / "in.txt"
+    wafer.write_bytes(b"010\n1\xff1\n010\n")
     assert run_cli("filter", wafer, "--out", tmp_path / "o") == 2
 
 
@@ -131,6 +144,9 @@ def test_evaluate_with_reconstruction(tmp_path):
         }
     }))
     out = tmp_path / "o"
+    # --wafer without --reconstruct is a configuration error
+    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 3
+    assert not (out / "report.json").exists()
     assert run_cli("evaluate", "--pred", pred, "--wafer", wafer,
                    "--reconstruct", "--out", out) == 0
     report = json.loads((out / "report.json").read_text())

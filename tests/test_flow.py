@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_min_cut, crossing_capacity
-from waferspr.flow import CutResult, FlowNetwork, PushRelabelSolver, max_flow_min_cut
+from waferspr.flow import INT32_MAX, FlowNetwork, flow, max_flow_min_cut
 
 
 def test_single_arc():
@@ -100,17 +101,18 @@ def test_flow_conservation():
     rng = random.Random(99)
     for _ in range(200):
         net = _random_network(rng)
-        solver = PushRelabelSolver(net)
-        result = solver.solve()
+        value, net_flows = flow(net)
+        assert value == max_flow_min_cut(net).max_flow_value
         balance = {}
-        for u, v, f in solver.net_flows():
+        for u, v, f in net_flows.tolist():
             assert f > 0
+            assert f <= sum(c for a, b, c in net.arcs.tolist() if (a, b) == (u, v))
             balance[u] = balance.get(u, 0) - f
             balance[v] = balance.get(v, 0) + f
         for v in range(net.node_count):
             if v not in (net.source, net.sink):
                 assert balance.get(v, 0) == 0
-        assert balance.get(net.sink, 0) == result.max_flow_value
+        assert balance.get(net.sink, 0) == value
 
 
 def test_determinism():
@@ -139,7 +141,20 @@ def test_duality_property(case):
     assert r.max_flow_value == brute_force_min_cut(n, net.arcs, 0, n - 1)
 
 
-def test_solver_reuse_returns_same_result():
+def test_arcs_stored_as_readonly_int64_array():
     net = FlowNetwork(3, ((0, 1, 3), (1, 2, 5)), 0, 2)
-    solver = PushRelabelSolver(net)
-    assert solver.solve() == solver.solve()
+    assert net.arcs.dtype == np.int64 and net.arcs.shape == (2, 3)
+    assert not net.arcs.flags.writeable
+    assert FlowNetwork(2, (), 0, 1).arcs.shape == (0, 3)
+
+
+def test_capacity_range_checked_not_wrapped():
+    # SciPy's solver works in int32 and wraps silently past INT32_MAX.
+    assert max_flow_min_cut(FlowNetwork(2, ((0, 1, INT32_MAX),), 0, 1)).max_flow_value == INT32_MAX
+    with pytest.raises(ValueError):
+        max_flow_min_cut(FlowNetwork(2, ((0, 1, 2**31),), 0, 1))
+    with pytest.raises(ValueError):
+        max_flow_min_cut(FlowNetwork(2, ((0, 1, 2**30), (0, 1, 2**30)), 0, 1))
+    for too_big in (2**63, 2**64, 2**80):
+        with pytest.raises(ValueError):
+            FlowNetwork(2, ((0, 1, too_big),), 0, 1)

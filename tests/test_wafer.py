@@ -142,7 +142,7 @@ def test_edge_distances(rc):
     m = parse_wafer(text)
     for nb in (Neighborhood.ROOK, Neighborhood.KING):
         g = build_graph(m, nb)
-        assert g.edges == build_graph(m, nb).edges  # deterministic
+        assert np.array_equal(g.edges, build_graph(m, nb).edges)  # deterministic
         for i, j in g.edges:
             assert i < j
             (r1, c1), (r2, c2) = g.coords[i], g.coords[j]
@@ -150,6 +150,55 @@ def test_edge_distances(rc):
                 assert abs(r1 - r2) + abs(c1 - c2) == 1
             else:
                 assert max(abs(r1 - r2), abs(c1 - c2)) == 1
+
+
+def _naive_edges(m, nb):
+    """Reference edge list: a per-cell double loop over the grid."""
+    grid = m.grid()
+    ids = {}
+    for r in range(m.rows):
+        for c in range(m.cols):
+            if grid[r, c] != CellState.OUTSIDE:
+                ids[(r, c)] = len(ids)
+    edges = set()
+    for (r, c), i in ids.items():
+        for dr, dc in nb.offsets:
+            j = ids.get((r + dr, c + dc))
+            if j is not None:
+                edges.add((min(i, j), max(i, j)))
+    return sorted(edges), tuple(ids)
+
+
+@given(grids)
+@settings(max_examples=200)
+def test_build_graph_matches_naive_loop(rc):
+    r, c, cells = rc
+    if all(ch == "." for ch in cells):
+        return
+    m = parse_wafer("\n".join("".join(cells[i * c : (i + 1) * c]) for i in range(r)) + "\n")
+    for nb in (Neighborhood.ROOK, Neighborhood.KING):
+        g = build_graph(m, nb)
+        edges, coords = _naive_edges(m, nb)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
+        assert not g.edges.flags.writeable
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.coords == coords
+        assert g.node_count == len(coords)
+
+
+def test_parse_non_utf8_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_wafer(b"01\n\xff0\n")
+
+
+@given(st.binary(max_size=64), st.sampled_from(("ascii", "csv")))
+@settings(max_examples=300)
+def test_parse_arbitrary_bytes(data, fmt):
+    try:
+        m = parse_wafer(data, fmt=fmt)
+    except ParseError:
+        return
+    assert isinstance(m, WaferMap)
 
 
 def test_wafermap_validations():
