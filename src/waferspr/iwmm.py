@@ -150,26 +150,59 @@ class IwmmResult:
 # GPLVM warp likelihood
 # ---------------------------------------------------------------------
 
+class _GplvmWork:
+    """Reusable n x n buffers for the GPLVM likelihood and gradient.
+
+    Freshly allocated n x n temporaries go back to the OS when freed and
+    are page-faulted in again on the next call; at a few hundred points
+    that costs about as much as the Cholesky factorization.  Writing into
+    these buffers runs the same operations, so the results are the same
+    to the bit.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.K = np.empty((n, n))
+        self.scratch = np.empty((n, n))
+        self.factor = np.empty((n, n), order="F")  # factored and inverted in place
+        self.Kinv = np.empty((n, n))
+
+
 def se_covariance(Z, kern: KernelParams) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
+    return _se_covariance(Z, kern, _GplvmWork(Z.shape[0]))
+
+
+def _se_covariance(Z, kern, work):
+    """se_covariance written into work.K."""
     sq = np.sum(Z * Z, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
-    np.maximum(d2, 0.0, out=d2)
-    K = kern.signal_variance * np.exp(d2 / (-2.0 * kern.length_scale**2))
-    n = Z.shape[0]
-    K.flat[:: n + 1] += kern.jitter
+    K = np.add.outer(sq, sq, out=work.K)
+    G = np.matmul(Z, Z.T, out=work.scratch)
+    G *= 2.0
+    K -= G
+    np.maximum(K, 0.0, out=K)
+    K /= -2.0 * kern.length_scale**2
+    np.exp(K, out=K)
+    if kern.signal_variance != 1.0:
+        K *= kern.signal_variance
+    K.flat[:: work.n + 1] += kern.jitter
     return K
 
 
-def _chol_lower(K, jitter):
-    """Lower Cholesky factor with deterministic jitter escalation."""
+def _chol_lower(K, jitter, work=None):
+    """Lower Cholesky factor with deterministic jitter escalation.
+
+    The factor is written into work.factor (Fortran order, so LAPACK
+    factors it in place) with its strict upper triangle zeroed.
+    """
     base = jitter if jitter > 0 else 1e-10
     n = K.shape[0]
+    A = (work or _GplvmWork(n)).factor
     for extra in (0.0, base * 100.0, base * 10000.0):
-        A = K.copy()
+        A[...] = K
         if extra:
             A.flat[:: n + 1] += extra
-        c, info = _lapack.dpotrf(A, lower=1, overwrite_a=1)
+        c, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return c
     raise NumericalError("covariance Cholesky failed after jitter escalation")
@@ -189,8 +222,8 @@ def gplvm_log_likelihood(S, Z, kern: KernelParams) -> float:
     n = Sm.shape[0]
     if Z.shape != (n, 2):
         raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
-    K = se_covariance(Z, kern)
-    c = _chol_lower(K, kern.jitter)
+    work = _GplvmWork(n)
+    c = _chol_lower(_se_covariance(Z, kern, work), kern.jitter, work)
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
     KinvS, _ = _lapack.dpotrs(c, Sm, lower=1)
     trace = float(np.sum(Sm * KinvS))
@@ -203,26 +236,30 @@ def gplvm_grad(S, Z, kern: KernelParams) -> np.ndarray:
     return grad
 
 
-def _gplvm_ll_and_grad(S, Z, kern):
+def _gplvm_ll_and_grad(S, Z, kern, work=None):
     Sm = _coords(S)
     Z = np.asarray(Z, dtype=float)
     n = Sm.shape[0]
-    K = se_covariance(Z, kern)
-    c = _chol_lower(K, kern.jitter)
+    if work is None or work.n != n:
+        work = _GplvmWork(n)
+    K = _se_covariance(Z, kern, work)
+    c = _chol_lower(K, kern.jitter, work)
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
     inv, info = _lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError("covariance inversion failed")
     diag = np.diag(inv).copy()
-    Kinv = np.tril(inv, -1)
-    Kinv = Kinv + Kinv.T
+    # dpotri fills the lower triangle; the strict upper one is still the
+    # zeros _chol_lower left, so inv + inv.T mirrors it exactly.
+    Kinv = np.add(inv, inv.T, out=work.Kinv)
     Kinv.flat[:: n + 1] = diag
     KinvS = Kinv @ Sm
     ll = -n * _LOG_2PI - logdet - 0.5 * float(np.sum(Sm * KinvS))
     # dL/dK = -K^-1 + 0.5 K^-1 S S^T K^-1, then chain through the SE kernel
-    G = -Kinv + 0.5 * (KinvS @ KinvS.T)
-    Kse = K
-    W = G * Kse  # diagonal contributes nothing: the (z_l - z_j) factor is 0
+    W = np.matmul(KinvS, KinvS.T, out=work.scratch)
+    W *= 0.5
+    W -= Kinv
+    W *= K  # diagonal contributes nothing: the (z_l - z_j) factor is 0
     row = W.sum(axis=1)
     grad = -(2.0 / kern.length_scale**2) * (Z * row[:, None] - W @ Z)
     return ll, grad
@@ -368,6 +405,7 @@ class LatentState:
         self._sums = []
         self._z_version = 0
         self._gplvm_cache = None  # (z_version, ll, grad)
+        self._gplvm_work = _GplvmWork(self.Z.shape[0])
         self.refresh()
 
     def set_Z(self, Z):
@@ -380,7 +418,7 @@ class LatentState:
         cache = self._gplvm_cache
         if cache is not None and cache[0] == self._z_version:
             return cache[1], cache[2]
-        ll, grad = _gplvm_ll_and_grad(Sm, self.Z, self.kernel)
+        ll, grad = _gplvm_ll_and_grad(Sm, self.Z, self.kernel, self._gplvm_work)
         self._gplvm_cache = (self._z_version, ll, grad)
         return ll, grad
 
@@ -463,6 +501,7 @@ def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
     zy = float(state.Z[i, 1])
     p0, r0 = h.p, h.r
     m0x, m0y = float(h.m[0]), float(h.m[1])
+    R00, R01, R11 = float(h.R[0, 0]), float(h.R[0, 1]), float(h.R[1, 1])
     logs = []
     for k in range(1, state.K + 1):
         n, sx, sy, sxx, sxy, syy = state._sums[k - 1]
@@ -470,14 +509,12 @@ def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
         r_k = r0 + n
         mkx = (p0 * m0x + sx) / p_k
         mky = (p0 * m0y + sy) / p_k
-        ra = h.R[0, 0] + sxx + p0 * m0x * m0x - p_k * mkx * mkx
-        rb = h.R[0, 1] + sxy + p0 * m0x * m0y - p_k * mkx * mky
-        rd = h.R[1, 1] + syy + p0 * m0y * m0y - p_k * mky * mky
+        ra = R00 + sxx + p0 * m0x * m0x - p_k * mkx * mkx
+        rb = R01 + sxy + p0 * m0x * m0y - p_k * mkx * mky
+        rd = R11 + syy + p0 * m0y * m0y - p_k * mky * mky
         logs.append(math.log(n) + _t2_logpdf(zx, zy, mkx, mky, p_k, r_k, ra, rb, rd))
     logs.append(
-        math.log(h.alpha)
-        + _t2_logpdf(zx, zy, m0x, m0y, p0, r0,
-                     float(h.R[0, 0]), float(h.R[0, 1]), float(h.R[1, 1]))
+        math.log(h.alpha) + _t2_logpdf(zx, zy, m0x, m0y, p0, r0, R00, R01, R11)
     )
     mx = max(logs)
     weights = [math.exp(v - mx) for v in logs]
@@ -512,7 +549,7 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, hmc: HmcConfig, rng) -> b
         ll1, gll1 = ll0, gll0
         for step in range(hmc.leapfrog_steps):
             Z = Z + eps * p
-            ll1, gll1 = _gplvm_ll_and_grad(Sm, Z, state.kernel)
+            ll1, gll1 = _gplvm_ll_and_grad(Sm, Z, state.kernel, state._gplvm_work)
             marg1, gmarg1 = _marginal_and_grad(Z, state.A, h)
             U1 = -(ll1 + marg1)
             g1 = -(gll1 + gmarg1)
