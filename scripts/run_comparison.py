@@ -16,15 +16,14 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from waferspr.cli import (
     COMPARISON_COLUMNS,
     IMPROVEMENT_COLUMNS,
-    _write_csv,
     compute_improvements,
     compute_wilcoxon,
     run_comparison,
+    truth_document,
+    write_csv,
 )
 from waferspr.render import render_svg
 from waferspr.synthgen import twelve_wafer_corpus
@@ -53,17 +52,7 @@ def main(argv=None):
         d = wafers_dir / f"w{idx:02d}"
         d.mkdir(parents=True, exist_ok=True)
         (d / "wafer.txt").write_bytes(write_wafer(sw.map))
-        grid_truth = sw.truth_labels.reshape(args.rows, args.rows)
-        grid_region = sw.region_labels.reshape(args.rows, args.rows)
-        defect = sw.map.grid() == 2
-        doc = {
-            "rows": args.rows, "cols": args.rows, "family": family,
-            "noise_rate": args.noise, "seed": args.base_seed + idx,
-            "labels": {f"{r},{c}": int(grid_truth[r, c])
-                       for r, c in zip(*np.nonzero(defect))},
-            "regions": {f"{r},{c}": int(grid_region[r, c])
-                        for r, c in zip(*np.nonzero(grid_region > 0))},
-        }
+        doc = truth_document(sw, family, args.noise, args.base_seed + idx)
         (d / "truth.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
         (d / "raw.svg").write_text(render_svg(sw.map))
         paths.append(d / "wafer.txt")
@@ -75,8 +64,8 @@ def main(argv=None):
 
     rows = run_comparison(paths, seeds=args.seeds, iters=args.iters,
                           burn_in=args.burn_in, progress=progress)
-    _write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
-    _write_csv(out / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
+    write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
+    write_csv(out / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
     (out / "wilcoxon.json").write_text(
         json.dumps(compute_wilcoxon(rows), sort_keys=True, indent=2) + "\n"
     )

@@ -31,7 +31,7 @@ from .validation import (
     reconstruct_ground_truth,
     wilcoxon_signed_rank,
 )
-from .wafer import CellState, Neighborhood, WaferMap, build_graph, parse_wafer, write_wafer
+from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, write_wafer
 
 COMPARISON_COLUMNS = (
     "wafer", "family", "method", "param", "fit_seed", "n_points", "k_hat",
@@ -92,21 +92,19 @@ def _parse_coord_key(key) -> tuple[int, int]:
 # generate
 # ---------------------------------------------------------------------
 
-def cmd_generate(args) -> int:
-    outdir = Path(args.out)
-    sw = generate(args.rows, args.cols, family_specs(args.family), args.noise, args.seed)
-    ext = "csv" if args.format == "csv" else "txt"
-    _write(outdir / f"wafer.{ext}",
-           write_wafer(sw.map, fmt="csv" if args.format == "csv" else "ascii").decode())
-    grid_truth = sw.truth_labels.reshape(args.rows, args.cols)
-    grid_region = sw.region_labels.reshape(args.rows, args.cols)
+def truth_document(sw, family, noise_rate, seed) -> dict:
+    """The truth.json sidecar of a generated wafer: pattern labels of its
+    defective chips and the region of every chip inside a pattern."""
+    rows, cols = sw.map.rows, sw.map.cols
+    grid_truth = sw.truth_labels.reshape(rows, cols)
+    grid_region = sw.region_labels.reshape(rows, cols)
     defect = sw.map.grid() == CellState.DEFECTIVE
-    truth_doc = {
-        "rows": args.rows,
-        "cols": args.cols,
-        "family": args.family,
-        "noise_rate": args.noise,
-        "seed": args.seed,
+    return {
+        "rows": rows,
+        "cols": cols,
+        "family": family,
+        "noise_rate": noise_rate,
+        "seed": seed,
         "labels": {
             _coord_key((r, c)): int(grid_truth[r, c])
             for r, c in zip(*np.nonzero(defect))
@@ -116,7 +114,16 @@ def cmd_generate(args) -> int:
             for r, c in zip(*np.nonzero(grid_region > 0))
         },
     }
-    _write(outdir / "truth.json", _dump_json(truth_doc))
+
+
+def cmd_generate(args) -> int:
+    outdir = Path(args.out)
+    sw = generate(args.rows, args.cols, family_specs(args.family), args.noise, args.seed)
+    ext = "csv" if args.format == "csv" else "txt"
+    _write(outdir / f"wafer.{ext}",
+           write_wafer(sw.map, fmt="csv" if args.format == "csv" else "ascii").decode())
+    _write(outdir / "truth.json",
+           _dump_json(truth_document(sw, args.family, args.noise, args.seed)))
     _write_manifest(
         outdir, "generate", [],
         {"rows": args.rows, "cols": args.cols, "family": args.family,
@@ -133,18 +140,10 @@ def cmd_generate(args) -> int:
 def _run_filter(wmap: WaferMap, args):
     nb = Neighborhood(args.neighborhood)
     if args.method == "ac":
-        u = as_fraction(args.u)
-        w = as_fraction(args.w_mag)
-        if u < 0:
-            raise ConfigError("--u must be nonnegative")
-        if w <= 0:
-            raise ConfigError("--w-mag must be positive")
-        cfg = AcConfig(u=u, w_mag=w, nb=nb)
+        cfg = AcConfig(u=args.u, w_mag=args.w_mag, nb=nb)
         return ac_filter(wmap, cfg), {"method": "ac", "u": str(cfg.u), "w_mag": str(cfg.w_mag),
                                       "neighborhood": nb.value}
     if args.method == "cpf":
-        if args.m < 1:
-            raise ConfigError("--m must be >= 1")
         cfg = CpfConfig(m_threshold=args.m, nb=nb)
         return cpf_filter(wmap, cfg), {"method": "cpf", "m": args.m, "neighborhood": nb.value}
     raise ConfigError(f"unknown method {args.method!r}")
@@ -232,29 +231,17 @@ def _truth_lookup_from_sidecar(doc):
     return lookup
 
 
-def _truth_lookup_from_reconstruction(wmap: WaferMap):
-    rec = reconstruct_ground_truth(wmap)
-    graph = build_graph(rec, Neighborhood.KING)
-    d = rec.defect_bits()
-    comp_of = {}
-    adj = graph.adjacency()
-    comp_id = 0
-    seen = set()
-    for i in range(graph.node_count):
-        if d[i] and i not in seen:
-            comp_id += 1
-            stack = [i]
-            seen.add(i)
-            while stack:
-                u = stack.pop()
-                comp_of[graph.coords[u]] = comp_id
-                for v in adj[u]:
-                    if d[v] and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
+def truth_lookup_from_reconstruction(wmap: WaferMap):
+    """Truth label of a "row,col" key: the king-connected component of the
+    reconstructed map that holds the chip, or 0 off every component."""
+    comp = components(reconstruct_ground_truth(wmap).grid() == CellState.DEFECTIVE,
+                      Neighborhood.KING)
 
     def lookup(key):
-        return comp_of.get(_parse_coord_key(key), 0)
+        r, c = _parse_coord_key(key)
+        if 0 <= r < wmap.rows and 0 <= c < wmap.cols:
+            return int(comp[r, c])
+        return 0
 
     return lookup
 
@@ -285,7 +272,7 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
         inputs.append(args.wafer)
         wmap = _read_wafer(args.wafer, args.format)
-        lookup = _truth_lookup_from_reconstruction(wmap)
+        lookup = truth_lookup_from_reconstruction(wmap)
         truth = [lookup(k) for k in keys]
     else:
         raise ConfigError("evaluate needs --truth or --wafer with --reconstruct")
@@ -394,7 +381,8 @@ PIPELINE_LEAPFROG = 5
 PIPELINE_WARP_WARMUP = 40
 
 
-def _pipeline_fit(points, alpha, iters, burn_in, seed):
+def pipeline_fit(points, alpha, iters, burn_in, seed):
+    """iWMM fit of filtered (row, col) points under the pipeline settings."""
     return iwmm_fit(
         PointSet(np.array(points, dtype=float)),
         h=GwHyper(alpha=alpha, R=PIPELINE_PRIOR_SCALE * np.eye(2)),
@@ -431,7 +419,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
         if truth_source == "sidecar" and sidecar_doc is not None:
             lookup = _truth_lookup_from_sidecar(sidecar_doc)
         else:
-            lookup = _truth_lookup_from_reconstruction(wmap)
+            lookup = truth_lookup_from_reconstruction(wmap)
 
         u_eff = u_scratch if family == "scratch_pair" else u
         methods = [("ac", str(u_eff))] + [("cpf", str(m)) for m in m_list]
@@ -459,7 +447,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
                 cache_key = (tuple(points), fit_seed)
                 res = fit_cache.get(cache_key)
                 if res is None:
-                    res = _pipeline_fit(points, alpha, iters, burn_in, fit_seed)
+                    res = pipeline_fit(points, alpha, iters, burn_in, fit_seed)
                     fit_cache[cache_key] = res
                 report = evaluation_report(pts_arr, list(res.assignments), truth,
                                            nmi_normalizer=nmi_normalizer)
@@ -476,7 +464,8 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     return rows
 
 
-def _write_csv(path: Path, columns, rows):
+def write_csv(path: Path, columns, rows):
+    """Write dict rows as CSV in column order; None becomes an empty cell."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
@@ -505,9 +494,9 @@ def cmd_compare(args) -> int:
         progress=progress if args.verbose else None,
     )
     outdir = Path(args.out)
-    _write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
+    write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
     improvements = compute_improvements(rows)
-    _write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, improvements)
+    write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, improvements)
     _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
     _write_manifest(
         outdir, "compare", list(args.wafers),

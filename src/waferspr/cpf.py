@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 
 from .acfilter import FilterResult
 from .errors import InternalError
-from .wafer import CellState, Neighborhood, WaferMap, build_graph
+from .wafer import CellState, Neighborhood, WaferMap, build_graph, components
 
 EXACT_COMPONENT_LIMIT = 24
 SEARCH_BUDGET = 2_000_000
@@ -47,37 +48,20 @@ class _Budget:
         return self.left >= 0
 
 
-def _components(adj, nodes):
-    """Connected components in deterministic (sorted-seed) order."""
-    remaining = set(nodes)
-    comps = []
-    for seed in sorted(nodes):
-        if seed not in remaining:
-            continue
-        comp = [seed]
-        remaining.discard(seed)
-        qi = 0
-        while qi < len(comp):
-            u = comp[qi]
-            qi += 1
-            for v in adj[u]:
-                if v in remaining:
-                    remaining.discard(v)
-                    comp.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _reachable_count(adj, start_set, blocked):
-    seen = set(start_set)
-    stack = list(start_set)
+def _reachable_count(adj, start, blocked, limit):
+    """Nodes reachable from `start` without entering `blocked`, not counting
+    `start` itself; the search stops once `limit` of them are found."""
+    seen = {start}
+    stack = [start]
     while stack:
         u = stack.pop()
         for v in adj[u]:
             if v not in seen and v not in blocked:
                 seen.add(v)
+                if len(seen) > limit:
+                    return limit
                 stack.append(v)
-    return len(seen - set(start_set))
+    return len(seen) - 1
 
 
 def _extend_path(adj, path, used, need, budget):
@@ -88,7 +72,8 @@ def _extend_path(adj, path, used, need, budget):
         raise _BudgetExceeded
     tail = path[-1]
     # prune: even absorbing every reachable unused node cannot reach `need`
-    if len(path) + _reachable_count(adj, (tail,), used - {tail}) < need:
+    missing = need - len(path)
+    if _reachable_count(adj, tail, used, missing) < missing:
         return None
     for v in adj[tail]:
         if v not in used:
@@ -104,6 +89,14 @@ def _extend_path(adj, path, used, need, budget):
 
 class _BudgetExceeded(Exception):
     pass
+
+
+def _has_path(adj, nodes, m, budget):
+    """True iff a simple path of >= m nodes starts at one of `nodes`.
+
+    Raises _BudgetExceeded when the budget runs out first.
+    """
+    return any(_extend_path(adj, [v], {v}, m, budget) for v in nodes)
 
 
 def _path_through(adj, v, need, budget):
@@ -170,30 +163,14 @@ def longest_simple_path_at_least(nodes, edges, length: int) -> bool:
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    # precondition: connected
-    if nodes:
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(nodes):
-            raise InternalError("component is not connected")
+    if nodes and _reachable_count(adj, nodes[0], (), len(nodes)) != len(nodes) - 1:
+        raise InternalError("component is not connected")
     if len(nodes) < length:
         return False
-    if length == 1:
-        return True
-    budget = _Budget(SEARCH_BUDGET)
     try:
-        for v in nodes:
-            if _extend_path(adj, [v], {v}, length, budget):
-                return True
-        return False
+        return _has_path(adj, nodes, length, _Budget(SEARCH_BUDGET))
     except _BudgetExceeded:
-        return len(nodes) >= length
+        return True  # size >= length already checked
 
 
 def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
@@ -203,42 +180,39 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     """
     if cfg is None:
         cfg = CpfConfig()
+    m = cfg.m_threshold
     graph = build_graph(wmap, cfg.nb)
-    d = wmap.defect_bits().astype(bool)
-    defective = np.flatnonzero(d).tolist()
-    adj = {i: [] for i in defective}
-    both = d[graph.edges[:, 0]] & d[graph.edges[:, 1]]
+    comp = components(wmap.grid() == CellState.DEFECTIVE, cfg.nb)[wmap.in_mask()]
+    # A component of fewer than m chips holds no path of m chips, so its
+    # chips are dropped before any adjacency is built.
+    comp[np.bincount(comp)[comp] < m] = 0
+    adj = {i: [] for i in np.flatnonzero(comp).tolist()}
+    both = (comp[graph.edges[:, 0]] > 0) & (comp[graph.edges[:, 1]] > 0)
     for i, j in graph.edges[both].tolist():
         adj[i].append(j)
         adj[j].append(i)
 
-    m = cfg.m_threshold
     labels = np.zeros(graph.node_count, dtype=np.int8)
     approx = False
-    for comp in _components(adj, defective):
-        if len(comp) < m:
-            continue
+    for (nodes,) in ndimage.value_indices(comp, ignore_value=0).values():
+        nodes = nodes.tolist()
         if m == 1:
-            kept = comp
-        elif len(comp) <= EXACT_COMPONENT_LIMIT:
+            kept = nodes
+        elif len(nodes) <= EXACT_COMPONENT_LIMIT:
             try:
-                kept = _exact_kept(adj, comp, m, _Budget(SEARCH_BUDGET))
+                kept = _exact_kept(adj, nodes, m, _Budget(SEARCH_BUDGET))
             except _BudgetExceeded:
-                kept = comp  # size >= m already checked
+                kept = nodes  # size >= m already checked
                 approx = True
         else:
             # component retention: keep everything iff a long path exists
-            budget = _Budget(SEARCH_BUDGET)
             try:
-                found = any(
-                    _extend_path(adj, [v], {v}, m, budget) for v in comp
-                )
+                found = _has_path(adj, nodes, m, _Budget(SEARCH_BUDGET))
             except _BudgetExceeded:
                 found = True  # size >= m already checked
                 approx = True
-            kept = comp if found else []
-        for v in kept:
-            labels[v] = 1
+            kept = nodes if found else []
+        labels[list(kept)] = 1
 
     return FilterResult(
         labels=tuple(int(x) for x in labels),

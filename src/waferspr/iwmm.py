@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyInputError, InternalError, NumericalError
 from .validation import canonical_labels
@@ -282,18 +283,20 @@ def crp_log_prior(A, alpha: float) -> float:
     return out
 
 
-def _cluster_term(n_k, sum_z, szz, h: GwHyper) -> float:
-    """Log Gaussian-Wishart marginal of one cluster's latent coordinates."""
+def _gw_posterior(n_k, sum_z, szz, h: GwHyper):
+    """Gaussian-Wishart posterior (p_k, r_k, m_k, R_k) of a cluster with n_k
+    points, coordinate sum sum_z and scatter sum szz = sum z z^T."""
     p_k = h.p + n_k
     r_k = h.r + n_k
-    m = h.m
-    m_k = (h.p * m + sum_z) / p_k
-    Rk = (
-        h.R
-        + szz
-        + h.p * np.outer(m, m)
-        - p_k * np.outer(m_k, m_k)
-    )
+    m_k = (h.p * h.m + sum_z) / p_k
+    R_k = h.R + szz + h.p * np.outer(h.m, h.m) - p_k * np.outer(m_k, m_k)
+    return p_k, r_k, m_k, R_k
+
+
+def _cluster_term(n_k, posterior, h: GwHyper) -> float:
+    """Log Gaussian-Wishart marginal of one cluster's latent coordinates,
+    from the cluster's _gw_posterior."""
+    p_k, r_k, _, Rk = posterior
     det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
     detR = h.R[0, 0] * h.R[1, 1] - h.R[0, 1] * h.R[1, 0]
     if det <= 0:
@@ -319,7 +322,7 @@ def latent_marginal_log(Z, A, h: GwHyper) -> float:
     for label in np.unique(A):
         Zk = Z[A == label]
         n_k = Zk.shape[0]
-        total += _cluster_term(n_k, Zk.sum(axis=0), Zk.T @ Zk, h)
+        total += _cluster_term(n_k, _gw_posterior(n_k, Zk.sum(axis=0), Zk.T @ Zk, h), h)
     return total
 
 
@@ -336,13 +339,9 @@ def _marginal_and_grad(Z, A, h: GwHyper):
         mask = A == label
         Zk = Z[mask]
         n_k = Zk.shape[0]
-        sum_z = Zk.sum(axis=0)
-        szz = Zk.T @ Zk
-        total += _cluster_term(n_k, sum_z, szz, h)
-        p_k = h.p + n_k
-        r_k = h.r + n_k
-        m_k = (h.p * h.m + sum_z) / p_k
-        Rk = h.R + szz + h.p * np.outer(h.m, h.m) - p_k * np.outer(m_k, m_k)
+        posterior = _gw_posterior(n_k, Zk.sum(axis=0), Zk.T @ Zk, h)
+        total += _cluster_term(n_k, posterior, h)
+        _, r_k, m_k, Rk = posterior
         det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
         Rk_inv = np.array([[Rk[1, 1], -Rk[0, 1]], [-Rk[1, 0], Rk[0, 0]]]) / det
         grad[mask] = -r_k * (Z[mask] - m_k) @ Rk_inv.T
@@ -374,11 +373,9 @@ def student_t_predictive_log(z, n_k, sum_z, szz, h: GwHyper) -> float:
     """Posterior predictive density of one point given a cluster's stats;
     with n_k = 0 this is the prior predictive.  Equals the marginal ratio
     latent_marginal_log(Z + z) - latent_marginal_log(Z)."""
-    p_k = h.p + n_k
-    r_k = h.r + n_k
-    m = h.m
-    m_k = (h.p * m + np.asarray(sum_z, dtype=float)) / p_k
-    Rk = h.R + np.asarray(szz, dtype=float) + h.p * np.outer(m, m) - p_k * np.outer(m_k, m_k)
+    p_k, r_k, m_k, Rk = _gw_posterior(
+        n_k, np.asarray(sum_z, dtype=float), np.asarray(szz, dtype=float), h
+    )
     return _t2_logpdf(
         float(z[0]), float(z[1]), float(m_k[0]), float(m_k[1]),
         p_k, r_k, float(Rk[0, 0]), float(Rk[0, 1]), float(Rk[1, 1]),
@@ -486,7 +483,7 @@ class LatentState:
         total = 0.0
         for k in range(1, self.K + 1):
             n, sum_z, szz = self.cluster_sums(k)
-            total += _cluster_term(n, sum_z, szz, h)
+            total += _cluster_term(n, _gw_posterior(n, sum_z, szz, h), h)
         return total
 
 
@@ -504,6 +501,8 @@ def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
     R00, R01, R11 = float(h.R[0, 0]), float(h.R[0, 1]), float(h.R[1, 1])
     logs = []
     for k in range(1, state.K + 1):
+        # _gw_posterior in scalars: this runs once per point and cluster in
+        # every sweep, where numpy's per-call overhead would dominate.
         n, sx, sy, sxx, sxy, syy = state._sums[k - 1]
         p_k = p0 + n
         r_k = r0 + n
@@ -584,22 +583,11 @@ def _component_init(coords) -> np.ndarray:
     coordinates group into king-move components; continuous point clouds
     degrade gracefully (near-duplicates share a cluster).
     """
-    n = coords.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    current = 0
-    for i in range(n):
-        if labels[i]:
-            continue
-        current += 1
-        stack = [i]
-        labels[i] = current
-        while stack:
-            u = stack.pop()
-            d = np.max(np.abs(coords - coords[u]), axis=1)
-            for v in np.nonzero((d <= 1.01) & (labels == 0))[0]:
-                labels[v] = current
-                stack.append(v)
-    return labels
+    near = (np.abs(coords[:, None, 0] - coords[None, :, 0]) <= 1.01) & (
+        np.abs(coords[:, None, 1] - coords[None, :, 1]) <= 1.01
+    )
+    _, labels = connected_components(near, directed=False)
+    return labels.astype(np.int64) + 1
 
 
 def iwmm_fit(

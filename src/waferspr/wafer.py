@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import DimensionError, ParseError
 
@@ -55,6 +56,12 @@ class Neighborhood(Enum):
         if self is Neighborhood.ROOK:
             return ((0, 1), (1, 0))
         return ((0, 1), (1, 0), (1, 1), (1, -1))
+
+    @property
+    def structure(self) -> np.ndarray:
+        """3x3 connectivity element for scipy.ndimage: a cross for rook
+        moves, the full square for king moves."""
+        return ndimage.generate_binary_structure(2, 1 if self is Neighborhood.ROOK else 2)
 
 
 @dataclass(frozen=True)
@@ -138,15 +145,15 @@ class WaferMap:
 class AdjacencyGraph:
     """Dense-indexed graph over in-mask cells.
 
-    Node ids are 0..node_count-1 in row-major order over in-mask cells;
-    `coords[i]` recovers the grid position of node i.  `edges` is a
-    read-only (m, 2) int64 array of canonical pairs (i, j) with i < j,
-    sorted lexicographically, with no duplicates and no self-loops.
+    Node ids are 0..node_count-1 in row-major order over in-mask cells, so
+    `WaferMap.in_mask_coords()[i]` is the grid position of node i.
+    `edges` is a read-only (m, 2) int64 array of canonical pairs (i, j)
+    with i < j, sorted lexicographically, with no duplicates and no
+    self-loops.
     """
 
     node_count: int
     edges: np.ndarray
-    coords: tuple[tuple[int, int], ...]
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.node_count)]
@@ -263,5 +270,15 @@ def build_graph(wmap: WaferMap, nb: Neighborhood = Neighborhood.KING) -> Adjacen
     edges = np.concatenate(pairs)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     edges.flags.writeable = False
-    coords = tuple(wmap.in_mask_coords())
-    return AdjacencyGraph(len(coords), edges, coords)
+    return AdjacencyGraph(int(inside.sum()), edges)
+
+
+def components(mask, nb: Neighborhood = Neighborhood.KING) -> np.ndarray:
+    """Connected components of the True cells of a boolean grid.
+
+    Returns an int grid of the same shape: 0 where `mask` is False, and
+    1..K elsewhere, numbered in row-major order of each component's first
+    cell.
+    """
+    labels, _ = ndimage.label(mask, structure=nb.structure)
+    return labels

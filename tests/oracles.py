@@ -83,6 +83,32 @@ def exhaustive_ac_argmin(wmap, cfg):
 
 
 # ---------------------------------------------------------------------
+# wafer: grid components by breadth-first search
+# ---------------------------------------------------------------------
+
+def grid_components_bfs(mask, offsets):
+    """Component label grid of the True cells, 1..K in row-major order of
+    each component's first cell, by a per-cell breadth-first search."""
+    rows, cols = len(mask), len(mask[0])
+    labels = [[0] * cols for _ in range(rows)]
+    count = 0
+    for r in range(rows):
+        for c in range(cols):
+            if not mask[r][c] or labels[r][c]:
+                continue
+            count += 1
+            labels[r][c] = count
+            queue = [(r, c)]
+            for qr, qc in queue:
+                for dr, dc in offsets:
+                    nr, nc = qr + dr, qc + dc
+                    if 0 <= nr < rows and 0 <= nc < cols and mask[nr][nc] and not labels[nr][nc]:
+                        labels[nr][nc] = count
+                        queue.append((nr, nc))
+    return labels
+
+
+# ---------------------------------------------------------------------
 # cpf: exhaustive longest simple path
 # ---------------------------------------------------------------------
 

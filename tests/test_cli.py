@@ -9,6 +9,7 @@ from waferspr.cli import (
     compute_improvements,
     compute_wilcoxon,
     main,
+    truth_lookup_from_reconstruction,
 )
 from waferspr.render import PALETTE, cluster_color, render_svg
 from waferspr.wafer import parse_wafer
@@ -52,6 +53,15 @@ def test_filter_bad_u_exits_3(tmp_path, capsys):
     wafer.write_text(HOLE)
     assert run_cli("filter", wafer, "--u", "-1", "--out", tmp_path / "o") == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [("--w-mag", "0"), ("--method", "cpf", "--m", "0")])
+def test_filter_bad_config_exits_3(tmp_path, capsys, flags):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    assert run_cli("filter", wafer, *flags, "--out", tmp_path / "o") == 3
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_filter_u_beyond_solver_range_exits_3(tmp_path, capsys):
@@ -151,6 +161,13 @@ def test_evaluate_with_reconstruction(tmp_path):
                    "--reconstruct", "--out", out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["ri"] == 1.0
+
+
+def test_truth_lookup_outside_grid_is_zero():
+    lookup = truth_lookup_from_reconstruction(parse_wafer("111\n111\n111\n"))
+    assert lookup("0,0") == lookup("2,2") == 1
+    for key in ("-1,-1", "-1,0", "0,-1", "3,0", "0,3", "-3,-3"):
+        assert lookup(key) == 0
 
 
 def test_evaluate_single_cluster_pred_ch_undefined(tmp_path):

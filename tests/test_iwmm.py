@@ -410,6 +410,9 @@ def test_component_init():
     coords = np.array([[0, 0], [0, 1], [1, 1], [5, 5], [5, 6], [9, 0]], dtype=float)
     labels = _component_init(coords)
     assert labels.tolist() == [1, 1, 1, 2, 2, 3]
+    # components are numbered in input order of their first point
+    labels = _component_init(coords[[5, 3, 2, 4, 0, 1]])
+    assert labels.tolist() == [1, 2, 3, 2, 3, 3]
 
 
 def test_mcmc_config_validation():

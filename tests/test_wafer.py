@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import grid_components_bfs
 
 from waferspr.errors import DimensionError, ParseError
 from waferspr.wafer import (
@@ -8,6 +9,7 @@ from waferspr.wafer import (
     Neighborhood,
     WaferMap,
     build_graph,
+    components,
     parse_wafer,
     write_wafer,
 )
@@ -112,7 +114,7 @@ def test_build_graph_king_counts():
     g = build_graph(m, Neighborhood.KING)
     assert len(g.edges) == 20  # + 2(r-1)(c-1) diagonals
     # interior node has degree 8
-    center = g.coords.index((1, 1))
+    center = m.in_mask_coords().index((1, 1))
     degree = sum(1 for e in g.edges if center in e)
     assert degree == 8
 
@@ -128,7 +130,7 @@ def test_build_graph_outside_mask_excluded():
     m = parse_wafer(".1\n1.\n")
     g = build_graph(m, Neighborhood.KING)
     assert g.node_count == 2
-    assert g.coords == ((0, 1), (1, 0))
+    assert m.in_mask_coords() == [(0, 1), (1, 0)]
     assert len(g.edges) == 1  # anti-diagonal adjacency under king
 
 
@@ -140,12 +142,13 @@ def test_edge_distances(rc):
         return
     text = "\n".join("".join(cells[i * c : (i + 1) * c]) for i in range(r)) + "\n"
     m = parse_wafer(text)
+    coords = m.in_mask_coords()
     for nb in (Neighborhood.ROOK, Neighborhood.KING):
         g = build_graph(m, nb)
         assert np.array_equal(g.edges, build_graph(m, nb).edges)  # deterministic
         for i, j in g.edges:
             assert i < j
-            (r1, c1), (r2, c2) = g.coords[i], g.coords[j]
+            (r1, c1), (r2, c2) = coords[i], coords[j]
             if nb is Neighborhood.ROOK:
                 assert abs(r1 - r2) + abs(c1 - c2) == 1
             else:
@@ -182,8 +185,19 @@ def test_build_graph_matches_naive_loop(rc):
         assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
         assert not g.edges.flags.writeable
         assert g.edges.tolist() == [list(e) for e in edges]
-        assert g.coords == coords
+        assert tuple(m.in_mask_coords()) == coords
         assert g.node_count == len(coords)
+
+
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+@settings(max_examples=200)
+def test_components_match_bfs(rows, cols, data):
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows * cols,
+                                       max_size=rows * cols))).reshape(rows, cols)
+    for nb in (Neighborhood.ROOK, Neighborhood.KING):
+        labels = components(mask, nb)
+        assert labels.shape == mask.shape
+        assert labels.tolist() == grid_components_bfs(mask.tolist(), nb.offsets)
 
 
 def test_parse_non_utf8_is_parse_error():
