@@ -10,11 +10,14 @@ coordinates (evaluate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import statistics
 import sys
 from dataclasses import asdict, dataclass
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +64,9 @@ def _write(path: Path, text: str):
     path.write_bytes(text.encode("utf-8"))
 
 
-def _write_manifest(outdir: Path, command, inputs, config, seed=None):
+def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=None):
+    """manifest.json of a run; `counters` (deterministic counts of the work
+    done) are added under their own key when given."""
     manifest = RunManifest(
         command=command,
         inputs=tuple(str(p) for p in inputs),
@@ -69,7 +74,10 @@ def _write_manifest(outdir: Path, command, inputs, config, seed=None):
         seed=seed,
         version=__version__,
     )
-    _write(outdir / "manifest.json", _dump_json(asdict(manifest)))
+    doc = asdict(manifest)
+    if counters is not None:
+        doc["counters"] = counters
+    _write(outdir / "manifest.json", _dump_json(doc))
 
 
 def _read_wafer(path, fmt="auto") -> WaferMap:
@@ -381,23 +389,75 @@ PIPELINE_LEAPFROG = 5
 PIPELINE_WARP_WARMUP = 40
 
 
-def pipeline_fit(points, alpha, iters, burn_in, seed):
-    """iWMM fit of filtered (row, col) points under the pipeline settings."""
+def pipeline_mcmc(iters, burn_in) -> McmcConfig:
+    """MCMC schedule of the pipeline fits; raises ValueError unless
+    iters > burn_in >= 0."""
+    return McmcConfig(iters=iters, burn_in=burn_in,
+                      hmc=HmcConfig(step_size=0.01, leapfrog_steps=PIPELINE_LEAPFROG),
+                      gibbs_start=min(PIPELINE_WARP_WARMUP, burn_in // 2))
+
+
+def pipeline_fit(points, alpha, mcmc, seed):
+    """iWMM fit of filtered (row, col) points under the pipeline settings,
+    with the schedule `mcmc` (see `pipeline_mcmc`)."""
     return iwmm_fit(
         PointSet(np.array(points, dtype=float)),
         h=GwHyper(alpha=alpha, R=PIPELINE_PRIOR_SCALE * np.eye(2)),
         k0=PIPELINE_KERNEL,
-        mcmc=McmcConfig(iters=iters, burn_in=burn_in,
-                        hmc=HmcConfig(step_size=0.01, leapfrog_steps=PIPELINE_LEAPFROG),
-                        gibbs_start=min(PIPELINE_WARP_WARMUP, burn_in // 2)),
+        mcmc=mcmc,
         seed=seed,
         init="components",
     )
 
 
+def _one_blas_thread():
+    """Run the OpenBLAS libraries loaded in this process on one thread.
+
+    Pool workers call it first.  The workers already take one core each,
+    and by default OpenBLAS adds a helper thread per core that busy-waits:
+    on 2 cores, 2 such workers took 4 times as long as one process.
+    """
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in product(("", "scipy_"), ("", "64_")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+@contextlib.contextmanager
+def _fit_map(workers):
+    """A `map` for the fits: the builtin one in process for one worker,
+    else the `map` of a pool of `workers` forked processes.
+
+    Forked workers start in milliseconds and inherit the imported
+    modules; the pool forks all of them before it starts its own thread.
+    Leaving the block cancels the fits not yet started.
+    """
+    if workers <= 1:
+        yield map
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), seeds=3,
                    iters=300, burn_in=150, alpha=0.3, nmi_normalizer="paper",
-                   truth_source="reconstruction", fmt="auto", progress=None):
+                   truth_source="reconstruction", fmt="auto", progress=None,
+                   counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
 
     External truth comes from connected components of the reconstructed
@@ -405,8 +465,18 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     to use generator metadata when a truth.json sits next to the wafer.
     Scratch-family wafers use `u_scratch` for the AC filter, mirroring
     the reduced separation cost the experiments use for scratch patterns.
+
+    Every wafer is filtered first.  Then each distinct (points, fit seed)
+    pair is fitted once, on as many worker processes as the process may
+    use cores and there are fits.  Rows come in input order, and each
+    fit is seeded, so the rows do not depend on the worker count.
+    `progress` is called with each fitted row, in order, as it is ready.
+    A `counters` dict receives `fit_requests`, `fits_run` and `workers`;
+    the last one depends on the machine.
     """
-    rows = []
+    mcmc = pipeline_mcmc(iters, burn_in)
+
+    cases = []  # (row fields, kept points, truth labels) per wafer and method
     for path in wafer_paths:
         path = Path(path)
         wmap = _read_wafer(path, fmt)
@@ -422,43 +492,53 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
             lookup = truth_lookup_from_reconstruction(wmap)
 
         u_eff = u_scratch if family == "scratch_pair" else u
+        wafer_name = path.stem if path.stem != "wafer" else path.parent.name
         methods = [("ac", str(u_eff))] + [("cpf", str(m)) for m in m_list]
-        fit_cache = {}  # identical filtered sets (e.g. CPF M=5 vs M=10) share fits
         for method, param in methods:
             if method == "ac":
                 result = ac_filter(wmap, AcConfig(u=as_fraction(u_eff)))
             else:
                 result = cpf_filter(wmap, CpfConfig(m_threshold=int(param)))
-            points = filtered_points(wmap, result)
-            wafer_name = path.stem if path.stem != "wafer" else path.parent.name
+            points = tuple(filtered_points(wmap, result))
+            fields = {"wafer": wafer_name, "family": family, "method": method, "param": param}
+            cases.append((fields, points, [lookup(_coord_key(rc)) for rc in points]))
+
+    # Identical filtered sets (e.g. CPF M=5 and M=10) share their fits.
+    # The largest point sets go first, so no worker is left with a long
+    # fit at the end.
+    requests = [(points, fit_seed) for _, points, _ in cases if points
+                for fit_seed in range(seeds)]
+    jobs = sorted(dict.fromkeys(requests), key=lambda job: -len(job[0]))
+    # Without an affinity API (macOS, Windows) the fits run in process.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(jobs))
+    if counters is not None:
+        counters.update(fit_requests=len(requests), fits_run=len(jobs), workers=workers)
+
+    rows = []
+    with _fit_map(workers) as fit_map:
+        done = zip(jobs, fit_map(pipeline_fit, [points for points, _ in jobs], repeat(alpha),
+                                 repeat(mcmc), [fit_seed for _, fit_seed in jobs]))
+        fits = {}
+        for fields, points, truth in cases:
             if not points:
-                for fit_seed in range(seeds):
-                    rows.append({
-                        "wafer": wafer_name,
-                        "family": family, "method": method, "param": param,
-                        "fit_seed": fit_seed, "n_points": 0, "k_hat": None,
-                        "ch": None, "gdi": None, "ri": None, "ari": None,
-                        "nmi": None, "nmi_sqrt": None,
-                    })
+                rows.extend(dict(fields, fit_seed=fit_seed, n_points=0, k_hat=None,
+                                 ch=None, gdi=None, ri=None, ari=None, nmi=None,
+                                 nmi_sqrt=None)
+                            for fit_seed in range(seeds))
                 continue
-            truth = [lookup(_coord_key(rc)) for rc in points]
             pts_arr = np.array(points, dtype=float)
             for fit_seed in range(seeds):
-                cache_key = (tuple(points), fit_seed)
-                res = fit_cache.get(cache_key)
-                if res is None:
-                    res = pipeline_fit(points, alpha, iters, burn_in, fit_seed)
-                    fit_cache[cache_key] = res
+                while (points, fit_seed) not in fits:
+                    job, res = next(done)
+                    fits[job] = res
+                res = fits[points, fit_seed]
                 report = evaluation_report(pts_arr, list(res.assignments), truth,
                                            nmi_normalizer=nmi_normalizer)
-                rows.append({
-                    "wafer": wafer_name,
-                    "family": family, "method": method, "param": param,
-                    "fit_seed": fit_seed, "n_points": len(points),
-                    "k_hat": res.k_hat, "ch": report.ch, "gdi": report.gdi,
-                    "ri": report.ri, "ari": report.ari, "nmi": report.nmi,
-                    "nmi_sqrt": report.nmi_sqrt,
-                })
+                rows.append(dict(fields, fit_seed=fit_seed, n_points=len(points),
+                                 k_hat=res.k_hat, ch=report.ch, gdi=report.gdi,
+                                 ri=report.ri, ari=report.ari, nmi=report.nmi,
+                                 nmi_sqrt=report.nmi_sqrt))
                 if progress:
                     progress(rows[-1])
     return rows
@@ -486,13 +566,19 @@ def cmd_compare(args) -> int:
         print(f"  {row['wafer']} {row['method']}{row['param']} seed {row['fit_seed']}: "
               f"k={row['k_hat']} nmi={row['nmi']}", file=sys.stderr)
 
+    counters = {}
     rows = run_comparison(
         args.wafers, u=args.u, u_scratch=args.u_scratch, m_list=m_list,
         seeds=args.seeds, iters=args.iters, burn_in=args.burn_in,
         alpha=args.alpha, nmi_normalizer=args.nmi_normalizer,
         truth_source=args.truth_source, fmt=args.format,
-        progress=progress if args.verbose else None,
+        progress=progress if args.verbose else None, counters=counters,
     )
+    # The worker count depends on the machine, so it stays out of the files.
+    workers = counters.pop("workers")
+    if args.verbose:
+        print(f"  {counters['fits_run']} distinct fits of {counters['fit_requests']} "
+              f"requests on {workers} worker(s)", file=sys.stderr)
     outdir = Path(args.out)
     write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
     improvements = compute_improvements(rows)
@@ -504,6 +590,7 @@ def cmd_compare(args) -> int:
          "seeds": args.seeds, "iters": args.iters, "burn_in": args.burn_in,
          "alpha": args.alpha, "truth_source": args.truth_source,
          "nmi_normalizer": args.nmi_normalizer},
+        counters=counters,
     )
     return 0
 

@@ -215,7 +215,7 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
         labels[list(kept)] = 1
 
     return FilterResult(
-        labels=tuple(int(x) for x in labels),
+        labels=tuple(labels.tolist()),
         objective_value=Fraction(int(labels.sum())),
         kept_count=int(labels.sum()),
         approx=approx,

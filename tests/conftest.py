@@ -1,8 +1,9 @@
 """Test-suite configuration shared by every test module."""
 
 # Criterion 9 fits the warped mixture 72 times over the twelve-wafer corpus
-# and takes nearly all of the suite's wall time (about 13 minutes on two
-# vCPUs); every other test together takes under a minute.
+# and takes nearly all of the suite's wall time (7.5-8.5 minutes on two
+# vCPUs, with the fits running on both); every other test together takes
+# under a minute.
 _LONG_RUNNING = {"test_criterion_09_directional_comparison"}
 
 

@@ -1,14 +1,18 @@
+import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from waferspr import cli
 from waferspr.cli import (
     COMPARISON_COLUMNS,
     compute_improvements,
     compute_wilcoxon,
     main,
+    run_comparison,
     truth_lookup_from_reconstruction,
 )
 from waferspr.render import PALETTE, cluster_color, render_svg
@@ -311,14 +315,27 @@ def test_comparison_columns_documented():
     )
 
 
-def test_compare_two_wafers_schema(tmp_path):
+def _two_wafers(tmp_path):
+    """The cross and the hole as wafers w0 and w1.  AC fills both to the
+    full 3x3 square; CPF at M=1 and M=2 keeps the 5 and the 8 defects."""
+    paths = []
     for i, text in enumerate((CROSS, HOLE)):
         d = tmp_path / f"w{i}"
         d.mkdir()
         (d / "wafer.txt").write_text(text)
+        paths.append(d / "wafer.txt")
+    return paths
+
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_compare_two_wafers_schema(tmp_path):
+    w0, w1 = _two_wafers(tmp_path)
     out = tmp_path / "cmp"
     assert run_cli(
-        "compare", tmp_path / "w0" / "wafer.txt", tmp_path / "w1" / "wafer.txt",
+        "compare", w0, w1,
         "--m-list", "1", "--seeds", "1", "--iters", "12", "--burn-in", "4",
         "--out", out,
     ) == 0
@@ -330,3 +347,87 @@ def test_compare_two_wafers_schema(tmp_path):
     assert (out / "wilcoxon.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "compare"
+
+
+def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    paths = _two_wafers(tmp_path)
+    runs = {}
+    for workers in (1, 2):
+        _usable_cores(monkeypatch, workers)
+        streamed, counters = [], {}
+        rows = run_comparison(paths, m_list=(1, 2), seeds=2, iters=12, burn_in=4,
+                              progress=streamed.append, counters=counters)
+        assert counters == {"fit_requests": 12, "fits_run": 6, "workers": workers}
+        assert streamed == rows
+        runs[workers] = rows
+    assert runs[1] == runs[2]
+    # Input order: wafer, then AC and CPF at each M, then fit seed.
+    assert [(r["wafer"], r["method"], r["param"], r["fit_seed"], r["n_points"])
+            for r in runs[1]] == [
+        (w, method, param, seed, n)
+        for w, sizes in (("w0", (9, 5, 5)), ("w1", (9, 8, 8)))
+        for (method, param), n in zip((("ac", "0.5"), ("cpf", "1"), ("cpf", "2")), sizes)
+        for seed in (0, 1)
+    ]
+
+
+def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
+    _usable_cores(monkeypatch, 1)  # fits run in this process, where they are counted
+    calls = []
+
+    def counting_fit(points, alpha, mcmc, seed):
+        calls.append((points, seed))
+        return original(points, alpha, mcmc, seed)
+
+    original = cli.pipeline_fit
+    monkeypatch.setattr(cli, "pipeline_fit", counting_fit)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1,2", "--seeds", "2",
+                   "--iters", "12", "--burn-in", "4", "--out", out) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    # CPF at M=1 and M=2 keep the same points, and AC the same square on
+    # both wafers: 12 requests, 6 distinct (points, seed) pairs.
+    assert counters == {"fit_requests": 12, "fits_run": 6}
+    assert len(calls) == len(set(calls)) == counters["fits_run"]
+
+
+def test_compare_bad_schedule_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    _usable_cores(monkeypatch, 2)
+
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("filtered before the MCMC schedule was checked")
+
+    monkeypatch.setattr(cli, "ac_filter", no_filtering)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1,2", "--seeds", "2",
+                   "--iters", "4", "--burn-in", "4", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _openblas_thread_counts(_):
+    """Thread count of each OpenBLAS library loaded in this process."""
+    import ctypes
+
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if getter is not None:
+                counts.append(getter())
+                break
+    return counts
+
+
+def test_pool_workers_run_openblas_on_one_thread():
+    if not _openblas_thread_counts(None):
+        pytest.skip("numpy and scipy do not use OpenBLAS here")
+    with cli._fit_map(2) as fit_map:
+        per_worker = list(fit_map(_openblas_thread_counts, range(2)))
+    assert per_worker == [[1] * len(per_worker[0])] * 2
+    assert per_worker[0]
