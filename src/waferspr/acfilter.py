@@ -24,9 +24,10 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigError, DimensionError, EmptyWaferError
-from .flow import FlowNetwork, max_flow_min_cut
+from .flow import INT32_MAX, FlowNetwork, max_flow_min_cut
 from .wafer import AdjacencyGraph, Neighborhood, WaferMap, build_graph
 
 
@@ -64,32 +65,42 @@ class AcConfig:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Per-node binary labels x plus the exact objective they achieve."""
+    """Per-node binary labels x plus the exact objective they achieve.
+
+    `counters` holds (name, count) pairs of what the filter's solver did.
+    """
 
     labels: tuple
     objective_value: Fraction
     kept_count: int
     approx: bool = False
+    counters: tuple = ()
 
 
 def ac_objective(wmap: WaferMap, cfg: AcConfig, labels) -> Fraction:
     """Exact rational objective of a labeling; the recomputation check."""
-    return _objective(build_graph(wmap, cfg.nb), wmap.defect_bits(), cfg, labels)
+    return _objective(cfg, *_label_counts(build_graph(wmap, cfg.nb), wmap.defect_bits(), labels))
 
 
-def _objective(graph: AdjacencyGraph, d: np.ndarray, cfg: AcConfig, labels) -> Fraction:
+def _objective(cfg: AcConfig, kept_functional: int, kept_defective: int,
+               cut_edges: int) -> Fraction:
+    return cfg.w_mag * (kept_functional - kept_defective) + cfg.u * cut_edges
+
+
+def _label_counts(graph: AdjacencyGraph, d: np.ndarray, labels) -> tuple[int, int, int]:
+    """Kept functional chips, kept defective chips and grid edges whose
+    ends differ, under a labeling."""
     labels = np.asarray(labels)
     if labels.shape != (graph.node_count,):
         raise DimensionError(
             f"labels length {labels.size} != node count {graph.node_count}"
         )
     kept = labels == 1
-    n_kept_functional = int(np.sum(kept & (d == 0)))
-    n_kept_defective = int(np.sum(kept & (d == 1)))
-    deviation = cfg.w_mag * (n_kept_functional - n_kept_defective)
-    i, j = graph.edges.T
-    cross = int(np.count_nonzero(labels[i] != labels[j]))
-    return deviation + cfg.u * cross
+    nbr = graph.neighbours
+    # Every grid edge appears in the rows of both of its ends.
+    differs = (labels[:, None] != labels[nbr]) & (nbr >= 0)
+    return (int(np.sum(kept & (d == 0))), int(np.sum(kept & (d == 1))),
+            int(np.count_nonzero(differs)) // 2)
 
 
 def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
@@ -108,37 +119,52 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
     scale = lcm(cfg.u.denominator, cfg.w_mag.denominator)
     u_int = int(cfg.u * scale)
     w_int = int(cfg.w_mag * scale)
-
-    s, t = n, n + 1
-    edges = graph.edges if u_int > 0 else graph.edges[:0]
-    d = wmap.defect_bits()
-    defective = d == 1
-    chips = np.arange(n)
-    # Each grid edge becomes two antiparallel arcs of capacity u; a defective
-    # chip (w_i < 0) gets an arc from the source, a functional one an arc
-    # to the sink, both of capacity w_mag.
-    tails = np.concatenate([edges[:, 0], edges[:, 1], np.full(int(defective.sum()), s),
-                            chips[~defective]])
-    heads = np.concatenate([edges[:, 1], edges[:, 0], chips[defective],
-                            np.full(int((~defective).sum()), t)])
-    # An object or float array here means a capacity beyond int64, which
-    # FlowNetwork rejects.
-    caps = np.repeat(np.array([u_int, w_int]), [2 * len(edges), n])
-    try:
-        cut = max_flow_min_cut(FlowNetwork(n + 2, np.column_stack([tails, heads, caps]), s, t))
-    except ValueError as exc:
+    if max(u_int, w_int) > INT32_MAX:
         raise ConfigError(
             f"u={cfg.u} and w_mag={cfg.w_mag} scale to integer capacities "
-            f"{u_int} and {w_int}, beyond what the exact solver accepts: {exc}"
-        ) from exc
+            f"{u_int} and {w_int}, beyond the exact solver's limit {INT32_MAX}"
+        )
+
+    s, t = n, n + 1
+    d = wmap.defect_bits()
+    defective = d == 1
+    # The capacity matrix of the network, built row by row in the
+    # structure FlowNetwork requires.  Each grid edge becomes two
+    # antiparallel arcs of capacity u; a defective chip (w_i < 0) gets an
+    # arc from the source, a functional one an arc to the sink, both of
+    # capacity w_mag.  So a chip's row holds its neighbours at capacity u
+    # (none at u = 0, where they carry no flow), then its terminal entry:
+    # the zero reverse of its source arc, or its sink arc.  Row s holds
+    # the source arcs and row t the zero reverses of the sink arcs.  All
+    # ids ascend along each row, since s and t follow every chip.
+    link = graph.neighbours if u_int > 0 else graph.neighbours[:, :0]
+    row = np.column_stack([link, np.where(defective, s, t)])
+    present = row >= 0
+    heads = row[present]
+    # In a chip's row the capacity follows from the head alone.
+    by_head = np.full(n + 2, u_int, dtype=np.int32)
+    by_head[[s, t]] = 0, w_int
+    from_s, to_t = np.flatnonzero(defective), np.flatnonzero(~defective)
+    data = np.concatenate([by_head[heads], np.full(from_s.size, w_int, dtype=np.int32),
+                           np.zeros(to_t.size, dtype=np.int32)])
+    # SciPy's solver works on int32 indices and would cast others on every call.
+    indices = np.concatenate([heads, from_s, to_t]).astype(np.int32)
+    indptr = np.cumsum(np.concatenate([[0], np.count_nonzero(present, axis=1),
+                                       [from_s.size, to_t.size]]), dtype=np.int32)
+    capacity = csr_array((data, indices, indptr), shape=(n + 2, n + 2))
+    cut = max_flow_min_cut(FlowNetwork(capacity, s, t))
 
     labels = np.zeros(n + 2, dtype=np.int8)
-    labels[list(cut.source_set)] = 1
+    labels[np.fromiter(cut.source_set, dtype=np.int64, count=len(cut.source_set))] = 1
     labels = labels[:n]
+    kept_functional, kept_defective, cut_edges = _label_counts(graph, d, labels)
     return FilterResult(
         labels=tuple(labels.tolist()),
-        objective_value=_objective(graph, d, cfg, labels),
+        objective_value=_objective(cfg, kept_functional, kept_defective, cut_edges),
         kept_count=int(labels.sum()),
+        counters=(("max_flow_value", cut.max_flow_value), ("cut_edges", cut_edges),
+                  ("kept_functional", kept_functional),
+                  ("dropped_defective", int(defective.sum()) - kept_defective)),
     )
 
 

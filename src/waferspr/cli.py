@@ -170,6 +170,7 @@ def cmd_filter(args) -> int:
         "approx": result.approx,
         "n_in_mask": wmap.n_in_mask,
         "n_defective_raw": wmap.n_defective,
+        "counters": dict(result.counters),
     }
     _write(outdir / "summary.json", _dump_json(summary))
     _write_manifest(outdir, "filter", [args.input], config)

@@ -21,7 +21,7 @@ from scipy import ndimage
 
 from .acfilter import FilterResult
 from .errors import InternalError
-from .wafer import CellState, Neighborhood, WaferMap, build_graph, components
+from .wafer import AdjacencyGraph, CellState, Neighborhood, WaferMap, build_graph, components
 
 EXACT_COMPONENT_LIMIT = 24
 SEARCH_BUDGET = 2_000_000
@@ -173,10 +173,25 @@ def longest_simple_path_at_least(nodes, edges, length: int) -> bool:
         return True  # size >= length already checked
 
 
+def _adjacency(graph: AdjacencyGraph, comp: np.ndarray) -> dict[int, list[int]]:
+    """Adjacency among the chips with comp > 0: each one's neighbour list in
+    ascending id order, which is the order the path search visits them in."""
+    alive = np.flatnonzero(comp)
+    nbr = graph.neighbours[alive]
+    link = nbr >= 0
+    link[link] = comp[nbr[link]] > 0
+    flat = nbr[link].tolist()
+    ends = np.cumsum(link.sum(axis=1)).tolist()
+    return {i: flat[a:b] for i, a, b in zip(alive.tolist(), [0] + ends[:-1], ends)}
+
+
 def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     """CPF labeling: x_i = 1 only for defective chips on long enough paths.
 
-    objective_value carries sum(x) (CPF has no cost model).
+    objective_value carries sum(x) (CPF has no cost model).  `counters`
+    gives the components searched to the end (`components_exact`), those
+    kept whole because the search budget ran out (`components_approx`),
+    and the budget steps spent over all of them (`budget_spent`).
     """
     if cfg is None:
         cfg = CpfConfig()
@@ -186,37 +201,33 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     # A component of fewer than m chips holds no path of m chips, so its
     # chips are dropped before any adjacency is built.
     comp[np.bincount(comp)[comp] < m] = 0
-    adj = {i: [] for i in np.flatnonzero(comp).tolist()}
-    both = (comp[graph.edges[:, 0]] > 0) & (comp[graph.edges[:, 1]] > 0)
-    for i, j in graph.edges[both].tolist():
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = _adjacency(graph, comp)
 
     labels = np.zeros(graph.node_count, dtype=np.int8)
-    approx = False
+    exact = approx = spent = 0
     for (nodes,) in ndimage.value_indices(comp, ignore_value=0).values():
         nodes = nodes.tolist()
-        if m == 1:
-            kept = nodes
-        elif len(nodes) <= EXACT_COMPONENT_LIMIT:
-            try:
-                kept = _exact_kept(adj, nodes, m, _Budget(SEARCH_BUDGET))
-            except _BudgetExceeded:
-                kept = nodes  # size >= m already checked
-                approx = True
-        else:
-            # component retention: keep everything iff a long path exists
-            try:
-                found = _has_path(adj, nodes, m, _Budget(SEARCH_BUDGET))
-            except _BudgetExceeded:
-                found = True  # size >= m already checked
-                approx = True
-            kept = nodes if found else []
+        budget = _Budget(SEARCH_BUDGET)
+        try:
+            if m == 1:
+                kept = nodes
+            elif len(nodes) <= EXACT_COMPONENT_LIMIT:
+                kept = _exact_kept(adj, nodes, m, budget)
+            else:
+                # component retention: keep everything iff a long path exists
+                kept = nodes if _has_path(adj, nodes, m, budget) else []
+            exact += 1
+        except _BudgetExceeded:
+            kept = nodes  # size >= m already checked
+            approx += 1
+        spent += SEARCH_BUDGET - max(budget.left, 0)
         labels[list(kept)] = 1
 
     return FilterResult(
         labels=tuple(labels.tolist()),
         objective_value=Fraction(int(labels.sum())),
         kept_count=int(labels.sum()),
-        approx=approx,
+        approx=approx > 0,
+        counters=(("components_exact", exact), ("components_approx", approx),
+                  ("budget_spent", spent)),
     )

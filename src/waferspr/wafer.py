@@ -31,6 +31,10 @@ class CellState(IntEnum):
 
 _ASCII_TO_STATE = {".": CellState.OUTSIDE, "0": CellState.FUNCTIONAL, "1": CellState.DEFECTIVE}
 _STATE_TO_ASCII = {v: k for k, v in _ASCII_TO_STATE.items()}
+# Cell state of each ASCII code point, -1 for a symbol that is no cell; the
+# last entry (DEL) stands for every code point beyond the table.
+_ASCII_LUT = np.full(128, -1, dtype=np.int8)
+_ASCII_LUT[[ord(ch) for ch in _ASCII_TO_STATE]] = list(_ASCII_TO_STATE.values())
 
 
 class Neighborhood(Enum):
@@ -45,17 +49,6 @@ class Neighborhood(Enum):
         if self is Neighborhood.ROOK:
             return rook
         return rook + ((-1, -1), (-1, 1), (1, -1), (1, 1))
-
-    @property
-    def forward_offsets(self):
-        """Offsets that only point to lexicographically later cells.
-
-        Enumerating edges with these visits each unordered pair once and
-        yields canonical (i, j) with i < j under row-major node ids.
-        """
-        if self is Neighborhood.ROOK:
-            return ((0, 1), (1, 0))
-        return ((0, 1), (1, 0), (1, 1), (1, -1))
 
     @property
     def structure(self) -> np.ndarray:
@@ -147,20 +140,59 @@ class AdjacencyGraph:
 
     Node ids are 0..node_count-1 in row-major order over in-mask cells, so
     `WaferMap.in_mask_coords()[i]` is the grid position of node i.
-    `edges` is a read-only (m, 2) int64 array of canonical pairs (i, j)
-    with i < j, sorted lexicographically, with no duplicates and no
-    self-loops.
+    `neighbours` is a read-only (node_count, deg) int64 matrix: row i holds
+    the ids of node i's neighbours in ascending order, one column per grid
+    offset in `sorted(nb.offsets)`, with -1 where that neighbour is outside
+    the grid or the mask.
     """
 
-    node_count: int
-    edges: np.ndarray
+    neighbours: np.ndarray
+
+    @property
+    def node_count(self) -> int:
+        return self.neighbours.shape[0]
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Read-only (m, 2) int64 array of canonical pairs (i, j) with
+        i < j, sorted lexicographically, with no duplicates and no
+        self-loops.  Computed on each access.
+
+        The offsets are symmetric and sorted, so the second half of the
+        columns holds the offsets that point to later cells, in ascending
+        id order; read row by row they list the pairs already sorted.
+        """
+        forward = self.neighbours[:, self.neighbours.shape[1] // 2:]
+        i, col = np.nonzero(forward >= 0)
+        edges = np.column_stack([i, forward[i, col]]).astype(np.int64, copy=False)
+        edges.flags.writeable = False
+        return edges
 
     def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.node_count)]
-        for i, j in self.edges.tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+        return [[j for j in row if j >= 0] for row in self.neighbours.tolist()]
+
+
+def _parse_ascii(body: str) -> tuple[np.ndarray, list[int]]:
+    """Cell states and per-line cell counts of ASCII rows joined by newlines.
+
+    One table lookup over the code points; the first character that is
+    neither a cell symbol nor a newline raises ParseError.
+    """
+    codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    newline = codes == ord("\n")
+    states = _ASCII_LUT[np.minimum(codes, _ASCII_LUT.size - 1)]
+    bad = (states < 0) & ~newline
+    if bad.any():
+        at = int(bad.argmax())
+        lineno = body.count("\n", 0, at) + 1
+        col = at - (body.rfind("\n", 0, at) + 1)
+        ch = body[at]
+        raise ParseError(
+            f"unknown symbol {ch!r} at line {lineno}, column {col}",
+            line=lineno, symbol=ch, position=col,
+        )
+    lengths = np.diff(np.flatnonzero(newline), prepend=-1, append=codes.size) - 1
+    return states[~newline], lengths.tolist()
 
 
 def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
@@ -177,17 +209,7 @@ def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
         raise ParseError("empty grid")
 
     if fmt == "ascii":
-        rows = []
-        for lineno, line in enumerate(lines, start=1):
-            states = []
-            for col, ch in enumerate(line):
-                if ch not in _ASCII_TO_STATE:
-                    raise ParseError(
-                        f"unknown symbol {ch!r} at line {lineno}, column {col}",
-                        line=lineno, symbol=ch, position=col,
-                    )
-                states.append(int(_ASCII_TO_STATE[ch]))
-            rows.append(states)
+        cells, lengths = _parse_ascii(text[:-1] if text.endswith("\n") else text)
     elif fmt == "csv":
         rows = []
         for lineno, line in enumerate(lines, start=1):
@@ -208,22 +230,23 @@ def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
                     )
                 states.append(val)
             rows.append(states)
+        cells = [s for row in rows for s in row]
+        lengths = [len(row) for row in rows]
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
-    width = len(rows[0])
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
+    width = lengths[0]
+    for lineno, length in enumerate(lengths, start=1):
+        if length != width:
             raise ParseError(
-                f"ragged rows: line {lineno} has {len(row)} cells, expected {width}",
+                f"ragged rows: line {lineno} has {length} cells, expected {width}",
                 line=lineno,
             )
     if width == 0:
         raise ParseError("empty grid")
 
-    cells = np.array([s for row in rows for s in row], dtype=np.int8)
     try:
-        return WaferMap(len(rows), width, cells)
+        return WaferMap(len(lengths), width, np.asarray(cells, dtype=np.int8))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -251,26 +274,20 @@ def write_wafer(wmap: WaferMap, labels=None, fmt: str = "ascii") -> bytes:
 def build_graph(wmap: WaferMap, nb: Neighborhood = Neighborhood.KING) -> AdjacencyGraph:
     """Adjacency graph over in-mask cells under the given neighborhood.
 
-    Deterministic: row-major node ids, canonical sorted edge list.
+    Deterministic: row-major node ids, neighbours in ascending id order.
     """
     inside = wmap.in_mask()
     rows, cols = inside.shape
-    node_id = np.full(inside.shape, -1, dtype=np.int64)
-    node_id[inside] = np.arange(int(inside.sum()))
-
-    # Pair every cell with its neighbor at each forward offset by slicing
-    # the id grid against a shifted copy of itself.
-    pairs = []
-    for dr, dc in nb.forward_offsets:
-        c0, c1 = max(0, -dc), cols - max(0, dc)
-        a = node_id[: rows - dr, c0:c1]
-        b = node_id[dr:, c0 + dc : c1 + dc]
-        keep = (a >= 0) & (b >= 0)
-        pairs.append(np.column_stack([a[keep], b[keep]]))
-    edges = np.concatenate(pairs)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    edges.flags.writeable = False
-    return AdjacencyGraph(int(inside.sum()), edges)
+    # An id grid padded with a ring of -1, so that every offset of an
+    # in-grid cell lands inside the padded grid.
+    padded = np.full((rows + 2, cols + 2), -1, dtype=np.int64)
+    padded[1:-1, 1:-1][inside] = np.arange(int(inside.sum()))
+    neighbours = np.column_stack([
+        padded[1 + dr : 1 + dr + rows, 1 + dc : 1 + dc + cols][inside]
+        for dr, dc in sorted(nb.offsets)
+    ])
+    neighbours.flags.writeable = False
+    return AdjacencyGraph(neighbours)
 
 
 def components(mask, nb: Neighborhood = Neighborhood.KING) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_criterion_02_min_cut_duality():
         arcs = tuple(
             (rng.randrange(n), rng.randrange(n), rng.randint(0, 20)) for _ in range(m)
         )
-        net = FlowNetwork(n, arcs, 0, n - 1)
+        net = FlowNetwork.from_arcs(n, arcs, 0, n - 1)
         result = max_flow_min_cut(net)
 
         middles = [v for v in range(n) if v not in (0, n - 1)]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum
 from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
 from waferspr.errors import ConfigError, DimensionError
-from waferspr.wafer import Neighborhood, WaferMap, parse_wafer
+from waferspr.flow import FlowNetwork, max_flow_min_cut
+from waferspr.synthgen import wafer_mask
+from waferspr.wafer import Neighborhood, WaferMap, build_graph, parse_wafer
 
 HOLE = "111\n101\n111\n"  # all defective except functional center
 CENTER5 = "00000\n00000\n00100\n00000\n00000\n"
@@ -175,3 +178,49 @@ def test_determinism():
     m = parse_wafer("1010\n0110\n1001\n")
     cfg = AcConfig(u=Fraction(1, 2))
     assert ac_filter(m, cfg) == ac_filter(m, cfg)
+
+
+def _ac_through_triples(m, cfg):
+    """AC solved through the generic (from, to, capacity) builder: labels of
+    the inclusion-minimal source set, objective, crossing edges and max-flow
+    value."""
+    edges = build_graph(m, cfg.nb).edges.tolist()
+    d = m.defect_bits().tolist()
+    n = len(d)
+    scale = lcm(cfg.u.denominator, cfg.w_mag.denominator)
+    u_int, w_int = int(cfg.u * scale), int(cfg.w_mag * scale)
+    arcs = [(i, j, u_int) for i, j in edges] + [(j, i, u_int) for i, j in edges]
+    arcs += [(n, i, w_int) if d[i] else (i, n + 1, w_int) for i in range(n)]
+    cut = max_flow_min_cut(FlowNetwork.from_arcs(n + 2, arcs, n, n + 1))
+    labels = tuple(int(i in cut.source_set) for i in range(n))
+    deviation = sum(1 if d[i] == 0 else -1 for i in range(n) if labels[i])
+    cross = sum(labels[i] != labels[j] for i, j in edges)
+    return labels, cfg.w_mag * deviation + cfg.u * cross, cross, cut.max_flow_value
+
+
+def test_grid_network_matches_generic_builder():
+    rng = np.random.default_rng(2024)
+    for nb in (Neighborhood.ROOK, Neighborhood.KING):
+        for u in (Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1)):
+            for w_mag in (1, 2):
+                for _ in range(2):
+                    rows, cols = (int(x) for x in rng.integers(20, 41, size=2))
+                    inside = wafer_mask(rows, cols) & (rng.random((rows, cols)) > 0.1)
+                    defect = rng.random((rows, cols)) < rng.uniform(0.1, 0.5)
+                    m = WaferMap(rows, cols, np.where(inside, np.where(defect, 2, 1), 0).ravel())
+                    cfg = AcConfig(u=u, w_mag=w_mag, nb=nb)
+                    res = ac_filter(m, cfg)
+                    labels, objective, cross, flow_value = _ac_through_triples(m, cfg)
+                    assert res.labels == labels
+                    assert res.objective_value == objective
+                    kept = np.array(labels) == 1
+                    d = m.defect_bits() == 1
+                    assert dict(res.counters) == {
+                        "max_flow_value": flow_value,
+                        "cut_edges": cross,
+                        "kept_functional": int((kept & ~d).sum()),
+                        "dropped_defective": int((~kept & d).sum()),
+                    }
+                    # the minimum cut is the objective shifted by w_mag per defective chip
+                    scale = lcm(u.denominator, cfg.w_mag.denominator)
+                    assert flow_value == scale * (objective + cfg.w_mag * m.n_defective)

@@ -36,6 +36,9 @@ def test_filter_ac_defaults(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kept_count"] == 9
     assert summary["objective"] == "-7"
+    # capacities scaled by 2: flow = 2 * (objective + w_mag * n_defective) = 2 * (-7 + 8)
+    assert summary["counters"] == {"max_flow_value": 2, "cut_edges": 0,
+                                   "kept_functional": 1, "dropped_defective": 0}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "filter"
     assert manifest["config"]["u"] == "1/2"
@@ -47,6 +50,9 @@ def test_filter_cpf(tmp_path):
     out = tmp_path / "out"
     assert run_cli("filter", wafer, "--method", "cpf", "--m", "5", "--out", out) == 0
     assert (out / "filtered.txt").read_text() == "1111100\n0000000\n"
+    counters = json.loads((out / "summary.json").read_text())["counters"]
+    assert (counters["components_exact"], counters["components_approx"]) == (1, 0)
+    assert counters["budget_spent"] > 0
     assert run_cli("filter", wafer, "--method", "cpf", "--m", "6",
                    "--out", tmp_path / "out6") == 0
     assert (tmp_path / "out6" / "filtered.txt").read_text() == "0000000\n0000000\n"

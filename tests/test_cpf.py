@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import longest_simple_path_nodes, nodes_on_paths_at_least
+from waferspr import cpf
 from waferspr.cpf import CpfConfig, cpf_filter, longest_simple_path_at_least
 from waferspr.errors import InternalError
-from waferspr.wafer import Neighborhood, WaferMap, parse_wafer
+from waferspr.wafer import CellState, Neighborhood, WaferMap, build_graph, components, parse_wafer
 
 LINE7 = "0000000\n1111111\n0000000\n"
 L_SHAPE = "1000\n1000\n1000\n1110\n"  # 4-cell column + 3-cell row sharing the corner
@@ -143,3 +144,55 @@ def test_scratch_like_components_kept_iff_size_at_least_m():
             res = cpf_filter(m, CpfConfig(m_threshold=max(1, thr)))
             expected = length if length >= thr else 0
             assert res.kept_count == expected
+
+
+def _dict_adjacency(graph, comp):
+    """Reference adjacency: grid edges between chips with comp > 0 appended
+    to dict lists in lexicographic edge order."""
+    adj = {i: [] for i in np.flatnonzero(comp).tolist()}
+    both = (comp[graph.edges[:, 0]] > 0) & (comp[graph.edges[:, 1]] > 0)
+    for i, j in graph.edges[both].tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def test_adjacency_matches_dict_build(monkeypatch):
+    # A small budget makes some searches run out, so that the approximate
+    # results, which depend on the DFS order, are compared too.
+    monkeypatch.setattr(cpf, "SEARCH_BUDGET", 300)
+    rng = random.Random(31)
+    approx = 0
+    for _ in range(12):
+        m = _random_defect_map(rng, rng.randint(8, 16), rng.randint(8, 16), rng.uniform(0.3, 0.6))
+        for nb in (Neighborhood.ROOK, Neighborhood.KING):
+            graph = build_graph(m, nb)
+            comp = components(m.grid() == CellState.DEFECTIVE, nb)[m.in_mask()]
+            assert cpf._adjacency(graph, comp) == _dict_adjacency(graph, comp)
+            sizes = np.bincount(comp)[1:]
+            for thr in (1, 3, 5, 10):
+                cfg = CpfConfig(m_threshold=thr, nb=nb)
+                res = cpf_filter(m, cfg)
+                with monkeypatch.context() as patched:
+                    patched.setattr(cpf, "_adjacency", _dict_adjacency)
+                    ref = cpf_filter(m, cfg)
+                assert (res.labels, res.approx) == (ref.labels, ref.approx)
+                counters = dict(res.counters)
+                assert counters["components_exact"] + counters["components_approx"] == int(
+                    (sizes >= thr).sum())
+                assert res.approx == (counters["components_approx"] > 0)
+                assert 300 * counters["components_approx"] <= counters["budget_spent"]
+                assert counters["budget_spent"] <= 300 * int((sizes >= thr).sum())
+                approx += counters["components_approx"]
+    assert approx > 0
+
+
+def test_counters_when_budget_runs_out(monkeypatch):
+    m = parse_wafer("111\n")
+    assert dict(cpf_filter(m, CpfConfig(m_threshold=3)).counters)["components_exact"] == 1
+    # the second step of the first path search exhausts a one-step budget
+    monkeypatch.setattr(cpf, "SEARCH_BUDGET", 1)
+    res = cpf_filter(m, CpfConfig(m_threshold=3))
+    assert res.approx and res.kept_count == 3
+    assert dict(res.counters) == {"components_exact": 0, "components_approx": 1,
+                                  "budget_spent": 1}

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import grid_components_bfs
 
 from waferspr.errors import DimensionError, ParseError
+from waferspr.synthgen import twelve_wafer_corpus
 from waferspr.wafer import (
     CellState,
     Neighborhood,
@@ -155,8 +156,10 @@ def test_edge_distances(rc):
                 assert max(abs(r1 - r2), abs(c1 - c2)) == 1
 
 
-def _naive_edges(m, nb):
-    """Reference edge list: a per-cell double loop over the grid."""
+def _naive_graph(m, nb):
+    """Reference graph: a per-cell double loop over the grid.  Returns the
+    sorted edge list, the cell of each node id, and each node's neighbour
+    ids (-1 outside the grid or mask) in sorted offset order."""
     grid = m.grid()
     ids = {}
     for r in range(m.rows):
@@ -164,12 +167,16 @@ def _naive_edges(m, nb):
             if grid[r, c] != CellState.OUTSIDE:
                 ids[(r, c)] = len(ids)
     edges = set()
+    neighbours = []
     for (r, c), i in ids.items():
-        for dr, dc in nb.offsets:
+        row = []
+        for dr, dc in sorted(nb.offsets):
             j = ids.get((r + dr, c + dc))
+            row.append(-1 if j is None else j)
             if j is not None:
                 edges.add((min(i, j), max(i, j)))
-    return sorted(edges), tuple(ids)
+        neighbours.append(row)
+    return sorted(edges), tuple(ids), neighbours
 
 
 @given(grids)
@@ -181,10 +188,15 @@ def test_build_graph_matches_naive_loop(rc):
     m = parse_wafer("\n".join("".join(cells[i * c : (i + 1) * c]) for i in range(r)) + "\n")
     for nb in (Neighborhood.ROOK, Neighborhood.KING):
         g = build_graph(m, nb)
-        edges, coords = _naive_edges(m, nb)
+        edges, coords, neighbours = _naive_graph(m, nb)
         assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
         assert not g.edges.flags.writeable
         assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.neighbours.dtype == np.int64
+        assert g.neighbours.shape == (len(coords), len(nb.offsets))
+        assert not g.neighbours.flags.writeable
+        assert g.neighbours.tolist() == neighbours
+        assert g.adjacency() == [sorted(j for j in row if j >= 0) for row in neighbours]
         assert tuple(m.in_mask_coords()) == coords
         assert g.node_count == len(coords)
 
@@ -205,6 +217,55 @@ def test_parse_non_utf8_is_parse_error():
         parse_wafer(b"01\n\xff0\n")
 
 
+def _reference_parse_ascii(text):
+    """Reference ASCII parser, a per-character loop over the lines.
+
+    Returns ("ok", rows, cols, cells) or ("error", message, line, symbol,
+    position) of the ParseError it raises.
+    """
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines or all(line == "" for line in lines):
+        return ("error", "empty grid", None, None, None)
+    symbols = {".": 0, "0": 1, "1": 2}
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        for col, ch in enumerate(line):
+            if ch not in symbols:
+                return ("error", f"unknown symbol {ch!r} at line {lineno}, column {col}",
+                        lineno, ch, col)
+        rows.append([symbols[ch] for ch in line])
+    width = len(rows[0])
+    for lineno, row in enumerate(rows, start=1):
+        if len(row) != width:
+            return ("error", f"ragged rows: line {lineno} has {len(row)} cells, "
+                    f"expected {width}", lineno, None, None)
+    if width == 0:
+        return ("error", "empty grid", None, None, None)
+    cells = tuple(s for row in rows for s in row)
+    if not any(cells):
+        return ("error", "wafer has no in-mask cells", None, None, None)
+    return ("ok", len(rows), width, cells)
+
+
+def _parse_outcome(text):
+    try:
+        m = parse_wafer(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.symbol, exc.position)
+    return ("ok", m.rows, m.cols, tuple(m.cells.tolist()))
+
+
+def test_parse_every_single_character_corruption():
+    text = write_wafer(twelve_wafer_corpus()[0][1].map).decode()
+    assert _parse_outcome(text) == _reference_parse_ascii(text)
+    for k in range(len(text)):
+        for replacement in ("x", "\n", "é", ""):
+            corrupt = text[:k] + replacement + text[k + 1 :]
+            assert _parse_outcome(corrupt) == _reference_parse_ascii(corrupt), (k, replacement)
+
+
 @given(st.binary(max_size=64), st.sampled_from(("ascii", "csv")))
 @settings(max_examples=300)
 def test_parse_arbitrary_bytes(data, fmt):
@@ -213,6 +274,12 @@ def test_parse_arbitrary_bytes(data, fmt):
     except ParseError:
         return
     assert isinstance(m, WaferMap)
+
+
+@given(st.text(alphabet=".01\nx\r\u00e9\U0001f600\ud800", max_size=40))
+@settings(max_examples=300)
+def test_parse_ascii_matches_reference(text):
+    assert _parse_outcome(text) == _reference_parse_ascii(text)
 
 
 def test_wafermap_validations():
