@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from waferspr.acfilter import AcConfig, ac_filter, filtered_points
-from waferspr.cli import pipeline_fit, pipeline_mcmc, truth_lookup_from_reconstruction
+from waferspr.cli import (
+    pipeline_fit,
+    pipeline_hyper,
+    pipeline_mcmc,
+    truth_lookup_from_reconstruction,
+)
 from waferspr.cpf import CpfConfig, cpf_filter
 from waferspr.render import render_svg
 from waferspr.synthgen import FAMILIES, family_specs, generate
@@ -37,6 +42,7 @@ def main(argv=None):
     (out / "raw.svg").write_text(render_svg(sw.map))
     lookup = truth_lookup_from_reconstruction(sw.map)
     mcmc = pipeline_mcmc(args.iters, args.iters // 2)
+    hyper = pipeline_hyper(0.3)
 
     results = {}
     for name, flt in (
@@ -50,7 +56,7 @@ def main(argv=None):
         if not points:
             results[name] = {"kept": 0}
             continue
-        fit = pipeline_fit(points, alpha=0.3, mcmc=mcmc, seed=0)
+        fit = pipeline_fit(points, hyper, mcmc, seed=0)
         assignments = dict(zip(points, fit.assignments))
         (out / f"clusters_{name}.svg").write_text(render_svg(sw.map, assignments))
         truth = [lookup(f"{r},{c}") for r, c in points]

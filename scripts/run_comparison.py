@@ -16,15 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from waferspr.cli import (
-    COMPARISON_COLUMNS,
-    IMPROVEMENT_COLUMNS,
-    compute_improvements,
-    compute_wilcoxon,
-    run_comparison,
-    truth_document,
-    write_csv,
-)
+from waferspr.cli import run_comparison, truth_document, write_comparison
 from waferspr.render import render_svg
 from waferspr.synthgen import twelve_wafer_corpus
 from waferspr.wafer import write_wafer
@@ -64,11 +56,7 @@ def main(argv=None):
 
     rows = run_comparison(paths, seeds=args.seeds, iters=args.iters,
                           burn_in=args.burn_in, progress=progress)
-    write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows)
-    write_csv(out / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
-    (out / "wilcoxon.json").write_text(
-        json.dumps(compute_wilcoxon(rows), sort_keys=True, indent=2) + "\n"
-    )
+    write_comparison(out, rows)
     print(f"done in {time.perf_counter() - t0:.0f}s -> {out}", file=sys.stderr)
 
 

@@ -13,7 +13,6 @@ from .cpf import CpfConfig, cpf_filter, longest_simple_path_at_least
 from .flow import CutResult, FlowNetwork, max_flow_min_cut
 from .iwmm import (
     GwHyper,
-    HmcConfig,
     IwmmResult,
     KernelParams,
     McmcConfig,
@@ -44,7 +43,7 @@ from .wafer import (
 
 __all__ = [
     "AcConfig", "AdjacencyGraph", "CellState", "CutResult", "EvaluationReport",
-    "FilterResult", "FlowNetwork", "GwHyper", "HmcConfig", "IwmmResult",
+    "FilterResult", "FlowNetwork", "GwHyper", "IwmmResult",
     "KernelParams", "McmcConfig", "Neighborhood", "PatternKind", "PatternSpec",
     "PointSet", "SynthWafer", "WaferMap", "ac_filter", "ac_objective",
     "adjusted_rand_index", "build_graph", "ch_index", "cpf_filter",

@@ -26,7 +26,7 @@ from . import __version__
 from .acfilter import AcConfig, ac_filter, as_fraction, filtered_points
 from .cpf import CpfConfig, cpf_filter
 from .errors import ConfigError, ParseError, UndefinedTest
-from .iwmm import GwHyper, HmcConfig, KernelParams, McmcConfig, PointSet, iwmm_fit
+from .iwmm import GwHyper, KernelParams, McmcConfig, PointSet, iwmm_fit
 from .render import render_svg
 from .synthgen import FAMILIES, family_specs, generate
 from .validation import (
@@ -191,7 +191,8 @@ def cmd_cluster(args) -> int:
         raise ConfigError("--iters must exceed --burn-in")
     hyper = GwHyper(alpha=args.alpha)
     mcmc = McmcConfig(iters=args.iters, burn_in=args.burn_in)
-    res = iwmm_fit(PointSet.from_points(points), h=hyper, mcmc=mcmc, seed=args.seed)
+    _one_blas_thread()
+    res = iwmm_fit(PointSet(np.array(points, dtype=float)), h=hyper, mcmc=mcmc, seed=args.seed)
     outdir = Path(args.out)
     ks = [k for k, _ in res.trace]
     assignments_doc = {
@@ -318,25 +319,37 @@ def cmd_render(args) -> int:
 # compare
 # ---------------------------------------------------------------------
 
+METRICS = ("ch", "gdi", "ri", "ari", "nmi")
+
+
 def _median_defined(values):
     vals = [v for v in values if v is not None]
     return statistics.median(vals) if vals else None
+
+
+def _seed_medians(rows):
+    """Median of each metric over the fit seeds, keyed (wafer, "ac", None)
+    for a wafer's AC rows and (wafer, "cpf", M) for its CPF rows at M."""
+    groups = {}
+    for r in rows:
+        key = (r["wafer"], r["method"], r["param"] if r["method"] == "cpf" else None)
+        groups.setdefault(key, []).append(r)
+    return {key: {metric: _median_defined([r[metric] for r in group]) for metric in METRICS}
+            for key, group in groups.items()}
 
 
 def compute_improvements(rows):
     """Per-wafer percentage improvement of AC over each CPF M, from
     per-wafer medians across fit seeds."""
     out = []
-    wafers = sorted({(r["wafer"], r["family"]) for r in rows})
-    metrics = ("ch", "gdi", "ri", "ari", "nmi")
-    for wafer, family in wafers:
-        ac = [r for r in rows if r["wafer"] == wafer and r["method"] == "ac"]
-        for m in sorted({r["param"] for r in rows if r["method"] == "cpf"}):
-            cpf = [r for r in rows
-                   if r["wafer"] == wafer and r["method"] == "cpf" and r["param"] == m]
-            for metric in metrics:
-                a = _median_defined([r[metric] for r in ac])
-                c = _median_defined([r[metric] for r in cpf])
+    medians = _seed_medians(rows)
+    ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
+    for wafer, family in sorted({(r["wafer"], r["family"]) for r in rows}):
+        ac = medians.get((wafer, "ac", None), {})
+        for m in ms:
+            cpf = medians.get((wafer, "cpf", m), {})
+            for metric in METRICS:
+                a, c = ac.get(metric), cpf.get(metric)
                 if a is None or c is None or c == 0:
                     pct = None
                 else:
@@ -350,18 +363,15 @@ def compute_wilcoxon(rows):
     """Across-wafer Wilcoxon signed-rank p-values per metric and CPF M,
     on differences of per-wafer medians (AC minus CPF)."""
     out = {}
+    medians = _seed_medians(rows)
     wafers = sorted({r["wafer"] for r in rows})
-    metrics = ("ch", "gdi", "ri", "ari", "nmi")
     ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
     for m in ms:
-        for metric in metrics:
+        for metric in METRICS:
             diffs = []
             for wafer in wafers:
-                a = _median_defined([r[metric] for r in rows
-                                     if r["wafer"] == wafer and r["method"] == "ac"])
-                c = _median_defined([r[metric] for r in rows
-                                     if r["wafer"] == wafer and r["method"] == "cpf"
-                                     and r["param"] == m])
+                a = medians.get((wafer, "ac", None), {}).get(metric)
+                c = medians.get((wafer, "cpf", m), {}).get(metric)
                 if a is not None and c is not None:
                     diffs.append(a - c)
             key = f"{metric}_m{m}"
@@ -393,17 +403,22 @@ PIPELINE_WARP_WARMUP = 40
 def pipeline_mcmc(iters, burn_in) -> McmcConfig:
     """MCMC schedule of the pipeline fits; raises ValueError unless
     iters > burn_in >= 0."""
-    return McmcConfig(iters=iters, burn_in=burn_in,
-                      hmc=HmcConfig(step_size=0.01, leapfrog_steps=PIPELINE_LEAPFROG),
+    return McmcConfig(iters=iters, burn_in=burn_in, leapfrog_steps=PIPELINE_LEAPFROG,
                       gibbs_start=min(PIPELINE_WARP_WARMUP, burn_in // 2))
 
 
-def pipeline_fit(points, alpha, mcmc, seed):
+def pipeline_hyper(alpha) -> GwHyper:
+    """Prior of the pipeline fits; raises ValueError unless alpha > 0 is finite."""
+    return GwHyper(alpha=alpha, R=PIPELINE_PRIOR_SCALE * np.eye(2))
+
+
+def pipeline_fit(points, hyper, mcmc, seed):
     """iWMM fit of filtered (row, col) points under the pipeline settings,
-    with the schedule `mcmc` (see `pipeline_mcmc`)."""
+    with the prior `hyper` and the schedule `mcmc` (see `pipeline_hyper`
+    and `pipeline_mcmc`)."""
     return iwmm_fit(
         PointSet(np.array(points, dtype=float)),
-        h=GwHyper(alpha=alpha, R=PIPELINE_PRIOR_SCALE * np.eye(2)),
+        h=hyper,
         k0=PIPELINE_KERNEL,
         mcmc=mcmc,
         seed=seed,
@@ -414,14 +429,18 @@ def pipeline_fit(points, alpha, mcmc, seed):
 def _one_blas_thread():
     """Run the OpenBLAS libraries loaded in this process on one thread.
 
-    Pool workers call it first.  The workers already take one core each,
-    and by default OpenBLAS adds a helper thread per core that busy-waits:
-    on 2 cores, 2 such workers took 4 times as long as one process.
+    Every fit runs under it, in process or in a pool worker.  By default
+    OpenBLAS adds a helper thread per core that busy-waits: 2 such workers
+    on 2 cores took 4 times as long as one process.  Without /proc
+    (macOS) it does nothing.
     """
     import ctypes
 
-    with open("/proc/self/maps") as fh:
-        paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
     for path in paths:
         lib = ctypes.CDLL(path)
         for prefix, suffix in product(("", "scipy_"), ("", "64_")):
@@ -435,13 +454,15 @@ def _one_blas_thread():
 @contextlib.contextmanager
 def _fit_map(workers):
     """A `map` for the fits: the builtin one in process for one worker,
-    else the `map` of a pool of `workers` forked processes.
+    else the `map` of a pool of `workers` forked processes.  Either way
+    the fits run with OpenBLAS on one thread.
 
     Forked workers start in milliseconds and inherit the imported
     modules; the pool forks all of them before it starts its own thread.
     Leaving the block cancels the fits not yet started.
     """
     if workers <= 1:
+        _one_blas_thread()
         yield map
         return
     import multiprocessing
@@ -476,6 +497,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     the last one depends on the machine.
     """
     mcmc = pipeline_mcmc(iters, burn_in)
+    hyper = pipeline_hyper(alpha)
 
     cases = []  # (row fields, kept points, truth labels) per wafer and method
     for path in wafer_paths:
@@ -518,7 +540,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
 
     rows = []
     with _fit_map(workers) as fit_map:
-        done = zip(jobs, fit_map(pipeline_fit, [points for points, _ in jobs], repeat(alpha),
+        done = zip(jobs, fit_map(pipeline_fit, [points for points, _ in jobs], repeat(hyper),
                                  repeat(mcmc), [fit_seed for _, fit_seed in jobs]))
         fits = {}
         for fields, points, truth in cases:
@@ -556,6 +578,13 @@ def write_csv(path: Path, columns, rows):
                              for k in columns})
 
 
+def write_comparison(outdir: Path, rows):
+    """comparison.csv, improvements.csv and wilcoxon.json of compare's rows."""
+    write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
+    write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
+    _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
+
+
 def cmd_compare(args) -> int:
     m_list = [int(tok) for tok in args.m_list.split(",") if tok]
     if not m_list or any(m < 1 for m in m_list):
@@ -581,10 +610,7 @@ def cmd_compare(args) -> int:
         print(f"  {counters['fits_run']} distinct fits of {counters['fit_requests']} "
               f"requests on {workers} worker(s)", file=sys.stderr)
     outdir = Path(args.out)
-    write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
-    improvements = compute_improvements(rows)
-    write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, improvements)
-    _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
+    write_comparison(outdir, rows)
     _write_manifest(
         outdir, "compare", list(args.wafers),
         {"u": str(args.u), "u_scratch": str(args.u_scratch), "m_list": m_list,

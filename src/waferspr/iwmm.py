@@ -48,10 +48,6 @@ class PointSet:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    @classmethod
-    def from_points(cls, points) -> "PointSet":
-        return cls(np.asarray(points, dtype=float).reshape(-1, 2))
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -63,18 +59,12 @@ class KernelParams:
     jitter: float = 1e-6
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.signal_variance, self.length_scale, self.jitter))):
+            raise ValueError("kernel parameters must be finite")
         if self.signal_variance <= 0 or self.length_scale <= 0:
             raise ValueError("signal_variance and length_scale must be positive")
         if self.jitter < 0:
             raise ValueError("jitter must be nonnegative")
-
-
-def _default_prior_scale():
-    return np.eye(2)
-
-
-def _default_prior_mean():
-    return np.zeros(2)
 
 
 @dataclass(frozen=True)
@@ -82,15 +72,18 @@ class GwHyper:
     """Gaussian-Wishart prior (mean m, relative precision p, scale R,
     degrees of freedom r) plus the DP concentration alpha."""
 
-    m: np.ndarray = field(default_factory=_default_prior_mean)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(2))
     p: float = 1.0
-    R: np.ndarray = field(default_factory=_default_prior_scale)
+    R: np.ndarray = field(default_factory=lambda: np.eye(2))
     r: float = 3.0
     alpha: float = 1.0
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float).reshape(2)
         R = np.asarray(self.R, dtype=float).reshape(2, 2)
+        scalars = (self.p, self.r, self.alpha)
+        if not (np.isfinite(m).all() and np.isfinite(R).all() and all(map(math.isfinite, scalars))):
+            raise ValueError("Gaussian-Wishart hyperparameters must be finite")
         if not np.allclose(R, R.T):
             raise ValueError("R must be symmetric")
         if np.linalg.det(R) <= 0 or R[0, 0] <= 0:
@@ -105,21 +98,15 @@ class GwHyper:
         object.__setattr__(self, "R", R)
 
 
-@dataclass(frozen=True)
-class HmcConfig:
-    step_size: float = 0.01
-    leapfrog_steps: int = 10
-
-    def __post_init__(self):
-        if self.step_size < 0 or self.leapfrog_steps < 1:
-            raise ValueError("step_size must be >= 0 and leapfrog_steps >= 1")
+# HMC step size at the first iteration; burn-in adapts it from there.
+INITIAL_STEP_SIZE = 0.01
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """MCMC schedule.  When `adapt_step_size` is set, the HMC step size is
-    tuned multiplicatively during burn-in (up on accept, down on reject)
-    and frozen afterwards; adaptation is deterministic given the seed.
+    """MCMC schedule.  The HMC step size starts at INITIAL_STEP_SIZE and
+    is tuned multiplicatively during burn-in (up on accept, down on
+    reject), then frozen; adaptation is deterministic given the seed.
 
     `gibbs_start` delays assignment resampling for that many initial
     iterations so the warp can reshape the latent space around the
@@ -127,13 +114,14 @@ class McmcConfig:
 
     iters: int = 1000
     burn_in: int = 500
-    hmc: HmcConfig = field(default_factory=HmcConfig)
-    adapt_step_size: bool = True
+    leapfrog_steps: int = 10
     gibbs_start: int = 0
 
     def __post_init__(self):
         if self.iters <= self.burn_in or self.burn_in < 0:
             raise ValueError("need iters > burn_in >= 0")
+        if self.leapfrog_steps < 1:
+            raise ValueError("need leapfrog_steps >= 1")
         if not 0 <= self.gibbs_start < self.iters:
             raise ValueError("need 0 <= gibbs_start < iters")
 
@@ -169,13 +157,8 @@ class _GplvmWork:
         self.Kinv = np.empty((n, n))
 
 
-def se_covariance(Z, kern: KernelParams) -> np.ndarray:
-    Z = np.asarray(Z, dtype=float)
-    return _se_covariance(Z, kern, _GplvmWork(Z.shape[0]))
-
-
 def _se_covariance(Z, kern, work):
-    """se_covariance written into work.K."""
+    """The KernelParams covariance of Z, written into work.K."""
     sq = np.sum(Z * Z, axis=1)
     K = np.add.outer(sq, sq, out=work.K)
     G = np.matmul(Z, Z.T, out=work.scratch)
@@ -190,7 +173,7 @@ def _se_covariance(Z, kern, work):
     return K
 
 
-def _chol_lower(K, jitter, work=None):
+def _chol_lower(K, jitter, work):
     """Lower Cholesky factor with deterministic jitter escalation.
 
     The factor is written into work.factor (Fortran order, so LAPACK
@@ -198,7 +181,7 @@ def _chol_lower(K, jitter, work=None):
     """
     base = jitter if jitter > 0 else 1e-10
     n = K.shape[0]
-    A = (work or _GplvmWork(n)).factor
+    A = work.factor
     for extra in (0.0, base * 100.0, base * 10000.0):
         A[...] = K
         if extra:
@@ -209,39 +192,26 @@ def _chol_lower(K, jitter, work=None):
     raise NumericalError("covariance Cholesky failed after jitter escalation")
 
 
-def _coords(S) -> np.ndarray:
-    if isinstance(S, PointSet):
-        return S.coords
-    return np.asarray(S, dtype=float)
-
-
 def gplvm_log_likelihood(S, Z, kern: KernelParams) -> float:
     """log p(S | Z, kernel) for a 2-output GP:
     -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S)."""
-    Sm = _coords(S)
-    Z = np.asarray(Z, dtype=float)
-    n = Sm.shape[0]
-    if Z.shape != (n, 2):
-        raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
-    work = _GplvmWork(n)
-    c = _chol_lower(_se_covariance(Z, kern, work), kern.jitter, work)
-    logdet = 2.0 * float(np.log(np.diag(c)).sum())
-    KinvS, _ = _lapack.dpotrs(c, Sm, lower=1)
-    trace = float(np.sum(Sm * KinvS))
-    return -n * _LOG_2PI - logdet - 0.5 * trace
+    return _gplvm_ll_and_grad(S, Z, kern)[0]
 
 
 def gplvm_grad(S, Z, kern: KernelParams) -> np.ndarray:
     """Analytic gradient of gplvm_log_likelihood with respect to Z."""
-    ll, grad = _gplvm_ll_and_grad(S, Z, kern)
-    return grad
+    return _gplvm_ll_and_grad(S, Z, kern)[1]
 
 
 def _gplvm_ll_and_grad(S, Z, kern, work=None):
-    Sm = _coords(S)
+    """(gplvm_log_likelihood, gplvm_grad) from one factorization; `work`
+    holds the n x n buffers, fresh ones when it is None."""
+    S = np.asarray(S, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    n = Sm.shape[0]
-    if work is None or work.n != n:
+    n = S.shape[0]
+    if Z.shape != (n, 2):
+        raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
+    if work is None:
         work = _GplvmWork(n)
     K = _se_covariance(Z, kern, work)
     c = _chol_lower(K, kern.jitter, work)
@@ -254,8 +224,8 @@ def _gplvm_ll_and_grad(S, Z, kern, work=None):
     # zeros _chol_lower left, so inv + inv.T mirrors it exactly.
     Kinv = np.add(inv, inv.T, out=work.Kinv)
     Kinv.flat[:: n + 1] = diag
-    KinvS = Kinv @ Sm
-    ll = -n * _LOG_2PI - logdet - 0.5 * float(np.sum(Sm * KinvS))
+    KinvS = Kinv @ S
+    ll = -n * _LOG_2PI - logdet - 0.5 * float(np.sum(S * KinvS))
     # dL/dK = -K^-1 + 0.5 K^-1 S S^T K^-1, then chain through the SE kernel
     W = np.matmul(KinvS, KinvS.T, out=work.scratch)
     W *= 0.5
@@ -312,27 +282,18 @@ def _cluster_term(n_k, posterior, h: GwHyper) -> float:
 def latent_marginal_log(Z, A, h: GwHyper) -> float:
     """log p(Z | A, R, m, r, p): product over clusters of the marginal
     obtained by integrating out each cluster's Gaussian parameters."""
-    Z = np.asarray(Z, dtype=float)
-    A = np.asarray(A)
-    if A.shape[0] == 0:
-        return 0.0
-    if Z.shape[0] != A.shape[0]:
-        raise ValueError("Z and A lengths differ")
-    total = 0.0
-    for label in np.unique(A):
-        Zk = Z[A == label]
-        n_k = Zk.shape[0]
-        total += _cluster_term(n_k, _gw_posterior(n_k, Zk.sum(axis=0), Zk.T @ Zk, h), h)
-    return total
+    return _marginal_and_grad(Z, A, h)[0]
 
 
 def _marginal_and_grad(Z, A, h: GwHyper):
-    """Marginal log density and its gradient w.r.t. Z.
+    """latent_marginal_log and its gradient w.r.t. Z.
 
     d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
     """
     Z = np.asarray(Z, dtype=float)
     A = np.asarray(A)
+    if Z.shape[0] != A.shape[0]:
+        raise ValueError("Z and A lengths differ")
     total = 0.0
     grad = np.zeros_like(Z)
     for label in np.unique(A):
@@ -369,19 +330,6 @@ def _t2_logpdf(zx, zy, mx, my, p_post, r_post, ra, rb, rd):
     )
 
 
-def student_t_predictive_log(z, n_k, sum_z, szz, h: GwHyper) -> float:
-    """Posterior predictive density of one point given a cluster's stats;
-    with n_k = 0 this is the prior predictive.  Equals the marginal ratio
-    latent_marginal_log(Z + z) - latent_marginal_log(Z)."""
-    p_k, r_k, m_k, Rk = _gw_posterior(
-        n_k, np.asarray(sum_z, dtype=float), np.asarray(szz, dtype=float), h
-    )
-    return _t2_logpdf(
-        float(z[0]), float(z[1]), float(m_k[0]), float(m_k[1]),
-        p_k, r_k, float(Rk[0, 0]), float(Rk[0, 1]), float(Rk[1, 1]),
-    )
-
-
 # ---------------------------------------------------------------------
 # MCMC state
 # ---------------------------------------------------------------------
@@ -400,24 +348,21 @@ class LatentState:
         if self.Z.shape[0] != self.A.shape[0]:
             raise ValueError("Z and A lengths differ")
         self._sums = []
-        self._z_version = 0
-        self._gplvm_cache = None  # (z_version, ll, grad)
+        self._gplvm = None  # (ll, grad) of the GPLVM at the current Z
         self._gplvm_work = _GplvmWork(self.Z.shape[0])
         self.refresh()
 
-    def set_Z(self, Z):
+    def set_Z(self, Z, gplvm):
+        """Move to Z, whose GPLVM (ll, grad) is `gplvm`."""
         self.Z = Z
-        self._z_version += 1
+        self._gplvm = gplvm
         self.refresh()
 
-    def gplvm_ll_grad(self, Sm):
-        """GPLVM likelihood and gradient at the current Z, cached until Z moves."""
-        cache = self._gplvm_cache
-        if cache is not None and cache[0] == self._z_version:
-            return cache[1], cache[2]
-        ll, grad = _gplvm_ll_and_grad(Sm, self.Z, self.kernel, self._gplvm_work)
-        self._gplvm_cache = (self._z_version, ll, grad)
-        return ll, grad
+    def gplvm_ll_grad(self, S):
+        """GPLVM likelihood and gradient at the current Z, computed once per Z."""
+        if self._gplvm is None:
+            self._gplvm = _gplvm_ll_and_grad(S, self.Z, self.kernel, self._gplvm_work)
+        return self._gplvm
 
     @property
     def K(self) -> int:
@@ -439,11 +384,6 @@ class LatentState:
                 float(np.dot(Zk[:, 1], Zk[:, 1])),
             ])
         self._sums = sums
-
-    def cluster_sums(self, k):
-        """(n_k, sum_z, sum_zz^T) of cluster k (1-based)."""
-        n, sx, sy, sxx, sxy, syy = self._sums[k - 1]
-        return n, np.array([sx, sy]), np.array([[sxx, sxy], [sxy, syy]])
 
     def remove_point(self, i):
         k = int(self.A[i])
@@ -480,10 +420,11 @@ class LatentState:
         self.A[i] = k
 
     def marginal_log(self, h: GwHyper) -> float:
+        """latent_marginal_log of the current state, from the cluster sums."""
         total = 0.0
-        for k in range(1, self.K + 1):
-            n, sum_z, szz = self.cluster_sums(k)
-            total += _cluster_term(n, _gw_posterior(n, sum_z, szz, h), h)
+        for n, sx, sy, sxx, sxy, syy in self._sums:
+            szz = np.array([[sxx, sxy], [sxy, syy]])
+            total += _cluster_term(n, _gw_posterior(n, np.array([sx, sy]), szz, h), h)
         return total
 
 
@@ -531,28 +472,27 @@ def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
     return k_new
 
 
-def hmc_latent_step(state: LatentState, S, h: GwHyper, hmc: HmcConfig, rng) -> bool:
+def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_steps: int,
+                    rng) -> bool:
     """One hybrid Monte Carlo transition of Z targeting
-    log p(S|Z, kernel) + log p(Z|A, ...).  Returns True on acceptance."""
-    Sm = _coords(S)
+    log p(S|Z, kernel) + log p(Z|A, ...), with `leapfrog_steps` leapfrog
+    steps of size `eps`.  Returns True on acceptance."""
     momentum = rng.standard_normal(state.Z.shape)
     u = rng.random()
-    eps = hmc.step_size
     try:
-        ll0, gll0 = state.gplvm_ll_grad(Sm)
+        ll0, gll0 = state.gplvm_ll_grad(S)
         marg0, gmarg0 = _marginal_and_grad(state.Z, state.A, h)
         U0 = -(ll0 + marg0)
         g0 = -(gll0 + gmarg0)
         Z = state.Z.copy()
         p = momentum - 0.5 * eps * g0
-        ll1, gll1 = ll0, gll0
-        for step in range(hmc.leapfrog_steps):
+        for step in range(leapfrog_steps):
             Z = Z + eps * p
-            ll1, gll1 = _gplvm_ll_and_grad(Sm, Z, state.kernel, state._gplvm_work)
+            ll1, gll1 = _gplvm_ll_and_grad(S, Z, state.kernel, state._gplvm_work)
             marg1, gmarg1 = _marginal_and_grad(Z, state.A, h)
             U1 = -(ll1 + marg1)
             g1 = -(gll1 + gmarg1)
-            if step < hmc.leapfrog_steps - 1:
+            if step < leapfrog_steps - 1:
                 p = p - eps * g1
             else:
                 p = p - 0.5 * eps * g1
@@ -564,16 +504,9 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, hmc: HmcConfig, rng) -> b
         return False
     log_u = math.log(u) if u > 0 else -math.inf
     if log_u < H0 - H1:
-        state.set_Z(Z)
-        state._gplvm_cache = (state._z_version, ll1, gll1)
+        state.set_Z(Z, (ll1, gll1))
         return True
     return False
-
-
-def _potential_and_grad(Sm, Z, kernel, A, h):
-    ll, gll = _gplvm_ll_and_grad(Sm, Z, kernel)
-    marg, gmarg = _marginal_and_grad(Z, A, h)
-    return -(ll + marg), -(gll + gmarg)
 
 
 def _component_init(coords) -> np.ndarray:
@@ -592,9 +525,9 @@ def _component_init(coords) -> np.ndarray:
 
 def iwmm_fit(
     S: PointSet,
-    h: GwHyper | None = None,
-    k0: KernelParams | None = None,
-    mcmc: McmcConfig | None = None,
+    h: GwHyper = GwHyper(),
+    k0: KernelParams = KernelParams(),
+    mcmc: McmcConfig = McmcConfig(),
     seed: int = 0,
     init: str = "single",
 ) -> IwmmResult:
@@ -608,16 +541,7 @@ def iwmm_fit(
     from Chebyshev-adjacency connected components (natural for grid point
     sets coming out of a spatial filter).
     """
-    if h is None:
-        h = GwHyper()
-    if k0 is None:
-        k0 = KernelParams()
-    if mcmc is None:
-        mcmc = McmcConfig()
-    coords = S.coords if isinstance(S, PointSet) else np.asarray(S, dtype=float)
-    n = coords.shape[0]
-    if n == 0:
-        raise EmptyInputError("cannot fit an empty point set")
+    coords = S.coords
 
     mu = coords.mean(axis=0)
     sd = coords.std(axis=0)
@@ -627,7 +551,7 @@ def iwmm_fit(
     if init == "components":
         A0 = _component_init(coords)
     elif init == "single":
-        A0 = np.ones(n, dtype=np.int64)
+        A0 = np.ones(S.n, dtype=np.int64)
     else:
         raise ValueError(f"unknown init {init!r}")
     state = LatentState(Sstd.copy(), A0, k0)
@@ -638,16 +562,15 @@ def iwmm_fit(
     best_A = state.A.copy()
     best_Z = state.Z.copy()
     accepted = 0
-    step_size = mcmc.hmc.step_size
+    step_size = INITIAL_STEP_SIZE
     for it in range(1, mcmc.iters + 1):
         if it > mcmc.gibbs_start:
-            for i in range(n):
+            for i in range(S.n):
                 gibbs_assignment_step(state, i, h, rng)
-        hmc_cfg = HmcConfig(step_size=step_size, leapfrog_steps=mcmc.hmc.leapfrog_steps)
-        ok = hmc_latent_step(state, Sstd, h, hmc_cfg, rng)
+        ok = hmc_latent_step(state, Sstd, h, step_size, mcmc.leapfrog_steps, rng)
         if ok:
             accepted += 1
-        if mcmc.adapt_step_size and it <= mcmc.burn_in and step_size > 0:
+        if it <= mcmc.burn_in:
             step_size = min(1.0, max(1e-6, step_size * (1.07 if ok else 0.87)))
         joint = (
             state.gplvm_ll_grad(Sstd)[0]

@@ -296,6 +296,52 @@ def finite_difference_grad(f, Z, eps=1e-6):
     return g
 
 
+# ---------------------------------------------------------------------
+# iwmm: the GPLVM likelihood from its definition, and compositions of
+# iwmm's own pieces that only the tests use
+# ---------------------------------------------------------------------
+
+def se_covariance_dense(Z, kern):
+    """signal_variance * exp(-|z_i - z_j|^2 / (2 l^2)), plus jitter on the diagonal."""
+    sq_dist = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+    K = kern.signal_variance * np.exp(-sq_dist / (2.0 * kern.length_scale**2))
+    return K + kern.jitter * np.eye(Z.shape[0])
+
+
+def gplvm_log_likelihood_dense(S, Z, kern):
+    """log p(S | Z) of the 2-output GP, from a dense covariance with
+    numpy's slogdet and solve."""
+    n = Z.shape[0]
+    K = se_covariance_dense(Z, kern)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign > 0
+    return -n * math.log(2.0 * math.pi) - logdet - 0.5 * float(np.sum(S * np.linalg.solve(K, S)))
+
+
+def student_t_predictive_log(z, n_k, sum_z, szz, h):
+    """Posterior predictive density of one point given a cluster's stats;
+    with n_k = 0 this is the prior predictive.  Equals the marginal ratio
+    latent_marginal_log(Z + z) - latent_marginal_log(Z)."""
+    from waferspr.iwmm import _gw_posterior, _t2_logpdf
+
+    p_k, r_k, m_k, Rk = _gw_posterior(
+        n_k, np.asarray(sum_z, dtype=float), np.asarray(szz, dtype=float), h
+    )
+    return _t2_logpdf(
+        float(z[0]), float(z[1]), float(m_k[0]), float(m_k[1]),
+        p_k, r_k, float(Rk[0, 0]), float(Rk[0, 1]), float(Rk[1, 1]),
+    )
+
+
+def potential_and_grad(S, Z, kernel, A, h):
+    """HMC potential -(log p(S|Z) + log p(Z|A)) and its gradient in Z."""
+    from waferspr.iwmm import _gplvm_ll_and_grad, _marginal_and_grad
+
+    ll, gll = _gplvm_ll_and_grad(S, Z, kernel)
+    marg, gmarg = _marginal_and_grad(Z, A, h)
+    return -(ll + marg), -(gll + gmarg)
+
+
 def window_count_reconstruction(wmap):
     """Reconstruction oracle: per-pixel 3x3 defective count, loops only."""
     from waferspr.wafer import CellState

@@ -129,6 +129,19 @@ def test_cluster_empty_defects_exits_4(tmp_path, capsys):
     assert "defective" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_cluster_non_finite_alpha_exits_3(tmp_path, capsys, alpha):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(CROSS)
+    out = tmp_path / "o"
+    assert run_cli("cluster", wafer, "--iters", "6", "--burn-in", "2", "--alpha", alpha,
+                   "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cluster_seeded_rerun_identical_bytes(tmp_path):
     wafer = tmp_path / "in.txt"
     wafer.write_text("11100\n11100\n00011\n")
@@ -381,9 +394,9 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     _usable_cores(monkeypatch, 1)  # fits run in this process, where they are counted
     calls = []
 
-    def counting_fit(points, alpha, mcmc, seed):
+    def counting_fit(points, hyper, mcmc, seed):
         calls.append((points, seed))
-        return original(points, alpha, mcmc, seed)
+        return original(points, hyper, mcmc, seed)
 
     original = cli.pipeline_fit
     monkeypatch.setattr(cli, "pipeline_fit", counting_fit)
@@ -407,6 +420,21 @@ def test_compare_bad_schedule_fails_before_any_work(tmp_path, monkeypatch, capsy
     out = tmp_path / "cmp"
     assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1,2", "--seeds", "2",
                    "--iters", "4", "--burn-in", "4", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_compare_non_finite_alpha_fails_before_any_work(tmp_path, monkeypatch, capsys, alpha):
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("filtered before alpha was checked")
+
+    monkeypatch.setattr(cli, "ac_filter", no_filtering)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1", "--seeds", "1",
+                   "--iters", "12", "--burn-in", "4", "--alpha", alpha, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
@@ -437,3 +465,63 @@ def test_pool_workers_run_openblas_on_one_thread():
         per_worker = list(fit_map(_openblas_thread_counts, range(2)))
     assert per_worker == [[1] * len(per_worker[0])] * 2
     assert per_worker[0]
+
+
+def _openblas_counts_after(action):
+    """OpenBLAS thread counts before and after `action()`, run in a forked
+    child in which every OpenBLAS library was first set to two threads,
+    so that this process keeps its own setting."""
+    import ctypes
+    import multiprocessing
+
+    def child():
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+            for path in paths:
+                lib = ctypes.CDLL(path)
+                for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+                    setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                    if setter is not None:
+                        setter.argtypes, setter.restype = [ctypes.c_int], None
+                        setter(2)
+                        break
+            before = _openblas_thread_counts(None)
+            action()
+            send.send((before, _openblas_thread_counts(None)))
+        except Exception as exc:
+            send.send(repr(exc))
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=child)
+    proc.start()
+    send.close()  # so that a child that dies unreported ends the wait
+    try:
+        result = recv.recv() if recv.poll(300) else "no report within 300 s"
+    except EOFError:
+        result = "the child exited without a report"
+    proc.join(30)
+    if proc.is_alive():
+        proc.kill()
+    assert not isinstance(result, str), result
+    return result
+
+
+def test_in_process_fits_run_openblas_on_one_thread(tmp_path):
+    if not _openblas_thread_counts(None):
+        pytest.skip("numpy and scipy do not use OpenBLAS here")
+    (tmp_path / "w.txt").write_text(CROSS)
+
+    def cluster():
+        assert run_cli("cluster", tmp_path / "w.txt", "--iters", "6", "--burn-in", "2",
+                       "--out", tmp_path / "cl") == 0
+
+    def one_worker_compare():
+        with cli._fit_map(1) as fit_map:
+            list(fit_map(abs, [-1]))
+
+    for action in (cluster, one_worker_compare):
+        before, after = _openblas_counts_after(action)
+        assert before == [2] * len(before)
+        assert after == [1] * len(before)

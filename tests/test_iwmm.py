@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_t
 
-from oracles import finite_difference_grad, set_partitions
+from oracles import (
+    finite_difference_grad,
+    gplvm_log_likelihood_dense,
+    potential_and_grad,
+    se_covariance_dense,
+    set_partitions,
+    student_t_predictive_log,
+)
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
     GwHyper,
-    HmcConfig,
     KernelParams,
     LatentState,
     McmcConfig,
@@ -20,8 +26,6 @@ from waferspr.iwmm import (
     hmc_latent_step,
     iwmm_fit,
     latent_marginal_log,
-    se_covariance,
-    student_t_predictive_log,
 )
 from waferspr.iwmm import _marginal_and_grad
 from waferspr.validation import adjusted_rand_index
@@ -41,7 +45,7 @@ def test_single_point_likelihood_closed_form():
 def test_zero_outputs_leave_only_determinant_terms():
     Z = RNG.standard_normal((5, 2))
     kern = KernelParams(1.4, 0.9, 1e-6)
-    K = se_covariance(Z, kern)
+    K = se_covariance_dense(Z, kern)
     expected = -5 * math.log(2 * math.pi) - np.linalg.slogdet(K)[1]
     got = gplvm_log_likelihood(np.zeros((5, 2)), Z, kern)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -84,6 +88,21 @@ def test_gradient_antisymmetric_for_symmetric_pair():
     S = np.array([[2.0, 1.0], [-2.0, -1.0]])
     g = gplvm_grad(S, Z, KernelParams())
     assert np.allclose(g[0], -g[1], atol=1e-10)
+
+
+def test_likelihood_matches_dense_oracle():
+    rng = np.random.default_rng(606)
+    for trial in range(40):
+        n = int(rng.integers(1, 13))
+        S = rng.standard_normal((n, 2)) * rng.uniform(0.3, 3.0)
+        Z = rng.standard_normal((n, 2)) * rng.uniform(0.5, 2.0)
+        kern = KernelParams(
+            signal_variance=float(rng.uniform(0.3, 3.0)),
+            length_scale=float(rng.uniform(0.4, 2.0)),
+            jitter=float(rng.choice([1e-4, 1e-2, 0.3])),
+        )
+        want = gplvm_log_likelihood_dense(S, Z, kern)
+        assert gplvm_log_likelihood(S, Z, kern) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_shape_mismatch_rejected():
@@ -157,6 +176,20 @@ def test_marginal_gradient_matches_finite_differences():
     _, grad = _marginal_and_grad(Z, A, h)
     numeric = finite_difference_grad(lambda Zp: latent_marginal_log(Zp, A, h), Z)
     assert np.abs(grad - numeric).max() < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(bad):
+    for field in ("signal_variance", "length_scale", "jitter"):
+        with pytest.raises(ValueError, match="finite"):
+            KernelParams(**{field: bad})
+    for field in ("p", "r", "alpha"):
+        with pytest.raises(ValueError, match="finite"):
+            GwHyper(**{field: bad})
+    with pytest.raises(ValueError, match="finite"):
+        GwHyper(m=np.array([0.0, bad]))
+    with pytest.raises(ValueError, match="finite"):
+        GwHyper(R=np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_hyper_validation():
@@ -292,14 +325,12 @@ def test_hmc_zero_step_size_accepts_identity():
     state, S = _toy_state()
     Z0 = state.Z.copy()
     rng = np.random.default_rng(9)
-    accepted = hmc_latent_step(state, S, GwHyper(), HmcConfig(0.0, 5), rng)
+    accepted = hmc_latent_step(state, S, GwHyper(), 0.0, 5, rng)
     assert accepted
     assert np.array_equal(state.Z, Z0)
 
 
 def test_hmc_energy_conservation_small_steps():
-    from waferspr.iwmm import _potential_and_grad
-
     state, S = _toy_state()
     # moderate noise level keeps the GP curvature bounded, so the
     # second-order leapfrog error is actually visible at eps = 1e-3
@@ -309,21 +340,19 @@ def test_hmc_energy_conservation_small_steps():
     eps = 1e-3
     for _ in range(5):
         p = rng.standard_normal(state.Z.shape)
-        U0, g = _potential_and_grad(S, state.Z, state.kernel, state.A, h)
+        U0, g = potential_and_grad(S, state.Z, state.kernel, state.A, h)
         H0 = U0 + 0.5 * np.sum(p * p)
         Z = state.Z.copy()
         pp = p - 0.5 * eps * g
         for step in range(10):
             Z = Z + eps * pp
-            U1, g1 = _potential_and_grad(S, Z, state.kernel, state.A, h)
+            U1, g1 = potential_and_grad(S, Z, state.kernel, state.A, h)
             pp = pp - (eps if step < 9 else 0.5 * eps) * g1
         H1 = U1 + 0.5 * np.sum(pp * pp)
         assert abs(H1 - H0) < 1e-3
 
 
 def test_leapfrog_reversibility():
-    from waferspr.iwmm import _potential_and_grad
-
     state, S = _toy_state(seed=5)
     h = GwHyper()
     rng = np.random.default_rng(13)
@@ -332,11 +361,11 @@ def test_leapfrog_reversibility():
     Z0 = state.Z.copy()
 
     def leapfrog(Z, p):
-        _, g = _potential_and_grad(S, Z, state.kernel, state.A, h)
+        _, g = potential_and_grad(S, Z, state.kernel, state.A, h)
         p = p - 0.5 * eps * g
         for step in range(L):
             Z = Z + eps * p
-            _, g = _potential_and_grad(S, Z, state.kernel, state.A, h)
+            _, g = potential_and_grad(S, Z, state.kernel, state.A, h)
             p = p - (eps if step < L - 1 else 0.5 * eps) * g
         return Z, p
 
@@ -351,7 +380,7 @@ def test_hmc_updates_state_only_on_accept():
     h = GwHyper()
     rng = np.random.default_rng(17)
     Z0 = state.Z.copy()
-    accepted = hmc_latent_step(state, S, h, HmcConfig(50.0, 3), rng)  # absurd step
+    accepted = hmc_latent_step(state, S, h, 50.0, 3, rng)  # absurd step
     assert not accepted
     assert np.array_equal(state.Z, Z0)
 
@@ -419,4 +448,11 @@ def test_mcmc_config_validation():
     with pytest.raises(ValueError):
         McmcConfig(iters=10, burn_in=10)
     with pytest.raises(ValueError):
-        HmcConfig(step_size=-0.1)
+        McmcConfig(leapfrog_steps=0)
+
+
+def test_leapfrog_steps_validated():
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="leapfrog_steps"):
+            McmcConfig(iters=10, burn_in=5, leapfrog_steps=steps)
+    assert McmcConfig(iters=10, burn_in=5, leapfrog_steps=1).leapfrog_steps == 1
