@@ -26,7 +26,7 @@ from math import lcm
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ConfigError, DimensionError, EmptyWaferError
+from .errors import ConfigError, DimensionError
 from .flow import INT32_MAX, FlowNetwork, max_flow_min_cut
 from .wafer import AdjacencyGraph, Neighborhood, WaferMap, build_graph
 
@@ -113,8 +113,6 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
         cfg = AcConfig()
     graph = build_graph(wmap, cfg.nb)
     n = graph.node_count
-    if n == 0:
-        raise EmptyWaferError("wafer has no in-mask cells")
 
     scale = lcm(cfg.u.denominator, cfg.w_mag.denominator)
     u_int = int(cfg.u * scale)

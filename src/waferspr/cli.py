@@ -187,8 +187,6 @@ def cmd_cluster(args) -> int:
     if not points:
         print("error: input wafer has no defective cells to cluster", file=sys.stderr)
         return 4
-    if args.iters <= args.burn_in:
-        raise ConfigError("--iters must exceed --burn-in")
     hyper = GwHyper(alpha=args.alpha)
     mcmc = McmcConfig(iters=args.iters, burn_in=args.burn_in)
     _one_blas_thread()

@@ -23,10 +23,6 @@ class DimensionError(WaferSprError):
     """A vector or overlay has the wrong length for its wafer/graph."""
 
 
-class EmptyWaferError(WaferSprError):
-    """The wafer has no in-mask cells to operate on."""
-
-
 class EmptyInputError(WaferSprError):
     """An operation received an empty point set."""
 

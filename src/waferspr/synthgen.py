@@ -95,12 +95,14 @@ def wafer_mask(rows: int, cols: int) -> np.ndarray:
     return (rr - cr) ** 2 + (cc_idx - cc) ** 2 <= radius**2 + 1e-9
 
 
-def _angle_within(angle_deg, start_deg, extent_deg):
-    return ((angle_deg - start_deg) % 360.0) <= extent_deg
+def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) index arrays of the in-mask cells covered by the pattern,
+    in row-major order; GenerationError if none.
 
-
-def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> list[tuple[int, int]]:
-    """In-mask cells covered by the pattern, row-major; GenerationError if none."""
+    Distances and angles of annular patterns come from libm's `math.hypot`
+    and `math.atan2`: numpy's vectorised versions differ from them in the
+    last bit on some inputs, which moves cells on a pattern's boundary.
+    """
     if mask is None:
         mask = wafer_mask(rows, cols)
     cr, cc = (rows - 1) / 2.0, (cols - 1) / 2.0
@@ -109,46 +111,34 @@ def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> list[tuple[
     pr = cr - spec.offset_frac * radius * math.sin(ang)
     pc = cc + spec.offset_frac * radius * math.cos(ang)
 
-    cells = []
+    r, c = np.nonzero(mask)
+    dy, dx = r - pr, c - pc
     if spec.kind is PatternKind.SCRATCH:
         theta = math.radians(spec.angle_deg)
         dr, dc = -math.sin(theta), math.cos(theta)
-        length = float(spec.length_cells)
         half_width = max(0.6, spec.width_cells / 2.0)
-        for r in range(rows):
-            for c in range(cols):
-                if not mask[r, c]:
-                    continue
-                # distance from cell to the segment [p, p + length*dir]
-                t = (r - pr) * dr + (c - pc) * dc
-                t = min(max(t, 0.0), length)
-                qr, qc = pr + t * dr, pc + t * dc
-                if (r - qr) ** 2 + (c - qc) ** 2 <= half_width**2 + 1e-9:
-                    cells.append((r, c))
+        # distance from cell to the segment [p, p + length*dir]
+        t = np.clip(dy * dr + dx * dc, 0.0, float(spec.length_cells))
+        keep = (r - (pr + t * dr)) ** 2 + (c - (pc + t * dc)) ** 2 <= half_width**2 + 1e-9
     else:
-        if spec.kind is PatternKind.CENTER_DISK:
-            lo, hi = 0.0, spec.outer_frac * radius
-        else:
-            lo, hi = spec.inner_frac * radius, spec.outer_frac * radius
-        for r in range(rows):
-            for c in range(cols):
-                if not mask[r, c]:
-                    continue
-                d = math.hypot(r - pr, c - pc)
-                if not (lo <= d <= hi):
-                    continue
-                if spec.arc_extent_deg < 360.0:
-                    cell_ang = math.degrees(math.atan2(-(r - pr), c - pc))
-                    if not _angle_within(cell_ang, spec.arc_start_deg, spec.arc_extent_deg):
-                        continue
-                cells.append((r, c))
-    if not cells:
+        lo = 0.0 if spec.kind is PatternKind.CENTER_DISK else spec.inner_frac * radius
+        d = np.fromiter(map(math.hypot, dy, dx), float, dy.size)
+        keep = (lo <= d) & (d <= spec.outer_frac * radius)
+        if spec.arc_extent_deg < 360.0:
+            at = np.flatnonzero(keep)
+            cell_ang = np.degrees(np.fromiter(map(math.atan2, -dy[at], dx[at]), float, at.size))
+            keep[at] = (cell_ang - spec.arc_start_deg) % 360.0 <= spec.arc_extent_deg
+    if not keep.any():
         raise GenerationError(f"pattern {spec.kind.value} rasterized to nothing")
-    return cells
+    return r[keep], c[keep]
 
 
 def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> SynthWafer:
-    """Rasterize the specs, thin by fill rate, add Bernoulli noise defects."""
+    """Rasterize the specs, thin by fill rate, add Bernoulli noise defects.
+
+    One uniform draw per covered cell of each pattern and then one per
+    in-mask cell not yet defective, each in row-major order.
+    """
     if rows < 8 or cols < 8:
         raise ValueError("rows and cols must be >= 8")
     if not 0.0 <= noise_rate < 0.5:
@@ -160,26 +150,19 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     truth = np.zeros((rows, cols), dtype=np.int64)
     defect = np.zeros((rows, cols), dtype=bool)
     for pid, spec in enumerate(specs, start=1):
-        for r, c in rasterize(spec, rows, cols, mask):
-            region[r, c] = pid  # later pattern wins on overlap
-            if rng.random() < spec.fill_rate:
-                defect[r, c] = True
-                truth[r, c] = pid
+        r, c = rasterize(spec, rows, cols, mask)
+        region[r, c] = pid  # later pattern wins on overlap
+        kept = rng.random(r.size) < spec.fill_rate
+        defect[r[kept], c[kept]] = True
+        truth[r[kept], c[kept]] = pid
     if noise_rate > 0:
-        for r in range(rows):
-            for c in range(cols):
-                if mask[r, c] and not defect[r, c] and rng.random() < noise_rate:
-                    defect[r, c] = True
-                    truth[r, c] = 0
+        clean = mask & ~defect
+        defect[clean] = rng.random(np.count_nonzero(clean)) < noise_rate
 
-    cells = np.where(
-        mask,
-        np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
-        CellState.OUTSIDE,
-    ).astype(np.int8)
-    wmap = WaferMap(rows, cols, cells.ravel(), name=f"synth-{seed}")
+    cells = np.where(mask, np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
+                     CellState.OUTSIDE)
     return SynthWafer(
-        map=wmap,
+        map=WaferMap(rows, cols, cells.ravel(), name=f"synth-{seed}"),
         truth_labels=truth.ravel(),
         region_labels=region.ravel(),
         noise_rate=noise_rate,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import DimensionError, UndefinedIndex, UndefinedTest
 from .wafer import CellState, WaferMap
@@ -220,21 +221,10 @@ def reconstruct_ground_truth(wmap: WaferMap) -> WaferMap:
     in the input, i.e. the uniform-weight window mean is >= 4/9.  The
     mask is preserved.
     """
-    grid = wmap.grid()
-    defect = (grid == CellState.DEFECTIVE).astype(np.int64)
-    padded = np.zeros((wmap.rows + 2, wmap.cols + 2), dtype=np.int64)
-    padded[1:-1, 1:-1] = defect
-    window = sum(
-        padded[1 + dr : wmap.rows + 1 + dr, 1 + dc : wmap.cols + 1 + dc]
-        for dr in (-1, 0, 1)
-        for dc in (-1, 0, 1)
-    )
-    inside = wmap.in_mask()
-    out = np.where(
-        inside,
-        np.where(window >= 4, CellState.DEFECTIVE, CellState.FUNCTIONAL),
-        CellState.OUTSIDE,
-    ).astype(np.int8)
+    defect = (wmap.grid() == CellState.DEFECTIVE).astype(np.int64)
+    window = ndimage.correlate(defect, np.ones((3, 3), dtype=np.int64), mode="constant")
+    out = np.where(window >= 4, CellState.DEFECTIVE, CellState.FUNCTIONAL)
+    out = np.where(wmap.in_mask(), out, CellState.OUTSIDE)
     return WaferMap(wmap.rows, wmap.cols, out.ravel(), name=wmap.name)
 
 
@@ -251,17 +241,12 @@ class WilcoxonResult:
 
 
 def _midranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    sorted_vals = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of `values`, tied values sharing the mean of their ranks.
+
+    NaNs tie with nothing, each taking a rank of its own after the numbers."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                 equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 EXACT_WILCOXON_LIMIT = 15
@@ -284,19 +269,17 @@ def wilcoxon_signed_rank(diffs) -> WilcoxonResult:
     w_plus = float(ranks[d > 0].sum())
 
     if n <= EXACT_WILCOXON_LIMIT:
-        # distribution of 2*W+ over all sign assignments (integer support)
-        r2 = [int(round(2 * r)) for r in ranks]
-        dist = {0: 1}
+        # distribution of 2*W+ over all sign assignments (integer support):
+        # counts[s] sign assignments give 2*W+ = s
+        r2 = np.rint(2 * ranks).astype(np.int64)
+        counts = np.zeros(int(r2.sum()) + 1, dtype=np.int64)
+        counts[0] = 1
         for r in r2:
-            nxt = {}
-            for s, c in dist.items():
-                nxt[s] = nxt.get(s, 0) + c
-                nxt[s + r] = nxt.get(s + r, 0) + c
-            dist = nxt
+            counts[r:] = counts[r:] + counts[:-r]
         w2 = int(round(2 * w_plus))
         total = 2**n
-        p_le = sum(c for s, c in dist.items() if s <= w2) / total
-        p_ge = sum(c for s, c in dist.items() if s >= w2) / total
+        p_le = int(counts[: w2 + 1].sum()) / total
+        p_ge = int(counts[w2:].sum()) / total
         p = min(1.0, 2.0 * min(p_le, p_ge))
         return WilcoxonResult(w_plus, p, n, exact=True)
 

@@ -29,12 +29,12 @@ class CellState(IntEnum):
     DEFECTIVE = 2
 
 
-_ASCII_TO_STATE = {".": CellState.OUTSIDE, "0": CellState.FUNCTIONAL, "1": CellState.DEFECTIVE}
-_STATE_TO_ASCII = {v: k for k, v in _ASCII_TO_STATE.items()}
+# The symbol of each cell state, indexed by state, per file format.
+_SYMBOLS = {"ascii": b".01", "csv": b"012"}
 # Cell state of each ASCII code point, -1 for a symbol that is no cell; the
 # last entry (DEL) stands for every code point beyond the table.
 _ASCII_LUT = np.full(128, -1, dtype=np.int8)
-_ASCII_LUT[[ord(ch) for ch in _ASCII_TO_STATE]] = list(_ASCII_TO_STATE.values())
+_ASCII_LUT[list(_SYMBOLS["ascii"])] = np.arange(len(CellState))
 
 
 class Neighborhood(Enum):
@@ -258,17 +258,15 @@ def write_wafer(wmap: WaferMap, labels=None, fmt: str = "ascii") -> bytes:
     """
     if labels is not None:
         wmap = wmap.with_overlay(labels)
-    grid = wmap.grid()
-    out = []
-    if fmt == "ascii":
-        for r in range(wmap.rows):
-            out.append("".join(_STATE_TO_ASCII[CellState(v)] for v in grid[r]))
-    elif fmt == "csv":
-        for r in range(wmap.rows):
-            out.append(",".join(str(int(v)) for v in grid[r]))
-    else:
+    if fmt not in _SYMBOLS:
         raise ValueError(f"unknown format {fmt!r}")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    symbols = np.frombuffer(_SYMBOLS[fmt], dtype=np.uint8)[wmap.grid()]
+    if fmt == "ascii":
+        return np.column_stack([symbols, np.full(wmap.rows, ord("\n"), np.uint8)]).tobytes()
+    # every symbol followed by a comma, the last of each row by a newline
+    separators = np.full_like(symbols, ord(","))
+    separators[:, -1] = ord("\n")
+    return np.stack([symbols, separators], axis=-1).tobytes()
 
 
 def build_graph(wmap: WaferMap, nb: Neighborhood = Neighborhood.KING) -> AdjacencyGraph:

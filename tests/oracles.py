@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from waferspr.acfilter import ac_objective
-from waferspr.wafer import build_graph
+from waferspr.errors import GenerationError
+from waferspr.synthgen import PatternKind, SynthWafer, wafer_mask
+from waferspr.wafer import CellState, WaferMap, build_graph
 
 
 # ---------------------------------------------------------------------
@@ -344,8 +346,6 @@ def potential_and_grad(S, Z, kernel, A, h):
 
 def window_count_reconstruction(wmap):
     """Reconstruction oracle: per-pixel 3x3 defective count, loops only."""
-    from waferspr.wafer import CellState
-
     grid = wmap.grid()
     out = np.zeros_like(grid)
     for r in range(wmap.rows):
@@ -362,3 +362,98 @@ def window_count_reconstruction(wmap):
                             count += 1
             out[r, c] = CellState.DEFECTIVE if count >= 4 else CellState.FUNCTIONAL
     return out
+
+
+# ---------------------------------------------------------------------
+# synthgen: per-cell rasterization and generation
+# ---------------------------------------------------------------------
+
+def rasterize_loops(spec, rows, cols, mask=None):
+    """Rasterization oracle: per-cell loops with libm distances and angles.
+
+    In-mask cells covered by the pattern, as (row, col) tuples in row-major
+    order; GenerationError if none."""
+    if mask is None:
+        mask = wafer_mask(rows, cols)
+    cr, cc = (rows - 1) / 2.0, (cols - 1) / 2.0
+    radius = (min(rows, cols) - 1) / 2.0
+    ang = math.radians(spec.offset_angle_deg)
+    pr = cr - spec.offset_frac * radius * math.sin(ang)
+    pc = cc + spec.offset_frac * radius * math.cos(ang)
+
+    cells = []
+    if spec.kind is PatternKind.SCRATCH:
+        theta = math.radians(spec.angle_deg)
+        dr, dc = -math.sin(theta), math.cos(theta)
+        length = float(spec.length_cells)
+        half_width = max(0.6, spec.width_cells / 2.0)
+        for r in range(rows):
+            for c in range(cols):
+                if not mask[r, c]:
+                    continue
+                # distance from cell to the segment [p, p + length*dir]
+                t = (r - pr) * dr + (c - pc) * dc
+                t = min(max(t, 0.0), length)
+                qr, qc = pr + t * dr, pc + t * dc
+                if (r - qr) ** 2 + (c - qc) ** 2 <= half_width**2 + 1e-9:
+                    cells.append((r, c))
+    else:
+        if spec.kind is PatternKind.CENTER_DISK:
+            lo, hi = 0.0, spec.outer_frac * radius
+        else:
+            lo, hi = spec.inner_frac * radius, spec.outer_frac * radius
+        for r in range(rows):
+            for c in range(cols):
+                if not mask[r, c]:
+                    continue
+                d = math.hypot(r - pr, c - pc)
+                if not (lo <= d <= hi):
+                    continue
+                if spec.arc_extent_deg < 360.0:
+                    cell_ang = math.degrees(math.atan2(-(r - pr), c - pc))
+                    if not (cell_ang - spec.arc_start_deg) % 360.0 <= spec.arc_extent_deg:
+                        continue
+                cells.append((r, c))
+    if not cells:
+        raise GenerationError(f"pattern {spec.kind.value} rasterized to nothing")
+    return cells
+
+
+def generate_loops(rows, cols, specs, noise_rate, seed):
+    """Generator oracle: one uniform draw per covered cell and then per clean
+    in-mask cell, each drawn inside a per-cell loop."""
+    if rows < 8 or cols < 8:
+        raise ValueError("rows and cols must be >= 8")
+    if not 0.0 <= noise_rate < 0.5:
+        raise ValueError("noise_rate must be in [0, 0.5)")
+    rng = np.random.default_rng(seed)
+    mask = wafer_mask(rows, cols)
+
+    region = np.zeros((rows, cols), dtype=np.int64)
+    truth = np.zeros((rows, cols), dtype=np.int64)
+    defect = np.zeros((rows, cols), dtype=bool)
+    for pid, spec in enumerate(specs, start=1):
+        for r, c in rasterize_loops(spec, rows, cols, mask):
+            region[r, c] = pid  # later pattern wins on overlap
+            if rng.random() < spec.fill_rate:
+                defect[r, c] = True
+                truth[r, c] = pid
+    if noise_rate > 0:
+        for r in range(rows):
+            for c in range(cols):
+                if mask[r, c] and not defect[r, c] and rng.random() < noise_rate:
+                    defect[r, c] = True
+                    truth[r, c] = 0
+
+    cells = np.where(
+        mask,
+        np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
+        CellState.OUTSIDE,
+    ).astype(np.int8)
+    wmap = WaferMap(rows, cols, cells.ravel(), name=f"synth-{seed}")
+    return SynthWafer(
+        map=wmap,
+        truth_labels=truth.ravel(),
+        region_labels=region.ravel(),
+        noise_rate=noise_rate,
+    )

@@ -142,6 +142,18 @@ def test_cluster_non_finite_alpha_exits_3(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule", [("--iters", "5", "--burn-in", "5"), ("--burn-in", "-1")])
+def test_cluster_bad_schedule_exits_3(tmp_path, capsys, schedule):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(CROSS)
+    out = tmp_path / "o"
+    assert run_cli("cluster", wafer, *schedule, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cluster_seeded_rerun_identical_bytes(tmp_path):
     wafer = tmp_path / "in.txt"
     wafer.write_text("11100\n11100\n00011\n")

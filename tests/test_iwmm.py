@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_t
 
 from oracles import (
@@ -240,6 +241,39 @@ def test_incremental_stats_match_scratch_recompute():
     for got, want in zip(state._sums, reference._sums):
         assert got[0] == want[0]
         assert np.allclose(got[1:], want[1:], atol=1e-9)
+
+
+def _gibbs_sums_drift(Z, alpha, sweeps, rng):
+    """Worst drift of the running cluster sums after `sweeps` Gibbs sweeps
+    without an HMC move, relative to the sums of |terms| they add up."""
+    state = _state(Z, np.ones(Z.shape[0], dtype=int))
+    h = GwHyper(alpha=alpha)
+    for _ in range(sweeps):
+        for i in range(Z.shape[0]):
+            gibbs_assignment_step(state, i, h, rng)
+    drifted = np.array(state._sums)
+    state.refresh()
+    fresh = np.array(state._sums)
+    scale = np.array(LatentState(np.abs(Z), state.A, KernelParams())._sums)
+    assert np.array_equal(drifted[:, 0], fresh[:, 0])
+    return float(np.max(np.abs(drifted - fresh)[:, 1:] / scale[:, 1:]))
+
+
+@given(
+    n=st.integers(2, 100),
+    sweeps=st.integers(1, 150),
+    alpha=st.sampled_from([0.3, 1.0, 5.0]),
+    spread=st.floats(0.05, 10.0),
+    offset=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_gibbs_running_sums_do_not_drift(n, sweeps, alpha, spread, offset, seed):
+    # The sums are rebuilt only when HMC accepts; a run of rejections must
+    # not let them wander from a fresh rebuild.
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, 2)) * spread + offset
+    assert _gibbs_sums_drift(Z, alpha, sweeps, rng) <= 1e-9
 
 
 def test_gibbs_single_point_forms_cluster_one():

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import generate_loops, rasterize_loops
 
 from waferspr.errors import GenerationError
 from waferspr.synthgen import (
@@ -15,7 +18,7 @@ from waferspr.synthgen import (
     wafer_mask,
 )
 from waferspr.validation import reconstruct_ground_truth
-from waferspr.wafer import CellState
+from waferspr.wafer import CellState, write_wafer
 
 
 def test_mask_is_circular_and_inscribed():
@@ -46,10 +49,15 @@ def test_generate_validation():
         generate(20, 20, [], 0.5, 0)
 
 
+def _raster_cells(spec, rows, cols, mask=None):
+    rr, cc = rasterize(spec, rows, cols, mask)
+    return set(zip(rr.tolist(), cc.tolist()))
+
+
 def test_full_fill_disk_exactly_raster():
     spec = PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.4, fill_rate=1.0)
     sw = generate(20, 20, [spec], 0.0, 7)
-    raster = set(rasterize(spec, 20, 20))
+    raster = _raster_cells(spec, 20, 20)
     assert set(sw.map.defective_coords()) == raster
     truth = sw.truth_labels.reshape(20, 20)
     assert all(truth[r, c] == 1 for r, c in raster)
@@ -108,7 +116,7 @@ def test_expected_defect_count_within_3_sigma():
     rows = cols = 38
     noise = 0.05
     mask = wafer_mask(rows, cols)
-    rasters = [set(rasterize(s, rows, cols, mask)) for s in specs]
+    rasters = [_raster_cells(s, rows, cols, mask) for s in specs]
     covered = rasters[0] | rasters[1]
     # expectation: each raster cell keeps with its own fill rate (overlap
     # cells can be set by either draw); noise on uncovered in-mask cells
@@ -156,3 +164,98 @@ def test_twelve_wafer_corpus_shape():
     assert families.count("center_zone") == 2
     assert families.count("donut_partial_ring") == 2
     assert families.count("scratch_pair") == 1
+
+
+# -- the array generator against the per-cell oracle ----------------------
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0]),
+    st.floats(-360.0, 720.0),
+)
+
+
+@st.composite
+def pattern_specs(draw):
+    outer = draw(st.floats(0.01, 1.0))
+    return PatternSpec(
+        draw(st.sampled_from(list(PatternKind))),
+        offset_frac=draw(st.floats(0.0, 1.0)),
+        offset_angle_deg=draw(_ANGLES),
+        inner_frac=draw(st.floats(0.0, outer, exclude_max=True)),
+        outer_frac=outer,
+        arc_start_deg=draw(st.one_of(st.integers(-8, 15).map(lambda k: 45.0 * k),
+                                     st.floats(-400.0, 400.0))),
+        arc_extent_deg=draw(st.one_of(st.sampled_from([360.0, 45.0, 90.0, 180.0]),
+                                      st.floats(0.0, 400.0))),
+        length_cells=draw(st.integers(1, 60)),
+        width_cells=draw(st.floats(0.1, 8.0)),
+        angle_deg=draw(_ANGLES),
+        fill_rate=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+    )
+
+
+# Cells on a pattern's boundary that numpy's hypot (the disk) or arctan2
+# (the donuts) would move, on machines where they differ from libm.
+_DISK = PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.9668518868814434)
+_DONUT_A = PatternSpec(PatternKind.DONUT, offset_frac=0.37, offset_angle_deg=45.0,
+                       inner_frac=0.2, outer_frac=0.9, arc_start_deg=90.0,
+                       arc_extent_deg=135.0)
+_DONUT_B = PatternSpec(PatternKind.DONUT, offset_frac=0.5, offset_angle_deg=315.0,
+                       inner_frac=0.25, outer_frac=0.9, arc_start_deg=135.0,
+                       arc_extent_deg=90.0)
+
+
+@given(
+    rows=st.integers(8, 90),
+    cols=st.integers(8, 90),
+    specs=st.lists(pattern_specs(), min_size=1, max_size=3),
+    noise=st.one_of(st.sampled_from([0.0, 0.05, 0.15]), st.floats(0.0, 0.49)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=34, cols=34, specs=[_DISK], noise=0.05, seed=0)
+@example(rows=90, cols=24, specs=[_DONUT_A], noise=0.05, seed=0)
+@example(rows=84, cols=82, specs=[_DONUT_B], noise=0.05, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_generator_matches_per_cell_oracle(rows, cols, specs, noise, seed):
+    mask = wafer_mask(rows, cols)
+    for spec in specs:
+        try:
+            want = rasterize_loops(spec, rows, cols, mask)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                rasterize(spec, rows, cols, mask)
+            continue
+        rr, cc = rasterize(spec, rows, cols, mask)
+        assert list(zip(rr.tolist(), cc.tolist())) == want
+    try:
+        want = generate_loops(rows, cols, specs, noise, seed)
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            generate(rows, cols, specs, noise, seed)
+        return
+    got = generate(rows, cols, specs, noise, seed)
+    assert np.array_equal(got.map.cells, want.map.cells)
+    assert np.array_equal(got.truth_labels, want.truth_labels)
+    assert np.array_equal(got.region_labels, want.region_labels)
+
+
+def _wafers_sha256(wafers):
+    h = hashlib.sha256()
+    for sw in wafers:
+        h.update(write_wafer(sw.map))
+        h.update(sw.truth_labels.astype("<i8").tobytes())
+        h.update(sw.region_labels.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_generator_output_pinned():
+    # Every test, the comparison corpus and the benchmark pools are built by
+    # the generator; a change that moves a single cell fails here first.
+    corpus = (sw for _, sw in twelve_wafer_corpus())
+    assert _wafers_sha256(corpus) == (
+        "a5b05de18c0702b5504e3386b29d526dd02f0fa47d22ad52127ca48c5f7c2105"
+    )
+    large = (generate(150, 150, family_specs(f), 0.15, seed) for seed, f in enumerate(FAMILIES))
+    assert _wafers_sha256(large) == (
+        "929ca8a7bc3b691b42f128e482aacc540a05e4c752381304096ca6768f7806ca"
+    )

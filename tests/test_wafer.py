@@ -96,6 +96,11 @@ def test_roundtrip_ascii(rc):
     assert write_wafer(m) == text.encode()
     m2 = parse_wafer(write_wafer(m))
     assert np.array_equal(m.cells, m2.cells)
+    # the same grid as CSV
+    values = [str(".01".index(ch)) for ch in cells]
+    csv = "\n".join(",".join(values[i * c : (i + 1) * c]) for i in range(r)) + "\n"
+    assert write_wafer(m, fmt="csv") == csv.encode()
+    assert np.array_equal(parse_wafer(csv, fmt="csv").cells, m.cells)
 
 
 def test_csv_roundtrip():
