@@ -96,6 +96,35 @@ def _parse_coord_key(key) -> tuple[int, int]:
     return int(r), int(c)
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in `path`; ParseError naming the file when the
+    file holds anything else."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ParseError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not a JSON object")
+    return doc
+
+
+def _assignments_of(doc: dict, path) -> dict[str, int]:
+    """The "row,col" -> cluster label map of an assignments document (as
+    `cluster` writes it) read from `path`; ParseError naming the file when
+    it is malformed."""
+    assignments = doc.get("assignments")
+    if not isinstance(assignments, dict):
+        raise ParseError(f'{path}: no "assignments" object')
+    for key, label in assignments.items():
+        try:
+            _parse_coord_key(key)
+        except ValueError:
+            raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
+        if type(label) is not int:
+            raise ParseError(f"{path}: label {label!r} of {key!r} is not an integer")
+    return assignments
+
+
 # ---------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------
@@ -255,23 +284,22 @@ def truth_lookup_from_reconstruction(wmap: WaferMap):
 
 
 def cmd_evaluate(args) -> int:
-    pred_doc = json.loads(Path(args.pred).read_text())
-    pred_map = pred_doc["assignments"]
+    pred_map = _assignments_of(_read_json_object(args.pred), args.pred)
     keys = sorted(pred_map.keys(), key=_parse_coord_key)
     points = np.array([_parse_coord_key(k) for k in keys], dtype=float)
-    predicted = [int(pred_map[k]) for k in keys]
+    predicted = [pred_map[k] for k in keys]
 
     inputs = [args.pred]
     if args.truth:
         inputs.append(args.truth)
-        truth_doc = json.loads(Path(args.truth).read_text())
+        truth_doc = _read_json_object(args.truth)
         if "assignments" in truth_doc:
-            truth_map = truth_doc["assignments"]
+            truth_map = _assignments_of(truth_doc, args.truth)
             if sorted(truth_map.keys(), key=_parse_coord_key) != keys:
                 print("error: prediction and truth cover different coordinates",
                       file=sys.stderr)
                 return 5
-            truth = [int(truth_map[k]) for k in keys]
+            truth = [truth_map[k] for k in keys]
         else:
             lookup = _truth_lookup_from_sidecar(truth_doc)
             truth = [lookup(k) for k in keys]
@@ -300,10 +328,8 @@ def cmd_render(args) -> int:
     wmap = _read_wafer(args.input, args.format)
     assignments = {}
     if args.assignments:
-        doc = json.loads(Path(args.assignments).read_text())
-        assignments = {
-            _parse_coord_key(k): int(v) for k, v in doc["assignments"].items()
-        }
+        labels = _assignments_of(_read_json_object(args.assignments), args.assignments)
+        assignments = {_parse_coord_key(k): v for k, v in labels.items()}
     svg = render_svg(wmap, assignments)
     out = Path(args.out)
     _write(out, svg)

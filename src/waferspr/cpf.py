@@ -99,42 +99,33 @@ def _has_path(adj, nodes, m, budget):
     return any(_extend_path(adj, [v], {v}, m, budget) for v in nodes)
 
 
-def _path_through(adj, v, need, budget):
-    """Some simple path with >= need nodes passing through v, or None.
+def _path_through(adj, left, used, need, budget):
+    """Some simple path with >= need nodes passing through left[0], or None.
 
-    Enumerates left arms rooted at v exhaustively; for each arm, searches
-    for a right arm among the remaining nodes.  The found path is returned
-    so callers can mark every node on it as kept.
+    `left` is a left arm rooted at left[0], its nodes in `used`; call with
+    ([v], {v}).  Grows left arms depth-first, exhaustively, and for each
+    arm searches for a right arm among the remaining nodes.  The found
+    path is returned so callers can mark every node on it as kept.  The
+    recursion is a module-level function, not a closure calling itself,
+    which would form a reference cycle holding `adj` until the cyclic
+    collector runs.
     """
-    left = [v]
-    used = {v}
-
-    def try_right():
-        remaining = need - len(left) + 1  # right arm includes v
-        right = _extend_path(adj, [v], set(used), remaining, budget)
-        if right:
-            return list(reversed(left[1:])) + right
-        return None
-
-    def grow_left():
-        found = try_right()
-        if found:
-            return found
-        if not budget.spend():
-            raise _BudgetExceeded
-        head = left[-1]
-        for w in adj[head]:
-            if w not in used:
-                left.append(w)
-                used.add(w)
-                found = grow_left()
-                if found:
-                    return found
-                used.discard(w)
-                left.pop()
-        return None
-
-    return grow_left()
+    remaining = need - len(left) + 1  # right arm includes left[0]
+    right = _extend_path(adj, [left[0]], set(used), remaining, budget)
+    if right:
+        return list(reversed(left[1:])) + right
+    if not budget.spend():
+        raise _BudgetExceeded
+    for w in adj[left[-1]]:
+        if w not in used:
+            left.append(w)
+            used.add(w)
+            found = _path_through(adj, left, used, need, budget)
+            if found:
+                return found
+            used.discard(w)
+            left.pop()
+    return None
 
 
 def _exact_kept(adj, comp, m, budget):
@@ -143,7 +134,7 @@ def _exact_kept(adj, comp, m, budget):
     for v in comp:
         if v in kept:
             continue
-        path = _path_through(adj, v, m, budget)
+        path = _path_through(adj, [v], {v}, m, budget)
         if path:
             kept.update(path)
     return kept
@@ -173,16 +164,45 @@ def longest_simple_path_at_least(nodes, edges, length: int) -> bool:
         return True  # size >= length already checked
 
 
+class _LazyAdjacency(dict):
+    """Neighbour lists of the chips with comp > 0, keyed by node id.
+
+    Lists missing from the dict are built on first access from the
+    chip's row of `neighbours`, so a search reads only the lists of the
+    chips it reaches.
+    """
+
+    def __init__(self, lists, neighbours, comp):
+        super().__init__(lists)
+        self._neighbours = neighbours
+        self._comp = comp
+
+    def __missing__(self, i):
+        if not self._comp[i] > 0:
+            raise KeyError(i)
+        row = self._neighbours[i]
+        row = row[row >= 0]
+        self[i] = nbrs = row[self._comp[row] > 0].tolist()
+        return nbrs
+
+
 def _adjacency(graph: AdjacencyGraph, comp: np.ndarray) -> dict[int, list[int]]:
     """Adjacency among the chips with comp > 0: each one's neighbour list in
-    ascending id order, which is the order the path search visits them in."""
-    alive = np.flatnonzero(comp)
+    ascending id order, which is the order the path search visits them in.
+
+    Only the chips of components small enough for the exact search, which
+    reads every list of its component, get their lists up front; the
+    others get theirs on first access.
+    """
+    sizes = np.bincount(comp)
+    alive = np.flatnonzero((comp > 0) & (sizes[comp] <= EXACT_COMPONENT_LIMIT))
     nbr = graph.neighbours[alive]
     link = nbr >= 0
     link[link] = comp[nbr[link]] > 0
     flat = nbr[link].tolist()
     ends = np.cumsum(link.sum(axis=1)).tolist()
-    return {i: flat[a:b] for i, a, b in zip(alive.tolist(), [0] + ends[:-1], ends)}
+    lists = {i: flat[a:b] for i, a, b in zip(alive.tolist(), [0] + ends[:-1], ends)}
+    return _LazyAdjacency(lists, graph.neighbours, comp)
 
 
 def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:

@@ -176,6 +176,48 @@ def test_evaluate_coordinate_mismatch_exits_5(tmp_path):
                    "--out", tmp_path / "o") == 5
 
 
+MALFORMED_ASSIGNMENTS = {
+    "no_assignments": '{"k_hat": 1}',
+    "list_document": "[1,2]",
+    "list_assignments": '{"assignments": [1, 2]}',
+    "bad_key": '{"assignments": {"0,0": 1, "1,x": 2}}',
+    "three_part_key": '{"assignments": {"0,0,0": 1}}',
+    "string_label": '{"assignments": {"0,0": "a"}}',
+    "float_label": '{"assignments": {"0,0": 1.5}}',
+    "not_json": "assignments: 0,0",
+    "not_utf8": b"\xff\xfe{",
+}
+
+
+@pytest.mark.parametrize("role", ["pred", "truth", "render"])
+@pytest.mark.parametrize("case", MALFORMED_ASSIGNMENTS)
+def test_malformed_assignments_exit_2(tmp_path, capsys, role, case):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    bad = tmp_path / "bad.json"
+    doc = MALFORMED_ASSIGNMENTS[case]
+    if isinstance(doc, bytes):
+        bad.write_bytes(doc)
+    else:
+        bad.write_text(doc)
+    out = tmp_path / "o"
+    if role == "render":
+        argv = ("render", wafer, "--assignments", bad, "--out", out / "map.svg")
+    else:
+        pred, truth = (bad, good) if role == "pred" else (good, bad)
+        argv = ("evaluate", "--pred", pred, "--truth", truth, "--out", out)
+    if role == "truth" and case == "no_assignments":
+        # an object without "assignments" is read as a truth.json sidecar
+        assert run_cli(*argv) == 0
+        return
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not out.exists()
+
+
 def test_evaluate_with_reconstruction(tmp_path):
     wafer = tmp_path / "w.txt"
     wafer.write_text(

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -5,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import longest_simple_path_nodes, nodes_on_paths_at_least
-from waferspr import cpf
+from waferspr import cpf, synthgen
+from waferspr.acfilter import ac_filter
 from waferspr.cpf import CpfConfig, cpf_filter, longest_simple_path_at_least
 from waferspr.errors import InternalError
-from waferspr.wafer import CellState, Neighborhood, WaferMap, build_graph, components, parse_wafer
+from waferspr.validation import reconstruct_ground_truth
+from waferspr.wafer import (
+    CellState, Neighborhood, WaferMap, build_graph, components, parse_wafer, write_wafer,
+)
 
 LINE7 = "0000000\n1111111\n0000000\n"
 L_SHAPE = "1000\n1000\n1000\n1110\n"  # 4-cell column + 3-cell row sharing the corner
@@ -168,7 +173,9 @@ def test_adjacency_matches_dict_build(monkeypatch):
         for nb in (Neighborhood.ROOK, Neighborhood.KING):
             graph = build_graph(m, nb)
             comp = components(m.grid() == CellState.DEFECTIVE, nb)[m.in_mask()]
-            assert cpf._adjacency(graph, comp) == _dict_adjacency(graph, comp)
+            adj = cpf._adjacency(graph, comp)
+            assert {v: adj[v] for v in np.flatnonzero(comp).tolist()} == _dict_adjacency(
+                graph, comp)
             sizes = np.bincount(comp)[1:]
             for thr in (1, 3, 5, 10):
                 cfg = CpfConfig(m_threshold=thr, nb=nb)
@@ -185,6 +192,46 @@ def test_adjacency_matches_dict_build(monkeypatch):
                 assert counters["budget_spent"] <= 300 * int((sizes >= thr).sum())
                 approx += counters["components_approx"]
     assert approx > 0
+
+
+@pytest.mark.parametrize("nb", [Neighborhood.ROOK, Neighborhood.KING])
+def test_large_component_reads_few_neighbour_lists(monkeypatch, nb):
+    # one 3600-chip component: its retention search stops at the first
+    # long path, so only the lists along that path are ever built
+    build = cpf._adjacency
+    built = []
+
+    def recording(graph, comp):
+        built.append(build(graph, comp))
+        return built[-1]
+
+    monkeypatch.setattr(cpf, "_adjacency", recording)
+    m = WaferMap(60, 60, np.full(3600, 2, dtype=np.int8))
+    for thr in (5, 10):
+        res = cpf_filter(m, CpfConfig(m_threshold=thr, nb=nb))
+        assert res.kept_count == 3600 and not res.approx
+        assert 0 < len(built[-1]) < 50
+
+
+def test_filters_leave_no_cyclic_garbage():
+    # Reference cycles outlive the call that made them until a full
+    # collection, so a per-wafer cycle holding the wafer's graph piles up
+    # the graphs of many wafers.
+    wafers = [synthgen.generate(150, 150, synthgen.family_specs(family), 0.15, seed).map
+              for seed, family in enumerate(synthgen.FAMILIES)]
+    calls = [(f"cpf M={thr} {nb.value}", lambda w, c=CpfConfig(thr, nb): cpf_filter(w, c))
+             for thr in (5, 10) for nb in (Neighborhood.ROOK, Neighborhood.KING)]
+    calls += [("ac", ac_filter), ("parse", lambda w: parse_wafer(write_wafer(w))),
+              ("reconstruct", reconstruct_ground_truth)]
+    gc.collect()
+    gc.disable()
+    try:
+        for wmap in wafers:
+            for name, call in calls:
+                call(wmap)
+                assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_counters_when_budget_runs_out(monkeypatch):
