@@ -100,7 +100,7 @@ def _read_json_object(path) -> dict:
     """The JSON object in `path`; ParseError naming the file when the
     file holds anything else."""
     try:
-        doc = json.loads(Path(path).read_bytes())
+        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
     except ValueError as exc:
         raise ParseError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
@@ -108,21 +108,24 @@ def _read_json_object(path) -> dict:
     return doc
 
 
-def _assignments_of(doc: dict, path) -> dict[str, int]:
-    """The "row,col" -> cluster label map of an assignments document (as
-    `cluster` writes it) read from `path`; ParseError naming the file when
-    it is malformed."""
+def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], str, int]]:
+    """The ((row, col), "row,col" key, cluster label) entries of an
+    assignments document (as `cluster` writes it) read from `path`, in
+    (row, col) order; ParseError naming the file when it is malformed."""
     assignments = doc.get("assignments")
     if not isinstance(assignments, dict):
         raise ParseError(f'{path}: no "assignments" object')
+    entries = []
     for key, label in assignments.items():
         try:
-            _parse_coord_key(key)
+            rc = _parse_coord_key(key)
         except ValueError:
             raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
         if type(label) is not int:
             raise ParseError(f"{path}: label {label!r} of {key!r} is not an integer")
-    return assignments
+        entries.append((rc, key, label))
+    entries.sort(key=lambda entry: entry[0])
+    return entries
 
 
 # ---------------------------------------------------------------------
@@ -284,22 +287,22 @@ def truth_lookup_from_reconstruction(wmap: WaferMap):
 
 
 def cmd_evaluate(args) -> int:
-    pred_map = _assignments_of(_read_json_object(args.pred), args.pred)
-    keys = sorted(pred_map.keys(), key=_parse_coord_key)
-    points = np.array([_parse_coord_key(k) for k in keys], dtype=float)
-    predicted = [pred_map[k] for k in keys]
+    pred = _assignments_of(_read_json_object(args.pred), args.pred)
+    points = np.array([rc for rc, _, _ in pred], dtype=float)
+    keys = [key for _, key, _ in pred]
+    predicted = [label for _, _, label in pred]
 
     inputs = [args.pred]
     if args.truth:
         inputs.append(args.truth)
         truth_doc = _read_json_object(args.truth)
         if "assignments" in truth_doc:
-            truth_map = _assignments_of(truth_doc, args.truth)
-            if sorted(truth_map.keys(), key=_parse_coord_key) != keys:
+            truth_entries = _assignments_of(truth_doc, args.truth)
+            if [key for _, key, _ in truth_entries] != keys:
                 print("error: prediction and truth cover different coordinates",
                       file=sys.stderr)
                 return 5
-            truth = [truth_map[k] for k in keys]
+            truth = [label for _, _, label in truth_entries]
         else:
             lookup = _truth_lookup_from_sidecar(truth_doc)
             truth = [lookup(k) for k in keys]
@@ -328,8 +331,8 @@ def cmd_render(args) -> int:
     wmap = _read_wafer(args.input, args.format)
     assignments = {}
     if args.assignments:
-        labels = _assignments_of(_read_json_object(args.assignments), args.assignments)
-        assignments = {_parse_coord_key(k): v for k, v in labels.items()}
+        entries = _assignments_of(_read_json_object(args.assignments), args.assignments)
+        assignments = {rc: label for rc, _, label in entries}
     svg = render_svg(wmap, assignments)
     out = Path(args.out)
     _write(out, svg)

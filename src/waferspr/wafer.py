@@ -35,8 +35,6 @@ _SYMBOLS = {"ascii": b".01", "csv": b"012"}
 # last entry (DEL) stands for every code point beyond the table.
 _ASCII_LUT = np.full(128, -1, dtype=np.int8)
 _ASCII_LUT[list(_SYMBOLS["ascii"])] = np.arange(len(CellState))
-# Cell state of each canonical CSV token; other tokens go through int().
-_CSV_STATES = {chr(code): state for state, code in enumerate(_SYMBOLS["csv"])}
 
 
 class Neighborhood(Enum):
@@ -197,45 +195,6 @@ def _parse_ascii(body: str) -> tuple[np.ndarray, list[int]]:
     return states[~newline], lengths.tolist()
 
 
-def _csv_state(tok: str, lineno: int, col: int) -> int:
-    """Cell state of any CSV token: int() of the stripped token, which
-    must be 0, 1 or 2; raises ParseError otherwise."""
-    tok = tok.strip()
-    try:
-        val = int(tok)
-    except ValueError:
-        raise ParseError(
-            f"unknown symbol {tok!r} at line {lineno}, field {col}",
-            line=lineno, symbol=tok, position=col,
-        ) from None
-    if val not in (0, 1, 2):
-        raise ParseError(
-            f"value {val} out of range at line {lineno}, field {col}",
-            line=lineno, symbol=tok, position=col,
-        )
-    return val
-
-
-def _parse_csv(lines: list[str]) -> tuple[list[int], list[int]]:
-    """Cell states and per-line cell counts of CSV lines.
-
-    The tokens "0", "1" and "2" map through a table; a line holding any
-    other token is read token by token through `_csv_state`, so the first
-    bad token in reading order raises ParseError.
-    """
-    cells = []
-    lengths = []
-    for lineno, line in enumerate(lines, start=1):
-        toks = line.split(",")
-        try:
-            row = list(map(_CSV_STATES.__getitem__, toks))
-        except KeyError:
-            row = [_csv_state(tok, lineno, col) for col, tok in enumerate(toks)]
-        cells += row
-        lengths.append(len(row))
-    return cells, lengths
-
-
 def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
     """Parse a wafer map from bytes or str in 'ascii' or 'csv' format."""
     if isinstance(text, (bytes, bytearray)):
@@ -252,7 +211,27 @@ def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
     if fmt == "ascii":
         cells, lengths = _parse_ascii(text[:-1] if text.endswith("\n") else text)
     elif fmt == "csv":
-        cells, lengths = _parse_csv(lines)
+        rows = []
+        for lineno, line in enumerate(lines, start=1):
+            states = []
+            for col, tok in enumerate(line.split(",")):
+                tok = tok.strip()
+                try:
+                    val = int(tok)
+                except ValueError:
+                    raise ParseError(
+                        f"unknown symbol {tok!r} at line {lineno}, field {col}",
+                        line=lineno, symbol=tok, position=col,
+                    ) from None
+                if val not in (0, 1, 2):
+                    raise ParseError(
+                        f"value {val} out of range at line {lineno}, field {col}",
+                        line=lineno, symbol=tok, position=col,
+                    )
+                states.append(val)
+            rows.append(states)
+        cells = [s for row in rows for s in row]
+        lengths = [len(row) for row in rows]
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from waferspr.acfilter import ac_objective
-from waferspr.errors import GenerationError, ParseError
+from waferspr.errors import GenerationError
 from waferspr.synthgen import PatternKind, SynthWafer, wafer_mask
 from waferspr.wafer import CellState, WaferMap, build_graph
 
@@ -362,40 +362,6 @@ def window_count_reconstruction(wmap):
                             count += 1
             out[r, c] = CellState.DEFECTIVE if count >= 4 else CellState.FUNCTIONAL
     return out
-
-
-# ---------------------------------------------------------------------
-# wafer: per-token CSV parsing
-# ---------------------------------------------------------------------
-
-def csv_cells_loops(lines):
-    """CSV parsing oracle: int() of every stripped token, one at a time.
-
-    Returns the row-major cell states and the per-line cell counts, or
-    raises the ParseError of the first bad token in reading order.
-    """
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        states = []
-        for col, tok in enumerate(line.split(",")):
-            tok = tok.strip()
-            try:
-                val = int(tok)
-            except ValueError:
-                raise ParseError(
-                    f"unknown symbol {tok!r} at line {lineno}, field {col}",
-                    line=lineno, symbol=tok, position=col,
-                ) from None
-            if val not in (0, 1, 2):
-                raise ParseError(
-                    f"value {val} out of range at line {lineno}, field {col}",
-                    line=lineno, symbol=tok, position=col,
-                )
-            states.append(val)
-        rows.append(states)
-    cells = [s for row in rows for s in row]
-    lengths = [len(row) for row in rows]
-    return cells, lengths
 
 
 # ---------------------------------------------------------------------

@@ -176,6 +176,20 @@ def test_evaluate_coordinate_mismatch_exits_5(tmp_path):
                    "--out", tmp_path / "o") == 5
 
 
+def test_evaluate_pairs_labels_by_coordinate_not_key_order(tmp_path):
+    labels = {"10,0": 1, "2,0": 1, "2,1": 2, "0,5": 2, "0,6": 3}
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": labels}))
+    reports = []
+    for name, order in (("same", list(labels)), ("reversed", list(labels)[::-1])):
+        truth = tmp_path / f"truth_{name}.json"
+        truth.write_text(json.dumps({"assignments": {k: labels[k] for k in order}}))
+        out = tmp_path / name
+        assert run_cli("evaluate", "--pred", pred, "--truth", truth, "--out", out) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 MALFORMED_ASSIGNMENTS = {
     "no_assignments": '{"k_hat": 1}',
     "list_document": "[1,2]",
@@ -186,6 +200,7 @@ MALFORMED_ASSIGNMENTS = {
     "float_label": '{"assignments": {"0,0": 1.5}}',
     "not_json": "assignments: 0,0",
     "not_utf8": b"\xff\xfe{",
+    "utf16": '{"assignments": {"0,1": 1}}'.encode("utf-16"),
 }
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import csv_cells_loops, grid_components_bfs
+from oracles import grid_components_bfs
 
-from waferspr import wafer
 from waferspr.errors import DimensionError, ParseError
 from waferspr.synthgen import twelve_wafer_corpus
 from waferspr.wafer import (
@@ -286,29 +285,6 @@ def test_parse_arbitrary_bytes(data, fmt):
 @settings(max_examples=300)
 def test_parse_ascii_matches_reference(text):
     assert _parse_outcome(text) == _reference_parse_ascii(text)
-
-
-def _csv_outcome(parse, lines):
-    try:
-        return ("ok", *parse(lines))
-    except ParseError as exc:
-        return ("error", str(exc), exc.line, exc.symbol, exc.position)
-
-
-# Tokens that int() accepts besides the canonical ones, and ones it rejects
-# or maps out of range.
-CSV_TOKENS = ("0", "1", "2", " 1 ", "+2", "-0", "0_0", "\uff11", "2\r", "\t0", "3", "-1",
-              "x", "", " ", "1.0", "00", "0x1", "\u0662")
-
-
-@given(st.lists(st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=6),
-                min_size=1, max_size=5)
-       | st.lists(st.lists(st.sampled_from(CSV_TOKENS[:3]), min_size=1, max_size=6),
-                  min_size=1, max_size=5))
-@settings(max_examples=400)
-def test_parse_csv_matches_per_token_oracle(rows):
-    lines = [",".join(row) for row in rows]
-    assert _csv_outcome(wafer._parse_csv, lines) == _csv_outcome(csv_cells_loops, lines)
 
 
 def test_parse_csv_accepts_what_int_accepts():
