@@ -59,7 +59,7 @@ def main(argv=None):
         fit = pipeline_fit(points, hyper, mcmc, seed=0)
         assignments = dict(zip(points, fit.assignments))
         (out / f"clusters_{name}.svg").write_text(render_svg(sw.map, assignments))
-        truth = [lookup(f"{r},{c}") for r, c in points]
+        truth = [lookup(rc) for rc in points]
         report = evaluation_report(
             np.array(points, dtype=float), list(fit.assignments), truth
         )

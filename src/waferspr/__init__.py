@@ -9,7 +9,7 @@ validation suite used to compare the two filters head to head.
 __version__ = "0.1.0"
 
 from .acfilter import AcConfig, FilterResult, ac_filter, ac_objective, filtered_points
-from .cpf import CpfConfig, cpf_filter, longest_simple_path_at_least
+from .cpf import CpfConfig, cpf_filter
 from .flow import CutResult, FlowNetwork, max_flow_min_cut
 from .iwmm import (
     GwHyper,
@@ -48,7 +48,6 @@ __all__ = [
     "PointSet", "SynthWafer", "WaferMap", "ac_filter", "ac_objective",
     "adjusted_rand_index", "build_graph", "ch_index", "cpf_filter",
     "evaluation_report", "filtered_points", "gdi_index", "generate",
-    "iwmm_fit", "longest_simple_path_at_least", "max_flow_min_cut",
-    "nmi_index", "parse_wafer", "rand_index", "reconstruct_ground_truth",
-    "wilcoxon_signed_rank", "write_wafer",
+    "iwmm_fit", "max_flow_min_cut", "nmi_index", "parse_wafer", "rand_index",
+    "reconstruct_ground_truth", "wilcoxon_signed_rank", "write_wafer",
 ]

@@ -16,7 +16,6 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import asdict, dataclass
 from itertools import product, repeat
 from pathlib import Path
 
@@ -44,17 +43,6 @@ COMPARISON_COLUMNS = (
 IMPROVEMENT_COLUMNS = ("wafer", "family", "metric", "m", "improvement_pct")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay a run bit-for-bit."""
-
-    command: str
-    inputs: tuple
-    config: dict
-    seed: int | None
-    version: str
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -65,16 +53,11 @@ def _write(path: Path, text: str):
 
 
 def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=None):
-    """manifest.json of a run; `counters` (deterministic counts of the work
-    done) are added under their own key when given."""
-    manifest = RunManifest(
-        command=command,
-        inputs=tuple(str(p) for p in inputs),
-        config=config,
-        seed=seed,
-        version=__version__,
-    )
-    doc = asdict(manifest)
+    """manifest.json of a run, with everything needed to replay it
+    bit-for-bit; `counters` (deterministic counts of the work done) are
+    added under their own key when given."""
+    doc = {"command": command, "inputs": [str(p) for p in inputs], "config": config,
+           "seed": seed, "version": __version__}
     if counters is not None:
         doc["counters"] = counters
     _write(outdir / "manifest.json", _dump_json(doc))
@@ -89,11 +72,6 @@ def _read_wafer(path, fmt="auto") -> WaferMap:
 
 def _coord_key(rc) -> str:
     return f"{rc[0]},{rc[1]}"
-
-
-def _parse_coord_key(key) -> tuple[int, int]:
-    r, c = key.split(",")
-    return int(r), int(c)
 
 
 def _read_json_object(path) -> dict:
@@ -118,7 +96,8 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], str, int]]:
     entries = []
     for key, label in assignments.items():
         try:
-            rc = _parse_coord_key(key)
+            r, c = key.split(",")
+            rc = (int(r), int(c))
         except ValueError:
             raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
         if type(label) is not int:
@@ -126,6 +105,17 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], str, int]]:
         entries.append((rc, key, label))
     entries.sort(key=lambda entry: entry[0])
     return entries
+
+
+def _sidecar_of(doc: dict, path) -> dict:
+    """`doc`, a truth.json sidecar (as `generate` writes it) read from
+    `path`; ParseError naming the file unless its "regions" and "labels",
+    where present, are objects of integer labels."""
+    for name in ("regions", "labels"):
+        table = doc.get(name, {})
+        if not isinstance(table, dict) or any(type(v) is not int for v in table.values()):
+            raise ParseError(f'{path}: "{name}" is not an object of integer labels')
+    return doc
 
 
 # ---------------------------------------------------------------------
@@ -177,16 +167,31 @@ def cmd_generate(args) -> int:
 # filter
 # ---------------------------------------------------------------------
 
+# The config field each method-specific `filter` flag sets, by method.
+FILTER_FLAGS = {"ac": {"u": "u", "w_mag": "w_mag"}, "cpf": {"m": "m_threshold"}}
+
+
 def _run_filter(wmap: WaferMap, args):
+    """Filter `wmap` as `args` asks; a flag left out takes its config
+    default, and a flag of the other method is a ConfigError."""
+    options = {}
+    for method, fields in FILTER_FLAGS.items():
+        for dest, name in fields.items():
+            value = getattr(args, dest)
+            if value is None:
+                continue
+            if method != args.method:
+                raise ConfigError(f"--{dest.replace('_', '-')} does not apply to "
+                                  f"--method {args.method}")
+            options[name] = value
     nb = Neighborhood(args.neighborhood)
     if args.method == "ac":
-        cfg = AcConfig(u=args.u, w_mag=args.w_mag, nb=nb)
+        cfg = AcConfig(nb=nb, **options)
         return ac_filter(wmap, cfg), {"method": "ac", "u": str(cfg.u), "w_mag": str(cfg.w_mag),
                                       "neighborhood": nb.value}
-    if args.method == "cpf":
-        cfg = CpfConfig(m_threshold=args.m, nb=nb)
-        return cpf_filter(wmap, cfg), {"method": "cpf", "m": args.m, "neighborhood": nb.value}
-    raise ConfigError(f"unknown method {args.method!r}")
+    cfg = CpfConfig(nb=nb, **options)
+    return cpf_filter(wmap, cfg), {"method": "cpf", "m": cfg.m_threshold,
+                                   "neighborhood": nb.value}
 
 
 def cmd_filter(args) -> int:
@@ -262,23 +267,26 @@ def cmd_cluster(args) -> int:
 # ---------------------------------------------------------------------
 
 def _truth_lookup_from_sidecar(doc):
-    regions = {k: v for k, v in doc.get("regions", {}).items()}
-    labels = {k: v for k, v in doc.get("labels", {}).items()}
+    """Truth label of a (row, col) chip from a checked truth.json sidecar
+    (see `_sidecar_of`): its region, else its pattern label, else 0."""
+    regions = doc.get("regions", {})
+    labels = doc.get("labels", {})
 
-    def lookup(key):
-        return int(regions.get(key, labels.get(key, 0)))
+    def lookup(rc):
+        key = _coord_key(rc)
+        return regions.get(key, labels.get(key, 0))
 
     return lookup
 
 
 def truth_lookup_from_reconstruction(wmap: WaferMap):
-    """Truth label of a "row,col" key: the king-connected component of the
-    reconstructed map that holds the chip, or 0 off every component."""
+    """Truth label of a (row, col) chip: the king-connected component of
+    the reconstructed map that holds the chip, or 0 off every component."""
     comp = components(reconstruct_ground_truth(wmap).grid() == CellState.DEFECTIVE,
                       Neighborhood.KING)
 
-    def lookup(key):
-        r, c = _parse_coord_key(key)
+    def lookup(rc):
+        r, c = rc
         if 0 <= r < wmap.rows and 0 <= c < wmap.cols:
             return int(comp[r, c])
         return 0
@@ -287,9 +295,16 @@ def truth_lookup_from_reconstruction(wmap: WaferMap):
 
 
 def cmd_evaluate(args) -> int:
+    if args.truth and (args.wafer or args.reconstruct):
+        raise ConfigError(f"{'--wafer' if args.wafer else '--reconstruct'} does not apply "
+                          "with --truth")
+    if not (args.truth or args.wafer):
+        raise ConfigError("evaluate needs --truth or --wafer with --reconstruct")
+    if not (args.truth or args.reconstruct):
+        raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
+
     pred = _assignments_of(_read_json_object(args.pred), args.pred)
     points = np.array([rc for rc, _, _ in pred], dtype=float)
-    keys = [key for _, key, _ in pred]
     predicted = [label for _, _, label in pred]
 
     inputs = [args.pred]
@@ -298,23 +313,18 @@ def cmd_evaluate(args) -> int:
         truth_doc = _read_json_object(args.truth)
         if "assignments" in truth_doc:
             truth_entries = _assignments_of(truth_doc, args.truth)
-            if [key for _, key, _ in truth_entries] != keys:
+            if [key for _, key, _ in truth_entries] != [key for _, key, _ in pred]:
                 print("error: prediction and truth cover different coordinates",
                       file=sys.stderr)
                 return 5
             truth = [label for _, _, label in truth_entries]
         else:
-            lookup = _truth_lookup_from_sidecar(truth_doc)
-            truth = [lookup(k) for k in keys]
-    elif args.wafer:
-        if not args.reconstruct:
-            raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
-        inputs.append(args.wafer)
-        wmap = _read_wafer(args.wafer, args.format)
-        lookup = truth_lookup_from_reconstruction(wmap)
-        truth = [lookup(k) for k in keys]
+            lookup = _truth_lookup_from_sidecar(_sidecar_of(truth_doc, args.truth))
+            truth = [lookup(rc) for rc, _, _ in pred]
     else:
-        raise ConfigError("evaluate needs --truth or --wafer with --reconstruct")
+        inputs.append(args.wafer)
+        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer, args.format))
+        truth = [lookup(rc) for rc, _, _ in pred]
 
     report = evaluation_report(points, predicted, truth, nmi_normalizer=args.nmi_normalizer)
     outdir = Path(args.out)
@@ -534,7 +544,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
         family = ""
         sidecar_doc = None
         if sidecar.exists():
-            sidecar_doc = json.loads(sidecar.read_text())
+            sidecar_doc = _sidecar_of(_read_json_object(sidecar), sidecar)
             family = sidecar_doc.get("family") or ""
         if truth_source == "sidecar" and sidecar_doc is not None:
             lookup = _truth_lookup_from_sidecar(sidecar_doc)
@@ -551,7 +561,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
                 result = cpf_filter(wmap, CpfConfig(m_threshold=int(param)))
             points = tuple(filtered_points(wmap, result))
             fields = {"wafer": wafer_name, "family": family, "method": method, "param": param}
-            cases.append((fields, points, [lookup(_coord_key(rc)) for rc in points]))
+            cases.append((fields, points, [lookup(rc) for rc in points]))
 
     # Identical filtered sets (e.g. CPF M=5 and M=10) share their fits.
     # The largest point sets go first, so no worker is left with a long
@@ -674,9 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="spatial filtering (AC or CPF)")
     p.add_argument("input")
     p.add_argument("--method", choices=("ac", "cpf"), default="ac")
-    p.add_argument("--u", default="0.5")
-    p.add_argument("--w-mag", dest="w_mag", default="1")
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--u")
+    p.add_argument("--w-mag", dest="w_mag")
+    p.add_argument("--m", type=int)
     p.add_argument("--neighborhood", choices=("rook", "king"), default="king")
     p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--out", required=True)

@@ -20,7 +20,6 @@ import numpy as np
 from scipy import ndimage
 
 from .acfilter import FilterResult
-from .errors import InternalError
 from .wafer import AdjacencyGraph, CellState, Neighborhood, WaferMap, build_graph, components
 
 EXACT_COMPONENT_LIMIT = 24
@@ -37,6 +36,10 @@ class CpfConfig:
             raise ValueError("M must be >= 1")
 
 
+class _BudgetExceeded(Exception):
+    pass
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -44,8 +47,10 @@ class _Budget:
         self.left = n
 
     def spend(self):
+        """Take one search step; raises _BudgetExceeded once none is left."""
         self.left -= 1
-        return self.left >= 0
+        if self.left < 0:
+            raise _BudgetExceeded
 
 
 def _reachable_count(adj, start, blocked, limit):
@@ -68,8 +73,7 @@ def _extend_path(adj, path, used, need, budget):
     """Depth-first right-extension; returns a full path once len >= need."""
     if len(path) >= need:
         return list(path)
-    if not budget.spend():
-        raise _BudgetExceeded
+    budget.spend()
     tail = path[-1]
     # prune: even absorbing every reachable unused node cannot reach `need`
     missing = need - len(path)
@@ -87,18 +91,6 @@ def _extend_path(adj, path, used, need, budget):
     return None
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _has_path(adj, nodes, m, budget):
-    """True iff a simple path of >= m nodes starts at one of `nodes`.
-
-    Raises _BudgetExceeded when the budget runs out first.
-    """
-    return any(_extend_path(adj, [v], {v}, m, budget) for v in nodes)
-
-
 def _path_through(adj, left, used, need, budget):
     """Some simple path with >= need nodes passing through left[0], or None.
 
@@ -114,8 +106,7 @@ def _path_through(adj, left, used, need, budget):
     right = _extend_path(adj, [left[0]], set(used), remaining, budget)
     if right:
         return list(reversed(left[1:])) + right
-    if not budget.spend():
-        raise _BudgetExceeded
+    budget.spend()
     for w in adj[left[-1]]:
         if w not in used:
             left.append(w)
@@ -138,30 +129,6 @@ def _exact_kept(adj, comp, m, budget):
         if path:
             kept.update(path)
     return kept
-
-
-def longest_simple_path_at_least(nodes, edges, length: int) -> bool:
-    """True iff the connected component has a simple path with >= length nodes.
-
-    Exact for components up to EXACT_COMPONENT_LIMIT nodes; larger
-    components use a budgeted search and fall back to the component-size
-    criterion when the budget runs out.
-    """
-    nodes = sorted(nodes)
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    adj = {v: [] for v in nodes}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    if nodes and _reachable_count(adj, nodes[0], (), len(nodes)) != len(nodes) - 1:
-        raise InternalError("component is not connected")
-    if len(nodes) < length:
-        return False
-    try:
-        return _has_path(adj, nodes, length, _Budget(SEARCH_BUDGET))
-    except _BudgetExceeded:
-        return True  # size >= length already checked
 
 
 class _LazyAdjacency(dict):
@@ -236,8 +203,10 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
             elif len(nodes) <= EXACT_COMPONENT_LIMIT:
                 kept = _exact_kept(adj, nodes, m, budget)
             else:
-                # component retention: keep everything iff a long path exists
-                kept = nodes if _has_path(adj, nodes, m, budget) else []
+                # component retention: keep everything iff a long path
+                # starts at one of its chips
+                long_path = any(_extend_path(adj, [v], {v}, m, budget) for v in nodes)
+                kept = nodes if long_path else []
             exact += 1
         except _BudgetExceeded:
             kept = nodes  # size >= m already checked

@@ -11,7 +11,7 @@ typed nulls so reports stay machine-checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -188,8 +188,9 @@ def nmi_index(a, b, normalizer: str = "paper") -> float:
     info = float(np.sum(p[nz] * np.log(p[nz] / np.outer(pr, pc)[nz])))
 
     def entropy(q):
+        # a one-cluster side sums to a rounding error, as low as -2.2e-16
         q = q[q > 0]
-        return float(-np.sum(q * np.log(q)))
+        return max(0.0, float(-np.sum(q * np.log(q))))
 
     if normalizer == "paper":
         hn = float(-np.sum(p[nz] * np.log(p[nz] / np.broadcast_to(pc, p.shape)[nz])))
@@ -315,16 +316,7 @@ class EvaluationReport:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "ch": self.ch,
-            "gdi": self.gdi,
-            "ri": self.ri,
-            "ari": self.ari,
-            "nmi": self.nmi,
-            "nmi_sqrt": self.nmi_sqrt,
-            "n_points": self.n_points,
-            "flags": dict(sorted(self.flags.items())),
-        }
+        return asdict(self)
 
 
 def evaluation_report(points, predicted, truth=None, nmi_normalizer="paper") -> EvaluationReport:

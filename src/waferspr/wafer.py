@@ -168,9 +168,6 @@ class AdjacencyGraph:
         edges.flags.writeable = False
         return edges
 
-    def adjacency(self) -> list[list[int]]:
-        return [[j for j in row if j >= 0] for row in self.neighbours.tolist()]
-
 
 def _parse_ascii(body: str) -> tuple[np.ndarray, list[int]]:
     """Cell states and per-line cell counts of ASCII rows joined by newlines.

@@ -429,7 +429,7 @@ def test_criterion_11_no_unanimous_singletons(comparison_corpus):
     for family, sw in corpus:
         res = ac_filter(sw.map, cfg)
         graph = build_graph(sw.map, Neighborhood.KING)
-        adj = graph.adjacency()
+        adj = [[j for j in row if j >= 0] for row in graph.neighbours.tolist()]
         labels = res.labels
         for i in range(graph.node_count):
             if len(adj[i]) == 8:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ from waferspr.cli import (
     truth_lookup_from_reconstruction,
 )
 from waferspr.render import PALETTE, cluster_color, render_svg
+from waferspr.synthgen import FAMILIES
 from waferspr.wafer import parse_wafer
 
 CROSS = "010\n111\n010\n"
@@ -91,6 +93,64 @@ def test_filter_non_utf8_exits_2(tmp_path):
     wafer = tmp_path / "in.txt"
     wafer.write_bytes(b"010\n1\xff1\n010\n")
     assert run_cli("filter", wafer, "--out", tmp_path / "o") == 2
+
+
+FILTER_RUNS = (
+    ("--method", "ac"),
+    ("--method", "cpf", "--m", "5", "--neighborhood", "rook"),
+    ("--method", "cpf", "--m", "5", "--neighborhood", "king"),
+    ("--method", "cpf", "--m", "10", "--neighborhood", "rook"),
+    ("--method", "cpf", "--m", "10", "--neighborhood", "king"),
+)
+
+
+def test_filter_outputs_pinned(tmp_path):
+    """SHA-256 of `filter`'s summary.json and filtered.txt on a seeded
+    38x38 wafer of every family, for AC and CPF at M = 5 and 10, rook and
+    king.  The outputs come from exact integer and rational arithmetic,
+    so the digest does not depend on the machine; it guards the labels
+    and the solver counters, CPF's `budget_spent` among them."""
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        gen = tmp_path / family
+        assert run_cli("generate", "--family", family, "--noise", "0.1", "--seed", "31",
+                       "--out", gen) == 0
+        for i, flags in enumerate(FILTER_RUNS):
+            out = tmp_path / f"{family}-{i}"
+            assert run_cli("filter", gen / "wafer.txt", *flags, "--out", out) == 0
+            for name in ("summary.json", "filtered.txt"):
+                digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == (
+        "aac1df3935eac6770ba9b77446590c5b2c007d885c1b39e221dbdfda2e00c67c")
+
+
+@pytest.mark.parametrize("flags,flag", [
+    (("--method", "ac", "--m", "5"), "--m"),
+    (("--method", "cpf", "--u", "0.5"), "--u"),
+    (("--method", "cpf", "--w-mag", "1"), "--w-mag"),
+])
+def test_filter_flag_of_other_method_exits_3(tmp_path, capsys, flags, flag):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    out = tmp_path / "o"
+    assert run_cli("filter", wafer, *flags, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method,defaults", [
+    ("ac", ("--u", "0.5", "--w-mag", "1")),
+    ("cpf", ("--m", "5")),
+])
+def test_filter_flags_left_out_take_config_defaults(tmp_path, method, defaults):
+    wafer = tmp_path / "in.txt"
+    wafer.write_text("1111100\n0100011\n0111000\n")
+    implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+    assert run_cli("filter", wafer, "--method", method, "--out", implicit) == 0
+    assert run_cli("filter", wafer, "--method", method, *defaults, "--out", explicit) == 0
+    for name in ("summary.json", "filtered.txt", "manifest.json"):
+        assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
 
 
 def test_cluster_and_evaluate_roundtrip(tmp_path):
@@ -233,6 +293,82 @@ def test_malformed_assignments_exit_2(tmp_path, capsys, role, case):
     assert not out.exists()
 
 
+MALFORMED_SIDECARS = {
+    "list_document": "[1]",
+    "not_json": "regions: 0,0",
+    "not_utf8": b"\xff\xfe{",
+    "list_regions": '{"regions": [1]}',
+    "string_label": '{"labels": {"0,1": "3"}}',
+    "float_label": '{"labels": {"0,1": 3.0}}',
+    "bool_region": '{"regions": {"0,1": true}}',
+}
+
+
+@pytest.mark.parametrize("role", ["evaluate", "compare", "compare_sidecar_truth"])
+@pytest.mark.parametrize("case", MALFORMED_SIDECARS)
+def test_malformed_sidecar_exits_2(tmp_path, capsys, role, case):
+    wafer = tmp_path / "w" / "wafer.txt"
+    wafer.parent.mkdir()
+    wafer.write_text(CROSS)
+    sidecar = wafer.parent / "truth.json"
+    doc = MALFORMED_SIDECARS[case]
+    if isinstance(doc, bytes):
+        sidecar.write_bytes(doc)
+    else:
+        sidecar.write_text(doc)
+    out = tmp_path / "o"
+    if role == "evaluate":
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+        argv = ("evaluate", "--pred", pred, "--truth", sidecar, "--out", out)
+    else:
+        argv = ("compare", wafer, "--seeds", "1", "--iters", "3", "--burn-in", "1",
+                "--out", out)
+        if role == "compare_sidecar_truth":
+            argv += ("--truth", "sidecar")
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(sidecar) in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_sidecar_lookup_prefers_region_to_label():
+    lookup = cli._truth_lookup_from_sidecar(
+        {"regions": {"0,0": 2, "0,1": 4}, "labels": {"0,0": 1, "1,1": 3}})
+    assert [lookup(rc) for rc in ((0, 0), (0, 1), (1, 1), (2, 2))] == [2, 4, 3, 0]
+
+
+@pytest.mark.parametrize("extra", [("--wafer", "WAFER"), ("--reconstruct",),
+                                   ("--wafer", "WAFER", "--reconstruct")])
+def test_evaluate_truth_refuses_wafer_flags(tmp_path, capsys, extra):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    out = tmp_path / "o"
+    extra = [wafer if arg == "WAFER" else arg for arg in extra]
+    assert run_cli("evaluate", "--pred", pred, "--truth", pred, *extra, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and extra[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_one_cluster_partition_gives_typed_null(tmp_path):
+    """A one-cluster truth against a four-cluster prediction: the sqrt NMI
+    normalizer is zero, so nmi_sqrt is a typed null with its reason."""
+    chips = [f"{r},{c}" for r in range(4) for c in range(4)][:13]
+    labels = [1] * 4 + [2] * 3 + [3] * 3 + [4] * 3
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": dict(zip(chips, labels))}))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"labels": {key: 1 for key in chips}}))
+    out = tmp_path / "o"
+    assert run_cli("evaluate", "--pred", pred, "--truth", truth, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["nmi_sqrt"] is None
+    assert report["flags"]["nmi_sqrt"] == "zero normalizer"
+
+
 def test_evaluate_with_reconstruction(tmp_path):
     wafer = tmp_path / "w.txt"
     wafer.write_text(
@@ -257,9 +393,9 @@ def test_evaluate_with_reconstruction(tmp_path):
 
 def test_truth_lookup_outside_grid_is_zero():
     lookup = truth_lookup_from_reconstruction(parse_wafer("111\n111\n111\n"))
-    assert lookup("0,0") == lookup("2,2") == 1
-    for key in ("-1,-1", "-1,0", "0,-1", "3,0", "0,3", "-3,-3"):
-        assert lookup(key) == 0
+    assert lookup((0, 0)) == lookup((2, 2)) == 1
+    for rc in ((-1, -1), (-1, 0), (0, -1), (3, 0), (0, 3), (-3, -3)):
+        assert lookup(rc) == 0
 
 
 def test_evaluate_single_cluster_pred_ch_undefined(tmp_path):

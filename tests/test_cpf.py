@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import longest_simple_path_nodes, nodes_on_paths_at_least
 from waferspr import cpf, synthgen
 from waferspr.acfilter import ac_filter
-from waferspr.cpf import CpfConfig, cpf_filter, longest_simple_path_at_least
-from waferspr.errors import InternalError
+from waferspr.cpf import CpfConfig, cpf_filter
 from waferspr.validation import reconstruct_ground_truth
 from waferspr.wafer import (
     CellState, Neighborhood, WaferMap, build_graph, components, parse_wafer, write_wafer,
@@ -17,6 +16,7 @@ from waferspr.wafer import (
 
 LINE7 = "0000000\n1111111\n0000000\n"
 L_SHAPE = "1000\n1000\n1000\n1110\n"  # 4-cell column + 3-cell row sharing the corner
+CROSS = "010\n111\n010\n"
 
 
 def test_m1_is_identity_on_defectives():
@@ -72,12 +72,15 @@ def test_config_validation():
 
 
 def test_longest_path_examples():
-    path5 = ([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert longest_simple_path_at_least(*path5, 5)
-    assert not longest_simple_path_at_least(*path5, 6)
-    star = ([0, 1, 2, 3, 4], [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert longest_simple_path_at_least(*star, 3)
-    assert not longest_simple_path_at_least(*star, 4)
+    # a 5-chip line is one path of 5 chips
+    line = parse_wafer("11111\n")
+    assert cpf_filter(line, CpfConfig(m_threshold=5)).kept_count == 5
+    assert cpf_filter(line, CpfConfig(m_threshold=6)).kept_count == 0
+    # a rook plus is a star: its longest paths run arm, center, arm
+    plus = parse_wafer(CROSS)
+    rook = Neighborhood.ROOK
+    assert cpf_filter(plus, CpfConfig(m_threshold=3, nb=rook)).kept_count == 5
+    assert cpf_filter(plus, CpfConfig(m_threshold=4, nb=rook)).kept_count == 0
 
 
 def test_longest_path_king_block_hamiltonian():
@@ -85,11 +88,6 @@ def test_longest_path_king_block_hamiltonian():
     res = cpf_filter(m, CpfConfig(m_threshold=9))
     assert res.kept_count == 9
     assert cpf_filter(m, CpfConfig(m_threshold=10)).kept_count == 0
-
-
-def test_longest_path_disconnected_rejected():
-    with pytest.raises(InternalError):
-        longest_simple_path_at_least([0, 1, 2], [(0, 1)], 2)
 
 
 def _random_defect_map(rng, rows, cols, p):

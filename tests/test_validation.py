@@ -150,6 +150,17 @@ def test_nmi_identical_and_degenerate():
         nmi_index([1, 1, 2, 2], [1, 1, 2, 3], "paper")
 
 
+def test_nmi_one_cluster_side_has_zero_normalizer():
+    # the entropy of the one-cluster side sums to -2.2e-16, not 0
+    one, four = [1] * 13, [1] * 4 + [2] * 3 + [3] * 3 + [4] * 3
+    for a, b in ((one, four), (four, one)):
+        with pytest.raises(UndefinedIndex, match="zero normalizer"):
+            nmi_index(a, b, "sqrt")
+    report = evaluation_report(np.zeros((13, 2)), four, one)
+    assert report.nmi_sqrt is None
+    assert report.flags["nmi_sqrt"] == "zero normalizer"
+
+
 def test_nmi_bounds_standard_variants():
     rng = random.Random(3)
     for _ in range(200):
