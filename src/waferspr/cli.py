@@ -63,11 +63,20 @@ def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=N
     _write(outdir / "manifest.json", _dump_json(doc))
 
 
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at `path`; ParseError naming the file when it
+    cannot be read (missing, a directory, no permission)."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
 def _read_wafer(path, fmt="auto") -> WaferMap:
     path = Path(path)
     if fmt == "auto":
         fmt = "csv" if path.suffix.lower() == ".csv" else "ascii"
-    return parse_wafer(path.read_bytes(), fmt=fmt)
+    return parse_wafer(_read_bytes(path), fmt=fmt)
 
 
 def _coord_key(rc) -> str:
@@ -75,10 +84,11 @@ def _coord_key(rc) -> str:
 
 
 def _read_json_object(path) -> dict:
-    """The JSON object in `path`; ParseError naming the file when the
-    file holds anything else."""
+    """The JSON object in `path`; ParseError naming the file when it
+    cannot be read or holds anything else."""
+    data = _read_bytes(path)
     try:
-        doc = json.loads(Path(path).read_bytes().decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise ParseError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
@@ -244,6 +254,8 @@ def cmd_cluster(args) -> int:
             "k_mode": max(sorted(set(ks)), key=ks.count),
             "best_joint_log": max(j for _, j in res.trace[args.burn_in:]),
             "hmc_acceptance_rate": res.hmc_acceptance_rate,
+            "jitter_escalations": res.jitter_escalations,
+            "hmc_numerical_rejections": res.hmc_numerical_rejections,
         },
     }
     _write(outdir / "assignments.json", _dump_json(assignments_doc))
@@ -302,6 +314,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --truth or --wafer with --reconstruct")
     if not (args.truth or args.reconstruct):
         raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
+    if args.format is not None and not args.wafer:
+        raise ConfigError("--format picks the parser of --wafer; it does not apply without it")
 
     pred = _assignments_of(_read_json_object(args.pred), args.pred)
     points = np.array([rc for rc, _, _ in pred], dtype=float)
@@ -323,7 +337,7 @@ def cmd_evaluate(args) -> int:
             truth = [lookup(rc) for rc, _, _ in pred]
     else:
         inputs.append(args.wafer)
-        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer, args.format))
+        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer, args.format or "auto"))
         truth = [lookup(rc) for rc, _, _ in pred]
 
     report = evaluation_report(points, predicted, truth, nmi_normalizer=args.nmi_normalizer)
@@ -710,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reconstruct ground truth from --wafer")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
                    choices=("paper", "joint", "sqrt", "max", "min"), default="paper")
-    p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
+    p.add_argument("--format", choices=("auto", "ascii", "csv"),
+                   help="parser of --wafer (default: auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas as _blas
 from scipy.linalg import lapack as _lapack
 from scipy.sparse.csgraph import connected_components
 
@@ -128,11 +129,18 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class IwmmResult:
+    """A fit's kept state and its deterministic counters:
+    `jitter_escalations` counts the times the covariance Cholesky needed
+    more jitter, `hmc_numerical_rejections` the HMC proposals rejected
+    because their energy could not be computed (see hmc_latent_step)."""
+
     assignments: tuple
     k_hat: int
     latent_coords: np.ndarray
     trace: tuple
     hmc_acceptance_rate: float
+    jitter_escalations: int
+    hmc_numerical_rejections: int
 
 
 # ---------------------------------------------------------------------
@@ -140,32 +148,30 @@ class IwmmResult:
 # ---------------------------------------------------------------------
 
 class _GplvmWork:
-    """Reusable n x n buffers for the GPLVM likelihood and gradient.
+    """Reusable n x n buffers for the GPLVM likelihood and gradient, and
+    the count of Cholesky jitter escalations made with them.
 
     Freshly allocated n x n temporaries go back to the OS when freed and
     are page-faulted in again on the next call; at a few hundred points
-    that costs about as much as the Cholesky factorization.  Writing into
-    these buffers runs the same operations, so the results are the same
-    to the bit.
+    that costs about as much as the Cholesky factorization.  The buffers
+    are in Fortran order, so BLAS and LAPACK write into them in place.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.K = np.empty((n, n))
-        self.scratch = np.empty((n, n))
+        self.K = np.empty((n, n), order="F")
         self.factor = np.empty((n, n), order="F")  # factored and inverted in place
-        self.Kinv = np.empty((n, n))
+        self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
+        self.jitter_escalations = 0
 
 
 def _se_covariance(Z, kern, work):
     """The KernelParams covariance of Z, written into work.K."""
     sq = np.sum(Z * Z, axis=1)
     K = np.add.outer(sq, sq, out=work.K)
-    G = np.matmul(Z, Z.T, out=work.scratch)
-    G *= 2.0
-    K -= G
+    K = _blas.dgemm(-2.0, Z, Z, beta=1.0, c=K, trans_b=1, overwrite_c=1)
     np.maximum(K, 0.0, out=K)
-    K /= -2.0 * kern.length_scale**2
+    K *= -0.5 / kern.length_scale**2
     np.exp(K, out=K)
     if kern.signal_variance != 1.0:
         K *= kern.signal_variance
@@ -174,7 +180,8 @@ def _se_covariance(Z, kern, work):
 
 
 def _chol_lower(K, jitter, work):
-    """Lower Cholesky factor with deterministic jitter escalation.
+    """Lower Cholesky factor with deterministic jitter escalation, each
+    escalation counted in work.jitter_escalations.
 
     The factor is written into work.factor (Fortran order, so LAPACK
     factors it in place) with its strict upper triangle zeroed.
@@ -185,11 +192,42 @@ def _chol_lower(K, jitter, work):
     for extra in (0.0, base * 100.0, base * 10000.0):
         A[...] = K
         if extra:
+            work.jitter_escalations += 1
             A.flat[:: n + 1] += extra
         c, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return c
     raise NumericalError("covariance Cholesky failed after jitter escalation")
+
+
+# Largest block _tri_inv_lower hands to LAPACK's dtrtri, which runs at a
+# fraction of the speed of the BLAS-3 products the larger blocks use.
+_TRI_INV_LEAF = 64
+
+
+def _tri_inv_lower(L):
+    """Inverse of the lower-triangular Fortran-ordered L, written over L
+    and returned; its strict upper triangle is left as it was.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the diagonal
+    blocks recurse down to dtrtri on at most _TRI_INV_LEAF rows, and the
+    off-diagonal block takes two dtrmm calls.  NumericalError when L is
+    singular.
+    """
+    n = L.shape[0]
+    if n <= _TRI_INV_LEAF:
+        inv, info = _lapack.dtrtri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError("covariance inversion failed")
+        return inv
+    h = n // 2
+    A_inv = _tri_inv_lower(np.asfortranarray(L[:h, :h]))
+    C_inv = _tri_inv_lower(np.asfortranarray(L[h:, h:]))
+    B = _blas.dtrmm(-1.0, C_inv, L[h:, :h], lower=1)
+    L[h:, :h] = _blas.dtrmm(1.0, A_inv, B, side=1, lower=1, overwrite_b=1)
+    L[:h, :h] = A_inv
+    L[h:, h:] = C_inv
+    return L
 
 
 def gplvm_log_likelihood(S, Z, kern: KernelParams) -> float:
@@ -216,23 +254,18 @@ def _gplvm_ll_and_grad(S, Z, kern, work=None):
     K = _se_covariance(Z, kern, work)
     c = _chol_lower(K, kern.jitter, work)
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
-    inv, info = _lapack.dpotri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError("covariance inversion failed")
-    diag = np.diag(inv).copy()
-    # dpotri fills the lower triangle; the strict upper one is still the
-    # zeros _chol_lower left, so inv + inv.T mirrors it exactly.
-    Kinv = np.add(inv, inv.T, out=work.Kinv)
-    Kinv.flat[:: n + 1] = diag
-    KinvS = Kinv @ S
+    # K^-1 = L^-T L^-1, as dpotri forms it; from here on only the lower
+    # triangles of K^-1 and of W are formed and read.
+    inv, _ = _lapack.dlauum(_tri_inv_lower(c), lower=1, overwrite_c=1)
+    KinvS = _blas.dsymm(1.0, inv, S, lower=1)
     ll = -n * _LOG_2PI - logdet - 0.5 * float(np.sum(S * KinvS))
-    # dL/dK = -K^-1 + 0.5 K^-1 S S^T K^-1, then chain through the SE kernel
-    W = np.matmul(KinvS, KinvS.T, out=work.scratch)
-    W *= 0.5
-    W -= Kinv
+    # dL/dK = 0.5 K^-1 S S^T K^-1 - K^-1, then chain through the SE kernel
+    W = _blas.dsyrk(0.5, KinvS, beta=-1.0, c=inv, lower=1, overwrite_c=1)
     W *= K  # diagonal contributes nothing: the (z_l - z_j) factor is 0
-    row = W.sum(axis=1)
-    grad = -(2.0 / kern.length_scale**2) * (Z * row[:, None] - W @ Z)
+    ZI = work.ZI
+    ZI[:, :2] = Z
+    WZI = _blas.dsymm(1.0, W, ZI, lower=1)  # [W @ Z | row sums of W]
+    grad = -(2.0 / kern.length_scale**2) * (Z * WZI[:, 2:] - WZI[:, :2])
     return ll, grad
 
 
@@ -350,6 +383,7 @@ class LatentState:
         self._sums = []
         self._gplvm = None  # (ll, grad) of the GPLVM at the current Z
         self._gplvm_work = _GplvmWork(self.Z.shape[0])
+        self.hmc_numerical_rejections = 0
         self.refresh()
 
     def set_Z(self, Z, gplvm):
@@ -367,6 +401,11 @@ class LatentState:
     @property
     def K(self) -> int:
         return len(self._sums)
+
+    @property
+    def jitter_escalations(self) -> int:
+        """Cholesky jitter escalations made by this state's GPLVM calls."""
+        return self._gplvm_work.jitter_escalations
 
     def refresh(self):
         """Rebuild cluster sums from scratch (labels must be 1..K)."""
@@ -476,7 +515,9 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
                     rng) -> bool:
     """One hybrid Monte Carlo transition of Z targeting
     log p(S|Z, kernel) + log p(Z|A, ...), with `leapfrog_steps` leapfrog
-    steps of size `eps`.  Returns True on acceptance."""
+    steps of size `eps`.  Returns True on acceptance.  A proposal whose
+    energy cannot be computed (a NumericalError, or a non-finite value)
+    is rejected and counted in the state's `hmc_numerical_rejections`."""
     momentum = rng.standard_normal(state.Z.shape)
     u = rng.random()
     try:
@@ -497,10 +538,12 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
             else:
                 p = p - 0.5 * eps * g1
     except NumericalError:
+        state.hmc_numerical_rejections += 1
         return False
     H0 = U0 + 0.5 * float(np.sum(momentum * momentum))
     H1 = U1 + 0.5 * float(np.sum(p * p))
     if not math.isfinite(H1):
+        state.hmc_numerical_rejections += 1
         return False
     log_u = math.log(u) if u > 0 else -math.inf
     if log_u < H0 - H1:
@@ -590,4 +633,6 @@ def iwmm_fit(
         latent_coords=best_Z,
         trace=tuple(trace),
         hmc_acceptance_rate=accepted / mcmc.iters,
+        jitter_escalations=state.jitter_escalations,
+        hmc_numerical_rejections=state.hmc_numerical_rejections,
     )

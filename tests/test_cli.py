@@ -166,6 +166,8 @@ def test_cluster_and_evaluate_roundtrip(tmp_path):
     assert set(doc["assignments"]) == {
         "0,0", "0,1", "1,0", "1,1", "2,4", "2,5", "3,4", "3,5"
     }
+    assert doc["trace_summary"]["jitter_escalations"] == 0
+    assert doc["trace_summary"]["hmc_numerical_rejections"] == 0
     latent = json.loads((out / "latent.json").read_text())
     assert len(latent["points"]) == 8
 
@@ -330,6 +332,64 @@ def test_malformed_sidecar_exits_2(tmp_path, capsys, role, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(sidecar) in err and "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+# Each command with an unreadable input: "BAD" stands for the input, in
+# the role the entry names; the other inputs are valid.
+UNREADABLE_ROLES = {
+    "filter": ("filter", "BAD", "--out", "OUT"),
+    "cluster": ("cluster", "BAD", "--out", "OUT"),
+    "evaluate_pred": ("evaluate", "--pred", "BAD", "--truth", "PRED", "--out", "OUT"),
+    "evaluate_truth": ("evaluate", "--pred", "PRED", "--truth", "BAD", "--out", "OUT"),
+    "evaluate_wafer": ("evaluate", "--pred", "PRED", "--wafer", "BAD", "--reconstruct",
+                       "--out", "OUT"),
+    "render": ("render", "BAD", "--out", "OUT/map.svg"),
+    "render_assignments": ("render", "WAFER", "--assignments", "BAD", "--out", "OUT/map.svg"),
+    "compare": ("compare", "WAFER", "BAD", "--seeds", "1", "--iters", "3", "--burn-in", "1",
+                "--out", "OUT"),
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("role", UNREADABLE_ROLES)
+def test_unreadable_input_exits_2(tmp_path, capsys, role, kind):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    bad = tmp_path / "bad.txt"
+    if kind == "directory":
+        bad.mkdir()
+    out = tmp_path / "o"
+    names = {"BAD": str(bad), "PRED": str(pred), "WAFER": str(wafer), "OUT": str(out)}
+    argv = [names.get(arg, arg).replace("OUT/", f"{out}/") for arg in UNREADABLE_ROLES[role]]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_evaluate_format_without_wafer_exits_3(tmp_path, capsys):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    out = tmp_path / "o"
+    assert run_cli("evaluate", "--pred", pred, "--truth", pred, "--format", "csv",
+                   "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--format" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_format_picks_the_wafer_parser(tmp_path, capsys):
+    wafer = tmp_path / "w.dat"
+    wafer.write_text("1,1,0\n1,1,0\n0,0,0\n")
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1}}))
+    argv = ("evaluate", "--pred", pred, "--wafer", wafer, "--reconstruct")
+    # by its suffix the file would be read as ASCII, which has no commas
+    assert run_cli(*argv, "--out", tmp_path / "auto") == 2
+    assert run_cli(*argv, "--format", "csv", "--out", tmp_path / "csv") == 0
+    assert json.loads((tmp_path / "csv" / "report.json").read_text())["ri"] == 1.0
 
 
 def test_sidecar_lookup_prefers_region_to_label():

@@ -13,6 +13,8 @@ from oracles import (
     set_partitions,
     student_t_predictive_log,
 )
+from waferspr import iwmm
+from waferspr.cli import PIPELINE_KERNEL
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
     GwHyper,
@@ -28,7 +30,7 @@ from waferspr.iwmm import (
     iwmm_fit,
     latent_marginal_log,
 )
-from waferspr.iwmm import _marginal_and_grad
+from waferspr.iwmm import _marginal_and_grad, _tri_inv_lower
 from waferspr.validation import adjusted_rand_index
 
 RNG = np.random.default_rng(20240811)
@@ -109,6 +111,107 @@ def test_likelihood_matches_dense_oracle():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         gplvm_log_likelihood(np.zeros((3, 2)), np.zeros((2, 2)), KernelParams())
+
+
+# -- GPLVM at the sizes the fits use ---------------------------------------
+
+# 64 is the largest block the triangular inverse hands to dtrtri: these
+# sizes reach one leaf, one even and one odd split, and deeper recursion.
+FIT_SIZES = [1, 2, 63, 64, 65, 129, 200, 401]
+KERNELS = {"pipeline": PIPELINE_KERNEL, "default": KernelParams(),
+           "short": KernelParams(1.3, 0.8, 1e-3)}
+
+
+def _fit_like_inputs(n, seed):
+    """n distinct grid chips standardized as iwmm_fit does, and latent
+    coordinates scattered around them."""
+    rng = np.random.default_rng(seed)
+    side = math.ceil(math.sqrt(3 * n))
+    cells = rng.choice(side * side, size=n, replace=False)
+    S = np.stack([cells // side, cells % side], axis=1).astype(float)
+    sd = S.std(axis=0)
+    S = (S - S.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
+    return S, S + 0.1 * rng.standard_normal((n, 2))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n", FIT_SIZES)
+def test_likelihood_matches_dense_oracle_at_fit_sizes(n, kernel):
+    S, Z = _fit_like_inputs(n, seed=n)
+    kern = KERNELS[kernel]
+    want = gplvm_log_likelihood_dense(S, Z, kern)
+    assert gplvm_log_likelihood(S, Z, kern) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+# The default kernel's covariance of fit-like points has a condition
+# number near 1e7, which leaves central differences too few digits.
+@pytest.mark.parametrize("kernel", ["pipeline", "short"])
+@pytest.mark.parametrize("n", FIT_SIZES)
+def test_gradient_matches_central_differences_at_fit_sizes(n, kernel):
+    S, Z = _fit_like_inputs(n, seed=1000 + n)
+    kern = KERNELS[kernel]
+    grad = gplvm_grad(S, Z, kern)
+    rng = np.random.default_rng(n)
+    h = 1e-5
+    for _ in range(3):
+        V = rng.standard_normal(Z.shape)
+        V /= np.linalg.norm(V)
+        numeric = (gplvm_log_likelihood(S, Z + h * V, kern)
+                   - gplvm_log_likelihood(S, Z - h * V, kern)) / (2 * h)
+        assert float(np.sum(grad * V)) == pytest.approx(numeric, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", FIT_SIZES)
+def test_triangular_inverse_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.uniform(-1.0, 1.0, (n, n)) / n, -1) + np.diag(rng.uniform(0.5, 2.0, n))
+    work = np.asfortranarray(L + np.triu(np.full((n, n), 7.0), 1))
+    inv = _tri_inv_lower(work)
+    want = np.linalg.inv(L)
+    assert np.abs(np.tril(inv) - want).max() <= 1e-12 * np.abs(want).max()
+    # the strict upper triangle is left as it was
+    assert (np.triu(inv, 1) == np.triu(np.full((n, n), 7.0), 1)).all()
+
+
+@pytest.mark.parametrize("n,zero_at", [(1, 0), (64, 63), (65, 0), (129, 64), (401, 400)])
+def test_singular_factor_raises(n, zero_at):
+    L = np.asfortranarray(np.eye(n))
+    L[zero_at, zero_at] = 0.0
+    with pytest.raises(NumericalError):
+        _tri_inv_lower(L)
+
+
+# -- numerical event counters ----------------------------------------------
+
+def test_coincident_points_without_jitter_escalate():
+    res = iwmm_fit(PointSet(np.zeros((5, 2))), k0=KernelParams(jitter=0.0),
+                   mcmc=McmcConfig(iters=6, burn_in=2), seed=0)
+    assert res.jitter_escalations > 0
+    assert res.k_hat == 1
+
+
+def test_absurd_step_size_counts_numerical_rejections():
+    state, S = _toy_state(seed=6)
+    rng = np.random.default_rng(17)
+    Z0 = state.Z.copy()
+    with np.errstate(all="ignore"):
+        accepted = [hmc_latent_step(state, S, GwHyper(), 1e200, 3, rng) for _ in range(4)]
+    assert accepted == [False] * 4
+    assert state.hmc_numerical_rejections == 4
+    assert np.array_equal(state.Z, Z0)
+
+
+def test_numerical_error_in_trajectory_is_counted(monkeypatch):
+    state, S = _toy_state(seed=6)
+    state.gplvm_ll_grad(S)  # the start point is fine; every proposal fails
+
+    def failing(*args, **kwargs):
+        raise NumericalError("covariance Cholesky failed after jitter escalation")
+
+    monkeypatch.setattr(iwmm, "_gplvm_ll_and_grad", failing)
+    rng = np.random.default_rng(3)
+    assert not hmc_latent_step(state, S, GwHyper(), 0.01, 3, rng)
+    assert state.hmc_numerical_rejections == 1
 
 
 # -- latent Gaussian-Wishart marginal ------------------------------------
