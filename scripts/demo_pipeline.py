@@ -50,7 +50,7 @@ def main(argv=None):
         ("cpf5", lambda m: cpf_filter(m, CpfConfig(m_threshold=5))),
     ):
         res = flt(sw.map)
-        filtered = sw.map.with_overlay(np.array(res.labels))
+        filtered = sw.map.with_overlay(res.labels)
         (out / f"filtered_{name}.svg").write_text(render_svg(filtered))
         points = filtered_points(sw.map, res)
         if not points:

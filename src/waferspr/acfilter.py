@@ -35,15 +35,19 @@ def as_fraction(value) -> Fraction:
     """Exact rational from int, Fraction, str, or float.
 
     Floats go through their shortest decimal repr, so 0.4 becomes 2/5
-    rather than the binary expansion of 0.4.
+    rather than the binary expansion of 0.4.  A malformed value or a zero
+    denominator ("1/0") raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+        value = str(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,23 @@ class AcConfig:
             raise ValueError("deviation magnitude w_mag must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterResult:
     """Per-node binary labels x plus the exact objective they achieve.
 
-    `counters` holds (name, count) pairs of what the filter's solver did.
+    `labels` is a read-only bool mask over the in-mask chips in node-id
+    (row-major) order, True where a chip is kept.  `counters` holds
+    (name, count) pairs of what the filter's solver did.
     """
 
-    labels: tuple
+    labels: np.ndarray
     objective_value: Fraction
-    kept_count: int
     approx: bool = False
     counters: tuple = ()
+
+    @property
+    def kept_count(self) -> int:
+        return int(np.count_nonzero(self.labels))
 
 
 def ac_objective(wmap: WaferMap, cfg: AcConfig, labels) -> Fraction:
@@ -152,14 +161,11 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
     capacity = csr_array((data, indices, indptr), shape=(n + 2, n + 2))
     cut = max_flow_min_cut(FlowNetwork(capacity, s, t))
 
-    labels = np.zeros(n + 2, dtype=np.int8)
-    labels[np.fromiter(cut.source_set, dtype=np.int64, count=len(cut.source_set))] = 1
-    labels = labels[:n]
+    labels = cut.source_side[:n]
     kept_functional, kept_defective, cut_edges = _label_counts(graph, d, labels)
     return FilterResult(
-        labels=tuple(labels.tolist()),
+        labels=labels,
         objective_value=_objective(cfg, kept_functional, kept_defective, cut_edges),
-        kept_count=int(labels.sum()),
         counters=(("max_flow_value", cut.max_flow_value), ("cut_edges", cut_edges),
                   ("kept_functional", kept_functional),
                   ("dropped_defective", int(defective.sum()) - kept_defective)),
@@ -168,7 +174,7 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
 
 def filtered_points(wmap: WaferMap, result: FilterResult) -> list[tuple[int, int]]:
     """(row, col) of every kept chip, in row-major order."""
-    coords = wmap.in_mask_coords()
-    if len(result.labels) != len(coords):
+    rows, cols = np.nonzero(wmap.in_mask())
+    if result.labels.shape != rows.shape:
         raise DimensionError("filter result does not match this wafer")
-    return [rc for rc, x in zip(coords, result.labels) if x == 1]
+    return list(zip(rows[result.labels].tolist(), cols[result.labels].tolist()))

@@ -2,9 +2,11 @@
 render -> compare, with deterministic seeds and machine-readable outputs.
 
 Every command writes a manifest.json next to its outputs with the full
-configuration needed to replay the run.  Exit codes: 2 input parse error,
-3 configuration error, 4 empty defect set (cluster), 5 mismatched
-coordinates (evaluate).
+configuration needed to replay the run; a command that fails writes none.
+Exit codes: 2 input parse error (an unreadable or malformed input, or a
+usage error argparse reports), 3 configuration error (a bad flag value,
+or an `--out` that cannot be written), 4 empty defect set (cluster),
+5 mismatched coordinates (evaluate).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import os
 import statistics
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acfilter import AcConfig, ac_filter, as_fraction, filtered_points
+from .acfilter import AcConfig, ac_filter, filtered_points
 from .cpf import CpfConfig, cpf_filter
 from .errors import ConfigError, ParseError, UndefinedTest
 from .iwmm import GwHyper, KernelParams, McmcConfig, PointSet, iwmm_fit
@@ -48,8 +51,14 @@ def _dump_json(obj) -> str:
 
 
 def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    """Write `text` to `path`, making its directory first; ConfigError
+    naming the path when it cannot be written (an existing directory, a
+    file where a directory should be, no permission)."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=None):
@@ -208,8 +217,7 @@ def cmd_filter(args) -> int:
     wmap = _read_wafer(args.input, args.format)
     result, config = _run_filter(wmap, args)
     outdir = Path(args.out)
-    filtered = wmap.with_overlay(np.array(result.labels))
-    _write(outdir / "filtered.txt", write_wafer(filtered).decode())
+    _write(outdir / "filtered.txt", write_wafer(wmap, result.labels).decode())
     summary = {
         "kept_count": result.kept_count,
         "objective": str(result.objective_value),
@@ -538,6 +546,8 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     to use generator metadata when a truth.json sits next to the wafer.
     Scratch-family wafers use `u_scratch` for the AC filter, mirroring
     the reduced separation cost the experiments use for scratch patterns.
+    The MCMC schedule, `alpha`, `u` and `u_scratch` are checked before
+    any wafer is read; a bad one raises ValueError.
 
     Every wafer is filtered first.  Then each distinct (points, fit seed)
     pair is fitted once, on as many worker processes as the process may
@@ -549,6 +559,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     """
     mcmc = pipeline_mcmc(iters, burn_in)
     hyper = pipeline_hyper(alpha)
+    ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
 
     cases = []  # (row fields, kept points, truth labels) per wafer and method
     for path in wafer_paths:
@@ -570,7 +581,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
         methods = [("ac", str(u_eff))] + [("cpf", str(m)) for m in m_list]
         for method, param in methods:
             if method == "ac":
-                result = ac_filter(wmap, AcConfig(u=as_fraction(u_eff)))
+                result = ac_filter(wmap, ac_configs[u_eff])
             else:
                 result = cpf_filter(wmap, CpfConfig(m_threshold=int(param)))
             points = tuple(filtered_points(wmap, result))
@@ -620,13 +631,12 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
 
 def write_csv(path: Path, columns, rows):
     """Write dict rows as CSV in column order; None becomes an empty cell."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row.get(k) is None else row.get(k, ""))
-                             for k in columns})
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(columns))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("" if row.get(k) is None else row.get(k, "")) for k in columns})
+    _write(path, text.getvalue())
 
 
 def write_comparison(outdir: Path, rows):

@@ -192,7 +192,7 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     comp[np.bincount(comp)[comp] < m] = 0
     adj = _adjacency(graph, comp)
 
-    labels = np.zeros(graph.node_count, dtype=np.int8)
+    labels = np.zeros(graph.node_count, dtype=bool)
     exact = approx = spent = 0
     for (nodes,) in ndimage.value_indices(comp, ignore_value=0).values():
         nodes = nodes.tolist()
@@ -212,12 +212,12 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
             kept = nodes  # size >= m already checked
             approx += 1
         spent += SEARCH_BUDGET - max(budget.left, 0)
-        labels[list(kept)] = 1
+        labels[list(kept)] = True
+    labels.flags.writeable = False
 
     return FilterResult(
-        labels=tuple(labels.tolist()),
-        objective_value=Fraction(int(labels.sum())),
-        kept_count=int(labels.sum()),
+        labels=labels,
+        objective_value=Fraction(int(np.count_nonzero(labels))),
         approx=approx > 0,
         counters=(("components_exact", exact), ("components_approx", approx),
                   ("budget_spent", spent)),

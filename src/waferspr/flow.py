@@ -128,37 +128,24 @@ class FlowNetwork:
         return arcs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutResult:
-    """Max-flow value plus the canonical minimum-cut source side."""
+    """Max-flow value plus the canonical minimum-cut source side, a
+    read-only bool mask over the network's nodes."""
 
     max_flow_value: int
-    source_set: frozenset
-
-
-def _maximum_flow(net: FlowNetwork):
-    return maximum_flow(net.capacity, net.source, net.sink, method="dinic")
-
-
-def flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
-    """A maximum flow: its value and the (u, v, f) rows, as an int64 array,
-    of every node pair with positive net flow f from u to v."""
-    res = _maximum_flow(net)
-    f = res.flow.tocoo()
-    pos = f.data > 0
-    rows = np.column_stack([f.row[pos], f.col[pos], f.data[pos]]).astype(np.int64)
-    return int(res.flow_value), rows
+    source_side: np.ndarray
 
 
 def max_flow_min_cut(net: FlowNetwork) -> CutResult:
-    """Exact max flow and the inclusion-minimal min-cut source set.
+    """Exact max flow and the inclusion-minimal min-cut source side.
 
     Raises InternalError when the solver's flow does not share the
     capacity matrix's structure (a reverse arc was missing), since the
     residual could then not be read entry by entry.
     """
     cap = net.capacity
-    res = _maximum_flow(net)
+    res = maximum_flow(cap, net.source, net.sink, method="dinic")
     f = res.flow
     if not (np.array_equal(f.indptr, cap.indptr) and np.array_equal(f.indices, cap.indices)):
         raise InternalError("the solver's flow does not share the capacity matrix's structure; "
@@ -170,7 +157,8 @@ def max_flow_min_cut(net: FlowNetwork) -> CutResult:
     residual = csr_array(((cap.data > f.data).astype(np.float64), cap.indices, cap.indptr),
                          shape=cap.shape, copy=True)
     residual.eliminate_zeros()
-    reachable = breadth_first_order(residual, net.source, directed=True,
-                                    return_predecessors=False)
-    return CutResult(max_flow_value=int(res.flow_value),
-                     source_set=frozenset(reachable.tolist()))
+    source_side = np.zeros(net.node_count, dtype=bool)
+    source_side[breadth_first_order(residual, net.source, directed=True,
+                                    return_predecessors=False)] = True
+    source_side.flags.writeable = False
+    return CutResult(max_flow_value=int(res.flow_value), source_side=source_side)

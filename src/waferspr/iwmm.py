@@ -232,18 +232,21 @@ def _tri_inv_lower(L):
 
 def gplvm_log_likelihood(S, Z, kern: KernelParams) -> float:
     """log p(S | Z, kernel) for a 2-output GP:
-    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S)."""
+    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S).  NumericalError when the
+    covariance cannot be factored or the value is not finite."""
     return _gplvm_ll_and_grad(S, Z, kern)[0]
 
 
 def gplvm_grad(S, Z, kern: KernelParams) -> np.ndarray:
-    """Analytic gradient of gplvm_log_likelihood with respect to Z."""
+    """Analytic gradient of gplvm_log_likelihood with respect to Z; raises
+    as gplvm_log_likelihood does."""
     return _gplvm_ll_and_grad(S, Z, kern)[1]
 
 
 def _gplvm_ll_and_grad(S, Z, kern, work=None):
     """(gplvm_log_likelihood, gplvm_grad) from one factorization; `work`
-    holds the n x n buffers, fresh ones when it is None."""
+    holds the n x n buffers, fresh ones when it is None.  NumericalError
+    when either is not finite."""
     S = np.asarray(S, dtype=float)
     Z = np.asarray(Z, dtype=float)
     n = S.shape[0]
@@ -266,6 +269,10 @@ def _gplvm_ll_and_grad(S, Z, kern, work=None):
     ZI[:, :2] = Z
     WZI = _blas.dsymm(1.0, W, ZI, lower=1)  # [W @ Z | row sums of W]
     grad = -(2.0 / kern.length_scale**2) * (Z * WZI[:, 2:] - WZI[:, :2])
+    # LAPACK factors a covariance holding NaN without an error, so a
+    # non-finite Z or S shows only here.
+    if not (math.isfinite(ll) and np.isfinite(grad).all()):
+        raise NumericalError("GPLVM likelihood or gradient is not finite")
     return ll, grad
 
 

@@ -185,7 +185,8 @@ def nmi_index(a, b, normalizer: str = "paper") -> float:
     pr = p.sum(axis=1)
     pc = p.sum(axis=0)
     nz = p > 0
-    info = float(np.sum(p[nz] * np.log(p[nz] / np.outer(pr, pc)[nz])))
+    # independent partitions sum to a rounding error, as low as -1.6e-16
+    info = max(0.0, float(np.sum(p[nz] * np.log(p[nz] / np.outer(pr, pc)[nz]))))
 
     def entropy(q):
         # a one-cluster side sums to a rounding error, as low as -2.2e-16

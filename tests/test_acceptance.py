@@ -116,7 +116,7 @@ def test_criterion_02_min_cut_duality():
 
         cut = sum(
             c for (u, v, c) in net.arcs
-            if u != v and u in result.source_set and v not in result.source_set
+            if u != v and result.source_side[u] and not result.source_side[v]
         )
         assert cut == result.max_flow_value
     _report(2, "500 networks: flow == brute-force min cut, source-set crossing exact")
@@ -430,7 +430,7 @@ def test_criterion_11_no_unanimous_singletons(comparison_corpus):
         res = ac_filter(sw.map, cfg)
         graph = build_graph(sw.map, Neighborhood.KING)
         adj = [[j for j in row if j >= 0] for row in graph.neighbours.tolist()]
-        labels = res.labels
+        labels = res.labels.tolist()
         for i in range(graph.node_count):
             if len(adj[i]) == 8:
                 neighbor_labels = {labels[j] for j in adj[i]}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum
 from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
+from waferspr.cpf import CpfConfig, cpf_filter
 from waferspr.errors import ConfigError, DimensionError
 from waferspr.flow import FlowNetwork, max_flow_min_cut
 from waferspr.synthgen import wafer_mask
@@ -23,6 +24,26 @@ def test_as_fraction_decimal_floats():
     assert as_fraction("0.5") == Fraction(1, 2)
     assert as_fraction(Fraction(3, 7)) == Fraction(3, 7)
     assert as_fraction(2) == Fraction(2)
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+def test_as_fraction_zero_denominator_is_value_error(value):
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction(value)
+    with pytest.raises(ValueError):
+        AcConfig(u=value)
+    with pytest.raises(ValueError):
+        AcConfig(w_mag=value)
+
+
+def test_labels_are_readonly_bool_masks():
+    m = parse_wafer("1111100\n0100011\n0111000\n")
+    for res in (ac_filter(m), cpf_filter(m, CpfConfig(m_threshold=3))):
+        assert res.labels.dtype == np.bool_ and res.labels.shape == (m.n_in_mask,)
+        assert not res.labels.flags.writeable
+        with pytest.raises(ValueError):
+            res.labels[0] = True
+        assert res.kept_count == int(np.count_nonzero(res.labels)) > 0
 
 
 def test_config_validation():
@@ -50,7 +71,7 @@ def test_u_zero_is_identity():
 def test_hole_filled():
     m = parse_wafer(HOLE)
     res = ac_filter(m, AcConfig(u=Fraction(1, 2)))
-    assert res.labels == (1,) * 9
+    assert res.labels.tolist() == [True] * 9
     assert res.objective_value == Fraction(-7)
     assert res.kept_count == 9
 
@@ -112,7 +133,7 @@ def test_optimality_exhaustive_3x3(u):
         res = ac_filter(m, cfg)
         assert res.objective_value == exhaustive_ac_minimum(m, cfg)
         # recomputation check
-        assert ac_objective(m, cfg, np.array(res.labels)) == res.objective_value
+        assert ac_objective(m, cfg, res.labels) == res.objective_value
 
 
 def test_optimality_with_masks_and_rook():
@@ -131,8 +152,8 @@ def test_all_defective_stays_kept_at_large_u():
     res = ac_filter(m, cfg)
     best, winners = exhaustive_ac_argmin(m, cfg)
     assert res.objective_value == best
-    assert tuple(res.labels) in [tuple(w) for w in winners]
-    assert res.labels == (1, 1, 1, 1)
+    assert tuple(res.labels.tolist()) in [tuple(map(bool, w)) for w in winners]
+    assert res.labels.tolist() == [True] * 4
 
 
 def test_uniform_tie_breaks_to_all_zero():
@@ -143,7 +164,7 @@ def test_uniform_tie_breaks_to_all_zero():
     best, winners = exhaustive_ac_argmin(m, cfg)
     assert best == 0 and len(winners) == 2
     res = ac_filter(m, cfg)
-    assert res.labels == (0, 0, 0, 0)
+    assert res.labels.tolist() == [False] * 4
     assert res.objective_value == 0
 
 
@@ -153,7 +174,7 @@ def test_no_unanimous_singleton_disagreement():
     for _ in range(10):
         m = _random_wafer(rng, 6, 6, 0.4)
         res = ac_filter(m, cfg)
-        labels = np.array(res.labels).reshape(6, 6)
+        labels = res.labels.reshape(6, 6).astype(int)
         for r in range(1, 5):
             for c in range(1, 5):
                 window = labels[r - 1 : r + 2, c - 1 : c + 2]
@@ -177,7 +198,9 @@ def test_optimality_property(bits, u):
 def test_determinism():
     m = parse_wafer("1010\n0110\n1001\n")
     cfg = AcConfig(u=Fraction(1, 2))
-    assert ac_filter(m, cfg) == ac_filter(m, cfg)
+    first, second = ac_filter(m, cfg), ac_filter(m, cfg)
+    assert np.array_equal(first.labels, second.labels)
+    assert (first.objective_value, first.counters) == (second.objective_value, second.counters)
 
 
 def _ac_through_triples(m, cfg):
@@ -192,7 +215,7 @@ def _ac_through_triples(m, cfg):
     arcs = [(i, j, u_int) for i, j in edges] + [(j, i, u_int) for i, j in edges]
     arcs += [(n, i, w_int) if d[i] else (i, n + 1, w_int) for i in range(n)]
     cut = max_flow_min_cut(FlowNetwork.from_arcs(n + 2, arcs, n, n + 1))
-    labels = tuple(int(i in cut.source_set) for i in range(n))
+    labels = tuple(cut.source_side[:n].tolist())
     deviation = sum(1 if d[i] == 0 else -1 for i in range(n) if labels[i])
     cross = sum(labels[i] != labels[j] for i, j in edges)
     return labels, cfg.w_mag * deviation + cfg.u * cross, cross, cut.max_flow_value
@@ -211,9 +234,9 @@ def test_grid_network_matches_generic_builder():
                     cfg = AcConfig(u=u, w_mag=w_mag, nb=nb)
                     res = ac_filter(m, cfg)
                     labels, objective, cross, flow_value = _ac_through_triples(m, cfg)
-                    assert res.labels == labels
+                    assert tuple(res.labels.tolist()) == labels
                     assert res.objective_value == objective
-                    kept = np.array(labels) == 1
+                    kept = np.array(labels)
                     d = m.defect_bits() == 1
                     assert dict(res.counters) == {
                         "max_flow_value": flow_value,

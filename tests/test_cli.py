@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from waferspr import cli
 from waferspr.cli import (
@@ -81,6 +86,24 @@ def test_filter_u_beyond_solver_range_exits_3(tmp_path, capsys):
     wafer.write_text(HOLE)
     assert run_cli("filter", wafer, "--u", "1e-10", "--out", tmp_path / "o") == 3
     assert "u=1/10000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("filter", "--u", "1/0"),
+    ("filter", "--w-mag", "0/0"),
+    ("compare", "--u", "1/0"),
+    ("compare", "--u-scratch", "1/0"),
+])
+def test_zero_denominator_exits_3(tmp_path, capsys, flags):
+    command, flag, value = flags
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    out = tmp_path / "o"
+    extra = ("--seeds", "1", "--iters", "3", "--burn-in", "1") if command == "compare" else ()
+    assert run_cli(command, wafer, flag, value, *extra, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "zero denominator" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_filter_parse_error_exits_2(tmp_path):
@@ -790,3 +813,179 @@ def test_in_process_fits_run_openblas_on_one_thread(tmp_path):
         before, after = _openblas_counts_after(action)
         assert before == [2] * len(before)
         assert after == [1] * len(before)
+
+
+# Each command with valid inputs and an `--out` that cannot be written:
+# "OUT" stands for it.
+UNWRITABLE_RUNS = {
+    "generate": ("generate", "--family", "two_zone", "--out", "OUT"),
+    "filter": ("filter", "WAFER", "--out", "OUT"),
+    "cluster": ("cluster", "WAFER", "--iters", "3", "--burn-in", "1", "--out", "OUT"),
+    "evaluate": ("evaluate", "--pred", "PRED", "--truth", "PRED", "--out", "OUT"),
+    "render": ("render", "WAFER", "--out", "OUT"),
+    "compare": ("compare", "WAFER", "--seeds", "1", "--iters", "3", "--burn-in", "1",
+                "--out", "OUT"),
+}
+
+
+@pytest.mark.parametrize("kind", ["under_a_file", "a_directory"])
+@pytest.mark.parametrize("command", UNWRITABLE_RUNS)
+def test_unwritable_out_exits_3(tmp_path, capsys, command, kind):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    if kind == "under_a_file":
+        out = plain / "o"
+    else:
+        # A directory where `render` writes its file; the directory
+        # commands write the files they name into it.
+        out = tmp_path / "o"
+        out.mkdir()
+        if command != "render":
+            (out / "manifest.json").mkdir()
+    names = {"WAFER": str(wafer), "PRED": str(pred), "OUT": str(out)}
+    assert run_cli(*[names.get(arg, arg) for arg in UNWRITABLE_RUNS[command]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot write" in err and "Traceback" not in err
+    assert not (out / "manifest.json").is_file()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+# ---------------------------------------------------------------------
+# The CLI contract: every command, on any input, with any subset of its
+# flags, exits with a documented code and no traceback, and a command
+# that fails writes no manifest.json.
+# ---------------------------------------------------------------------
+
+CONTRACT_EXIT_CODES = {0, 2, 3, 4, 5}
+
+_NORMALIZERS = ["paper", "joint", "sqrt", "max", "min"]
+_FORMATS = ["auto", "auto", "ascii", "csv"]
+_COSTS = ["1/2", "1/4", "2", "0.4", "0", "-1", "1/0", "x"]
+
+# Per command: the argv head ("INPUT" stands for the input under test),
+# the flags every run passes (a random flag of the same name overrides
+# one of them; the MCMC schedule is kept small), and the flags a run
+# picks a random subset of, each with the values it picks from (None for
+# a switch).  "WAFER", "PRED" and "SIDECAR" stand for valid files of
+# each kind.  Most values are valid, so that most runs get past the
+# checks of their flags.
+CONTRACT_COMMANDS = {
+    "generate": ((), ("--family", "two_zone"), {
+        "--rows": ["8", "12", "0"], "--cols": ["8", "13", "-2"],
+        "--family": list(FAMILIES) + ["none"], "--noise": ["0", "0.1", "0.6"],
+        "--seed": ["0", "7", "-1"], "--format": ["ascii", "csv"]}),
+    "filter": (("INPUT",), (), {
+        "--method": ["ac", "ac", "cpf", "none"], "--u": _COSTS, "--w-mag": _COSTS,
+        "--m": ["1", "3", "5", "0"], "--neighborhood": ["rook", "king"],
+        "--format": _FORMATS}),
+    "cluster": (("INPUT",), ("--iters", "4", "--burn-in", "2"), {
+        "--burn-in": ["0", "3", "4"], "--alpha": ["0.3", "1", "2", "nan"],
+        "--seed": ["0", "3"], "--format": _FORMATS}),
+    "evaluate": (("--pred", "INPUT"), ("--truth", "PRED"), {
+        "--truth": ["PRED", "PRED", "SIDECAR", "WAFER"], "--wafer": ["WAFER", "PRED"],
+        "--reconstruct": [None], "--nmi-normalizer": _NORMALIZERS, "--format": _FORMATS}),
+    "render": (("INPUT",), (), {"--assignments": ["PRED", "PRED", "WAFER"],
+                                "--format": _FORMATS}),
+    "compare": (("INPUT", "WAFER"), ("--iters", "4", "--burn-in", "2", "--seeds", "1"), {
+        "--u": _COSTS, "--u-scratch": _COSTS, "--m-list": ["1", "2,5", "3", "0"],
+        "--burn-in": ["0", "1", "4"], "--seeds": ["2", "0"], "--alpha": ["0.3", "1", "nan"],
+        "--truth": ["reconstruction", "sidecar"], "--nmi-normalizer": _NORMALIZERS,
+        "--format": _FORMATS, "--verbose": [None]}),
+}
+
+INPUT_KINDS = ("valid", "valid", "valid", "other", "missing", "directory", "empty", "random")
+OUT_KINDS = ("fresh", "under_a_file", "a_directory")
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A valid wafer with its truth.json sidecar, an assignments document
+    over the wafer's defective chips, and other valid inputs: a wafer
+    without defects, an assignments document over other chips."""
+    base = tmp_path_factory.mktemp("contract")
+    (base / "w").mkdir()
+    wafer = base / "w" / "wafer.txt"
+    wafer.write_text("110000\n110000\n000011\n000011\n")
+    keys = ["0,0", "0,1", "1,0", "1,1", "2,4", "2,5", "3,4", "3,5"]
+    sidecar = base / "w" / "truth.json"
+    sidecar.write_text(json.dumps({"family": "scratch_pair",
+                                   "labels": {k: 1 + i // 4 for i, k in enumerate(keys)},
+                                   "regions": {}}))
+    pred = base / "pred.json"
+    pred.write_text(json.dumps({"assignments": {k: 1 + i % 2 for i, k in enumerate(keys)}}))
+    blank = base / "blank.txt"
+    blank.write_text("000\n000\n")
+    other = base / "other.json"
+    other.write_text(json.dumps({"assignments": {"0,0": 1, "5,5": 2, "9,9": 1}}))
+    return {"WAFER": str(wafer), "SIDECAR": str(sidecar), "PRED": str(pred),
+            "BLANK": str(blank), "OTHER": str(other)}
+
+
+@st.composite
+def contract_runs(draw):
+    command = draw(st.sampled_from(sorted(CONTRACT_COMMANDS)))
+    head, always, flags = CONTRACT_COMMANDS[command]
+    argv = [command, *head, *always]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(st.sampled_from(flags[flag]))
+        argv += [flag] if value is None else [flag, value]
+    kind = draw(st.sampled_from(INPUT_KINDS))
+    noise = draw(st.binary(max_size=40)) if kind == "random" else b""
+    return argv, kind, noise, draw(st.sampled_from(OUT_KINDS))
+
+
+def _run_contract(files, argv, kind, noise, out_kind):
+    """(exit code, stderr, whether a manifest.json was written) of one
+    in-process run, in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        target = tmp / "input"
+        if kind == "directory":
+            target.mkdir()
+        elif kind == "empty":
+            target.write_bytes(b"")
+        elif kind == "random":
+            target.write_bytes(noise)
+        elif kind == "valid":
+            target = Path(files["PRED" if argv[0] == "evaluate" else "WAFER"])
+        elif kind == "other":
+            target = Path(files["OTHER" if argv[0] == "evaluate" else "BLANK"])
+        if out_kind == "under_a_file":
+            (tmp / "plain").write_text("")
+            out = tmp / "plain" / "out"
+        else:
+            out = tmp / "out"
+            if out_kind == "a_directory":
+                out.mkdir()
+        if argv[0] == "render" and out_kind != "a_directory":
+            out = out / "map.svg"  # else render's file is the directory
+        names = dict(files, INPUT=str(target))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            try:
+                code = main([names.get(arg, arg) for arg in argv] + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        manifest_dir = out.parent if argv[0] == "render" else out
+        return code, stderr.getvalue(), (manifest_dir / "manifest.json").exists()
+
+
+@given(run=contract_runs())
+@example(run=(["filter", "INPUT", "--u", "1/0"], "valid", b"", "fresh"))
+@example(run=(["compare", "INPUT", "WAFER", "--iters", "4", "--seeds", "1",
+               "--burn-in", "2", "--u-scratch", "0/0"], "valid", b"", "fresh"))
+@example(run=(["filter", "INPUT"], "valid", b"", "under_a_file"))
+@example(run=(["render", "INPUT"], "valid", b"", "a_directory"))
+@settings(max_examples=400, deadline=None)
+def test_cli_contract(contract_files, run):
+    argv, kind, noise, out_kind = run
+    code, err, manifest = _run_contract(contract_files, argv, kind, noise, out_kind)
+    event(f"{argv[0]} exits {code}")
+    assert code in CONTRACT_EXIT_CODES, (code, err)
+    assert "Traceback" not in err
+    assert code == 0 or not manifest

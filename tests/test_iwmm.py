@@ -86,6 +86,18 @@ def test_gradient_finite_for_coincident_points():
     assert np.isfinite(g).all()
 
 
+@pytest.mark.parametrize("f", [gplvm_log_likelihood, gplvm_grad])
+@pytest.mark.parametrize("S,Z", [
+    (np.zeros((3, 2)), [[1e200, 0.0], [0.0, 0.0], [1.0, 1.0]]),  # NaN in the covariance
+    (np.zeros((3, 2)), [[np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+    ([[np.inf, 0.0], [0.0, 0.0], [1.0, 1.0]], np.zeros((3, 2))),
+])
+def test_non_finite_likelihood_or_gradient_is_numerical_error(f, S, Z):
+    # LAPACK factors a covariance holding NaN without an error
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
+        f(S, Z, KernelParams())
+
+
 def test_gradient_antisymmetric_for_symmetric_pair():
     Z = np.array([[1.0, 0.5], [-1.0, -0.5]])
     S = np.array([[2.0, 1.0], [-2.0, -1.0]])

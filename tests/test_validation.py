@@ -161,6 +161,13 @@ def test_nmi_one_cluster_side_has_zero_normalizer():
     assert report.flags["nmi_sqrt"] == "zero normalizer"
 
 
+def test_nmi_of_independent_partitions_is_exactly_zero():
+    # the mutual information sums to -1.6e-16 here, not 0
+    one, four = [1] * 13, [1] * 4 + [2] * 3 + [3] * 3 + [4] * 3
+    assert nmi_index(one, four, "joint") == 0.0
+    assert nmi_index(four, one, "paper") == 0.0
+
+
 def test_nmi_bounds_standard_variants():
     rng = random.Random(3)
     for _ in range(200):
