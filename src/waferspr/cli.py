@@ -32,16 +32,22 @@ from .iwmm import GwHyper, KernelParams, McmcConfig, PointSet, iwmm_fit
 from .render import render_svg
 from .synthgen import FAMILIES, family_specs, generate
 from .validation import (
+    NMI_NORMALIZERS,
+    EvaluationReport,
     evaluation_report,
     reconstruct_ground_truth,
     wilcoxon_signed_rank,
 )
 from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, write_wafer
 
+# The scores of a compare row, as EvaluationReport names them; AC and CPF
+# are paired on every one of them but nmi_sqrt.
+SCORES = ("ch", "gdi", "ri", "ari", "nmi", "nmi_sqrt")
+METRICS = SCORES[:-1]
+
 COMPARISON_COLUMNS = (
     "wafer", "family", "method", "param", "fit_seed", "n_points", "k_hat",
-    "ch", "gdi", "ri", "ari", "nmi", "nmi_sqrt",
-)
+) + SCORES
 
 IMPROVEMENT_COLUMNS = ("wafer", "family", "metric", "m", "improvement_pct")
 
@@ -315,13 +321,8 @@ def truth_lookup_from_reconstruction(wmap: WaferMap):
 
 
 def cmd_evaluate(args) -> int:
-    if args.truth and (args.wafer or args.reconstruct):
-        raise ConfigError(f"{'--wafer' if args.wafer else '--reconstruct'} does not apply "
-                          "with --truth")
-    if not (args.truth or args.wafer):
-        raise ConfigError("evaluate needs --truth or --wafer with --reconstruct")
-    if not (args.truth or args.reconstruct):
-        raise ConfigError("--wafer scores against reconstructed truth; add --reconstruct")
+    if bool(args.truth) == bool(args.wafer):
+        raise ConfigError("evaluate takes one of --truth and --wafer")
     if args.format is not None and not args.wafer:
         raise ConfigError("--format picks the parser of --wafer; it does not apply without it")
 
@@ -378,72 +379,53 @@ def cmd_render(args) -> int:
 # compare
 # ---------------------------------------------------------------------
 
-METRICS = ("ch", "gdi", "ri", "ari", "nmi")
-
-
-def _median_defined(values):
-    vals = [v for v in values if v is not None]
-    return statistics.median(vals) if vals else None
-
-
-def _seed_medians(rows):
-    """Median of each metric over the fit seeds, keyed (wafer, "ac", None)
-    for a wafer's AC rows and (wafer, "cpf", M) for its CPF rows at M."""
-    groups = {}
+def _ac_vs_cpf(rows):
+    """(wafer, family, M, metric, AC median, CPF median) for every wafer,
+    CPF M and metric, in that order.  A median is taken over the fit
+    seeds' defined values of the metric, and is None where none is."""
+    values = {}  # (wafer, None for AC or M for CPF, metric) -> defined values
     for r in rows:
-        key = (r["wafer"], r["method"], r["param"] if r["method"] == "cpf" else None)
-        groups.setdefault(key, []).append(r)
-    return {key: {metric: _median_defined([r[metric] for r in group]) for metric in METRICS}
-            for key, group in groups.items()}
+        param = r["param"] if r["method"] == "cpf" else None
+        for metric in METRICS:
+            if r[metric] is not None:
+                values.setdefault((r["wafer"], param, metric), []).append(r[metric])
+    medians = {key: statistics.median(v) for key, v in values.items()}
+    ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
+    for wafer, family in sorted({(r["wafer"], r["family"]) for r in rows}):
+        for m, metric in product(ms, METRICS):
+            yield (wafer, family, m, metric, medians.get((wafer, None, metric)),
+                   medians.get((wafer, m, metric)))
 
 
 def compute_improvements(rows):
     """Per-wafer percentage improvement of AC over each CPF M, from
     per-wafer medians across fit seeds."""
-    out = []
-    medians = _seed_medians(rows)
-    ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
-    for wafer, family in sorted({(r["wafer"], r["family"]) for r in rows}):
-        ac = medians.get((wafer, "ac", None), {})
-        for m in ms:
-            cpf = medians.get((wafer, "cpf", m), {})
-            for metric in METRICS:
-                a, c = ac.get(metric), cpf.get(metric)
-                if a is None or c is None or c == 0:
-                    pct = None
-                else:
-                    pct = 100.0 * (a - c) / abs(c)
-                out.append({"wafer": wafer, "family": family, "metric": metric,
-                            "m": m, "improvement_pct": pct})
-    return out
+    return [{"wafer": wafer, "family": family, "metric": metric, "m": m,
+             "improvement_pct": None if a is None or c is None or c == 0
+             else 100.0 * (a - c) / abs(c)}
+            for wafer, family, m, metric, a, c in _ac_vs_cpf(rows)]
 
 
 def compute_wilcoxon(rows):
     """Across-wafer Wilcoxon signed-rank p-values per metric and CPF M,
     on differences of per-wafer medians (AC minus CPF)."""
+    diffs = {}
+    for _, _, m, metric, a, c in _ac_vs_cpf(rows):
+        d = diffs.setdefault(f"{metric}_m{m}", [])
+        if a is not None and c is not None:
+            d.append(a - c)
     out = {}
-    medians = _seed_medians(rows)
-    wafers = sorted({r["wafer"] for r in rows})
-    ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
-    for m in ms:
-        for metric in METRICS:
-            diffs = []
-            for wafer in wafers:
-                a = medians.get((wafer, "ac", None), {}).get(metric)
-                c = medians.get((wafer, "cpf", m), {}).get(metric)
-                if a is not None and c is not None:
-                    diffs.append(a - c)
-            key = f"{metric}_m{m}"
-            if len(diffs) < 2:
-                out[key] = {"p_two_sided": None, "statistic": None,
-                            "reason": "fewer than 2 wafers"}
-                continue
-            try:
-                res = wilcoxon_signed_rank(diffs)
-                out[key] = {"p_two_sided": res.p_two_sided, "statistic": res.statistic,
-                            "n_nonzero": res.n_nonzero, "exact": res.exact}
-            except UndefinedTest as exc:
-                out[key] = {"p_two_sided": None, "statistic": None, "reason": str(exc)}
+    for key, d in diffs.items():
+        if len(d) < 2:
+            out[key] = {"p_two_sided": None, "statistic": None,
+                        "reason": "fewer than 2 wafers"}
+            continue
+        try:
+            res = wilcoxon_signed_rank(d)
+            out[key] = {"p_two_sided": res.p_two_sided, "statistic": res.statistic,
+                        "n_nonzero": res.n_nonzero, "exact": res.exact}
+        except UndefinedTest as exc:
+            out[key] = {"p_two_sided": None, "statistic": None, "reason": str(exc)}
     return out
 
 
@@ -541,51 +523,55 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
                    counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
 
-    External truth comes from connected components of the reconstructed
-    raw map by default (`truth_source="reconstruction"`); pass "sidecar"
-    to use generator metadata when a truth.json sits next to the wafer.
-    Scratch-family wafers use `u_scratch` for the AC filter, mirroring
-    the reduced separation cost the experiments use for scratch patterns.
-    The MCMC schedule, `alpha`, `u` and `u_scratch` are checked before
-    any wafer is read; a bad one raises ValueError.
+    A wafer is named by its file's stem, or by its directory when the
+    stem is "wafer".  External truth comes from connected components of
+    the reconstructed raw map by default (`truth_source="reconstruction"`);
+    pass "sidecar" to use the generator metadata in the truth.json next
+    to each wafer, which must then exist.  Scratch-family wafers use
+    `u_scratch` for the AC filter, mirroring the reduced separation cost
+    the experiments use for scratch patterns.  The MCMC schedule, `alpha`,
+    `u` and `u_scratch` are checked before any wafer is read, and a bad
+    one raises ValueError; two wafers of one name, or an M given twice,
+    raise ConfigError.
 
     Every wafer is filtered first.  Then each distinct (points, fit seed)
     pair is fitted once, on as many worker processes as the process may
     use cores and there are fits.  Rows come in input order, and each
     fit is seeded, so the rows do not depend on the worker count.
-    `progress` is called with each fitted row, in order, as it is ready.
+    `progress` is called with each row, in order, as it is ready; a row
+    of an empty point set has no fit and no scores.
     A `counters` dict receives `fit_requests`, `fits_run` and `workers`;
     the last one depends on the machine.
     """
     mcmc = pipeline_mcmc(iters, burn_in)
     hyper = pipeline_hyper(alpha)
     ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
+    names = {}
+    for path in map(Path, wafer_paths):
+        name = path.stem if path.stem != "wafer" else path.parent.name
+        if name in names:
+            raise ConfigError(f"{names[name]} and {path} are both named wafer {name!r}")
+        names[name] = path
+    if len(set(m_list)) < len(m_list):
+        raise ConfigError(f"the M list {','.join(map(str, m_list))} repeats a value")
 
     cases = []  # (row fields, kept points, truth labels) per wafer and method
-    for path in wafer_paths:
-        path = Path(path)
+    for name, path in names.items():
         wmap = _read_wafer(path, fmt)
         sidecar = path.parent / "truth.json"
-        family = ""
         sidecar_doc = None
-        if sidecar.exists():
+        if truth_source == "sidecar" or sidecar.exists():
             sidecar_doc = _sidecar_of(_read_json_object(sidecar), sidecar)
-            family = sidecar_doc.get("family") or ""
-        if truth_source == "sidecar" and sidecar_doc is not None:
-            lookup = _truth_lookup_from_sidecar(sidecar_doc)
-        else:
-            lookup = truth_lookup_from_reconstruction(wmap)
+        family = (sidecar_doc or {}).get("family") or ""
+        lookup = (_truth_lookup_from_sidecar(sidecar_doc) if truth_source == "sidecar"
+                  else truth_lookup_from_reconstruction(wmap))
 
         u_eff = u_scratch if family == "scratch_pair" else u
-        wafer_name = path.stem if path.stem != "wafer" else path.parent.name
-        methods = [("ac", str(u_eff))] + [("cpf", str(m)) for m in m_list]
-        for method, param in methods:
-            if method == "ac":
-                result = ac_filter(wmap, ac_configs[u_eff])
-            else:
-                result = cpf_filter(wmap, CpfConfig(m_threshold=int(param)))
+        results = [("ac", str(u_eff), ac_filter(wmap, ac_configs[u_eff]))] + [
+            ("cpf", str(m), cpf_filter(wmap, CpfConfig(m_threshold=int(m)))) for m in m_list]
+        for method, param, result in results:
             points = tuple(filtered_points(wmap, result))
-            fields = {"wafer": wafer_name, "family": family, "method": method, "param": param}
+            fields = {"wafer": name, "family": family, "method": method, "param": param}
             cases.append((fields, points, [lookup(rc) for rc in points]))
 
     # Identical filtered sets (e.g. CPF M=5 and M=10) share their fits.
@@ -606,24 +592,19 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
                                  repeat(mcmc), [fit_seed for _, fit_seed in jobs]))
         fits = {}
         for fields, points, truth in cases:
-            if not points:
-                rows.extend(dict(fields, fit_seed=fit_seed, n_points=0, k_hat=None,
-                                 ch=None, gdi=None, ri=None, ari=None, nmi=None,
-                                 nmi_sqrt=None)
-                            for fit_seed in range(seeds))
-                continue
             pts_arr = np.array(points, dtype=float)
             for fit_seed in range(seeds):
-                while (points, fit_seed) not in fits:
-                    job, res = next(done)
-                    fits[job] = res
-                res = fits[points, fit_seed]
-                report = evaluation_report(pts_arr, list(res.assignments), truth,
-                                           nmi_normalizer=nmi_normalizer)
-                rows.append(dict(fields, fit_seed=fit_seed, n_points=len(points),
-                                 k_hat=res.k_hat, ch=report.ch, gdi=report.gdi,
-                                 ri=report.ri, ari=report.ari, nmi=report.nmi,
-                                 nmi_sqrt=report.nmi_sqrt))
+                k_hat, report = None, EvaluationReport()
+                if points:
+                    while (points, fit_seed) not in fits:
+                        job, res = next(done)
+                        fits[job] = res
+                    res = fits[points, fit_seed]
+                    k_hat = res.k_hat
+                    report = evaluation_report(pts_arr, list(res.assignments), truth,
+                                               nmi_normalizer=nmi_normalizer)
+                rows.append(dict(fields, fit_seed=fit_seed, n_points=len(points), k_hat=k_hat,
+                                 **{score: getattr(report, score) for score in SCORES}))
                 if progress:
                     progress(rows[-1])
     return rows
@@ -729,11 +710,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="internal/external validation of assignments")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth")
-    p.add_argument("--wafer")
-    p.add_argument("--reconstruct", action="store_true",
-                   help="reconstruct ground truth from --wafer")
+    p.add_argument("--wafer", help="score against the wafer's reconstructed truth")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
-                   choices=("paper", "joint", "sqrt", "max", "min"), default="paper")
+                   choices=NMI_NORMALIZERS, default="paper")
     p.add_argument("--format", choices=("auto", "ascii", "csv"),
                    help="parser of --wafer (default: auto)")
     p.add_argument("--out", required=True)
@@ -759,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", dest="truth_source",
                    choices=("reconstruction", "sidecar"), default="reconstruction")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
-                   choices=("paper", "joint", "sqrt", "max", "min"), default="paper")
+                   choices=NMI_NORMALIZERS, default="paper")
     p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True)

@@ -198,9 +198,7 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
         nodes = nodes.tolist()
         budget = _Budget(SEARCH_BUDGET)
         try:
-            if m == 1:
-                kept = nodes
-            elif len(nodes) <= EXACT_COMPONENT_LIMIT:
+            if len(nodes) <= EXACT_COMPONENT_LIMIT:
                 kept = _exact_kept(adj, nodes, m, budget)
             else:
                 # component retention: keep everything iff a long path

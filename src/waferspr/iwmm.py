@@ -29,7 +29,7 @@ _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """n observed 2-D coordinates, one row per point."""
 
@@ -68,7 +68,7 @@ class KernelParams:
             raise ValueError("jitter must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GwHyper:
     """Gaussian-Wishart prior (mean m, relative precision p, scale R,
     degrees of freedom r) plus the DP concentration alpha."""
@@ -127,7 +127,7 @@ class McmcConfig:
             raise ValueError("need 0 <= gibbs_start < iters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IwmmResult:
     """A fit's kept state and its deterministic counters:
     `jitter_escalations` counts the times the covariance Cholesky needed

@@ -65,7 +65,7 @@ class PatternSpec:
             raise ValueError("fill_rate must be in (0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthWafer:
     """Generated map plus truth metadata.
 

@@ -57,7 +57,7 @@ class Neighborhood(Enum):
         return ndimage.generate_binary_structure(2, 1 if self is Neighborhood.ROOK else 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaferMap:
     """Immutable masked grid of cell states, stored row-major.
 

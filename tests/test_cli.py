@@ -364,8 +364,7 @@ UNREADABLE_ROLES = {
     "cluster": ("cluster", "BAD", "--out", "OUT"),
     "evaluate_pred": ("evaluate", "--pred", "BAD", "--truth", "PRED", "--out", "OUT"),
     "evaluate_truth": ("evaluate", "--pred", "PRED", "--truth", "BAD", "--out", "OUT"),
-    "evaluate_wafer": ("evaluate", "--pred", "PRED", "--wafer", "BAD", "--reconstruct",
-                       "--out", "OUT"),
+    "evaluate_wafer": ("evaluate", "--pred", "PRED", "--wafer", "BAD", "--out", "OUT"),
     "render": ("render", "BAD", "--out", "OUT/map.svg"),
     "render_assignments": ("render", "WAFER", "--assignments", "BAD", "--out", "OUT/map.svg"),
     "compare": ("compare", "WAFER", "BAD", "--seeds", "1", "--iters", "3", "--burn-in", "1",
@@ -408,7 +407,7 @@ def test_evaluate_format_picks_the_wafer_parser(tmp_path, capsys):
     wafer.write_text("1,1,0\n1,1,0\n0,0,0\n")
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps({"assignments": {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1}}))
-    argv = ("evaluate", "--pred", pred, "--wafer", wafer, "--reconstruct")
+    argv = ("evaluate", "--pred", pred, "--wafer", wafer)
     # by its suffix the file would be read as ASCII, which has no commas
     assert run_cli(*argv, "--out", tmp_path / "auto") == 2
     assert run_cli(*argv, "--format", "csv", "--out", tmp_path / "csv") == 0
@@ -421,8 +420,7 @@ def test_sidecar_lookup_prefers_region_to_label():
     assert [lookup(rc) for rc in ((0, 0), (0, 1), (1, 1), (2, 2))] == [2, 4, 3, 0]
 
 
-@pytest.mark.parametrize("extra", [("--wafer", "WAFER"), ("--reconstruct",),
-                                   ("--wafer", "WAFER", "--reconstruct")])
+@pytest.mark.parametrize("extra", [("--wafer", "WAFER")])
 def test_evaluate_truth_refuses_wafer_flags(tmp_path, capsys, extra):
     wafer = tmp_path / "w.txt"
     wafer.write_text(CROSS)
@@ -433,6 +431,23 @@ def test_evaluate_truth_refuses_wafer_flags(tmp_path, capsys, extra):
     assert run_cli("evaluate", "--pred", pred, "--truth", pred, *extra, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and extra[0] in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_takes_one_of_truth_and_wafer(tmp_path, capsys):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    out = tmp_path / "o"
+    assert run_cli("evaluate", "--pred", pred, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--truth" in err and "--wafer" in err
+    assert not out.exists()
+    # --wafer alone scores against the reconstruction; --reconstruct is gone
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--reconstruct", "--out", out)
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -465,11 +480,7 @@ def test_evaluate_with_reconstruction(tmp_path):
         }
     }))
     out = tmp_path / "o"
-    # --wafer without --reconstruct is a configuration error
-    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 3
-    assert not (out / "report.json").exists()
-    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer,
-                   "--reconstruct", "--out", out) == 0
+    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["ri"] == 1.0
 
@@ -615,6 +626,107 @@ def test_wilcoxon_summary_defined():
     assert out["nmi_m5"]["exact"]
 
 
+# Compare rows with the improvements and Wilcoxon summaries recorded for
+# them before both were read from one AC-vs-CPF pairing.  The rows cover
+# four wafers, CPF at M=5 and M=10, two fit seeds, None cells, a zero CPF
+# median (w2's ch at M=5), an empty point set (w1 at M=10), tied
+# differences (gdi at M=5), all-zero differences (ri at M=10) and a metric
+# defined on one wafer only (ari at M=10).
+PINNED_ROWS = [dict(zip(COMPARISON_COLUMNS, row)) for row in (
+    ("w0", "center_zone", "ac", "0.5", 0, 40, 2, 120.0, 0.5, 0.9, 0.8, 0.75, 0.7),
+    ("w0", "center_zone", "ac", "0.5", 1, 40, 3, 100.0, 0.25, 0.8, 0.6, 0.625, 0.6),
+    ("w0", "center_zone", "cpf", "5", 0, 30, 2, 80.0, 0.5, 0.9, 0.5, 0.5, 0.55),
+    ("w0", "center_zone", "cpf", "5", 1, 30, 2, 90.0, 0.5, 0.9, 0.7, 0.5, 0.5),
+    ("w0", "center_zone", "cpf", "10", 0, 25, 1, None, None, 0.9, 0.0, 0.0, None),
+    ("w0", "center_zone", "cpf", "10", 1, 25, 2, 60.0, 1.0, 0.8, 0.1, 0.25, 0.3),
+    ("w1", "two_zone", "ac", "0.5", 0, 55, 2, 200.0, 0.125, 1.0, 1.0, 1.0, 1.0),
+    ("w1", "two_zone", "ac", "0.5", 1, 55, 2, 180.0, 0.375, 0.9, 0.9, 0.875, 0.9),
+    ("w1", "two_zone", "cpf", "5", 0, 50, 2, 150.0, 0.125, 0.9, 0.8, 0.75, 0.8),
+    ("w1", "two_zone", "cpf", "5", 1, 50, 3, 170.0, 0.125, 0.9, 0.7, 0.625, 0.7),
+    ("w1", "two_zone", "cpf", "10", 0, 0, None, None, None, None, None, None, None),
+    ("w1", "two_zone", "cpf", "10", 1, 0, None, None, None, None, None, None, None),
+    ("w2", "scratch_pair", "ac", "0.4", 0, 12, 1, None, None, 0.6, None, 0.5, None),
+    ("w2", "scratch_pair", "ac", "0.4", 1, 12, 2, 30.0, 0.75, 0.6, None, 0.75, 0.4),
+    ("w2", "scratch_pair", "cpf", "5", 0, 10, 2, 0.0, None, 0.6, 0.2, 0.5, 0.5),
+    ("w2", "scratch_pair", "cpf", "5", 1, 10, 2, 0.0, 0.5, 0.6, 0.4, 0.5, 0.5),
+    ("w2", "scratch_pair", "cpf", "10", 0, 10, 2, 20.0, 0.5, 0.6, 0.4, 0.25, 0.5),
+    ("w2", "scratch_pair", "cpf", "10", 1, 10, 2, 20.0, 0.5, 0.6, 0.4, 0.25, 0.5),
+    ("w3", "donut_partial_ring", "ac", "0.5", 0, 70, 3, 90.0, 0.5, 0.8, None, 0.875, 0.85),
+    ("w3", "donut_partial_ring", "ac", "0.5", 1, 70, 3, 95.0, 0.5, 0.8, None, 0.625, 0.8),
+    ("w3", "donut_partial_ring", "cpf", "5", 0, 66, 2, 85.0, 0.25, 0.8, 0.5, 0.5, 0.75),
+    ("w3", "donut_partial_ring", "cpf", "5", 1, 66, 4, 85.0, 0.75, 0.8, 0.5, 0.5, 0.7),
+    ("w3", "donut_partial_ring", "cpf", "10", 0, 60, 2, 70.0, 0.5, 0.8, 0.25, 0.5, 0.6),
+    ("w3", "donut_partial_ring", "cpf", "10", 1, 60, 2, 80.0, 0.5, 0.8, 0.25, 0.5, 0.6),
+)]
+
+PINNED_IMPROVEMENTS = [
+    ("w0", "center_zone", "10", "ch", 83.33333333333333),
+    ("w0", "center_zone", "10", "gdi", -62.5),
+    ("w0", "center_zone", "10", "ri", 0.0),
+    ("w0", "center_zone", "10", "ari", 1299.9999999999995),
+    ("w0", "center_zone", "10", "nmi", 450.0),
+    ("w0", "center_zone", "5", "ch", 29.41176470588235),
+    ("w0", "center_zone", "5", "gdi", -25.0),
+    ("w0", "center_zone", "5", "ri", -5.555555555555547),
+    ("w0", "center_zone", "5", "ari", 16.666666666666664),
+    ("w0", "center_zone", "5", "nmi", 37.5),
+    ("w1", "two_zone", "10", "ch", None),
+    ("w1", "two_zone", "10", "gdi", None),
+    ("w1", "two_zone", "10", "ri", None),
+    ("w1", "two_zone", "10", "ari", None),
+    ("w1", "two_zone", "10", "nmi", None),
+    ("w1", "two_zone", "5", "ch", 18.75),
+    ("w1", "two_zone", "5", "gdi", 100.0),
+    ("w1", "two_zone", "5", "ri", 5.555555555555547),
+    ("w1", "two_zone", "5", "ari", 26.66666666666666),
+    ("w1", "two_zone", "5", "nmi", 36.36363636363637),
+    ("w2", "scratch_pair", "10", "ch", 50.0),
+    ("w2", "scratch_pair", "10", "gdi", 50.0),
+    ("w2", "scratch_pair", "10", "ri", 0.0),
+    ("w2", "scratch_pair", "10", "ari", None),
+    ("w2", "scratch_pair", "10", "nmi", 150.0),
+    ("w2", "scratch_pair", "5", "ch", None),
+    ("w2", "scratch_pair", "5", "gdi", 50.0),
+    ("w2", "scratch_pair", "5", "ri", 0.0),
+    ("w2", "scratch_pair", "5", "ari", None),
+    ("w2", "scratch_pair", "5", "nmi", 25.0),
+    ("w3", "donut_partial_ring", "10", "ch", 23.333333333333332),
+    ("w3", "donut_partial_ring", "10", "gdi", 0.0),
+    ("w3", "donut_partial_ring", "10", "ri", 0.0),
+    ("w3", "donut_partial_ring", "10", "ari", None),
+    ("w3", "donut_partial_ring", "10", "nmi", 50.0),
+    ("w3", "donut_partial_ring", "5", "ch", 8.823529411764707),
+    ("w3", "donut_partial_ring", "5", "gdi", 0.0),
+    ("w3", "donut_partial_ring", "5", "ri", 0.0),
+    ("w3", "donut_partial_ring", "5", "ari", None),
+    ("w3", "donut_partial_ring", "5", "nmi", 50.0),
+]
+
+PINNED_WILCOXON = {
+    "ari_m10": {"p_two_sided": None, "reason": "fewer than 2 wafers", "statistic": None},
+    "ari_m5": {"exact": True, "n_nonzero": 2, "p_two_sided": 0.5, "statistic": 3.0},
+    "ch_m10": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.25, "statistic": 6.0},
+    "ch_m5": {"exact": True, "n_nonzero": 4, "p_two_sided": 0.125, "statistic": 10.0},
+    "gdi_m10": {"exact": True, "n_nonzero": 2, "p_two_sided": 1.0, "statistic": 1.0},
+    "gdi_m5": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.75, "statistic": 4.5},
+    "nmi_m10": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.25, "statistic": 6.0},
+    "nmi_m5": {"exact": True, "n_nonzero": 4, "p_two_sided": 0.125, "statistic": 10.0},
+    "ri_m10": {"p_two_sided": None, "reason": "all differences are zero", "statistic": None},
+    "ri_m5": {"exact": True, "n_nonzero": 2, "p_two_sided": 1.0, "statistic": 1.5},
+}
+
+
+def test_improvements_pinned():
+    out = compute_improvements(PINNED_ROWS)
+    assert all(tuple(entry) == cli.IMPROVEMENT_COLUMNS for entry in out)
+    assert [(e["wafer"], e["family"], e["m"], e["metric"], e["improvement_pct"])
+            for e in out] == PINNED_IMPROVEMENTS
+
+
+def test_wilcoxon_pinned():
+    assert compute_wilcoxon(PINNED_ROWS) == PINNED_WILCOXON
+
+
 def test_comparison_columns_documented():
     assert COMPARISON_COLUMNS == (
         "wafer", "family", "method", "param", "fit_seed", "n_points", "k_hat",
@@ -712,6 +824,72 @@ def test_compare_bad_schedule_fails_before_any_work(tmp_path, monkeypatch, capsy
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _no_filtering(monkeypatch):
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("filtered before the inputs were checked")
+
+    monkeypatch.setattr(cli, "ac_filter", no_filtering)
+    monkeypatch.setattr(cli, "cpf_filter", no_filtering)
+
+
+def test_compare_wafers_of_one_name_exit_3(tmp_path, monkeypatch, capsys):
+    # a/wafer.txt and b/a/wafer.txt are both named "a"
+    first, second = tmp_path / "a" / "wafer.txt", tmp_path / "b" / "a" / "wafer.txt"
+    for path in (first, second):
+        path.parent.mkdir(parents=True)
+        path.write_text(CROSS)
+    _no_filtering(monkeypatch)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", first, second, "--seeds", "1", "--iters", "12",
+                   "--burn-in", "4", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(first) in err and str(second) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_repeated_m_exits_3(tmp_path, monkeypatch, capsys):
+    _no_filtering(monkeypatch)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "5,5", "--seeds", "1",
+                   "--iters", "12", "--burn-in", "4", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "5,5" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_sidecar_truth_needs_the_sidecar(tmp_path, capsys):
+    w0, w1 = _two_wafers(tmp_path)
+    (w0.parent / "truth.json").write_text(json.dumps({"family": "two_zone", "labels": {}}))
+    argv = ("compare", w0, w1, "--m-list", "1", "--seeds", "1", "--iters", "12",
+            "--burn-in", "4")
+    out = tmp_path / "sidecar"
+    assert run_cli(*argv, "--truth", "sidecar", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(w1.parent / "truth.json") in err
+    assert not out.exists()
+    # scored against the reconstruction, a missing sidecar only leaves
+    # the family empty
+    out = tmp_path / "reconstruction"
+    assert run_cli(*argv, "--out", out) == 0
+    families = {line.split(",")[0]: line.split(",")[1]
+                for line in (out / "comparison.csv").read_text().splitlines()[1:]}
+    assert families == {"w0": "two_zone", "w1": ""}
+
+
+def test_compare_progress_gets_empty_point_sets(tmp_path, monkeypatch):
+    # CPF at M=9 keeps none of the cross's 5 chips
+    _usable_cores(monkeypatch, 1)
+    streamed = []
+    rows = run_comparison(_two_wafers(tmp_path)[:1], m_list=(9,), seeds=2, iters=12,
+                          burn_in=4, progress=streamed.append)
+    assert streamed == rows
+    assert [(r["method"], r["n_points"]) for r in rows] == [("ac", 9)] * 2 + [("cpf", 0)] * 2
+    for row in rows[2:]:
+        assert row["k_hat"] is None
+        assert all(row[score] is None for score in cli.SCORES)
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -887,7 +1065,7 @@ CONTRACT_COMMANDS = {
         "--seed": ["0", "3"], "--format": _FORMATS}),
     "evaluate": (("--pred", "INPUT"), ("--truth", "PRED"), {
         "--truth": ["PRED", "PRED", "SIDECAR", "WAFER"], "--wafer": ["WAFER", "PRED"],
-        "--reconstruct": [None], "--nmi-normalizer": _NORMALIZERS, "--format": _FORMATS}),
+        "--nmi-normalizer": _NORMALIZERS, "--format": _FORMATS}),
     "render": (("INPUT",), (), {"--assignments": ["PRED", "PRED", "WAFER"],
                                 "--format": _FORMATS}),
     "compare": (("INPUT", "WAFER"), ("--iters", "4", "--burn-in", "2", "--seeds", "1"), {

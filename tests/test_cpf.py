@@ -26,6 +26,25 @@ def test_m1_is_identity_on_defectives():
     assert res.objective_value == res.kept_count == m.n_defective
 
 
+def test_m1_keeps_a_large_component_without_search():
+    # a 6x6 block (36 chips, over the exact-search limit), a 3-chip bar
+    # and a lone chip: three components, every one kept with no budget spent
+    rows = ["0" * 10 for _ in range(8)]
+    for r in range(6):
+        rows[r] = "111111" + rows[r][6:]
+    rows[0] = rows[0][:8] + "11"
+    rows[1] = rows[1][:8] + "01"
+    rows[7] = "0" * 9 + "1"
+    m = parse_wafer("\n".join(rows) + "\n")
+    assert components(m.grid() == CellState.DEFECTIVE, Neighborhood.KING).max() == 3
+    assert 36 > cpf.EXACT_COMPONENT_LIMIT
+    res = cpf_filter(m, CpfConfig(m_threshold=1))
+    assert np.array_equal(res.labels, m.defect_bits())
+    assert dict(res.counters) == {"components_exact": 3, "components_approx": 0,
+                                  "budget_spent": 0}
+    assert not res.approx
+
+
 def test_line_component_kept_iff_long_enough():
     m = parse_wafer(LINE7)
     assert cpf_filter(m, CpfConfig(m_threshold=5)).kept_count == 7
