@@ -11,12 +11,11 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-from waferspr.cli import run_comparison, truth_document, write_comparison
+from waferspr.cli import dump_json, run_comparison, truth_document, write_comparison
 from waferspr.render import render_svg
 from waferspr.synthgen import twelve_wafer_corpus
 from waferspr.wafer import write_wafer
@@ -44,8 +43,8 @@ def main(argv=None):
         d = wafers_dir / f"w{idx:02d}"
         d.mkdir(parents=True, exist_ok=True)
         (d / "wafer.txt").write_bytes(write_wafer(sw.map))
-        doc = truth_document(sw, family, args.noise, args.base_seed + idx)
-        (d / "truth.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+        doc = truth_document(sw, family, args.base_seed + idx)
+        (d / "truth.json").write_text(dump_json(doc))
         (d / "raw.svg").write_text(render_svg(sw.map))
         paths.append(d / "wafer.txt")
 

@@ -51,8 +51,13 @@ COMPARISON_COLUMNS = (
 
 IMPROVEMENT_COLUMNS = ("wafer", "family", "metric", "m", "improvement_pct")
 
+# Where compare's external truth comes from (see `run_comparison`).
+TRUTH_SOURCES = ("reconstruction", "sidecar")
 
-def _dump_json(obj) -> str:
+
+def dump_json(obj) -> str:
+    """The text of every JSON file the program writes: sorted keys, an
+    indent of 2 and a trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -75,7 +80,7 @@ def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=N
            "seed": seed, "version": __version__}
     if counters is not None:
         doc["counters"] = counters
-    _write(outdir / "manifest.json", _dump_json(doc))
+    _write(outdir / "manifest.json", dump_json(doc))
 
 
 def _read_bytes(path) -> bytes:
@@ -87,11 +92,12 @@ def _read_bytes(path) -> bytes:
         raise ParseError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
-def _read_wafer(path, fmt="auto") -> WaferMap:
-    path = Path(path)
-    if fmt == "auto":
-        fmt = "csv" if path.suffix.lower() == ".csv" else "ascii"
-    return parse_wafer(_read_bytes(path), fmt=fmt)
+def _read_wafer(path) -> WaferMap:
+    """The wafer in the file at `path`: CSV when its name ends in `.csv`
+    (any case) or it holds a comma, which no ASCII wafer can, else ASCII."""
+    data = _read_bytes(path)
+    csv_file = Path(path).suffix.lower() == ".csv" or b"," in data
+    return parse_wafer(data, fmt="csv" if csv_file else "ascii")
 
 
 def _coord_key(rc) -> str:
@@ -111,10 +117,10 @@ def _read_json_object(path) -> dict:
     return doc
 
 
-def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], str, int]]:
-    """The ((row, col), "row,col" key, cluster label) entries of an
-    assignments document (as `cluster` writes it) read from `path`, in
-    (row, col) order; ParseError naming the file when it is malformed."""
+def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
+    """The ((row, col), cluster label) entries of an assignments document
+    (as `cluster` writes it) read from `path`, in (row, col) order;
+    ParseError naming the file when it is malformed."""
     assignments = doc.get("assignments")
     if not isinstance(assignments, dict):
         raise ParseError(f'{path}: no "assignments" object')
@@ -127,7 +133,7 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], str, int]]:
             raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
         if type(label) is not int:
             raise ParseError(f"{path}: label {label!r} of {key!r} is not an integer")
-        entries.append((rc, key, label))
+        entries.append((rc, label))
     entries.sort(key=lambda entry: entry[0])
     return entries
 
@@ -147,7 +153,7 @@ def _sidecar_of(doc: dict, path) -> dict:
 # generate
 # ---------------------------------------------------------------------
 
-def truth_document(sw, family, noise_rate, seed) -> dict:
+def truth_document(sw, family, seed) -> dict:
     """The truth.json sidecar of a generated wafer: pattern labels of its
     defective chips and the region of every chip inside a pattern."""
     rows, cols = sw.map.rows, sw.map.cols
@@ -158,7 +164,7 @@ def truth_document(sw, family, noise_rate, seed) -> dict:
         "rows": rows,
         "cols": cols,
         "family": family,
-        "noise_rate": noise_rate,
+        "noise_rate": sw.noise_rate,
         "seed": seed,
         "labels": {
             _coord_key((r, c)): int(grid_truth[r, c])
@@ -175,10 +181,8 @@ def cmd_generate(args) -> int:
     outdir = Path(args.out)
     sw = generate(args.rows, args.cols, family_specs(args.family), args.noise, args.seed)
     ext = "csv" if args.format == "csv" else "txt"
-    _write(outdir / f"wafer.{ext}",
-           write_wafer(sw.map, fmt="csv" if args.format == "csv" else "ascii").decode())
-    _write(outdir / "truth.json",
-           _dump_json(truth_document(sw, args.family, args.noise, args.seed)))
+    _write(outdir / f"wafer.{ext}", write_wafer(sw.map, fmt=args.format).decode())
+    _write(outdir / "truth.json", dump_json(truth_document(sw, args.family, args.seed)))
     _write_manifest(
         outdir, "generate", [],
         {"rows": args.rows, "cols": args.cols, "family": args.family,
@@ -220,7 +224,7 @@ def _run_filter(wmap: WaferMap, args):
 
 
 def cmd_filter(args) -> int:
-    wmap = _read_wafer(args.input, args.format)
+    wmap = _read_wafer(args.input)
     result, config = _run_filter(wmap, args)
     outdir = Path(args.out)
     _write(outdir / "filtered.txt", write_wafer(wmap, result.labels).decode())
@@ -233,7 +237,7 @@ def cmd_filter(args) -> int:
         "n_defective_raw": wmap.n_defective,
         "counters": dict(result.counters),
     }
-    _write(outdir / "summary.json", _dump_json(summary))
+    _write(outdir / "summary.json", dump_json(summary))
     _write_manifest(outdir, "filter", [args.input], config)
     return 0
 
@@ -243,7 +247,7 @@ def cmd_filter(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_cluster(args) -> int:
-    wmap = _read_wafer(args.input, args.format)
+    wmap = _read_wafer(args.input)
     points = wmap.defective_coords()
     if not points:
         print("error: input wafer has no defective cells to cluster", file=sys.stderr)
@@ -272,14 +276,14 @@ def cmd_cluster(args) -> int:
             "hmc_numerical_rejections": res.hmc_numerical_rejections,
         },
     }
-    _write(outdir / "assignments.json", _dump_json(assignments_doc))
+    _write(outdir / "assignments.json", dump_json(assignments_doc))
     latent_doc = {
         "points": [
             {"row": rc[0], "col": rc[1], "z": [float(z[0]), float(z[1])]}
             for rc, z in zip(points, res.latent_coords)
         ]
     }
-    _write(outdir / "latent.json", _dump_json(latent_doc))
+    _write(outdir / "latent.json", dump_json(latent_doc))
     _write_manifest(
         outdir, "cluster", [args.input],
         {"iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha},
@@ -323,12 +327,10 @@ def truth_lookup_from_reconstruction(wmap: WaferMap):
 def cmd_evaluate(args) -> int:
     if bool(args.truth) == bool(args.wafer):
         raise ConfigError("evaluate takes one of --truth and --wafer")
-    if args.format is not None and not args.wafer:
-        raise ConfigError("--format picks the parser of --wafer; it does not apply without it")
 
     pred = _assignments_of(_read_json_object(args.pred), args.pred)
-    points = np.array([rc for rc, _, _ in pred], dtype=float)
-    predicted = [label for _, _, label in pred]
+    points = np.array([rc for rc, _ in pred], dtype=float)
+    predicted = [label for _, label in pred]
 
     inputs = [args.pred]
     if args.truth:
@@ -336,22 +338,22 @@ def cmd_evaluate(args) -> int:
         truth_doc = _read_json_object(args.truth)
         if "assignments" in truth_doc:
             truth_entries = _assignments_of(truth_doc, args.truth)
-            if [key for _, key, _ in truth_entries] != [key for _, key, _ in pred]:
+            if [rc for rc, _ in truth_entries] != [rc for rc, _ in pred]:
                 print("error: prediction and truth cover different coordinates",
                       file=sys.stderr)
                 return 5
-            truth = [label for _, _, label in truth_entries]
+            truth = [label for _, label in truth_entries]
         else:
             lookup = _truth_lookup_from_sidecar(_sidecar_of(truth_doc, args.truth))
-            truth = [lookup(rc) for rc, _, _ in pred]
+            truth = [lookup(rc) for rc, _ in pred]
     else:
         inputs.append(args.wafer)
-        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer, args.format or "auto"))
-        truth = [lookup(rc) for rc, _, _ in pred]
+        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer))
+        truth = [lookup(rc) for rc, _ in pred]
 
     report = evaluation_report(points, predicted, truth, nmi_normalizer=args.nmi_normalizer)
     outdir = Path(args.out)
-    _write(outdir / "report.json", _dump_json(report.to_dict()))
+    _write(outdir / "report.json", dump_json(report.to_dict()))
     _write_manifest(outdir, "evaluate", inputs, {"nmi_normalizer": args.nmi_normalizer})
     return 0
 
@@ -361,11 +363,10 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------
 
 def cmd_render(args) -> int:
-    wmap = _read_wafer(args.input, args.format)
+    wmap = _read_wafer(args.input)
     assignments = {}
     if args.assignments:
-        entries = _assignments_of(_read_json_object(args.assignments), args.assignments)
-        assignments = {rc: label for rc, _, label in entries}
+        assignments = dict(_assignments_of(_read_json_object(args.assignments), args.assignments))
     svg = render_svg(wmap, assignments)
     out = Path(args.out)
     _write(out, svg)
@@ -519,8 +520,7 @@ def _fit_map(workers):
 
 def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), seeds=3,
                    iters=300, burn_in=150, alpha=0.3, nmi_normalizer="paper",
-                   truth_source="reconstruction", fmt="auto", progress=None,
-                   counters=None):
+                   truth_source="reconstruction", progress=None, counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
 
     A wafer is named by its file's stem, or by its directory when the
@@ -530,9 +530,9 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     to each wafer, which must then exist.  Scratch-family wafers use
     `u_scratch` for the AC filter, mirroring the reduced separation cost
     the experiments use for scratch patterns.  The MCMC schedule, `alpha`,
-    `u` and `u_scratch` are checked before any wafer is read, and a bad
-    one raises ValueError; two wafers of one name, or an M given twice,
-    raise ConfigError.
+    `u`, `u_scratch` and `truth_source` are checked before any wafer is
+    read, and a bad one raises ValueError; two wafers of one name, or an
+    M given twice, raise ConfigError.
 
     Every wafer is filtered first.  Then each distinct (points, fit seed)
     pair is fitted once, on as many worker processes as the process may
@@ -543,6 +543,9 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     A `counters` dict receives `fit_requests`, `fits_run` and `workers`;
     the last one depends on the machine.
     """
+    if truth_source not in TRUTH_SOURCES:
+        raise ValueError(f"unknown truth source {truth_source!r}; "
+                         f"expected one of {', '.join(TRUTH_SOURCES)}")
     mcmc = pipeline_mcmc(iters, burn_in)
     hyper = pipeline_hyper(alpha)
     ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
@@ -557,7 +560,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
 
     cases = []  # (row fields, kept points, truth labels) per wafer and method
     for name, path in names.items():
-        wmap = _read_wafer(path, fmt)
+        wmap = _read_wafer(path)
         sidecar = path.parent / "truth.json"
         sidecar_doc = None
         if truth_source == "sidecar" or sidecar.exists():
@@ -624,7 +627,7 @@ def write_comparison(outdir: Path, rows):
     """comparison.csv, improvements.csv and wilcoxon.json of compare's rows."""
     write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
     write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
-    _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
+    _write(outdir / "wilcoxon.json", dump_json(compute_wilcoxon(rows)))
 
 
 def cmd_compare(args) -> int:
@@ -643,7 +646,7 @@ def cmd_compare(args) -> int:
         args.wafers, u=args.u, u_scratch=args.u_scratch, m_list=m_list,
         seeds=args.seeds, iters=args.iters, burn_in=args.burn_in,
         alpha=args.alpha, nmi_normalizer=args.nmi_normalizer,
-        truth_source=args.truth_source, fmt=args.format,
+        truth_source=args.truth_source,
         progress=progress if args.verbose else None, counters=counters,
     )
     # The worker count depends on the machine, so it stays out of the files.
@@ -693,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-mag", dest="w_mag")
     p.add_argument("--m", type=int)
     p.add_argument("--neighborhood", choices=("rook", "king"), default="king")
-    p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -703,7 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -713,15 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wafer", help="score against the wafer's reconstructed truth")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
                    choices=NMI_NORMALIZERS, default="paper")
-    p.add_argument("--format", choices=("auto", "ascii", "csv"),
-                   help="parser of --wafer (default: auto)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("render", help="SVG rendering of a wafer map")
     p.add_argument("input")
     p.add_argument("--assignments")
-    p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 
@@ -735,11 +733,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=150)
     p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--truth", dest="truth_source",
-                   choices=("reconstruction", "sidecar"), default="reconstruction")
+    p.add_argument("--truth", dest="truth_source", choices=TRUTH_SOURCES,
+                   default="reconstruction")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
                    choices=NMI_NORMALIZERS, default="paper")
-    p.add_argument("--format", choices=("auto", "ascii", "csv"), default="auto")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

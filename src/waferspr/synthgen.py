@@ -162,7 +162,7 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     cells = np.where(mask, np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
                      CellState.OUTSIDE)
     return SynthWafer(
-        map=WaferMap(rows, cols, cells.ravel(), name=f"synth-{seed}"),
+        map=WaferMap(rows, cols, cells.ravel()),
         truth_labels=truth.ravel(),
         region_labels=region.ravel(),
         noise_rate=noise_rate,

@@ -227,7 +227,7 @@ def reconstruct_ground_truth(wmap: WaferMap) -> WaferMap:
     window = ndimage.correlate(defect, np.ones((3, 3), dtype=np.int64), mode="constant")
     out = np.where(window >= 4, CellState.DEFECTIVE, CellState.FUNCTIONAL)
     out = np.where(wmap.in_mask(), out, CellState.OUTSIDE)
-    return WaferMap(wmap.rows, wmap.cols, out.ravel(), name=wmap.name)
+    return WaferMap(wmap.rows, wmap.cols, out.ravel())
 
 
 # ---------------------------------------------------------------------
@@ -320,12 +320,11 @@ class EvaluationReport:
         return asdict(self)
 
 
-def evaluation_report(points, predicted, truth=None, nmi_normalizer="paper") -> EvaluationReport:
+def evaluation_report(points, predicted, truth, nmi_normalizer="paper") -> EvaluationReport:
     """Compute all indices, recording a reason string per undefined index.
 
-    `truth` may be omitted, in which case only internal indices are
-    computed.  `nmi_sqrt` is always reported alongside the configured
-    NMI variant for cross-library comparison.
+    `nmi_sqrt` is always reported alongside the configured NMI variant
+    for cross-library comparison.
     """
     report = EvaluationReport(n_points=len(predicted))
 
@@ -337,9 +336,8 @@ def evaluation_report(points, predicted, truth=None, nmi_normalizer="paper") -> 
 
     attempt("ch", lambda: ch_index(points, predicted))
     attempt("gdi", lambda: gdi_index(points, predicted))
-    if truth is not None:
-        attempt("ri", lambda: rand_index(truth, predicted))
-        attempt("ari", lambda: adjusted_rand_index(truth, predicted))
-        attempt("nmi", lambda: nmi_index(truth, predicted, nmi_normalizer))
-        attempt("nmi_sqrt", lambda: nmi_index(truth, predicted, "sqrt"))
+    attempt("ri", lambda: rand_index(truth, predicted))
+    attempt("ari", lambda: adjusted_rand_index(truth, predicted))
+    attempt("nmi", lambda: nmi_index(truth, predicted, nmi_normalizer))
+    attempt("nmi_sqrt", lambda: nmi_index(truth, predicted, "sqrt"))
     return report

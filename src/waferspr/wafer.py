@@ -69,7 +69,6 @@ class WaferMap:
     rows: int
     cols: int
     cells: np.ndarray
-    name: str | None = None
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -131,7 +130,7 @@ class WaferMap:
         cells = np.array(self.cells)
         inside = cells != CellState.OUTSIDE
         cells[inside] = np.where(labels == 1, CellState.DEFECTIVE, CellState.FUNCTIONAL)
-        return WaferMap(self.rows, self.cols, cells, name=self.name)
+        return WaferMap(self.rows, self.cols, cells)
 
 
 @dataclass(frozen=True, eq=False)

@@ -450,7 +450,7 @@ def generate_loops(rows, cols, specs, noise_rate, seed):
         np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
         CellState.OUTSIDE,
     ).astype(np.int8)
-    wmap = WaferMap(rows, cols, cells.ravel(), name=f"synth-{seed}")
+    wmap = WaferMap(rows, cols, cells.ravel())
     return SynthWafer(
         map=wmap,
         truth_labels=truth.ravel(),

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -15,6 +16,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from waferspr import cli
 from waferspr.cli import (
     COMPARISON_COLUMNS,
+    build_parser,
     compute_improvements,
     compute_wilcoxon,
     main,
@@ -22,7 +24,7 @@ from waferspr.cli import (
     truth_lookup_from_reconstruction,
 )
 from waferspr.render import PALETTE, cluster_color, render_svg
-from waferspr.synthgen import FAMILIES
+from waferspr.synthgen import FAMILIES, twelve_wafer_corpus
 from waferspr.wafer import parse_wafer
 
 CROSS = "010\n111\n010\n"
@@ -391,27 +393,51 @@ def test_unreadable_input_exits_2(tmp_path, capsys, role, kind):
     assert not (out / "manifest.json").exists()
 
 
-def test_evaluate_format_without_wafer_exits_3(tmp_path, capsys):
-    pred = tmp_path / "pred.json"
-    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
-    out = tmp_path / "o"
-    assert run_cli("evaluate", "--pred", pred, "--truth", pred, "--format", "csv",
-                   "--out", out) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--format" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_evaluate_format_picks_the_wafer_parser(tmp_path, capsys):
+def test_evaluate_format_picks_the_wafer_parser(tmp_path):
     wafer = tmp_path / "w.dat"
     wafer.write_text("1,1,0\n1,1,0\n0,0,0\n")
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps({"assignments": {"0,0": 1, "0,1": 1, "1,0": 1, "1,1": 1}}))
-    argv = ("evaluate", "--pred", pred, "--wafer", wafer)
-    # by its suffix the file would be read as ASCII, which has no commas
-    assert run_cli(*argv, "--out", tmp_path / "auto") == 2
-    assert run_cli(*argv, "--format", "csv", "--out", tmp_path / "csv") == 0
-    assert json.loads((tmp_path / "csv" / "report.json").read_text())["ri"] == 1.0
+    # not named .csv, but its commas make it a CSV wafer
+    out = tmp_path / "o"
+    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 0
+    assert json.loads((out / "report.json").read_text())["ri"] == 1.0
+
+
+# The hole as a CSV wafer (0/1/2 = no-die/pass/fail).
+HOLE_CSV = "2,2,2\n2,1,2\n2,2,2\n"
+
+
+@pytest.mark.parametrize("suffix", [".dat", ".txt"])
+def test_comma_separated_wafer_reads_as_csv_under_any_name(tmp_path, suffix):
+    """filter, evaluate --wafer and compare read a CSV wafer not named
+    .csv, with no flag, as they read the same wafer in ASCII."""
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,0": 1, "0,1": 1, "1,0": 2, "2,2": 2}}))
+    outs = {}
+    for kind, name, text in (("ascii", "wafer.txt", HOLE), ("csv", f"wafer{suffix}", HOLE_CSV)):
+        wafer = tmp_path / kind / "w0" / name
+        wafer.parent.mkdir(parents=True)
+        wafer.write_text(text)
+        out = outs[kind] = tmp_path / kind / "out"
+        assert run_cli("filter", wafer, "--out", out / "filter") == 0
+        assert run_cli("evaluate", "--pred", pred, "--wafer", wafer,
+                       "--out", out / "evaluate") == 0
+        assert run_cli("compare", wafer, "--m-list", "1", "--seeds", "1", "--iters", "12",
+                       "--burn-in", "4", "--out", out / "compare") == 0
+    for name in ("filter/filtered.txt", "filter/summary.json", "evaluate/report.json",
+                 "compare/comparison.csv", "compare/wilcoxon.json"):
+        assert (outs["csv"] / name).read_bytes() == (outs["ascii"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["w.csv", "W.CSV"])
+def test_single_column_csv_wafer_reads_as_csv(tmp_path, name):
+    # no comma, but the name makes it CSV; as ASCII, "2" is no chip state
+    wafer = tmp_path / name
+    wafer.write_text("2\n1\n2\n")
+    read = cli._read_wafer(wafer)
+    assert (read.rows, read.cols, read.n_defective) == (3, 1, 2)
+    assert np.array_equal(read.grid(), parse_wafer(b"2\n1\n2\n", fmt="csv").grid())
 
 
 def test_sidecar_lookup_prefers_region_to_label():
@@ -521,6 +547,37 @@ def test_generate_writes_sidecar(tmp_path):
     for key, val in truth["labels"].items():
         r, c = map(int, key.split(","))
         assert grid[r, c] == 2
+
+
+def test_generate_format_csv_writes_wafer_csv(tmp_path):
+    for fmt in ("ascii", "csv"):
+        assert run_cli("generate", "--family", "two_zone", "--seed", "5", "--format", fmt,
+                       "--out", tmp_path / fmt) == 0
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+        "manifest.json", "truth.json", "wafer.csv"]
+    written = parse_wafer((tmp_path / "csv" / "wafer.csv").read_bytes(), fmt="csv")
+    assert np.array_equal(written.grid(),
+                          parse_wafer((tmp_path / "ascii" / "wafer.txt").read_bytes()).grid())
+
+
+def test_comparison_script_sidecars_match_generate(tmp_path, monkeypatch):
+    """scripts/run_comparison.py writes each corpus wafer's truth.json
+    with the bytes `waferspr generate` writes for its family and seed."""
+    spec = importlib.util.spec_from_file_location(
+        "run_comparison_script",
+        Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # the sidecars are written before the comparison runs, which is skipped
+    monkeypatch.setattr(script, "run_comparison", lambda *args, **kwargs: [])
+    monkeypatch.setattr(script, "write_comparison", lambda *args: None)
+    script.main(["--out", str(tmp_path / "cmp")])
+    for idx, (family, _) in enumerate(twelve_wafer_corpus()):
+        gen = tmp_path / "gen" / str(idx)
+        assert run_cli("generate", "--family", family, "--seed", 100 + idx,
+                       "--out", gen) == 0
+        sidecar = tmp_path / "cmp" / "wafers" / f"w{idx:02d}" / "truth.json"
+        assert sidecar.read_bytes() == (gen / "truth.json").read_bytes()
 
 
 def test_generate_reproducible(tmp_path):
@@ -879,6 +936,13 @@ def test_compare_sidecar_truth_needs_the_sidecar(tmp_path, capsys):
     assert families == {"w0": "two_zone", "w1": ""}
 
 
+def test_run_comparison_refuses_an_unknown_truth_source(tmp_path):
+    # the wafer does not exist: the value is refused before any is read
+    with pytest.raises(ValueError, match="'sidcar'"):
+        run_comparison([tmp_path / "missing.txt"], truth_source="sidcar", m_list=(1,),
+                       seeds=1, iters=6, burn_in=2)
+
+
 def test_compare_progress_gets_empty_point_sets(tmp_path, monkeypatch):
     # CPF at M=9 keeps none of the cross's 5 chips
     _usable_cores(monkeypatch, 1)
@@ -1006,6 +1070,23 @@ UNWRITABLE_RUNS = {
 }
 
 
+@pytest.mark.parametrize("command", ["filter", "cluster", "evaluate", "render", "compare"])
+def test_format_flag_exits_2(tmp_path, capsys, command):
+    """A wafer's format comes from its file: no command that reads a
+    wafer takes --format."""
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"0,1": 1, "1,0": 1, "1,1": 2}}))
+    out = tmp_path / "o"
+    names = {"WAFER": str(wafer), "PRED": str(pred), "OUT": str(out)}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[names.get(arg, arg) for arg in UNWRITABLE_RUNS[command]], "--format", "csv")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["under_a_file", "a_directory"])
 @pytest.mark.parametrize("command", UNWRITABLE_RUNS)
 def test_unwritable_out_exits_3(tmp_path, capsys, command, kind):
@@ -1041,7 +1122,6 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command, kind):
 CONTRACT_EXIT_CODES = {0, 2, 3, 4, 5}
 
 _NORMALIZERS = ["paper", "joint", "sqrt", "max", "min"]
-_FORMATS = ["auto", "auto", "ascii", "csv"]
 _COSTS = ["1/2", "1/4", "2", "0.4", "0", "-1", "1/0", "x"]
 
 # Per command: the argv head ("INPUT" stands for the input under test),
@@ -1058,22 +1138,34 @@ CONTRACT_COMMANDS = {
         "--seed": ["0", "7", "-1"], "--format": ["ascii", "csv"]}),
     "filter": (("INPUT",), (), {
         "--method": ["ac", "ac", "cpf", "none"], "--u": _COSTS, "--w-mag": _COSTS,
-        "--m": ["1", "3", "5", "0"], "--neighborhood": ["rook", "king"],
-        "--format": _FORMATS}),
+        "--m": ["1", "3", "5", "0"], "--neighborhood": ["rook", "king"]}),
     "cluster": (("INPUT",), ("--iters", "4", "--burn-in", "2"), {
         "--burn-in": ["0", "3", "4"], "--alpha": ["0.3", "1", "2", "nan"],
-        "--seed": ["0", "3"], "--format": _FORMATS}),
+        "--seed": ["0", "3"]}),
     "evaluate": (("--pred", "INPUT"), ("--truth", "PRED"), {
         "--truth": ["PRED", "PRED", "SIDECAR", "WAFER"], "--wafer": ["WAFER", "PRED"],
-        "--nmi-normalizer": _NORMALIZERS, "--format": _FORMATS}),
-    "render": (("INPUT",), (), {"--assignments": ["PRED", "PRED", "WAFER"],
-                                "--format": _FORMATS}),
+        "--nmi-normalizer": _NORMALIZERS}),
+    "render": (("INPUT",), (), {"--assignments": ["PRED", "PRED", "WAFER"]}),
     "compare": (("INPUT", "WAFER"), ("--iters", "4", "--burn-in", "2", "--seeds", "1"), {
         "--u": _COSTS, "--u-scratch": _COSTS, "--m-list": ["1", "2,5", "3", "0"],
         "--burn-in": ["0", "1", "4"], "--seeds": ["2", "0"], "--alpha": ["0.3", "1", "nan"],
         "--truth": ["reconstruction", "sidecar"], "--nmi-normalizer": _NORMALIZERS,
-        "--format": _FORMATS, "--verbose": [None]}),
+        "--verbose": [None]}),
 }
+
+
+def test_contract_flags_are_options_of_their_commands():
+    """argparse exits 2 on a flag it does not know, and 2 is a contract
+    code, so the contract alone would pass a flag that was dropped: each
+    flag of the table must parse on its command."""
+    parser = build_parser()
+    for command, (head, always, flags) in CONTRACT_COMMANDS.items():
+        for flag, values in flags.items():
+            value = [] if values == [None] else [values[0]]
+            _, unknown = parser.parse_known_args(
+                [command, *head, *always, flag, *value, "--out", "OUT"])
+            assert unknown == [], (command, flag)
+
 
 INPUT_KINDS = ("valid", "valid", "valid", "other", "missing", "directory", "empty", "random")
 OUT_KINDS = ("fresh", "under_a_file", "a_directory")
