@@ -13,13 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from waferspr.acfilter import AcConfig, ac_filter, filtered_points
-from waferspr.cli import (
-    pipeline_fit,
-    pipeline_hyper,
-    pipeline_mcmc,
-    truth_lookup_from_reconstruction,
-)
+from waferspr.cli import fit_points, truth_lookup_from_reconstruction
 from waferspr.cpf import CpfConfig, cpf_filter
+from waferspr.iwmm import GwHyper, McmcConfig
 from waferspr.render import render_svg
 from waferspr.synthgen import FAMILIES, family_specs, generate
 from waferspr.validation import evaluation_report
@@ -31,7 +27,7 @@ def main(argv=None):
     parser.add_argument("--family", choices=FAMILIES, default="donut_partial_ring")
     parser.add_argument("--seed", type=int, default=100)
     parser.add_argument("--noise", type=float, default=0.05)
-    parser.add_argument("--iters", type=int, default=300)
+    parser.add_argument("--iters", type=int, default=McmcConfig.iters)
     parser.add_argument("--out", default="runs/demo")
     args = parser.parse_args(argv)
 
@@ -41,8 +37,7 @@ def main(argv=None):
     (out / "raw.txt").write_bytes(write_wafer(sw.map))
     (out / "raw.svg").write_text(render_svg(sw.map))
     lookup = truth_lookup_from_reconstruction(sw.map)
-    mcmc = pipeline_mcmc(args.iters, args.iters // 2)
-    hyper = pipeline_hyper(0.3)
+    mcmc = McmcConfig(iters=args.iters, burn_in=args.iters // 2)
 
     results = {}
     for name, flt in (
@@ -56,7 +51,7 @@ def main(argv=None):
         if not points:
             results[name] = {"kept": 0}
             continue
-        fit = pipeline_fit(points, hyper, mcmc, seed=0)
+        fit = fit_points(points, GwHyper(), mcmc, seed=0)
         assignments = dict(zip(points, fit.assignments))
         (out / f"clusters_{name}.svg").write_text(render_svg(sw.map, assignments))
         truth = [lookup(rc) for rc in points]

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from waferspr.cli import dump_json, run_comparison, truth_document, write_comparison
+from waferspr.iwmm import McmcConfig
 from waferspr.render import render_svg
 from waferspr.synthgen import twelve_wafer_corpus
 from waferspr.wafer import write_wafer
@@ -27,8 +28,8 @@ def main(argv=None):
     parser.add_argument("--rows", type=int, default=38)
     parser.add_argument("--noise", type=float, default=0.05)
     parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--iters", type=int, default=300)
-    parser.add_argument("--burn-in", dest="burn_in", type=int, default=150)
+    parser.add_argument("--iters", type=int, default=McmcConfig.iters)
+    parser.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
     parser.add_argument("--base-seed", dest="base_seed", type=int, default=100)
     args = parser.parse_args(argv)
 

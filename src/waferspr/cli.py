@@ -28,7 +28,7 @@ from . import __version__
 from .acfilter import AcConfig, ac_filter, filtered_points
 from .cpf import CpfConfig, cpf_filter
 from .errors import ConfigError, ParseError, UndefinedTest
-from .iwmm import GwHyper, KernelParams, McmcConfig, PointSet, iwmm_fit
+from .iwmm import GwHyper, McmcConfig, PointSet, iwmm_fit
 from .render import render_svg
 from .synthgen import FAMILIES, family_specs, generate
 from .validation import (
@@ -120,10 +120,12 @@ def _read_json_object(path) -> dict:
 def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
     """The ((row, col), cluster label) entries of an assignments document
     (as `cluster` writes it) read from `path`, in (row, col) order;
-    ParseError naming the file when it is malformed."""
+    ParseError naming the file when it is malformed or two keys name one
+    chip ("1,1" and "01,1")."""
     assignments = doc.get("assignments")
     if not isinstance(assignments, dict):
         raise ParseError(f'{path}: no "assignments" object')
+    keys = {}  # (row, col) -> its key
     entries = []
     for key, label in assignments.items():
         try:
@@ -133,6 +135,9 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
             raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
         if type(label) is not int:
             raise ParseError(f"{path}: label {label!r} of {key!r} is not an integer")
+        if rc in keys:
+            raise ParseError(f"{path}: keys {keys[rc]!r} and {key!r} name one chip")
+        keys[rc] = key
         entries.append((rc, label))
     entries.sort(key=lambda entry: entry[0])
     return entries
@@ -255,7 +260,7 @@ def cmd_cluster(args) -> int:
     hyper = GwHyper(alpha=args.alpha)
     mcmc = McmcConfig(iters=args.iters, burn_in=args.burn_in)
     _one_blas_thread()
-    res = iwmm_fit(PointSet(np.array(points, dtype=float)), h=hyper, mcmc=mcmc, seed=args.seed)
+    res = fit_points(points, hyper, mcmc, args.seed)
     outdir = Path(args.out)
     ks = [k for k, _ in res.trace]
     assignments_doc = {
@@ -430,42 +435,10 @@ def compute_wilcoxon(rows):
     return out
 
 
-# Clustering configuration used by the comparison pipeline.  A noisier
-# GP (larger jitter) lets the warp deform enough to contract curved
-# patterns, and the wider cluster-scale prior discourages fragmenting
-# arcs; assignments start from the filter output's spatial components.
-PIPELINE_KERNEL = KernelParams(signal_variance=1.0, length_scale=1.5, jitter=0.01)
-PIPELINE_PRIOR_SCALE = 2.0
-PIPELINE_LEAPFROG = 5
-
-
-PIPELINE_WARP_WARMUP = 40
-
-
-def pipeline_mcmc(iters, burn_in) -> McmcConfig:
-    """MCMC schedule of the pipeline fits; raises ValueError unless
-    iters > burn_in >= 0."""
-    return McmcConfig(iters=iters, burn_in=burn_in, leapfrog_steps=PIPELINE_LEAPFROG,
-                      gibbs_start=min(PIPELINE_WARP_WARMUP, burn_in // 2))
-
-
-def pipeline_hyper(alpha) -> GwHyper:
-    """Prior of the pipeline fits; raises ValueError unless alpha > 0 is finite."""
-    return GwHyper(alpha=alpha, R=PIPELINE_PRIOR_SCALE * np.eye(2))
-
-
-def pipeline_fit(points, hyper, mcmc, seed):
-    """iWMM fit of filtered (row, col) points under the pipeline settings,
-    with the prior `hyper` and the schedule `mcmc` (see `pipeline_hyper`
-    and `pipeline_mcmc`)."""
-    return iwmm_fit(
-        PointSet(np.array(points, dtype=float)),
-        h=hyper,
-        k0=PIPELINE_KERNEL,
-        mcmc=mcmc,
-        seed=seed,
-        init="components",
-    )
+def fit_points(points, hyper, mcmc, seed):
+    """The iWMM fit of (row, col) points, as `cluster` and `compare` run
+    it: the prior `hyper`, the schedule `mcmc`, and the default kernel."""
+    return iwmm_fit(PointSet(np.array(points, dtype=float)), hyper, mcmc=mcmc, seed=seed)
 
 
 def _one_blas_thread():
@@ -519,7 +492,8 @@ def _fit_map(workers):
 
 
 def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), seeds=3,
-                   iters=300, burn_in=150, alpha=0.3, nmi_normalizer="paper",
+                   iters=McmcConfig.iters, burn_in=McmcConfig.burn_in, alpha=GwHyper.alpha,
+                   nmi_normalizer="paper",
                    truth_source="reconstruction", progress=None, counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
 
@@ -546,8 +520,8 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
     if truth_source not in TRUTH_SOURCES:
         raise ValueError(f"unknown truth source {truth_source!r}; "
                          f"expected one of {', '.join(TRUTH_SOURCES)}")
-    mcmc = pipeline_mcmc(iters, burn_in)
-    hyper = pipeline_hyper(alpha)
+    mcmc = McmcConfig(iters=iters, burn_in=burn_in)
+    hyper = GwHyper(alpha=alpha)
     ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
     names = {}
     for path in map(Path, wafer_paths):
@@ -591,7 +565,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), see
 
     rows = []
     with _fit_map(workers) as fit_map:
-        done = zip(jobs, fit_map(pipeline_fit, [points for points, _ in jobs], repeat(hyper),
+        done = zip(jobs, fit_map(fit_points, [points for points, _ in jobs], repeat(hyper),
                                  repeat(mcmc), [fit_seed for _, fit_seed in jobs]))
         fits = {}
         for fields, points, truth in cases:
@@ -701,9 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="iWMM sub-clustering of a filtered wafer")
     p.add_argument("input")
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--iters", type=int, default=McmcConfig.iters)
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
+    p.add_argument("--alpha", type=float, default=GwHyper.alpha)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
@@ -730,9 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="AC separation cost for scratch-family wafers")
     p.add_argument("--m-list", dest="m_list", default="5,10")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--iters", type=int, default=300)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=150)
-    p.add_argument("--alpha", type=float, default=0.3)
+    p.add_argument("--iters", type=int, default=McmcConfig.iters)
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
+    p.add_argument("--alpha", type=float, default=GwHyper.alpha)
     p.add_argument("--truth", dest="truth_source", choices=TRUTH_SOURCES,
                    default="reconstruction")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",

@@ -53,11 +53,12 @@ class PointSet:
 @dataclass(frozen=True)
 class KernelParams:
     """Squared-exponential kernel: signal_variance * exp(-|dz|^2 / (2 l^2)),
-    plus `jitter` on the diagonal."""
+    plus `jitter` on the diagonal.  By default a noisy GP (jitter 0.01),
+    which lets the warp deform enough to contract curved patterns."""
 
     signal_variance: float = 1.0
-    length_scale: float = 1.0
-    jitter: float = 1e-6
+    length_scale: float = 1.5
+    jitter: float = 0.01
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.signal_variance, self.length_scale, self.jitter))):
@@ -71,13 +72,15 @@ class KernelParams:
 @dataclass(frozen=True, eq=False)
 class GwHyper:
     """Gaussian-Wishart prior (mean m, relative precision p, scale R,
-    degrees of freedom r) plus the DP concentration alpha."""
+    degrees of freedom r) plus the DP concentration alpha.  The default
+    scale R = 2 I is a wide cluster-scale prior, which discourages
+    fragmenting arcs."""
 
     m: np.ndarray = field(default_factory=lambda: np.zeros(2))
     p: float = 1.0
-    R: np.ndarray = field(default_factory=lambda: np.eye(2))
+    R: np.ndarray = field(default_factory=lambda: 2.0 * np.eye(2))
     r: float = 3.0
-    alpha: float = 1.0
+    alpha: float = 0.3
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float).reshape(2)
@@ -102,29 +105,32 @@ class GwHyper:
 # HMC step size at the first iteration; burn-in adapts it from there.
 INITIAL_STEP_SIZE = 0.01
 
+# Most iterations that move only the warp before assignments are resampled.
+WARP_WARMUP = 40
+
 
 @dataclass(frozen=True)
 class McmcConfig:
     """MCMC schedule.  The HMC step size starts at INITIAL_STEP_SIZE and
     is tuned multiplicatively during burn-in (up on accept, down on
-    reject), then frozen; adaptation is deterministic given the seed.
+    reject), then frozen; adaptation is deterministic given the seed."""
 
-    `gibbs_start` delays assignment resampling for that many initial
-    iterations so the warp can reshape the latent space around the
-    initial partition first; 0 keeps the plain alternating schedule."""
-
-    iters: int = 1000
-    burn_in: int = 500
-    leapfrog_steps: int = 10
-    gibbs_start: int = 0
+    iters: int = 300
+    burn_in: int = 150
+    leapfrog_steps: int = 5
 
     def __post_init__(self):
         if self.iters <= self.burn_in or self.burn_in < 0:
             raise ValueError("need iters > burn_in >= 0")
         if self.leapfrog_steps < 1:
             raise ValueError("need leapfrog_steps >= 1")
-        if not 0 <= self.gibbs_start < self.iters:
-            raise ValueError("need 0 <= gibbs_start < iters")
+
+    @property
+    def gibbs_start(self) -> int:
+        """Initial iterations without assignment resampling, so the warp
+        can reshape the latent space around the initial partition first:
+        WARP_WARMUP, or half the burn-in when that is fewer."""
+        return min(WARP_WARMUP, self.burn_in // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,17 +585,14 @@ def iwmm_fit(
     k0: KernelParams = KernelParams(),
     mcmc: McmcConfig = McmcConfig(),
     seed: int = 0,
-    init: str = "single",
 ) -> IwmmResult:
     """Fit the warped mixture by alternating Gibbs sweeps and HMC moves.
 
-    Deterministic given `seed`.  The reported assignments come from the
-    kept iteration (after burn-in) with the highest joint log density
-    p(S|Z) p(Z|A) p(A).
-
-    init: "single" starts all points in one cluster; "components" starts
-    from Chebyshev-adjacency connected components (natural for grid point
-    sets coming out of a spatial filter).
+    Deterministic given `seed`.  The assignments start from the
+    Chebyshev-adjacency connected components of the points (natural for
+    grid point sets coming out of a spatial filter).  The reported
+    assignments come from the kept iteration (after burn-in) with the
+    highest joint log density p(S|Z) p(Z|A) p(A).
     """
     coords = S.coords
 
@@ -598,13 +601,7 @@ def iwmm_fit(
     sd = np.where(sd == 0, 1.0, sd)
     Sstd = (coords - mu) / sd
 
-    if init == "components":
-        A0 = _component_init(coords)
-    elif init == "single":
-        A0 = np.ones(S.n, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    state = LatentState(Sstd.copy(), A0, k0)
+    state = LatentState(Sstd.copy(), _component_init(coords), k0)
     rng = np.random.default_rng(seed)
 
     trace = []

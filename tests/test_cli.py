@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -23,6 +24,7 @@ from waferspr.cli import (
     run_comparison,
     truth_lookup_from_reconstruction,
 )
+from waferspr.errors import ParseError
 from waferspr.render import PALETTE, cluster_color, render_svg
 from waferspr.synthgen import FAMILIES, twelve_wafer_corpus
 from waferspr.wafer import parse_wafer
@@ -288,6 +290,7 @@ MALFORMED_ASSIGNMENTS = {
     "not_json": "assignments: 0,0",
     "not_utf8": b"\xff\xfe{",
     "utf16": '{"assignments": {"0,1": 1}}'.encode("utf-16"),
+    "repeated_chip": '{"assignments": {"1,1": 1, "01,1": 2, "0,1": 1}}',
 }
 
 
@@ -318,6 +321,12 @@ def test_malformed_assignments_exit_2(tmp_path, capsys, role, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert not out.exists()
+
+
+def test_assignments_naming_one_chip_twice_name_both_keys():
+    doc = json.loads(MALFORMED_ASSIGNMENTS["repeated_chip"])
+    with pytest.raises(ParseError, match=r"a\.json: keys '1,1' and '01,1' name one chip"):
+        cli._assignments_of(doc, "a.json")
 
 
 MALFORMED_SIDECARS = {
@@ -560,14 +569,19 @@ def test_generate_format_csv_writes_wafer_csv(tmp_path):
                           parse_wafer((tmp_path / "ascii" / "wafer.txt").read_bytes()).grid())
 
 
+def _load_script(name):
+    """The module of scripts/<name>.py."""
+    spec = importlib.util.spec_from_file_location(
+        f"{name}_script", Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_comparison_script_sidecars_match_generate(tmp_path, monkeypatch):
     """scripts/run_comparison.py writes each corpus wafer's truth.json
     with the bytes `waferspr generate` writes for its family and seed."""
-    spec = importlib.util.spec_from_file_location(
-        "run_comparison_script",
-        Path(__file__).resolve().parents[1] / "scripts" / "run_comparison.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("run_comparison")
     # the sidecars are written before the comparison runs, which is skipped
     monkeypatch.setattr(script, "run_comparison", lambda *args, **kwargs: [])
     monkeypatch.setattr(script, "write_comparison", lambda *args: None)
@@ -578,6 +592,18 @@ def test_comparison_script_sidecars_match_generate(tmp_path, monkeypatch):
                        "--out", gen) == 0
         sidecar = tmp_path / "cmp" / "wafers" / f"w{idx:02d}" / "truth.json"
         assert sidecar.read_bytes() == (gen / "truth.json").read_bytes()
+
+
+def test_demo_pipeline_script_writes_its_files(tmp_path):
+    _load_script("demo_pipeline").main(["--iters", "6", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert sorted(summary) == ["ac", "cpf5"]
+    assert (tmp_path / "raw.svg").exists()
+    for name, result in summary.items():
+        assert (tmp_path / f"filtered_{name}.svg").exists()
+        assert result["kept"] > 0
+        assert result["k_hat"] >= 1
+        assert (tmp_path / f"clusters_{name}.svg").exists()
 
 
 def test_generate_reproducible(tmp_path):
@@ -855,8 +881,8 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
         calls.append((points, seed))
         return original(points, hyper, mcmc, seed)
 
-    original = cli.pipeline_fit
-    monkeypatch.setattr(cli, "pipeline_fit", counting_fit)
+    original = cli.fit_points
+    monkeypatch.setattr(cli, "fit_points", counting_fit)
     out = tmp_path / "cmp"
     assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1,2", "--seeds", "2",
                    "--iters", "12", "--burn-in", "4", "--out", out) == 0
@@ -865,6 +891,33 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     # both wafers: 12 requests, 6 distinct (points, seed) pairs.
     assert counters == {"fit_requests": 12, "fits_run": 6}
     assert len(calls) == len(set(calls)) == counters["fits_run"]
+
+
+def test_cluster_refits_a_compare_row(tmp_path):
+    """`filter` at the defaults, then `cluster` with compare's schedule
+    and a fit seed, scored by `evaluate --wafer`, gives compare's AC row."""
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--family", "two_zone", "--rows", "20", "--cols", "20",
+                   "--seed", "3", "--out", gen) == 0
+    wafer = gen / "wafer.txt"
+    schedule = ("--iters", "6", "--burn-in", "2")
+    assert run_cli("compare", wafer, "--m-list", "5", "--seeds", "2", *schedule,
+                   "--out", tmp_path / "cmp") == 0
+    with open(tmp_path / "cmp" / "comparison.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["method"] == "ac"]
+    assert [row["fit_seed"] for row in rows] == ["0", "1"]
+    assert run_cli("filter", wafer, "--out", tmp_path / "filtered") == 0
+    for row in rows:
+        fit, ev = tmp_path / f"cluster{row['fit_seed']}", tmp_path / f"eval{row['fit_seed']}"
+        assert run_cli("cluster", tmp_path / "filtered" / "filtered.txt", *schedule,
+                       "--seed", row["fit_seed"], "--out", fit) == 0
+        assert run_cli("evaluate", "--pred", fit / "assignments.json", "--wafer", wafer,
+                       "--out", ev) == 0
+        report = json.loads((ev / "report.json").read_text())
+        assert json.loads((fit / "assignments.json").read_text())["k_hat"] == int(row["k_hat"])
+        assert report["n_points"] == int(row["n_points"]) > 0
+        for score in cli.SCORES:
+            assert report[score] == (float(row[score]) if row[score] else None), score
 
 
 def test_compare_bad_schedule_fails_before_any_work(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from oracles import (
     student_t_predictive_log,
 )
 from waferspr import iwmm
-from waferspr.cli import PIPELINE_KERNEL
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
     GwHyper,
@@ -130,7 +129,8 @@ def test_shape_mismatch_rejected():
 # 64 is the largest block the triangular inverse hands to dtrtri: these
 # sizes reach one leaf, one even and one odd split, and deeper recursion.
 FIT_SIZES = [1, 2, 63, 64, 65, 129, 200, 401]
-KERNELS = {"pipeline": PIPELINE_KERNEL, "default": KernelParams(),
+# "default" keeps an ill-conditioned kernel under test: l = 1, jitter 1e-6.
+KERNELS = {"pipeline": KernelParams(), "default": KernelParams(1.0, 1.0, 1e-6),
            "short": KernelParams(1.3, 0.8, 1e-3)}
 
 
@@ -155,7 +155,7 @@ def test_likelihood_matches_dense_oracle_at_fit_sizes(n, kernel):
     assert gplvm_log_likelihood(S, Z, kern) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
-# The default kernel's covariance of fit-like points has a condition
+# The "default" kernel's covariance of fit-like points has a condition
 # number near 1e7, which leaves central differences too few digits.
 @pytest.mark.parametrize("kernel", ["pipeline", "short"])
 @pytest.mark.parametrize("n", FIT_SIZES)
