@@ -15,22 +15,22 @@ import sys
 import time
 from pathlib import Path
 
-from waferspr.cli import dump_json, run_comparison, truth_document, write_comparison
+from waferspr.cli import COMPARE_SEEDS, dump_json, run_comparison, truth_document, write_comparison
 from waferspr.iwmm import McmcConfig
 from waferspr.render import render_svg
-from waferspr.synthgen import twelve_wafer_corpus
+from waferspr.synthgen import CORPUS_BASE_SEED, CORPUS_NOISE, CORPUS_SIDE, twelve_wafer_corpus
 from waferspr.wafer import write_wafer
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/comparison")
-    parser.add_argument("--rows", type=int, default=38)
-    parser.add_argument("--noise", type=float, default=0.05)
-    parser.add_argument("--seeds", type=int, default=3)
+    parser.add_argument("--rows", type=int, default=CORPUS_SIDE)
+    parser.add_argument("--noise", type=float, default=CORPUS_NOISE)
+    parser.add_argument("--seeds", type=int, default=COMPARE_SEEDS)
     parser.add_argument("--iters", type=int, default=McmcConfig.iters)
     parser.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
-    parser.add_argument("--base-seed", dest="base_seed", type=int, default=100)
+    parser.add_argument("--base-seed", dest="base_seed", type=int, default=CORPUS_BASE_SEED)
     args = parser.parse_args(argv)
 
     out = Path(args.out)

@@ -51,6 +51,11 @@ COMPARISON_COLUMNS = (
 
 IMPROVEMENT_COLUMNS = ("wafer", "family", "metric", "m", "improvement_pct")
 
+# compare's defaults: the CPF M thresholds it runs, and the fits per
+# filtered point set, seeded 0, 1, ...
+COMPARE_M_LIST = (5, 10)
+COMPARE_SEEDS = 3
+
 # Where compare's external truth comes from (see `run_comparison`).
 TRUTH_SOURCES = ("reconstruction", "sidecar")
 
@@ -294,6 +299,10 @@ def cmd_cluster(args) -> int:
         {"iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha},
         seed=args.seed,
     )
+    # Wall-clock seconds vary from run to run, so they stay out of the
+    # seeded files above.
+    _write(outdir / "timings.json",
+           dump_json({f"{stage}_s": s for stage, s in res.wall_seconds.items()}))
     return 0
 
 
@@ -491,9 +500,9 @@ def _fit_map(workers):
         pool.shutdown(cancel_futures=True)
 
 
-def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10), seeds=3,
-                   iters=McmcConfig.iters, burn_in=McmcConfig.burn_in, alpha=GwHyper.alpha,
-                   nmi_normalizer="paper",
+def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LIST,
+                   seeds=COMPARE_SEEDS, iters=McmcConfig.iters, burn_in=McmcConfig.burn_in,
+                   alpha=GwHyper.alpha, nmi_normalizer="paper",
                    truth_source="reconstruction", progress=None, counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
 
@@ -702,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", default="0.5")
     p.add_argument("--u-scratch", dest="u_scratch", default="0.4",
                    help="AC separation cost for scratch-family wafers")
-    p.add_argument("--m-list", dest="m_list", default="5,10")
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--m-list", dest="m_list", default=",".join(map(str, COMPARE_M_LIST)))
+    p.add_argument("--seeds", type=int, default=COMPARE_SEEDS)
     p.add_argument("--iters", type=int, default=McmcConfig.iters)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
     p.add_argument("--alpha", type=float, default=GwHyper.alpha)

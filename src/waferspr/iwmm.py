@@ -14,7 +14,9 @@ across wafer sizes; assignments are unaffected by this affine change.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +140,10 @@ class IwmmResult:
     """A fit's kept state and its deterministic counters:
     `jitter_escalations` counts the times the covariance Cholesky needed
     more jitter, `hmc_numerical_rejections` the HMC proposals rejected
-    because their energy could not be computed (see hmc_latent_step)."""
+    because their energy could not be computed (see hmc_latent_step).
+    `wall_seconds`, the one field that is not deterministic, holds the
+    wall-clock seconds of the Gibbs sweeps ("gibbs"), the HMC
+    transitions ("hmc") and the whole fit ("fit")."""
 
     assignments: tuple
     k_hat: int
@@ -147,6 +152,7 @@ class IwmmResult:
     hmc_acceptance_rate: float
     jitter_escalations: int
     hmc_numerical_rejections: int
+    wall_seconds: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------
@@ -295,85 +301,91 @@ def crp_log_prior(A, alpha: float) -> float:
     _, counts = np.unique(A, return_counts=True)
     out = len(counts) * math.log(alpha)
     out += float(sum(math.lgamma(int(c)) for c in counts))
-    out -= float(sum(math.log(alpha + i) for i in range(n)))
+    out -= _crp_normalizer(n, alpha)
     return out
 
 
-def _gw_posterior(n_k, sum_z, szz, h: GwHyper):
-    """Gaussian-Wishart posterior (p_k, r_k, m_k, R_k) of a cluster with n_k
-    points, coordinate sum sum_z and scatter sum szz = sum z z^T."""
-    p_k = h.p + n_k
-    r_k = h.r + n_k
-    m_k = (h.p * h.m + sum_z) / p_k
-    R_k = h.R + szz + h.p * np.outer(h.m, h.m) - p_k * np.outer(m_k, m_k)
-    return p_k, r_k, m_k, R_k
+@functools.lru_cache(maxsize=64)
+def _crp_normalizer(n: int, alpha: float) -> float:
+    """sum_i log(alpha + i) over i < n, which a fit's every iteration shares."""
+    return float(sum(math.log(alpha + i) for i in range(n)))
 
 
-def _cluster_term(n_k, posterior, h: GwHyper) -> float:
-    """Log Gaussian-Wishart marginal of one cluster's latent coordinates,
-    from the cluster's _gw_posterior."""
-    p_k, r_k, _, Rk = posterior
-    det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
-    detR = h.R[0, 0] * h.R[1, 1] - h.R[0, 1] * h.R[1, 0]
+def _prior_scalars(h: GwHyper):
+    """h as Python floats, with the parts of each cluster's log marginal
+    that only the prior sets: (p, r, m, R row-major, log p,
+    r/2 log det R, lgamma(r/2), lgamma((r - 1)/2))."""
+    (m0x, m0y), (R00, R01), (R10, R11) = h.m.tolist(), *h.R.tolist()
+    detR = R00 * R11 - R01 * R10
+    return (h.p, h.r, m0x, m0y, R00, R01, R10, R11, math.log(h.p),
+            0.5 * h.r * math.log(detR),
+            *(math.lgamma(0.5 * (h.r + 1 - j)) for j in (1, 2)))
+
+
+def _cluster_posterior(n_k, sx, sy, s00, s01, s10, s11, prior):
+    """One cluster's log Gaussian-Wishart marginal and posterior
+    (term, r_k, m_k, R_k row-major, det R_k), from its point count, its
+    coordinate sums and its scatter sums sum z z^T, in Python floats.
+
+    Each entry is formed in the order and association numpy's elementwise
+    R + S + p m m^T - p_k m_k m_k^T takes, and the two off-diagonal
+    entries are kept apart, so the term is the same float whether the
+    sums come from numpy reductions or from the Gibbs running sums.
+    """
+    p, r, m0x, m0y, R00, R01, R10, R11, log_p, prior_logdet, lg1, lg2 = prior
+    p_k = p + n_k
+    r_k = r + n_k
+    mx = (p * m0x + sx) / p_k
+    my = (p * m0y + sy) / p_k
+    a = R00 + s00 + p * (m0x * m0x) - p_k * (mx * mx)
+    b = R01 + s01 + p * (m0x * m0y) - p_k * (mx * my)
+    c = R10 + s10 + p * (m0y * m0x) - p_k * (my * mx)
+    d = R11 + s11 + p * (m0y * m0y) - p_k * (my * my)
+    det = a * d - b * c
     if det <= 0:
         raise NumericalError("posterior scale matrix is not positive definite")
     out = -n_k * _LOG_PI
-    out += math.log(h.p) - math.log(p_k)
-    out += 0.5 * h.r * math.log(detR) - 0.5 * r_k * math.log(det)
-    for j in (1, 2):
-        out += math.lgamma(0.5 * (r_k + 1 - j)) - math.lgamma(0.5 * (h.r + 1 - j))
-    return out
+    out += log_p - math.log(p_k)
+    out += prior_logdet - 0.5 * r_k * math.log(det)
+    for j, prior_lgamma in ((1, lg1), (2, lg2)):
+        out += math.lgamma(0.5 * (r_k + 1 - j)) - prior_lgamma
+    return out, r_k, mx, my, a, b, c, d, det
 
 
 def latent_marginal_log(Z, A, h: GwHyper) -> float:
     """log p(Z | A, R, m, r, p): product over clusters of the marginal
     obtained by integrating out each cluster's Gaussian parameters."""
-    return _marginal_and_grad(Z, A, h)[0]
-
-
-def _marginal_and_grad(Z, A, h: GwHyper):
-    """latent_marginal_log and its gradient w.r.t. Z.
-
-    d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
-    """
     Z = np.asarray(Z, dtype=float)
     A = np.asarray(A)
     if Z.shape[0] != A.shape[0]:
         raise ValueError("Z and A lengths differ")
+    return _marginal_and_grad(Z, _cluster_members(A), h)[0]
+
+
+def _cluster_members(A):
+    """The point indices of each cluster of the assignments A, in label
+    order."""
+    return [np.flatnonzero(A == label) for label in np.unique(A)]
+
+
+def _marginal_and_grad(Z, members, h: GwHyper):
+    """latent_marginal_log and its gradient w.r.t. Z, for the clusters
+    whose point indices are `members` (see _cluster_members).
+
+    d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
+    """
+    prior = _prior_scalars(h)
     total = 0.0
     grad = np.zeros_like(Z)
-    for label in np.unique(A):
-        mask = A == label
-        Zk = Z[mask]
-        n_k = Zk.shape[0]
-        posterior = _gw_posterior(n_k, Zk.sum(axis=0), Zk.T @ Zk, h)
-        total += _cluster_term(n_k, posterior, h)
-        _, r_k, m_k, Rk = posterior
-        det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
-        Rk_inv = np.array([[Rk[1, 1], -Rk[0, 1]], [-Rk[1, 0], Rk[0, 0]]]) / det
-        grad[mask] = -r_k * (Z[mask] - m_k) @ Rk_inv.T
+    for idx in members:
+        Zk = Z.take(idx, axis=0)
+        (sx, sy), ((s00, s01), (s10, s11)) = Zk.sum(axis=0).tolist(), (Zk.T @ Zk).tolist()
+        term, r_k, mx, my, a, b, c, d, det = _cluster_posterior(
+            idx.shape[0], sx, sy, s00, s01, s10, s11, prior)
+        total += term
+        Rk_inv = np.array([[d / det, -b / det], [-c / det, a / det]])
+        grad[idx] = -r_k * (Zk - np.array([mx, my])) @ Rk_inv.T
     return total, grad
-
-
-def _t2_logpdf(zx, zy, mx, my, p_post, r_post, ra, rb, rd):
-    """2-D multivariate Student-t from Gaussian-Wishart (prior or posterior)
-    parameters: df = r_post - 1, location m, scale R (p_post+1)/(p_post df)."""
-    nu = r_post - 1.0
-    det = ra * rd - rb * rb
-    if det <= 0 or nu <= 0:
-        raise NumericalError("invalid Student-t parameters")
-    factor = (p_post + 1.0) / (p_post * nu)
-    dx = zx - mx
-    dy = zy - my
-    quad = (rd * dx * dx - 2.0 * rb * dx * dy + ra * dy * dy) / det / factor
-    return (
-        math.lgamma(0.5 * (nu + 2.0))
-        - math.lgamma(0.5 * nu)
-        - math.log(nu)
-        - _LOG_PI
-        - 0.5 * (math.log(det) + 2.0 * math.log(factor))
-        - 0.5 * (nu + 2.0) * math.log1p(quad / nu)
-    )
 
 
 # ---------------------------------------------------------------------
@@ -437,91 +449,147 @@ class LatentState:
             ])
         self._sums = sums
 
-    def remove_point(self, i):
-        k = int(self.A[i])
-        if k == 0:
-            raise InternalError("point already removed")
-        zx = float(self.Z[i, 0])
-        zy = float(self.Z[i, 1])
-        s = self._sums[k - 1]
+    def marginal_log(self, h: GwHyper) -> float:
+        """latent_marginal_log of the current state, from the cluster sums."""
+        prior = _prior_scalars(h)
+        total = 0.0
+        for n, sx, sy, sxx, sxy, syy in self._sums:
+            total += _cluster_posterior(n, sx, sy, sxx, sxy, sxy, syy, prior)[0]
+        return total
+
+
+def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
+    """Resample the assignment of each point of `points` (all of them by
+    default), in order, from its collapsed conditional.
+
+    Weights: n_k^{-i} * t-predictive(z_i | cluster k) for existing
+    clusters, alpha * t-predictive(z_i | prior) for a new one.  The
+    t-predictive of Gaussian-Wishart parameters (p, r, m, R) has
+    nu = r - 1 degrees of freedom, location m and scale
+    R (p + 1) / (p nu).
+
+    The sweep draws its uniforms in one call, which yields the same
+    stream as one draw per point, and works on Python lists and floats.
+    It keeps each cluster's point-independent terms and recomputes them
+    only when a point leaves or joins the cluster; the terms that depend
+    only on a cluster's size are kept per size.
+    """
+    Z = state.Z.tolist()
+    A = state.A.tolist()
+    sums = state._sums
+    if points is None:
+        points = range(len(A))
+    uniforms = rng.random(len(points)).tolist()
+    p0, r0 = h.p, h.r
+    (m0x, m0y), (R00, R01, _, R11) = h.m.tolist(), h.R.ravel().tolist()
+    pm0x, pm0y = p0 * m0x, p0 * m0y
+    c00, c01, c11 = pm0x * m0x, pm0x * m0y, pm0y * m0y
+    log, log1p, exp = math.log, math.log1p, math.exp
+    by_size = {}
+
+    def size_terms(n, log_weight):
+        """The terms of a cluster of n points that depend on n alone: its
+        log weight, p_k, nu, factor, (nu + 2)/2, lgamma((nu + 2)/2)
+        - lgamma(nu/2) - log nu - log pi, and 2 log factor."""
+        p_k = p0 + n
+        nu = r0 + n - 1.0
+        if nu <= 0:
+            raise NumericalError("invalid Student-t parameters")
+        factor = (p_k + 1.0) / (p_k * nu)
+        lead = math.lgamma(0.5 * (nu + 2.0)) - math.lgamma(0.5 * nu) - log(nu) - _LOG_PI
+        return log_weight, p_k, nu, factor, 0.5 * (nu + 2.0), lead, 2.0 * log(factor)
+
+    def predictive(terms, mx, my, ra, rb, rd):
+        """A cluster's point-independent terms, in the order its log
+        density reads them: log weight, m, the quadratic form's
+        coefficients and its divisors det R and factor, nu, (nu + 2)/2
+        and the constant lead - (log det R + 2 log factor)/2."""
+        log_weight, _, nu, factor, half, lead, two_log_factor = terms
+        det = ra * rd - rb * rb
+        if det <= 0:
+            raise NumericalError("invalid Student-t parameters")
+        return (log_weight, mx, my, rd, 2.0 * rb, ra, det, factor, nu, half,
+                lead - 0.5 * (log(det) + two_log_factor))
+
+    def cluster_predictive(s):
+        # The posterior scale associates as R + S + (p0 m0) m0 - (p_k m_k) m_k
+        # here and as R + S + p0 (m0 m0) - p_k (m_k m_k) in
+        # _cluster_posterior: the two can differ in the last bit, and each
+        # order is kept so that seeded fits keep their bytes.
+        n, sx, sy, sxx, sxy, syy = s
+        terms = by_size.get(n)
+        if terms is None:
+            terms = by_size[n] = size_terms(n, log(n))
+        p_k = terms[1]
+        mx = (pm0x + sx) / p_k
+        my = (pm0y + sy) / p_k
+        return predictive(terms, mx, my,
+                          R00 + sxx + c00 - p_k * mx * mx,
+                          R01 + sxy + c01 - p_k * mx * my,
+                          R11 + syy + c11 - p_k * my * my)
+
+    # One entry per cluster, then the new cluster's; `stale` is the
+    # cluster the last point joined, whose entry is out of date.
+    preds = [cluster_predictive(s) for s in sums]
+    preds.append(predictive(size_terms(0, log(h.alpha)), m0x, m0y, R00, R01, R11))
+    stale = -1
+    for i, u in zip(points, uniforms):
+        zx, zy = Z[i]
+        k = A[i] - 1
+        s = sums[k]
         s[0] -= 1
         s[1] -= zx
         s[2] -= zy
         s[3] -= zx * zx
         s[4] -= zx * zy
         s[5] -= zy * zy
-        self.A[i] = 0
-        if s[0] == 0:
-            del self._sums[k - 1]
-            self.A[self.A > k] -= 1
-
-    def assign_point(self, i, k):
-        if not (1 <= k <= self.K + 1):
-            raise InternalError(f"assignment label {k} out of range")
-        if k == self.K + 1:
-            self._sums.append([0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        zx = float(self.Z[i, 0])
-        zy = float(self.Z[i, 1])
-        s = self._sums[k - 1]
+        if s[0]:
+            preds[k] = cluster_predictive(s)
+            if stale == k:
+                stale = -1
+        else:
+            del sums[k], preds[k]
+            A = [a - 1 if a > k + 1 else a for a in A]
+            if stale == k:
+                stale = -1
+            elif stale > k:
+                stale -= 1
+        if stale >= 0:
+            preds[stale] = cluster_predictive(sums[stale])
+        logs = []
+        for log_weight, mx, my, rd, rb2, ra, det, factor, nu, half, const in preds:
+            dx = zx - mx
+            dy = zy - my
+            quad = (rd * dx * dx - rb2 * dx * dy + ra * dy * dy) / det / factor
+            logs.append(log_weight + (const - half * log1p(quad / nu)))
+        top = max(logs)
+        weights = [exp(v - top) for v in logs]
+        u *= sum(weights)
+        acc = 0.0
+        for choice, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                break
+        if choice == len(sums):
+            sums.append([0, 0.0, 0.0, 0.0, 0.0, 0.0])
+            preds.insert(choice, None)
+        s = sums[choice]
         s[0] += 1
         s[1] += zx
         s[2] += zy
         s[3] += zx * zx
         s[4] += zx * zy
         s[5] += zy * zy
-        self.A[i] = k
-
-    def marginal_log(self, h: GwHyper) -> float:
-        """latent_marginal_log of the current state, from the cluster sums."""
-        total = 0.0
-        for n, sx, sy, sxx, sxy, syy in self._sums:
-            szz = np.array([[sxx, sxy], [sxy, syy]])
-            total += _cluster_term(n, _gw_posterior(n, np.array([sx, sy]), szz, h), h)
-        return total
+        A[i] = choice + 1
+        stale = choice
+    state.A[:] = A
 
 
 def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
-    """Resample assignment a_i from its collapsed conditional.
-
-    Weights: n_k^{-i} * t-predictive(z_i | cluster k) for existing
-    clusters, alpha * t-predictive(z_i | prior) for a new one.
-    """
-    state.remove_point(i)
-    zx = float(state.Z[i, 0])
-    zy = float(state.Z[i, 1])
-    p0, r0 = h.p, h.r
-    m0x, m0y = float(h.m[0]), float(h.m[1])
-    R00, R01, R11 = float(h.R[0, 0]), float(h.R[0, 1]), float(h.R[1, 1])
-    logs = []
-    for k in range(1, state.K + 1):
-        # _gw_posterior in scalars: this runs once per point and cluster in
-        # every sweep, where numpy's per-call overhead would dominate.
-        n, sx, sy, sxx, sxy, syy = state._sums[k - 1]
-        p_k = p0 + n
-        r_k = r0 + n
-        mkx = (p0 * m0x + sx) / p_k
-        mky = (p0 * m0y + sy) / p_k
-        ra = R00 + sxx + p0 * m0x * m0x - p_k * mkx * mkx
-        rb = R01 + sxy + p0 * m0x * m0y - p_k * mkx * mky
-        rd = R11 + syy + p0 * m0y * m0y - p_k * mky * mky
-        logs.append(math.log(n) + _t2_logpdf(zx, zy, mkx, mky, p_k, r_k, ra, rb, rd))
-    logs.append(
-        math.log(h.alpha) + _t2_logpdf(zx, zy, m0x, m0y, p0, r0, R00, R01, R11)
-    )
-    mx = max(logs)
-    weights = [math.exp(v - mx) for v in logs]
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    choice = len(weights) - 1
-    for idx, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            choice = idx
-            break
-    k_new = choice + 1
-    state.assign_point(i, k_new)
-    return k_new
+    """Resample assignment a_i from its collapsed conditional: gibbs_sweep
+    over the one point.  Returns a_i's new label."""
+    gibbs_sweep(state, h, rng, (i,))
+    return int(state.A[i])
 
 
 def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_steps: int,
@@ -533,9 +601,10 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
     is rejected and counted in the state's `hmc_numerical_rejections`."""
     momentum = rng.standard_normal(state.Z.shape)
     u = rng.random()
+    members = _cluster_members(state.A)  # A is fixed along the trajectory
     try:
         ll0, gll0 = state.gplvm_ll_grad(S)
-        marg0, gmarg0 = _marginal_and_grad(state.Z, state.A, h)
+        marg0, gmarg0 = _marginal_and_grad(state.Z, members, h)
         U0 = -(ll0 + marg0)
         g0 = -(gll0 + gmarg0)
         Z = state.Z.copy()
@@ -543,7 +612,7 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
         for step in range(leapfrog_steps):
             Z = Z + eps * p
             ll1, gll1 = _gplvm_ll_and_grad(S, Z, state.kernel, state._gplvm_work)
-            marg1, gmarg1 = _marginal_and_grad(Z, state.A, h)
+            marg1, gmarg1 = _marginal_and_grad(Z, members, h)
             U1 = -(ll1 + marg1)
             g1 = -(gll1 + gmarg1)
             if step < leapfrog_steps - 1:
@@ -594,6 +663,7 @@ def iwmm_fit(
     assignments come from the kept iteration (after burn-in) with the
     highest joint log density p(S|Z) p(Z|A) p(A).
     """
+    start = time.perf_counter()
     coords = S.coords
 
     mu = coords.mean(axis=0)
@@ -610,11 +680,15 @@ def iwmm_fit(
     best_Z = state.Z.copy()
     accepted = 0
     step_size = INITIAL_STEP_SIZE
+    gibbs_s = hmc_s = 0.0
     for it in range(1, mcmc.iters + 1):
+        t0 = time.perf_counter()
         if it > mcmc.gibbs_start:
-            for i in range(S.n):
-                gibbs_assignment_step(state, i, h, rng)
+            gibbs_sweep(state, h, rng)
+        t1 = time.perf_counter()
         ok = hmc_latent_step(state, Sstd, h, step_size, mcmc.leapfrog_steps, rng)
+        gibbs_s += t1 - t0
+        hmc_s += time.perf_counter() - t1
         if ok:
             accepted += 1
         if it <= mcmc.burn_in:
@@ -639,4 +713,5 @@ def iwmm_fit(
         hmc_acceptance_rate=accepted / mcmc.iters,
         jitter_escalations=state.jitter_escalations,
         hmc_numerical_rejections=state.hmc_numerical_rejections,
+        wall_seconds={"gibbs": gibbs_s, "hmc": hmc_s, "fit": time.perf_counter() - start},
     )

@@ -228,7 +228,15 @@ TWELVE_WAFER_FAMILIES = (
 )
 
 
-def twelve_wafer_corpus(rows=38, cols=38, noise_rate=0.05, base_seed=100):
+# The twelve-wafer corpus's defaults: its wafers' side in rows and
+# columns, their noise rate, and the first wafer's seed (wafer i adds i).
+CORPUS_SIDE = 38
+CORPUS_NOISE = 0.05
+CORPUS_BASE_SEED = 100
+
+
+def twelve_wafer_corpus(rows=CORPUS_SIDE, cols=CORPUS_SIDE, noise_rate=CORPUS_NOISE,
+                        base_seed=CORPUS_BASE_SEED):
     """The synthetic stand-in for the paper-style twelve-wafer comparison."""
     out = []
     for idx, family in enumerate(TWELVE_WAFER_FAMILIES):

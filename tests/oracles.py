@@ -324,12 +324,10 @@ def student_t_predictive_log(z, n_k, sum_z, szz, h):
     """Posterior predictive density of one point given a cluster's stats;
     with n_k = 0 this is the prior predictive.  Equals the marginal ratio
     latent_marginal_log(Z + z) - latent_marginal_log(Z)."""
-    from waferspr.iwmm import _gw_posterior, _t2_logpdf
-
-    p_k, r_k, m_k, Rk = _gw_posterior(
+    p_k, r_k, m_k, Rk = gw_posterior(
         n_k, np.asarray(sum_z, dtype=float), np.asarray(szz, dtype=float), h
     )
-    return _t2_logpdf(
+    return t2_logpdf(
         float(z[0]), float(z[1]), float(m_k[0]), float(m_k[1]),
         p_k, r_k, float(Rk[0, 0]), float(Rk[0, 1]), float(Rk[1, 1]),
     )
@@ -337,11 +335,215 @@ def student_t_predictive_log(z, n_k, sum_z, szz, h):
 
 def potential_and_grad(S, Z, kernel, A, h):
     """HMC potential -(log p(S|Z) + log p(Z|A)) and its gradient in Z."""
-    from waferspr.iwmm import _gplvm_ll_and_grad, _marginal_and_grad
+    from waferspr.iwmm import _cluster_members, _gplvm_ll_and_grad, _marginal_and_grad
 
     ll, gll = _gplvm_ll_and_grad(S, Z, kernel)
-    marg, gmarg = _marginal_and_grad(Z, A, h)
+    marg, gmarg = _marginal_and_grad(Z, _cluster_members(np.asarray(A)), h)
     return -(ll + marg), -(gll + gmarg)
+
+
+# ---------------------------------------------------------------------
+# iwmm: the per-point Gibbs step and the numpy latent marginal, as the
+# program computed them before its sweep and its scalar cluster term;
+# the program must reproduce them bit for bit
+# ---------------------------------------------------------------------
+
+_LOG_PI = math.log(math.pi)
+
+
+def gw_posterior(n_k, sum_z, szz, h):
+    """Gaussian-Wishart posterior (p_k, r_k, m_k, R_k) of a cluster with n_k
+    points, coordinate sum sum_z and scatter sum szz = sum z z^T."""
+    p_k = h.p + n_k
+    r_k = h.r + n_k
+    m_k = (h.p * h.m + sum_z) / p_k
+    R_k = h.R + szz + h.p * np.outer(h.m, h.m) - p_k * np.outer(m_k, m_k)
+    return p_k, r_k, m_k, R_k
+
+
+def cluster_term(n_k, posterior, h):
+    """Log Gaussian-Wishart marginal of one cluster's latent coordinates,
+    from the cluster's gw_posterior."""
+    from waferspr.errors import NumericalError
+
+    p_k, r_k, _, Rk = posterior
+    det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
+    detR = h.R[0, 0] * h.R[1, 1] - h.R[0, 1] * h.R[1, 0]
+    if det <= 0:
+        raise NumericalError("posterior scale matrix is not positive definite")
+    out = -n_k * _LOG_PI
+    out += math.log(h.p) - math.log(p_k)
+    out += 0.5 * h.r * math.log(detR) - 0.5 * r_k * math.log(det)
+    for j in (1, 2):
+        out += math.lgamma(0.5 * (r_k + 1 - j)) - math.lgamma(0.5 * (h.r + 1 - j))
+    return out
+
+
+def marginal_and_grad(Z, A, h):
+    """latent_marginal_log and its gradient w.r.t. Z.
+
+    d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
+    """
+    Z = np.asarray(Z, dtype=float)
+    A = np.asarray(A)
+    if Z.shape[0] != A.shape[0]:
+        raise ValueError("Z and A lengths differ")
+    total = 0.0
+    grad = np.zeros_like(Z)
+    for label in np.unique(A):
+        mask = A == label
+        Zk = Z[mask]
+        n_k = Zk.shape[0]
+        posterior = gw_posterior(n_k, Zk.sum(axis=0), Zk.T @ Zk, h)
+        total += cluster_term(n_k, posterior, h)
+        _, r_k, m_k, Rk = posterior
+        det = Rk[0, 0] * Rk[1, 1] - Rk[0, 1] * Rk[1, 0]
+        Rk_inv = np.array([[Rk[1, 1], -Rk[0, 1]], [-Rk[1, 0], Rk[0, 0]]]) / det
+        grad[mask] = -r_k * (Z[mask] - m_k) @ Rk_inv.T
+    return total, grad
+
+
+def marginal_log_from_sums(sums, h):
+    """LatentState.marginal_log: latent_marginal_log from the running
+    cluster sums, whose scatter has one cross term."""
+    total = 0.0
+    for n, sx, sy, sxx, sxy, syy in sums:
+        szz = np.array([[sxx, sxy], [sxy, syy]])
+        total += cluster_term(n, gw_posterior(n, np.array([sx, sy]), szz, h), h)
+    return total
+
+
+def t2_logpdf(zx, zy, mx, my, p_post, r_post, ra, rb, rd):
+    """2-D multivariate Student-t from Gaussian-Wishart (prior or posterior)
+    parameters: df = r_post - 1, location m, scale R (p_post+1)/(p_post df)."""
+    from waferspr.errors import NumericalError
+
+    nu = r_post - 1.0
+    det = ra * rd - rb * rb
+    if det <= 0 or nu <= 0:
+        raise NumericalError("invalid Student-t parameters")
+    factor = (p_post + 1.0) / (p_post * nu)
+    dx = zx - mx
+    dy = zy - my
+    quad = (rd * dx * dx - 2.0 * rb * dx * dy + ra * dy * dy) / det / factor
+    return (
+        math.lgamma(0.5 * (nu + 2.0))
+        - math.lgamma(0.5 * nu)
+        - math.log(nu)
+        - _LOG_PI
+        - 0.5 * (math.log(det) + 2.0 * math.log(factor))
+        - 0.5 * (nu + 2.0) * math.log1p(quad / nu)
+    )
+
+
+def remove_point(state, i):
+    """Take point i out of its cluster's running sums, dropping the
+    cluster when it empties and relabelling the ones above it."""
+    k = int(state.A[i])
+    if k == 0:
+        raise AssertionError("point already removed")
+    zx = float(state.Z[i, 0])
+    zy = float(state.Z[i, 1])
+    s = state._sums[k - 1]
+    s[0] -= 1
+    s[1] -= zx
+    s[2] -= zy
+    s[3] -= zx * zx
+    s[4] -= zx * zy
+    s[5] -= zy * zy
+    state.A[i] = 0
+    if s[0] == 0:
+        del state._sums[k - 1]
+        state.A[state.A > k] -= 1
+
+
+def assign_point(state, i, k):
+    """Put point i into cluster k, a new one when k is K + 1."""
+    if not (1 <= k <= state.K + 1):
+        raise AssertionError(f"assignment label {k} out of range")
+    if k == state.K + 1:
+        state._sums.append([0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    zx = float(state.Z[i, 0])
+    zy = float(state.Z[i, 1])
+    s = state._sums[k - 1]
+    s[0] += 1
+    s[1] += zx
+    s[2] += zy
+    s[3] += zx * zx
+    s[4] += zx * zy
+    s[5] += zy * zy
+    state.A[i] = k
+
+
+def gibbs_conditional_logs(state, i, h):
+    """The log weights of a_i's collapsed conditional once point i is
+    removed: n_k^{-i} * t-predictive(z_i | cluster k) for existing
+    clusters, then alpha * t-predictive(z_i | prior) for a new one."""
+    zx = float(state.Z[i, 0])
+    zy = float(state.Z[i, 1])
+    p0, r0 = h.p, h.r
+    m0x, m0y = float(h.m[0]), float(h.m[1])
+    R00, R01, R11 = float(h.R[0, 0]), float(h.R[0, 1]), float(h.R[1, 1])
+    logs = []
+    for k in range(1, state.K + 1):
+        n, sx, sy, sxx, sxy, syy = state._sums[k - 1]
+        p_k = p0 + n
+        r_k = r0 + n
+        mkx = (p0 * m0x + sx) / p_k
+        mky = (p0 * m0y + sy) / p_k
+        ra = R00 + sxx + p0 * m0x * m0x - p_k * mkx * mkx
+        rb = R01 + sxy + p0 * m0x * m0y - p_k * mkx * mky
+        rd = R11 + syy + p0 * m0y * m0y - p_k * mky * mky
+        logs.append(math.log(n) + t2_logpdf(zx, zy, mkx, mky, p_k, r_k, ra, rb, rd))
+    logs.append(
+        math.log(h.alpha) + t2_logpdf(zx, zy, m0x, m0y, p0, r0, R00, R01, R11)
+    )
+    return logs
+
+
+def gibbs_choice(logs, uniform):
+    """The 0-based index that the uniform draw `uniform` picks from the
+    log weights `logs`."""
+    mx = max(logs)
+    weights = [math.exp(v - mx) for v in logs]
+    total = sum(weights)
+    u = uniform * total
+    acc = 0.0
+    choice = len(weights) - 1
+    for idx, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            choice = idx
+            break
+    return choice
+
+
+def gibbs_assignment_step(state, i, h, rng):
+    """Resample assignment a_i from its collapsed conditional."""
+    remove_point(state, i)
+    logs = gibbs_conditional_logs(state, i, h)
+    k_new = gibbs_choice(logs, rng.random()) + 1
+    assign_point(state, i, k_new)
+    return k_new
+
+
+def gibbs_boundary_uniform(logs, boundary):
+    """A uniform draw u with u * total landing exactly on the cumulative
+    weight of the first `boundary` + 1 entries of `logs`, as gibbs_choice
+    forms them, or None when no float near it does.  At such a draw a
+    change in the last bit of any weight can change the choice."""
+    mx = max(logs)
+    weights = [math.exp(v - mx) for v in logs]
+    total = sum(weights)
+    target = 0.0
+    for w in weights[:boundary + 1]:
+        target += w
+    u = target / total
+    for _ in range(8):
+        if u * total == target and 0.0 <= u < 1.0:
+            return u
+        u = float(np.nextafter(u, 2.0 if u * total < target else -1.0))
+    return None
 
 
 def window_count_reconstruction(wmap):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from waferspr import cli
+import oracles
+from waferspr import cli, iwmm
 from waferspr.cli import (
     COMPARISON_COLUMNS,
     build_parser,
@@ -254,6 +256,38 @@ def test_cluster_seeded_rerun_identical_bytes(tmp_path):
         ) == 0
     assert (a / "assignments.json").read_bytes() == (b / "assignments.json").read_bytes()
     assert (a / "latent.json").read_bytes() == (b / "latent.json").read_bytes()
+
+
+def test_cluster_timings_beside_the_bytes_of_the_per_point_oracles(tmp_path, monkeypatch):
+    """`cluster` writes its wall-clock seconds to timings.json, outside
+    the seeded files; those keep the bytes that the per-point Gibbs step
+    and the numpy latent marginal of tests/oracles.py give."""
+    assert run_cli("generate", "--family", "two_zone", "--rows", "20", "--cols", "20",
+                   "--seed", "4", "--out", tmp_path / "gen") == 0
+    wafer = tmp_path / "gen" / "wafer.txt"
+    run = ("cluster", wafer, "--iters", "30", "--burn-in", "10", "--seed", "3", "--out")
+    assert run_cli(*run, tmp_path / "fast") == 0
+    timings = json.loads((tmp_path / "fast" / "timings.json").read_text())
+    assert sorted(timings) == ["fit_s", "gibbs_s", "hmc_s"]
+    assert 0 < timings["gibbs_s"] + timings["hmc_s"] <= timings["fit_s"]
+
+    def per_point_sweep(state, h, rng):
+        for i in range(state.A.shape[0]):
+            oracles.gibbs_assignment_step(state, i, h, rng)
+
+    def numpy_marginal(Z, members, h):
+        A = np.zeros(Z.shape[0], dtype=np.int64)
+        for label, idx in enumerate(members, 1):
+            A[idx] = label
+        return oracles.marginal_and_grad(Z, A, h)
+
+    monkeypatch.setattr(iwmm, "gibbs_sweep", per_point_sweep)
+    monkeypatch.setattr(iwmm, "_marginal_and_grad", numpy_marginal)
+    monkeypatch.setattr(iwmm.LatentState, "marginal_log",
+                        lambda state, h: oracles.marginal_log_from_sums(state._sums, h))
+    assert run_cli(*run, tmp_path / "oracle") == 0
+    for name in ("assignments.json", "latent.json", "manifest.json"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
 
 
 def test_evaluate_coordinate_mismatch_exits_5(tmp_path):
@@ -592,6 +626,26 @@ def test_comparison_script_sidecars_match_generate(tmp_path, monkeypatch):
                        "--out", gen) == 0
         sidecar = tmp_path / "cmp" / "wafers" / f"w{idx:02d}" / "truth.json"
         assert sidecar.read_bytes() == (gen / "truth.json").read_bytes()
+
+
+def test_comparison_defaults_are_shared(tmp_path, monkeypatch):
+    """compare, run_comparison and scripts/run_comparison.py fit the same
+    number of seeds over the same M list, and the script's corpus is
+    twelve_wafer_corpus's default one."""
+    args = cli.build_parser().parse_args(["compare", "w.txt", "--out", "o"])
+    keywords = inspect.signature(run_comparison).parameters
+    assert args.seeds == keywords["seeds"].default
+    assert tuple(int(m) for m in args.m_list.split(",")) == keywords["m_list"].default
+    script = _load_script("run_comparison")
+    calls = {}
+    monkeypatch.setattr(script, "twelve_wafer_corpus", lambda *a: calls.update(corpus=a) or [])
+    monkeypatch.setattr(script, "run_comparison", lambda paths, **kw: calls.update(kw) or [])
+    monkeypatch.setattr(script, "write_comparison", lambda *args: None)
+    script.main(["--out", str(tmp_path / "cmp")])
+    assert calls["seeds"] == keywords["seeds"].default
+    assert "m_list" not in calls
+    corpus_defaults = inspect.signature(twelve_wafer_corpus).parameters.values()
+    assert calls["corpus"] == tuple(p.default for p in corpus_defaults)
 
 
 def test_demo_pipeline_script_writes_its_files(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import multivariate_t
 
+import oracles
 from oracles import (
     finite_difference_grad,
     gplvm_log_likelihood_dense,
@@ -23,13 +24,14 @@ from waferspr.iwmm import (
     PointSet,
     crp_log_prior,
     gibbs_assignment_step,
+    gibbs_sweep,
     gplvm_grad,
     gplvm_log_likelihood,
     hmc_latent_step,
     iwmm_fit,
     latent_marginal_log,
 )
-from waferspr.iwmm import _marginal_and_grad, _tri_inv_lower
+from waferspr.iwmm import _cluster_members, _marginal_and_grad, _tri_inv_lower
 from waferspr.validation import adjusted_rand_index
 
 RNG = np.random.default_rng(20240811)
@@ -289,9 +291,120 @@ def test_marginal_gradient_matches_finite_differences():
     h = GwHyper(m=np.array([0.1, -0.2]), p=1.3, R=np.array([[1.2, 0.1], [0.1, 0.8]]), r=4.0)
     Z = RNG.standard_normal((6, 2))
     A = np.array([1, 2, 1, 2, 1, 2])
-    _, grad = _marginal_and_grad(Z, A, h)
+    _, grad = _marginal_and_grad(Z, _cluster_members(A), h)
     numeric = finite_difference_grad(lambda Zp: latent_marginal_log(Zp, A, h), Z)
     assert np.abs(grad - numeric).max() < 1e-6
+
+
+def _random_prior(rng, alpha):
+    """A Gaussian-Wishart prior with every parameter drawn, so that the
+    association order of each product shows in the last bit, and with R
+    symmetric only to np.allclose, so R's two off-diagonal entries are
+    read apart."""
+    L = np.tril(rng.uniform(-1.0, 1.0, (2, 2))) + np.diag(rng.uniform(0.3, 1.5, 2))
+    R = L @ L.T
+    R[1, 0] *= 1.0 + 1e-12
+    return GwHyper(m=rng.uniform(-1.0, 1.0, 2), p=rng.uniform(0.2, 4.0), R=R,
+                   r=rng.uniform(1.5, 8.0), alpha=alpha)
+
+
+def _random_labels(rng, n, clusters, singletons):
+    """Labels 1..K of n points: `singletons` one-point clusters first, the
+    rest drawn from `clusters` labels."""
+    raw = rng.integers(0, clusters, size=n)
+    raw[:singletons] = clusters + np.arange(min(singletons, n))
+    return np.unique(raw, return_inverse=True)[1].astype(np.int64) + 1
+
+
+def _latent_case(seed, n, clusters, singletons, alpha, random_prior):
+    """(rng, Z, A, h) of a bit-identity case."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, 2)) * rng.uniform(0.1, 5.0) + rng.uniform(-3.0, 3.0)
+    A = _random_labels(rng, n, clusters, singletons)
+    h = _random_prior(rng, alpha) if random_prior else GwHyper(alpha=alpha)
+    return rng, Z, A, h
+
+
+LATENT_CASES = dict(
+    n=st.integers(1, 80),
+    clusters=st.integers(1, 6),
+    singletons=st.integers(0, 4),
+    alpha=st.sampled_from([1e-3, 0.3, 5.0]),
+    random_prior=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**LATENT_CASES)
+@settings(max_examples=60, deadline=None)
+def test_marginal_bit_identical_to_numpy_oracle(n, clusters, singletons, alpha, random_prior,
+                                               seed):
+    _, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
+    want, want_grad = oracles.marginal_and_grad(Z, A, h)
+    value, grad = _marginal_and_grad(Z, _cluster_members(A), h)
+    assert value == want
+    assert np.array_equal(grad, want_grad)
+    assert latent_marginal_log(Z, A, h) == want
+    state = _state(Z, A)
+    assert state.marginal_log(h) == oracles.marginal_log_from_sums(state._sums, h)
+
+
+@given(sweeps=st.integers(1, 3), **LATENT_CASES)
+@settings(max_examples=60, deadline=None)
+def test_gibbs_sweep_bit_identical_to_per_point_oracle(n, clusters, singletons, alpha,
+                                                       random_prior, seed, sweeps):
+    rng, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
+    state, oracle_state = _state(Z, A), _state(Z, A)
+    rng_state, rng_oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    def assert_same():
+        assert state.A.tolist() == oracle_state.A.tolist()
+        assert state._sums == oracle_state._sums
+        assert rng_state.bit_generator.state == rng_oracle.bit_generator.state
+
+    for _ in range(sweeps):
+        gibbs_sweep(state, h, rng_state)
+        for i in range(n):
+            oracles.gibbs_assignment_step(oracle_state, i, h, rng_oracle)
+        assert_same()
+    # the one-point call, in any order and with repeats
+    for i in rng.integers(0, n, size=min(n, 10)).tolist():
+        got = gibbs_assignment_step(state, i, h, rng_state)
+        assert got == oracles.gibbs_assignment_step(oracle_state, i, h, rng_oracle)
+        assert_same()
+
+
+class _Uniforms:
+    """An rng whose `random(size)` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
+
+
+@given(**LATENT_CASES)
+@settings(max_examples=60, deadline=None)
+def test_gibbs_sweep_weights_bit_identical_at_decision_boundaries(n, clusters, singletons,
+                                                                 alpha, random_prior, seed):
+    # Each draw lands exactly on a boundary between two of the oracle's
+    # cumulative weights, so a weight that differs in its last bit can
+    # change the sweep's choice.
+    rng, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
+    state, oracle_state = _state(Z, A), _state(Z, A)
+    draws = []
+    for i in range(n):
+        oracles.remove_point(oracle_state, i)
+        logs = oracles.gibbs_conditional_logs(oracle_state, i, h)
+        boundary = int(rng.integers(0, len(logs)))
+        u = oracles.gibbs_boundary_uniform(logs, boundary)
+        draws.append(rng.random() if u is None else u)
+        oracles.assign_point(oracle_state, i, oracles.gibbs_choice(logs, draws[-1]) + 1)
+    gibbs_sweep(state, h, _Uniforms(draws))
+    assert state.A.tolist() == oracle_state.A.tolist()
+    assert state._sums == oracle_state._sums
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
