@@ -14,7 +14,8 @@ labeled 1 are the minimum-cut source side.
 All costs are exact rationals; capacities are scaled by the LCM of the
 denominators before solving, so optimality is exact rather than
 tolerance-based.  Costs whose scaled capacities exceed the solver's int32
-range raise ConfigError; they are never rounded.
+range, which bounds w_mag and 2u (a grid arc's largest residual), raise
+ConfigError; they are never rounded.
 """
 
 from __future__ import annotations
@@ -126,10 +127,12 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
     scale = lcm(cfg.u.denominator, cfg.w_mag.denominator)
     u_int = int(cfg.u * scale)
     w_int = int(cfg.w_mag * scale)
-    if max(u_int, w_int) > INT32_MAX:
+    # A grid edge's two arcs each carry u, so a residual reaches 2u.
+    if max(2 * u_int, w_int) > INT32_MAX:
         raise ConfigError(
             f"u={cfg.u} and w_mag={cfg.w_mag} scale to integer capacities "
-            f"{u_int} and {w_int}, beyond the exact solver's limit {INT32_MAX}"
+            f"{u_int} and {w_int}; 2u and w_mag must stay within the exact "
+            f"solver's limit {INT32_MAX}"
         )
 
     s, t = n, n + 1

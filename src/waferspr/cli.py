@@ -151,11 +151,14 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
 def _sidecar_of(doc: dict, path) -> dict:
     """`doc`, a truth.json sidecar (as `generate` writes it) read from
     `path`; ParseError naming the file unless its "regions" and "labels",
-    where present, are objects of integer labels."""
+    where present, are objects of integer labels and its "family", where
+    present, is a string."""
     for name in ("regions", "labels"):
         table = doc.get(name, {})
         if not isinstance(table, dict) or any(type(v) is not int for v in table.values()):
             raise ParseError(f'{path}: "{name}" is not an object of integer labels')
+    if not isinstance(doc.get("family", ""), str):
+        raise ParseError(f'{path}: "family" is not a string')
     return doc
 
 

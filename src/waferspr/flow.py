@@ -11,9 +11,12 @@ over positive residual capacity.  That set is the same for every maximum
 flow: it is the inclusion-minimal minimum-cut source set, so the cut does
 not depend on which maximum flow the solver finds.
 
-The solver computes in int32 and wraps silently on overflow.  So after
-parallel arcs are summed, any capacity above INT32_MAX raises ValueError;
-capacities are never rounded.
+The solver computes in int32 and wraps silently on overflow.  The
+residual capacity of an arc can reach its capacity plus that of its
+reverse arc, so a network is solved exactly only when every such pair
+sums to at most INT32_MAX; the builder checks that, and capacities are
+never rounded.  A flow the solver stops at with the sink still reachable
+is not maximal, and raises InternalError.
 """
 
 from __future__ import annotations
@@ -27,22 +30,6 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from .errors import InternalError
 
 INT32_MAX = 2**31 - 1
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def _arc_array(arcs) -> np.ndarray:
-    """Arcs as an (m, 3) int64 array; rejects floats and values that do
-    not fit int64."""
-    arr = np.asarray(arcs)
-    if arr.size == 0:
-        arr = np.empty((0, 3), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"arcs must be (from, to, capacity) triples, got shape {arr.shape}")
-    if arr.dtype.kind == "u" and arr.size and arr.max() > _INT64_MAX:
-        raise ValueError("arc values must fit in int64")
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"arc values must be integers within int64, got {arr.dtype}")
-    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,8 +40,8 @@ class FlowNetwork:
     no duplicates) with nonnegative entries, which stores (j, i) whenever
     it stores (i, j); a reverse arc without capacity is an explicit zero.
     The solver checks that last condition and raises InternalError when
-    it does not hold.  `FlowNetwork.from_arcs` builds a network from
-    (from, to, capacity) triples.
+    it does not hold.  The capacities of each arc and its reverse must
+    sum to at most INT32_MAX, the solver's limit on a residual capacity.
     """
 
     capacity: csr_array
@@ -76,38 +63,6 @@ class FlowNetwork:
             raise ValueError("capacity matrix must have sorted indices and no duplicates")
         if cap.data.size and cap.data.min() < 0:
             raise ValueError("capacities must be nonnegative")
-
-    @classmethod
-    def from_arcs(cls, node_count: int, arcs, source: int, sink: int) -> "FlowNetwork":
-        """Network from (from, to, capacity) triples with integer
-        capacity >= 0: parallel arcs are summed and self-loops dropped.
-
-        Raises ValueError on a malformed triple, an endpoint out of range,
-        or a summed capacity beyond the solver's int32 range.
-        """
-        tails, heads, caps = _arc_array(arcs).T
-        if tails.size:
-            outside = (np.minimum(tails, heads) < 0) | (np.maximum(tails, heads) >= node_count)
-            if outside.any():
-                bad = np.argmax(outside)
-                raise ValueError(f"arc endpoint out of range: ({tails[bad]}, {heads[bad]})")
-            if caps.min() < 0:
-                raise ValueError("capacities must be nonnegative")
-        loop = tails == heads
-        tails, heads, caps = tails[~loop], heads[~loop], caps[~loop]
-        # Each arc fits int32 before the sum, so the int64 sum cannot wrap.
-        if caps.size and caps.max() > INT32_MAX:
-            raise ValueError(f"capacity {int(caps.max())} exceeds the solver's limit {INT32_MAX}")
-        # Every arc comes with a zero-capacity reverse arc; the COO -> CSR
-        # conversion sums duplicates and keeps the explicit zeros.
-        cap = csr_array((np.concatenate([caps, np.zeros_like(caps)]),
-                         (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
-                        shape=(node_count, node_count))
-        cap.sum_duplicates()
-        if cap.data.size and cap.data.max() > INT32_MAX:
-            raise ValueError(f"summed parallel capacity {int(cap.data.max())} exceeds "
-                             f"the solver's limit {INT32_MAX}")
-        return cls(cap.astype(np.int32), source, sink)
 
     @property
     def node_count(self) -> int:
@@ -142,7 +97,9 @@ def max_flow_min_cut(net: FlowNetwork) -> CutResult:
 
     Raises InternalError when the solver's flow does not share the
     capacity matrix's structure (a reverse arc was missing), since the
-    residual could then not be read entry by entry.
+    residual could then not be read entry by entry, and when the sink is
+    reachable in the residual, so the flow is not maximal (a residual
+    capacity wrapped past INT32_MAX).
     """
     cap = net.capacity
     res = maximum_flow(cap, net.source, net.sink, method="dinic")
@@ -160,5 +117,8 @@ def max_flow_min_cut(net: FlowNetwork) -> CutResult:
     source_side = np.zeros(net.node_count, dtype=bool)
     source_side[breadth_first_order(residual, net.source, directed=True,
                                     return_predecessors=False)] = True
+    if source_side[net.sink]:
+        raise InternalError("the solver's flow is not maximal: the sink is reachable in "
+                            "its residual, as when a residual capacity wraps past INT32_MAX")
     source_side.flags.writeable = False
     return CutResult(max_flow_value=int(res.flow_value), source_side=source_side)

@@ -17,7 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 from scipy.linalg import blas as _blas
@@ -242,30 +245,17 @@ def _tri_inv_lower(L):
     return L
 
 
-def gplvm_log_likelihood(S, Z, kern: KernelParams) -> float:
-    """log p(S | Z, kernel) for a 2-output GP:
-    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S).  NumericalError when the
-    covariance cannot be factored or the value is not finite."""
-    return _gplvm_ll_and_grad(S, Z, kern)[0]
-
-
-def gplvm_grad(S, Z, kern: KernelParams) -> np.ndarray:
-    """Analytic gradient of gplvm_log_likelihood with respect to Z; raises
-    as gplvm_log_likelihood does."""
-    return _gplvm_ll_and_grad(S, Z, kern)[1]
-
-
-def _gplvm_ll_and_grad(S, Z, kern, work=None):
-    """(gplvm_log_likelihood, gplvm_grad) from one factorization; `work`
-    holds the n x n buffers, fresh ones when it is None.  NumericalError
-    when either is not finite."""
+def _gplvm_ll_and_grad(S, Z, kern, work: _GplvmWork):
+    """log p(S | Z, kernel) for a 2-output GP,
+    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S), and its analytic gradient
+    with respect to Z, from one factorization; `work` holds the n x n
+    buffers.  NumericalError when the covariance cannot be factored or
+    either result is not finite."""
     S = np.asarray(S, dtype=float)
     Z = np.asarray(Z, dtype=float)
     n = S.shape[0]
     if Z.shape != (n, 2):
         raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
-    if work is None:
-        work = _GplvmWork(n)
     K = _se_covariance(Z, kern, work)
     c = _chol_lower(K, kern.jitter, work)
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
@@ -300,7 +290,10 @@ def crp_log_prior(A, alpha: float) -> float:
         return 0.0
     _, counts = np.unique(A, return_counts=True)
     out = len(counts) * math.log(alpha)
-    out += float(sum(math.lgamma(int(c)) for c in counts))
+    # Sums of floats here, in _crp_normalizer and in gibbs_sweep add left
+    # to right: since Python 3.12 the builtin sum compensates, which would
+    # make seeded fits depend on the interpreter.
+    out += functools.reduce(add, (math.lgamma(int(c)) for c in counts), 0.0)
     out -= _crp_normalizer(n, alpha)
     return out
 
@@ -308,7 +301,7 @@ def crp_log_prior(A, alpha: float) -> float:
 @functools.lru_cache(maxsize=64)
 def _crp_normalizer(n: int, alpha: float) -> float:
     """sum_i log(alpha + i) over i < n, which a fit's every iteration shares."""
-    return float(sum(math.log(alpha + i) for i in range(n)))
+    return functools.reduce(add, (math.log(alpha + i) for i in range(n)), 0.0)
 
 
 def _prior_scalars(h: GwHyper):
@@ -352,16 +345,6 @@ def _cluster_posterior(n_k, sx, sy, s00, s01, s10, s11, prior):
     return out, r_k, mx, my, a, b, c, d, det
 
 
-def latent_marginal_log(Z, A, h: GwHyper) -> float:
-    """log p(Z | A, R, m, r, p): product over clusters of the marginal
-    obtained by integrating out each cluster's Gaussian parameters."""
-    Z = np.asarray(Z, dtype=float)
-    A = np.asarray(A)
-    if Z.shape[0] != A.shape[0]:
-        raise ValueError("Z and A lengths differ")
-    return _marginal_and_grad(Z, _cluster_members(A), h)[0]
-
-
 def _cluster_members(A):
     """The point indices of each cluster of the assignments A, in label
     order."""
@@ -369,8 +352,10 @@ def _cluster_members(A):
 
 
 def _marginal_and_grad(Z, members, h: GwHyper):
-    """latent_marginal_log and its gradient w.r.t. Z, for the clusters
-    whose point indices are `members` (see _cluster_members).
+    """log p(Z | A, R, m, r, p), the product over clusters of the marginal
+    obtained by integrating out each cluster's Gaussian parameters, and
+    its gradient w.r.t. Z, for the clusters whose point indices are
+    `members` (see _cluster_members).
 
     d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
     """
@@ -450,7 +435,8 @@ class LatentState:
         self._sums = sums
 
     def marginal_log(self, h: GwHyper) -> float:
-        """latent_marginal_log of the current state, from the cluster sums."""
+        """log p(Z | A, ...) of the current state, as _marginal_and_grad
+        gives it, from the cluster sums."""
         prior = _prior_scalars(h)
         total = 0.0
         for n, sx, sy, sxx, sxy, syy in self._sums:
@@ -458,9 +444,9 @@ class LatentState:
         return total
 
 
-def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
-    """Resample the assignment of each point of `points` (all of them by
-    default), in order, from its collapsed conditional.
+def gibbs_sweep(state: LatentState, h: GwHyper, rng):
+    """Resample the assignment of each point, in order, from its
+    collapsed conditional.
 
     Weights: n_k^{-i} * t-predictive(z_i | cluster k) for existing
     clusters, alpha * t-predictive(z_i | prior) for a new one.  The
@@ -477,9 +463,7 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
     Z = state.Z.tolist()
     A = state.A.tolist()
     sums = state._sums
-    if points is None:
-        points = range(len(A))
-    uniforms = rng.random(len(points)).tolist()
+    uniforms = rng.random(len(A)).tolist()
     p0, r0 = h.p, h.r
     (m0x, m0y), (R00, R01, _, R11) = h.m.tolist(), h.R.ravel().tolist()
     pm0x, pm0y = p0 * m0x, p0 * m0y
@@ -533,7 +517,7 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
     preds = [cluster_predictive(s) for s in sums]
     preds.append(predictive(size_terms(0, log(h.alpha)), m0x, m0y, R00, R01, R11))
     stale = -1
-    for i, u in zip(points, uniforms):
+    for i, u in enumerate(uniforms):
         zx, zy = Z[i]
         k = A[i] - 1
         s = sums[k]
@@ -563,13 +547,10 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
             quad = (rd * dx * dx - rb2 * dx * dy + ra * dy * dy) / det / factor
             logs.append(log_weight + (const - half * log1p(quad / nu)))
         top = max(logs)
-        weights = [exp(v - top) for v in logs]
-        u *= sum(weights)
-        acc = 0.0
-        for choice, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                break
+        # The choice is the first cumulative weight above u times the total.
+        cumulative = list(accumulate([exp(v - top) for v in logs]))
+        u *= cumulative[-1]
+        choice = min(bisect_right(cumulative, u), len(sums))
         if choice == len(sums):
             sums.append([0, 0.0, 0.0, 0.0, 0.0, 0.0])
             preds.insert(choice, None)
@@ -583,13 +564,6 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng, points=None):
         A[i] = choice + 1
         stale = choice
     state.A[:] = A
-
-
-def gibbs_assignment_step(state: LatentState, i: int, h: GwHyper, rng) -> int:
-    """Resample assignment a_i from its collapsed conditional: gibbs_sweep
-    over the one point.  Returns a_i's new label."""
-    gibbs_sweep(state, h, rng, (i,))
-    return int(state.A[i])
 
 
 def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_steps: int,

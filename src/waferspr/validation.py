@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy import ndimage
@@ -64,8 +66,11 @@ def ch_index(points, labels) -> float:
     if K < 2:
         raise UndefinedIndex("CH requires >= 2 clusters")
     grand = np.vstack(groups).mean(axis=0)
-    between = sum(g.shape[0] * float(np.sum((g.mean(axis=0) - grand) ** 2)) for g in groups)
-    within = sum(float(np.sum((g - g.mean(axis=0)) ** 2)) for g in groups)
+    # Added left to right: since Python 3.12 the builtin sum compensates
+    # float sums, which would make seeded reports depend on the interpreter.
+    between = reduce(add, (g.shape[0] * float(np.sum((g.mean(axis=0) - grand) ** 2))
+                           for g in groups), 0.0)
+    within = reduce(add, (float(np.sum((g - g.mean(axis=0)) ** 2)) for g in groups), 0.0)
     if within == 0:
         raise UndefinedIndex("zero within-cluster dispersion")
     return (n - K) / (K - 1) * between / within

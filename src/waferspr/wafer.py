@@ -108,11 +108,6 @@ class WaferMap:
         inside = self.cells[self.cells != CellState.OUTSIDE]
         return (inside == CellState.DEFECTIVE).astype(np.int8)
 
-    def in_mask_coords(self) -> list[tuple[int, int]]:
-        """(row, col) of every in-mask cell in row-major order."""
-        rr, cc = np.nonzero(self.in_mask())
-        return list(zip(rr.tolist(), cc.tolist()))
-
     def defective_coords(self) -> list[tuple[int, int]]:
         rr, cc = np.nonzero(self.grid() == CellState.DEFECTIVE)
         return list(zip(rr.tolist(), cc.tolist()))
@@ -138,7 +133,7 @@ class AdjacencyGraph:
     """Dense-indexed graph over in-mask cells.
 
     Node ids are 0..node_count-1 in row-major order over in-mask cells, so
-    `WaferMap.in_mask_coords()[i]` is the grid position of node i.
+    node i sits at the i-th position `np.nonzero(WaferMap.in_mask())` lists.
     `neighbours` is a read-only (node_count, deg) int64 matrix: row i holds
     the ids of node i's neighbours in ascending order, one column per grid
     offset in `sorted(nb.offsets)`, with -1 where that neighbour is outside
@@ -150,22 +145,6 @@ class AdjacencyGraph:
     @property
     def node_count(self) -> int:
         return self.neighbours.shape[0]
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Read-only (m, 2) int64 array of canonical pairs (i, j) with
-        i < j, sorted lexicographically, with no duplicates and no
-        self-loops.  Computed on each access.
-
-        The offsets are symmetric and sorted, so the second half of the
-        columns holds the offsets that point to later cells, in ascending
-        id order; read row by row they list the pairs already sorted.
-        """
-        forward = self.neighbours[:, self.neighbours.shape[1] // 2:]
-        i, col = np.nonzero(forward >= 0)
-        edges = np.column_stack([i, forward[i, col]]).astype(np.int64, copy=False)
-        edges.flags.writeable = False
-        return edges
 
 
 def _parse_ascii(body: str) -> tuple[np.ndarray, list[int]]:

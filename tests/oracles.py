@@ -11,16 +11,35 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from waferspr.acfilter import ac_objective
 from waferspr.errors import GenerationError
+from waferspr.flow import INT32_MAX, FlowNetwork
 from waferspr.synthgen import PatternKind, SynthWafer, wafer_mask
 from waferspr.wafer import CellState, WaferMap, build_graph
 
 
 # ---------------------------------------------------------------------
-# flow: brute-force minimum cut
+# flow: networks from arc triples, brute-force minimum cut
 # ---------------------------------------------------------------------
+
+def network_from_arcs(node_count, arcs, source, sink):
+    """FlowNetwork from (from, to, capacity) triples: parallel arcs are
+    summed, self-loops dropped, and every arc's reverse is stored, as an
+    explicit zero when it has no capacity of its own.  ValueError when a
+    summed capacity exceeds INT32_MAX."""
+    arcs = np.asarray(arcs, dtype=np.int64).reshape(-1, 3)
+    tails, heads, caps = arcs[arcs[:, 0] != arcs[:, 1]].T
+    # The COO -> CSR conversion sums duplicates and keeps explicit zeros.
+    cap = csr_array((np.concatenate([caps, np.zeros_like(caps)]),
+                     (np.concatenate([tails, heads]), np.concatenate([heads, tails]))),
+                    shape=(node_count, node_count))
+    cap.sum_duplicates()
+    if cap.data.size and cap.data.max() > INT32_MAX:
+        raise ValueError(f"summed capacity {int(cap.data.max())} exceeds {INT32_MAX}")
+    return FlowNetwork(cap.astype(np.int32), source, sink)
+
 
 def brute_force_min_cut(node_count, arcs, source, sink):
     """Minimum crossing capacity over all source/sink-respecting cuts."""
@@ -37,6 +56,18 @@ def brute_force_min_cut(node_count, arcs, source, sink):
 
 def crossing_capacity(arcs, source_set):
     return sum(c for (u, v, c) in arcs if u in source_set and v not in source_set and u != v)
+
+
+# ---------------------------------------------------------------------
+# wafer: the edge list of a grid graph
+# ---------------------------------------------------------------------
+
+def edges(graph):
+    """The grid edges of an AdjacencyGraph as an (m, 2) int64 array of
+    pairs (i, j) with i < j, sorted, each edge once."""
+    pairs = {(min(i, j), max(i, j))
+             for i, row in enumerate(graph.neighbours.tolist()) for j in row if j >= 0}
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------
@@ -62,7 +93,7 @@ def exhaustive_ac_minimum(wmap, cfg):
     bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(nv)) & 1
     bits = bits.astype(np.int64)
     objective = bits @ w
-    for i, j in graph.edges:
+    for i, j in edges(graph):
         objective += u_int * np.abs(bits[:, i] - bits[:, j])
     best = int(objective.min())
     return Fraction(best, int(scale))
@@ -323,7 +354,7 @@ def gplvm_log_likelihood_dense(S, Z, kern):
 def student_t_predictive_log(z, n_k, sum_z, szz, h):
     """Posterior predictive density of one point given a cluster's stats;
     with n_k = 0 this is the prior predictive.  Equals the marginal ratio
-    latent_marginal_log(Z + z) - latent_marginal_log(Z)."""
+    log p(Z + z | A + k) - log p(Z | A) of the latent marginal."""
     p_k, r_k, m_k, Rk = gw_posterior(
         n_k, np.asarray(sum_z, dtype=float), np.asarray(szz, dtype=float), h
     )
@@ -333,12 +364,25 @@ def student_t_predictive_log(z, n_k, sum_z, szz, h):
     )
 
 
+def gplvm(S, Z, kernel):
+    """log p(S|Z) and its gradient in Z as the fit's HMC computes them,
+    on fresh buffers."""
+    from waferspr.iwmm import _gplvm_ll_and_grad, _GplvmWork
+
+    return _gplvm_ll_and_grad(S, Z, kernel, _GplvmWork(len(S)))
+
+
+def latent_marginal(Z, A, h):
+    """log p(Z|A) and its gradient in Z as the fit's HMC computes them."""
+    from waferspr.iwmm import _cluster_members, _marginal_and_grad
+
+    return _marginal_and_grad(np.asarray(Z, dtype=float), _cluster_members(np.asarray(A)), h)
+
+
 def potential_and_grad(S, Z, kernel, A, h):
     """HMC potential -(log p(S|Z) + log p(Z|A)) and its gradient in Z."""
-    from waferspr.iwmm import _cluster_members, _gplvm_ll_and_grad, _marginal_and_grad
-
-    ll, gll = _gplvm_ll_and_grad(S, Z, kernel)
-    marg, gmarg = _marginal_and_grad(Z, _cluster_members(np.asarray(A)), h)
+    ll, gll = gplvm(S, Z, kernel)
+    marg, gmarg = latent_marginal(Z, A, h)
     return -(ll + marg), -(gll + gmarg)
 
 
@@ -380,7 +424,7 @@ def cluster_term(n_k, posterior, h):
 
 
 def marginal_and_grad(Z, A, h):
-    """latent_marginal_log and its gradient w.r.t. Z.
+    """The latent marginal log p(Z | A) and its gradient w.r.t. Z.
 
     d/dz_i log p(Z|A) = -r_k R_k^-1 (z_i - m_k) for i in cluster k.
     """
@@ -404,7 +448,7 @@ def marginal_and_grad(Z, A, h):
 
 
 def marginal_log_from_sums(sums, h):
-    """LatentState.marginal_log: latent_marginal_log from the running
+    """LatentState.marginal_log: log p(Z | A) from the running
     cluster sums, whose scatter has one cross term."""
     total = 0.0
     for n, sx, sy, sxx, sxy, syy in sums:
@@ -501,12 +545,21 @@ def gibbs_conditional_logs(state, i, h):
     return logs
 
 
+def sum_in_order(values):
+    """The floats `values` added left to right, as the builtin sum added
+    them before Python 3.12 (it compensates since)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def gibbs_choice(logs, uniform):
     """The 0-based index that the uniform draw `uniform` picks from the
     log weights `logs`."""
     mx = max(logs)
     weights = [math.exp(v - mx) for v in logs]
-    total = sum(weights)
+    total = sum_in_order(weights)
     u = uniform * total
     acc = 0.0
     choice = len(weights) - 1
@@ -534,7 +587,7 @@ def gibbs_boundary_uniform(logs, boundary):
     change in the last bit of any weight can change the choice."""
     mx = max(logs)
     weights = [math.exp(v - mx) for v in logs]
-    total = sum(weights)
+    total = sum_in_order(weights)
     target = 0.0
     for w in weights[:boundary + 1]:
         target += w

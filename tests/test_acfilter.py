@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum
+from oracles import edges as grid_edges
+from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum, network_from_arcs
 from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
 from waferspr.cpf import CpfConfig, cpf_filter
 from waferspr.errors import ConfigError, DimensionError
-from waferspr.flow import FlowNetwork, max_flow_min_cut
+from waferspr.flow import max_flow_min_cut
 from waferspr.synthgen import wafer_mask
 from waferspr.wafer import Neighborhood, WaferMap, build_graph, parse_wafer
 
@@ -53,10 +54,11 @@ def test_config_validation():
         AcConfig(u=Fraction(1, 2), w_mag=0)
 
 
-@pytest.mark.parametrize("u", [Fraction(1, 2**31), 0.1 + 0.2, Fraction(1, 2**70)])
+@pytest.mark.parametrize("u", [Fraction(1, 2**31), 0.1 + 0.2, Fraction(1, 2**70), 2**30])
 def test_capacities_beyond_solver_range_rejected(u):
     # Scaled by the LCM of the denominators, w_mag = 1 becomes 2**31,
-    # 2.5e16 and 2**70: beyond int32, and the last beyond int64.
+    # 2.5e16 and 2**70: beyond int32, and the last beyond int64.  u = 2**30
+    # fits int32, but the residual of a grid arc reaches 2u = 2**31.
     with pytest.raises(ConfigError, match="u=.*w_mag="):
         ac_filter(parse_wafer(HOLE), AcConfig(u=u))
 
@@ -204,17 +206,17 @@ def test_determinism():
 
 
 def _ac_through_triples(m, cfg):
-    """AC solved through the generic (from, to, capacity) builder: labels of
-    the inclusion-minimal source set, objective, crossing edges and max-flow
-    value."""
-    edges = build_graph(m, cfg.nb).edges.tolist()
+    """AC solved through the oracles' (from, to, capacity) builder: labels
+    of the inclusion-minimal source set, objective, crossing edges and
+    max-flow value."""
+    edges = grid_edges(build_graph(m, cfg.nb)).tolist()
     d = m.defect_bits().tolist()
     n = len(d)
     scale = lcm(cfg.u.denominator, cfg.w_mag.denominator)
     u_int, w_int = int(cfg.u * scale), int(cfg.w_mag * scale)
     arcs = [(i, j, u_int) for i, j in edges] + [(j, i, u_int) for i, j in edges]
     arcs += [(n, i, w_int) if d[i] else (i, n + 1, w_int) for i in range(n)]
-    cut = max_flow_min_cut(FlowNetwork.from_arcs(n + 2, arcs, n, n + 1))
+    cut = max_flow_min_cut(network_from_arcs(n + 2, arcs, n, n + 1))
     labels = tuple(cut.source_side[:n].tolist())
     deviation = sum(1 if d[i] == 0 else -1 for i in range(n) if labels[i])
     cross = sum(labels[i] != labels[j] for i, j in edges)

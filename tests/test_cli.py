@@ -371,6 +371,8 @@ MALFORMED_SIDECARS = {
     "string_label": '{"labels": {"0,1": "3"}}',
     "float_label": '{"labels": {"0,1": 3.0}}',
     "bool_region": '{"regions": {"0,1": true}}',
+    "list_family": '{"family": ["x"]}',
+    "number_family": '{"family": 3}',
 }
 
 

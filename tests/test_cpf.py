@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import longest_simple_path_nodes, nodes_on_paths_at_least
+from oracles import edges as grid_edges, longest_simple_path_nodes, nodes_on_paths_at_least
 from waferspr import cpf, synthgen
 from waferspr.acfilter import ac_filter
 from waferspr.cpf import CpfConfig, cpf_filter
@@ -129,7 +129,7 @@ def test_exact_mode_matches_oracle():
         g = build_graph(m, nb)
         d = m.defect_bits()
         nodes = [i for i in range(g.node_count) if d[i]]
-        edges = [(i, j) for i, j in g.edges if d[i] and d[j]]
+        edges = [(i, j) for i, j in grid_edges(g) if d[i] and d[j]]
         expected = nodes_on_paths_at_least(nodes, edges, thr)
         got = {i for i, x in enumerate(res.labels) if x == 1}
         assert got == expected
@@ -172,8 +172,9 @@ def _dict_adjacency(graph, comp):
     """Reference adjacency: grid edges between chips with comp > 0 appended
     to dict lists in lexicographic edge order."""
     adj = {i: [] for i in np.flatnonzero(comp).tolist()}
-    both = (comp[graph.edges[:, 0]] > 0) & (comp[graph.edges[:, 1]] > 0)
-    for i, j in graph.edges[both].tolist():
+    pairs = grid_edges(graph)
+    both = (comp[pairs[:, 0]] > 0) & (comp[pairs[:, 1]] > 0)
+    for i, j in pairs[both].tolist():
         adj[i].append(j)
         adj[j].append(i)
     return adj

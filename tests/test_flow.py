@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 
-from oracles import brute_force_min_cut, crossing_capacity
+from oracles import brute_force_min_cut, crossing_capacity, network_from_arcs
 from waferspr.errors import InternalError
 from waferspr.flow import INT32_MAX, FlowNetwork, max_flow_min_cut
 
@@ -16,57 +16,55 @@ def _side(r):
 
 
 def test_single_arc():
-    r = max_flow_min_cut(FlowNetwork.from_arcs(2, ((0, 1, 7),), 0, 1))
+    r = max_flow_min_cut(network_from_arcs(2, ((0, 1, 7),), 0, 1))
     assert r.max_flow_value == 7
     assert _side(r) == {0}
 
 
 def test_chain_bottleneck():
-    r = max_flow_min_cut(FlowNetwork.from_arcs(3, ((0, 1, 3), (1, 2, 5)), 0, 2))
+    r = max_flow_min_cut(network_from_arcs(3, ((0, 1, 3), (1, 2, 5)), 0, 2))
     assert r.max_flow_value == 3
     # s->a saturates; a unreachable in the residual
     assert _side(r) == {0}
 
 
 def test_diamond_cut_behind_sink_arcs():
-    net = FlowNetwork.from_arcs(4, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 1), (1, 2, 10)), 0, 3)
+    net = network_from_arcs(4, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 1), (1, 2, 10)), 0, 3)
     r = max_flow_min_cut(net)
     assert r.max_flow_value == 2
     assert _side(r) == {0, 1, 2}
 
 
 def test_parallel_arcs_summed():
-    r = max_flow_min_cut(FlowNetwork.from_arcs(2, ((0, 1, 3), (0, 1, 4)), 0, 1))
+    r = max_flow_min_cut(network_from_arcs(2, ((0, 1, 3), (0, 1, 4)), 0, 1))
     assert r.max_flow_value == 7
 
 
 def test_zero_capacity_and_self_loop():
-    r = max_flow_min_cut(FlowNetwork.from_arcs(3, ((0, 1, 0), (1, 1, 5), (1, 2, 2)), 0, 2))
+    r = max_flow_min_cut(network_from_arcs(3, ((0, 1, 0), (1, 1, 5), (1, 2, 2)), 0, 2))
     assert r.max_flow_value == 0
     assert _side(r) == {0}
 
 
 def test_arc_into_source_and_out_of_sink_allowed():
-    net = FlowNetwork.from_arcs(4, ((0, 1, 5), (1, 3, 5), (3, 2, 9), (2, 0, 9)), 0, 3)
+    net = network_from_arcs(4, ((0, 1, 5), (1, 3, 5), (3, 2, 9), (2, 0, 9)), 0, 3)
     r = max_flow_min_cut(net)
     assert r.max_flow_value == 5
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        FlowNetwork.from_arcs(2, ((0, 1, -1),), 0, 1)
-    with pytest.raises(ValueError):
-        FlowNetwork.from_arcs(2, ((0, 1, 1.5),), 0, 1)
-    with pytest.raises(ValueError):
-        FlowNetwork.from_arcs(2, (), 0, 0)
-    with pytest.raises(ValueError):
-        FlowNetwork.from_arcs(2, ((0, 5, 1),), 0, 1)
+        network_from_arcs(2, ((0, 1, -1),), 0, 1)
+    for source, sink in ((0, 0), (0, 5), (-1, 1)):
+        with pytest.raises(ValueError):
+            FlowNetwork(_csr([1, 0], [1, 0], [0, 1, 2]), source, sink)
     for data, indices, indptr in (([-1, 0], [1, 0], [0, 1, 2]),  # negative capacity
                                   ([1, 0], [1, 1], [0, 2, 2])):  # duplicate entry
         with pytest.raises(ValueError):
             FlowNetwork(_csr(data, indices, indptr), 0, 1)
-    with pytest.raises(ValueError):
-        FlowNetwork(_csr([1, 0], [1, 0], [0, 1, 2]).astype(np.int64), 0, 1)
+    for dtype in (np.int64, np.float64):
+        with pytest.raises(ValueError):
+            FlowNetwork(_csr([1, 0], [1, 0], [0, 1, 2]).astype(dtype), 0, 1)
 
 
 def _csr(data, indices, indptr):
@@ -76,7 +74,7 @@ def _csr(data, indices, indptr):
 
 
 def test_from_arcs_stores_every_reverse_arc():
-    net = FlowNetwork.from_arcs(3, ((0, 1, 3), (0, 1, 4), (1, 2, 5), (2, 2, 9), (2, 0, 0)), 0, 2)
+    net = network_from_arcs(3, ((0, 1, 3), (0, 1, 4), (1, 2, 5), (2, 2, 9), (2, 0, 0)), 0, 2)
     assert net.capacity.dtype == np.int32 and net.capacity.has_canonical_format
     # parallel arcs summed, the self-loop dropped, a zero arc kept as an explicit zero
     assert net.capacity.toarray().tolist() == [[0, 7, 0], [0, 0, 5], [0, 0, 0]]
@@ -93,7 +91,7 @@ def test_missing_reverse_arc_is_internal_error():
     net = FlowNetwork(_csr([5, 3], [1, 2], [0, 1, 2, 2]), 0, 2)
     with pytest.raises(InternalError):
         max_flow_min_cut(net)
-    fixed = FlowNetwork.from_arcs(3, ((0, 1, 5), (1, 2, 3)), 0, 2)
+    fixed = network_from_arcs(3, ((0, 1, 5), (1, 2, 3)), 0, 2)
     assert max_flow_min_cut(fixed).max_flow_value == 3
 
 
@@ -103,7 +101,7 @@ def _random_network(rng, max_nodes=9, max_arcs=24, max_cap=12):
     arcs = tuple(
         (rng.randrange(n), rng.randrange(n), rng.randint(0, max_cap)) for _ in range(m)
     )
-    return FlowNetwork.from_arcs(n, arcs, 0, n - 1)
+    return network_from_arcs(n, arcs, 0, n - 1)
 
 
 def test_duality_random_networks():
@@ -148,7 +146,7 @@ def test_determinism():
 
 
 def test_source_side_is_readonly_bool_mask():
-    net = FlowNetwork.from_arcs(4, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 1), (1, 2, 10)), 0, 3)
+    net = network_from_arcs(4, ((0, 1, 2), (0, 2, 2), (1, 3, 1), (2, 3, 1), (1, 2, 10)), 0, 3)
     side = max_flow_min_cut(net).source_side
     assert side.dtype == np.bool_ and side.shape == (4,)
     assert not side.flags.writeable
@@ -168,25 +166,35 @@ def test_source_side_is_readonly_bool_mask():
 @settings(max_examples=150, deadline=None)
 def test_duality_property(case):
     n, arcs = case
-    net = FlowNetwork.from_arcs(n, tuple(arcs), 0, n - 1)
+    net = network_from_arcs(n, tuple(arcs), 0, n - 1)
     r = max_flow_min_cut(net)
     assert r.max_flow_value == brute_force_min_cut(n, net.arcs, 0, n - 1)
 
 
 def test_arcs_stored_as_readonly_int64_array():
-    net = FlowNetwork.from_arcs(3, ((0, 1, 3), (1, 2, 5)), 0, 2)
+    net = network_from_arcs(3, ((0, 1, 3), (1, 2, 5)), 0, 2)
     assert net.arcs.dtype == np.int64 and net.arcs.shape == (2, 3)
     assert not net.arcs.flags.writeable
-    assert FlowNetwork.from_arcs(2, (), 0, 1).arcs.shape == (0, 3)
+    assert network_from_arcs(2, (), 0, 1).arcs.shape == (0, 3)
 
 
 def test_capacity_range_checked_not_wrapped():
     # SciPy's solver works in int32 and wraps silently past INT32_MAX.
-    assert max_flow_min_cut(FlowNetwork.from_arcs(2, ((0, 1, INT32_MAX),), 0, 1)).max_flow_value == INT32_MAX
+    assert max_flow_min_cut(network_from_arcs(2, ((0, 1, INT32_MAX),), 0, 1)).max_flow_value == INT32_MAX
     with pytest.raises(ValueError):
-        max_flow_min_cut(FlowNetwork.from_arcs(2, ((0, 1, 2**31),), 0, 1))
+        max_flow_min_cut(network_from_arcs(2, ((0, 1, 2**31),), 0, 1))
     with pytest.raises(ValueError):
-        max_flow_min_cut(FlowNetwork.from_arcs(2, ((0, 1, 2**30), (0, 1, 2**30)), 0, 1))
-    for too_big in (2**63, 2**64, 2**80):
-        with pytest.raises(ValueError):
-            FlowNetwork.from_arcs(2, ((0, 1, too_big),), 0, 1)
+        max_flow_min_cut(network_from_arcs(2, ((0, 1, 2**30), (0, 1, 2**30)), 0, 1))
+
+
+def test_wrapped_residual_is_internal_error():
+    # Each arc fits int32, but the residual of an arc and its reverse
+    # reaches 2**31 + 2: the solver wraps it and stops at a flow below the
+    # maximum, which leaves the sink reachable in the residual.
+    u = 2**30
+    net = FlowNetwork(_csr([u + 1, u, u + 1, u, u + 1, u, u, u + 1, u, u, u + 1, 6, u + 1, 6],
+                           [1, 3, 0, 2, 4, 1, 3, 5, 0, 2, 1, 5, 2, 4],
+                           [0, 2, 5, 8, 10, 12, 14]), 0, 5)
+    assert brute_force_min_cut(6, net.arcs, 0, 5) == u + 7
+    with pytest.raises(InternalError, match="not maximal"):
+        max_flow_min_cut(net)

@@ -8,13 +8,16 @@ from scipy.stats import multivariate_t
 import oracles
 from oracles import (
     finite_difference_grad,
+    gplvm,
     gplvm_log_likelihood_dense,
+    latent_marginal,
     potential_and_grad,
     se_covariance_dense,
     set_partitions,
     student_t_predictive_log,
 )
-from waferspr import iwmm
+from waferspr import iwmm, validation
+from waferspr.acfilter import ac_filter, filtered_points
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
     GwHyper,
@@ -23,16 +26,13 @@ from waferspr.iwmm import (
     McmcConfig,
     PointSet,
     crp_log_prior,
-    gibbs_assignment_step,
     gibbs_sweep,
-    gplvm_grad,
-    gplvm_log_likelihood,
     hmc_latent_step,
     iwmm_fit,
-    latent_marginal_log,
 )
 from waferspr.iwmm import _cluster_members, _marginal_and_grad, _tri_inv_lower
-from waferspr.validation import adjusted_rand_index
+from waferspr.synthgen import family_specs, generate
+from waferspr.validation import adjusted_rand_index, evaluation_report
 
 RNG = np.random.default_rng(20240811)
 
@@ -40,9 +40,7 @@ RNG = np.random.default_rng(20240811)
 # -- GPLVM likelihood and gradient ---------------------------------------
 
 def test_single_point_likelihood_closed_form():
-    val = gplvm_log_likelihood(
-        np.array([[0.0, 0.0]]), np.array([[0.7, -0.2]]), KernelParams(1.0, 1.0, 0.0)
-    )
+    val, _ = gplvm(np.array([[0.0, 0.0]]), np.array([[0.7, -0.2]]), KernelParams(1.0, 1.0, 0.0))
     assert val == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
 
@@ -51,7 +49,7 @@ def test_zero_outputs_leave_only_determinant_terms():
     kern = KernelParams(1.4, 0.9, 1e-6)
     K = se_covariance_dense(Z, kern)
     expected = -5 * math.log(2 * math.pi) - np.linalg.slogdet(K)[1]
-    got = gplvm_log_likelihood(np.zeros((5, 2)), Z, kern)
+    got, _ = gplvm(np.zeros((5, 2)), Z, kern)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -72,10 +70,8 @@ def test_gradient_matches_finite_differences():
             length_scale=float(RNG.uniform(0.6, 1.8)),
             jitter=1e-6,
         )
-        analytic = gplvm_grad(S, Z, kern)
-        numeric = finite_difference_grad(
-            lambda Zp: gplvm_log_likelihood(S, Zp, kern), Z
-        )
+        _, analytic = gplvm(S, Z, kern)
+        numeric = finite_difference_grad(lambda Zp: gplvm(S, Zp, kern)[0], Z)
         rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
         assert rel.max() < 1e-4
 
@@ -83,26 +79,28 @@ def test_gradient_matches_finite_differences():
 def test_gradient_finite_for_coincident_points():
     Z = np.zeros((4, 2))
     S = RNG.standard_normal((4, 2))
-    g = gplvm_grad(S, Z, KernelParams(jitter=1e-6))
+    _, g = gplvm(S, Z, KernelParams(jitter=1e-6))
     assert np.isfinite(g).all()
 
 
-@pytest.mark.parametrize("f", [gplvm_log_likelihood, gplvm_grad])
+# The likelihood and its gradient come from one computation, which
+# returns neither when either is not finite.
+@pytest.mark.parametrize("part", [0, 1], ids=["gplvm_log_likelihood", "gplvm_grad"])
 @pytest.mark.parametrize("S,Z", [
     (np.zeros((3, 2)), [[1e200, 0.0], [0.0, 0.0], [1.0, 1.0]]),  # NaN in the covariance
     (np.zeros((3, 2)), [[np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]]),
     ([[np.inf, 0.0], [0.0, 0.0], [1.0, 1.0]], np.zeros((3, 2))),
 ])
-def test_non_finite_likelihood_or_gradient_is_numerical_error(f, S, Z):
+def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
     # LAPACK factors a covariance holding NaN without an error
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
-        f(S, Z, KernelParams())
+        gplvm(S, Z, KernelParams())[part]
 
 
 def test_gradient_antisymmetric_for_symmetric_pair():
     Z = np.array([[1.0, 0.5], [-1.0, -0.5]])
     S = np.array([[2.0, 1.0], [-2.0, -1.0]])
-    g = gplvm_grad(S, Z, KernelParams())
+    _, g = gplvm(S, Z, KernelParams())
     assert np.allclose(g[0], -g[1], atol=1e-10)
 
 
@@ -118,12 +116,12 @@ def test_likelihood_matches_dense_oracle():
             jitter=float(rng.choice([1e-4, 1e-2, 0.3])),
         )
         want = gplvm_log_likelihood_dense(S, Z, kern)
-        assert gplvm_log_likelihood(S, Z, kern) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert gplvm(S, Z, kern)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        gplvm_log_likelihood(np.zeros((3, 2)), np.zeros((2, 2)), KernelParams())
+        gplvm(np.zeros((3, 2)), np.zeros((2, 2)), KernelParams())
 
 
 # -- GPLVM at the sizes the fits use ---------------------------------------
@@ -154,7 +152,7 @@ def test_likelihood_matches_dense_oracle_at_fit_sizes(n, kernel):
     S, Z = _fit_like_inputs(n, seed=n)
     kern = KERNELS[kernel]
     want = gplvm_log_likelihood_dense(S, Z, kern)
-    assert gplvm_log_likelihood(S, Z, kern) == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert gplvm(S, Z, kern)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 # The "default" kernel's covariance of fit-like points has a condition
@@ -164,14 +162,13 @@ def test_likelihood_matches_dense_oracle_at_fit_sizes(n, kernel):
 def test_gradient_matches_central_differences_at_fit_sizes(n, kernel):
     S, Z = _fit_like_inputs(n, seed=1000 + n)
     kern = KERNELS[kernel]
-    grad = gplvm_grad(S, Z, kern)
+    _, grad = gplvm(S, Z, kern)
     rng = np.random.default_rng(n)
     h = 1e-5
     for _ in range(3):
         V = rng.standard_normal(Z.shape)
         V /= np.linalg.norm(V)
-        numeric = (gplvm_log_likelihood(S, Z + h * V, kern)
-                   - gplvm_log_likelihood(S, Z - h * V, kern)) / (2 * h)
+        numeric = (gplvm(S, Z + h * V, kern)[0] - gplvm(S, Z - h * V, kern)[0]) / (2 * h)
         assert float(np.sum(grad * V)) == pytest.approx(numeric, rel=1e-5, abs=1e-5)
 
 
@@ -231,12 +228,12 @@ def test_numerical_error_in_trajectory_is_counted(monkeypatch):
 # -- latent Gaussian-Wishart marginal ------------------------------------
 
 def test_marginal_empty_is_zero():
-    assert latent_marginal_log(np.zeros((0, 2)), np.zeros(0, dtype=int), GwHyper()) == 0.0
+    assert latent_marginal(np.zeros((0, 2)), np.zeros(0, dtype=int), GwHyper())[0] == 0.0
 
 
 def test_single_point_at_prior_mode():
     h = GwHyper(m=np.array([0.4, -1.1]), p=1.0, R=np.eye(2), r=3.0)
-    val = latent_marginal_log(np.array([[0.4, -1.1]]), np.array([1]), h)
+    val, _ = latent_marginal(np.array([[0.4, -1.1]]), np.array([1]), h)
     assert val == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
 
@@ -246,8 +243,8 @@ def test_marginal_label_permutation_invariant():
     h = GwHyper()
     relabeled = np.array({1: 3, 2: 1, 3: 2}[a] for a in A.tolist())
     relabeled = np.array([{1: 3, 2: 1, 3: 2}[a] for a in A.tolist()])
-    assert latent_marginal_log(Z, A, h) == pytest.approx(
-        latent_marginal_log(Z, relabeled, h), rel=1e-13
+    assert latent_marginal(Z, A, h)[0] == pytest.approx(
+        latent_marginal(Z, relabeled, h)[0], rel=1e-13
     )
 
 
@@ -259,7 +256,7 @@ def test_predictive_equals_marginal_ratio():
     for target in (1, 2, 3):  # 3 = brand-new cluster
         Zp = np.vstack([Z, z_new])
         Ap = np.append(A, target)
-        ratio = latent_marginal_log(Zp, Ap, h) - latent_marginal_log(Z, A, h)
+        ratio = latent_marginal(Zp, Ap, h)[0] - latent_marginal(Z, A, h)[0]
         if target == 3:
             pred = student_t_predictive_log(z_new, 0, np.zeros(2), np.zeros((2, 2)), h)
         else:
@@ -292,7 +289,7 @@ def test_marginal_gradient_matches_finite_differences():
     Z = RNG.standard_normal((6, 2))
     A = np.array([1, 2, 1, 2, 1, 2])
     _, grad = _marginal_and_grad(Z, _cluster_members(A), h)
-    numeric = finite_difference_grad(lambda Zp: latent_marginal_log(Zp, A, h), Z)
+    numeric = finite_difference_grad(lambda Zp: latent_marginal(Zp, A, h)[0], Z)
     assert np.abs(grad - numeric).max() < 1e-6
 
 
@@ -344,7 +341,6 @@ def test_marginal_bit_identical_to_numpy_oracle(n, clusters, singletons, alpha, 
     value, grad = _marginal_and_grad(Z, _cluster_members(A), h)
     assert value == want
     assert np.array_equal(grad, want_grad)
-    assert latent_marginal_log(Z, A, h) == want
     state = _state(Z, A)
     assert state.marginal_log(h) == oracles.marginal_log_from_sums(state._sums, h)
 
@@ -353,25 +349,17 @@ def test_marginal_bit_identical_to_numpy_oracle(n, clusters, singletons, alpha, 
 @settings(max_examples=60, deadline=None)
 def test_gibbs_sweep_bit_identical_to_per_point_oracle(n, clusters, singletons, alpha,
                                                        random_prior, seed, sweeps):
-    rng, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
+    _, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
     state, oracle_state = _state(Z, A), _state(Z, A)
     rng_state, rng_oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-
-    def assert_same():
-        assert state.A.tolist() == oracle_state.A.tolist()
-        assert state._sums == oracle_state._sums
-        assert rng_state.bit_generator.state == rng_oracle.bit_generator.state
 
     for _ in range(sweeps):
         gibbs_sweep(state, h, rng_state)
         for i in range(n):
             oracles.gibbs_assignment_step(oracle_state, i, h, rng_oracle)
-        assert_same()
-    # the one-point call, in any order and with repeats
-    for i in rng.integers(0, n, size=min(n, 10)).tolist():
-        got = gibbs_assignment_step(state, i, h, rng_state)
-        assert got == oracles.gibbs_assignment_step(oracle_state, i, h, rng_oracle)
-        assert_same()
+        assert state.A.tolist() == oracle_state.A.tolist()
+        assert state._sums == oracle_state._sums
+        assert rng_state.bit_generator.state == rng_oracle.bit_generator.state
 
 
 class _Uniforms:
@@ -462,9 +450,7 @@ def test_incremental_stats_match_scratch_recompute():
     A = rng.integers(1, 4, size=20)
     A = np.array([1, 2, 3] + list(A[3:]))  # ensure all labels present
     state = _state(Z, A)
-    h = GwHyper()
-    for i in (0, 5, 19, 7):
-        gibbs_assignment_step(state, i, h, rng)
+    gibbs_sweep(state, GwHyper(), rng)
     reference = LatentState(state.Z, state.A.copy(), KernelParams())
     for got, want in zip(state._sums, reference._sums):
         assert got[0] == want[0]
@@ -477,8 +463,7 @@ def _gibbs_sums_drift(Z, alpha, sweeps, rng):
     state = _state(Z, np.ones(Z.shape[0], dtype=int))
     h = GwHyper(alpha=alpha)
     for _ in range(sweeps):
-        for i in range(Z.shape[0]):
-            gibbs_assignment_step(state, i, h, rng)
+        gibbs_sweep(state, h, rng)
     drifted = np.array(state._sums)
     state.refresh()
     fresh = np.array(state._sums)
@@ -508,7 +493,8 @@ def test_gibbs_single_point_forms_cluster_one():
     rng = np.random.default_rng(0)
     state = _state(np.array([[0.3, 0.4]]), np.array([1]))
     for _ in range(5):
-        assert gibbs_assignment_step(state, 0, GwHyper(), rng) == 1
+        gibbs_sweep(state, GwHyper(), rng)
+        assert state.A.tolist() == [1]
     assert state.K == 1
 
 
@@ -518,8 +504,9 @@ def test_gibbs_tiny_alpha_joins_existing_cluster():
     A = np.array([1] * 8 + [1])
     state = _state(Z, A)
     h = GwHyper(alpha=1e-12)
-    joined = [gibbs_assignment_step(state, 8, h, rng) for _ in range(50)]
-    assert all(k == 1 for k in joined)
+    for _ in range(50):
+        gibbs_sweep(state, h, rng)
+        assert state.A.tolist() == [1] * 9
 
 
 def test_gibbs_labels_stay_contiguous():
@@ -528,8 +515,7 @@ def test_gibbs_labels_stay_contiguous():
     state = _state(Z, np.ones(12, dtype=int))
     h = GwHyper(alpha=2.0)
     for sweep in range(30):
-        for i in range(12):
-            gibbs_assignment_step(state, i, h, rng)
+        gibbs_sweep(state, h, rng)
         labels = sorted(set(state.A.tolist()))
         assert labels == list(range(1, len(labels) + 1))
         assert all(s[0] >= 1 for s in state._sums)
@@ -542,7 +528,7 @@ def test_gibbs_fixed_z_posterior_small_tv():
     h = GwHyper(alpha=1.0)
     exact = {}
     for part in set_partitions(4):
-        logw = latent_marginal_log(Z, np.array(part), h) + crp_log_prior(part, h.alpha)
+        logw = latent_marginal(Z, np.array(part), h)[0] + crp_log_prior(part, h.alpha)
         exact[part] = logw
     mx = max(exact.values())
     total = sum(math.exp(v - mx) for v in exact.values())
@@ -552,8 +538,7 @@ def test_gibbs_fixed_z_posterior_small_tv():
     counts = {}
     sweeps = 40578
     for sweep in range(sweeps + 500):
-        for i in range(4):
-            gibbs_assignment_step(state, i, h, rng)
+        gibbs_sweep(state, h, rng)
         if sweep >= 500:
             key = tuple(_canonical(state.A))
             counts[key] = counts.get(key, 0) + 1
@@ -693,6 +678,31 @@ def test_fit_two_blobs_quick():
     res = iwmm_fit(PointSet(pts), mcmc=McmcConfig(iters=120, burn_in=60), seed=0)
     assert res.k_hat == 2
     assert adjusted_rand_index(truth, list(res.assignments)) > 0.95
+
+
+def test_seeded_fit_and_report_do_not_depend_on_float_summation(monkeypatch):
+    # Since Python 3.12 the builtin sum adds floats with compensated
+    # summation; math.fsum stands in for it here.  A seeded fit and its
+    # report keep the bytes of plain left-to-right addition under either.
+    sw = generate(24, 24, family_specs("two_zone"), 0.05, 0)
+    kept = filtered_points(sw.map, ac_filter(sw.map))
+    points = np.array(kept, dtype=float)
+    truth = [int(sw.truth_labels[r * 24 + c]) for r, c in kept]
+
+    def fit_and_report():
+        iwmm._crp_normalizer.cache_clear()
+        res = iwmm_fit(PointSet(points), mcmc=McmcConfig(iters=40, burn_in=20), seed=0)
+        report = evaluation_report(points, list(res.assignments), truth)
+        return repr((res.assignments, res.trace, res.latent_coords.tobytes(), report.to_dict()))
+
+    want = fit_and_report()
+    monkeypatch.setattr(iwmm, "sum", math.fsum, raising=False)
+    monkeypatch.setattr(validation, "sum", math.fsum, raising=False)
+    try:
+        assert fit_and_report() == want
+    finally:
+        monkeypatch.undo()
+        iwmm._crp_normalizer.cache_clear()
 
 
 def test_component_init():

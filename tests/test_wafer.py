@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import grid_components_bfs
+from oracles import edges as grid_edges, grid_components_bfs
 
 from waferspr.errors import DimensionError, ParseError
 from waferspr.synthgen import twelve_wafer_corpus
@@ -108,20 +108,26 @@ def test_csv_roundtrip():
     assert write_wafer(m, fmt="csv") == b"0,1,2\n2,1,0\n"
 
 
+def _node_cells(m):
+    """(row, col) of each graph node id: the in-mask cells in row-major order."""
+    rows, cols = np.nonzero(m.in_mask())
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def test_build_graph_rook_counts():
     m = parse_wafer("000\n000\n000\n")
     g = build_graph(m, Neighborhood.ROOK)
     assert g.node_count == 9
-    assert len(g.edges) == 12  # 2rc - r - c
+    assert len(grid_edges(g)) == 12  # 2rc - r - c
 
 
 def test_build_graph_king_counts():
     m = parse_wafer("000\n000\n000\n")
     g = build_graph(m, Neighborhood.KING)
-    assert len(g.edges) == 20  # + 2(r-1)(c-1) diagonals
+    assert len(grid_edges(g)) == 20  # + 2(r-1)(c-1) diagonals
     # interior node has degree 8
-    center = m.in_mask_coords().index((1, 1))
-    degree = sum(1 for e in g.edges if center in e)
+    center = _node_cells(m).index((1, 1))
+    degree = sum(1 for e in grid_edges(g).tolist() if center in e)
     assert degree == 8
 
 
@@ -129,15 +135,15 @@ def test_build_graph_masked_corners():
     m = parse_wafer(".0.\n000\n.0.\n")
     g = build_graph(m, Neighborhood.ROOK)
     assert g.node_count == 5
-    assert len(g.edges) == 4
+    assert len(grid_edges(g)) == 4
 
 
 def test_build_graph_outside_mask_excluded():
     m = parse_wafer(".1\n1.\n")
     g = build_graph(m, Neighborhood.KING)
     assert g.node_count == 2
-    assert m.in_mask_coords() == [(0, 1), (1, 0)]
-    assert len(g.edges) == 1  # anti-diagonal adjacency under king
+    assert _node_cells(m) == [(0, 1), (1, 0)]
+    assert len(grid_edges(g)) == 1  # anti-diagonal adjacency under king
 
 
 @given(grids)
@@ -148,11 +154,11 @@ def test_edge_distances(rc):
         return
     text = "\n".join("".join(cells[i * c : (i + 1) * c]) for i in range(r)) + "\n"
     m = parse_wafer(text)
-    coords = m.in_mask_coords()
+    coords = _node_cells(m)
     for nb in (Neighborhood.ROOK, Neighborhood.KING):
         g = build_graph(m, nb)
-        assert np.array_equal(g.edges, build_graph(m, nb).edges)  # deterministic
-        for i, j in g.edges:
+        assert np.array_equal(g.neighbours, build_graph(m, nb).neighbours)  # deterministic
+        for i, j in grid_edges(g).tolist():
             assert i < j
             (r1, c1), (r2, c2) = coords[i], coords[j]
             if nb is Neighborhood.ROOK:
@@ -194,14 +200,12 @@ def test_build_graph_matches_naive_loop(rc):
     for nb in (Neighborhood.ROOK, Neighborhood.KING):
         g = build_graph(m, nb)
         edges, coords, neighbours = _naive_graph(m, nb)
-        assert g.edges.dtype == np.int64 and g.edges.shape == (len(edges), 2)
-        assert not g.edges.flags.writeable
-        assert g.edges.tolist() == [list(e) for e in edges]
+        assert grid_edges(g).tolist() == [list(e) for e in edges]
         assert g.neighbours.dtype == np.int64
         assert g.neighbours.shape == (len(coords), len(nb.offsets))
         assert not g.neighbours.flags.writeable
         assert g.neighbours.tolist() == neighbours
-        assert tuple(m.in_mask_coords()) == coords
+        assert tuple(_node_cells(m)) == coords
         assert g.node_count == len(coords)
 
 
