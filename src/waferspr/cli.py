@@ -19,6 +19,7 @@ import json
 import os
 import statistics
 import sys
+from collections import Counter
 from itertools import product, repeat
 from pathlib import Path
 
@@ -40,10 +41,10 @@ from .validation import (
 )
 from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, write_wafer
 
-# The scores of a compare row, as EvaluationReport names them; AC and CPF
-# are paired on every one of them but nmi_sqrt.
+# The scores of a compare row, as EvaluationReport names them, on each of
+# which improvements.csv and wilcoxon.json pair AC with CPF.
 SCORES = ("ch", "gdi", "ri", "ari", "nmi", "nmi_sqrt")
-METRICS = SCORES[:-1]
+METRICS = SCORES
 
 COMPARISON_COLUMNS = (
     "wafer", "family", "method", "param", "fit_seed", "n_points", "k_hat",
@@ -86,6 +87,14 @@ def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=N
     if counters is not None:
         doc["counters"] = counters
     _write(outdir / "manifest.json", dump_json(doc))
+
+
+def _write_timings(outdir: Path, wall_seconds):
+    """timings.json: the seconds of each fit stage, as `wall_seconds` of
+    IwmmResult names them.  Wall-clock seconds vary from run to run, so
+    they stay out of the seeded files and the manifest."""
+    _write(outdir / "timings.json",
+           dump_json({f"{stage}_s": s for stage, s in wall_seconds.items()}))
 
 
 def _read_bytes(path) -> bytes:
@@ -271,6 +280,7 @@ def cmd_cluster(args) -> int:
     res = fit_points(points, hyper, mcmc, args.seed)
     outdir = Path(args.out)
     ks = [k for k, _ in res.trace]
+    kept = ks[args.burn_in:]
     assignments_doc = {
         "k_hat": res.k_hat,
         "n": len(points),
@@ -287,6 +297,10 @@ def cmd_cluster(args) -> int:
             "hmc_acceptance_rate": res.hmc_acceptance_rate,
             "jitter_escalations": res.jitter_escalations,
             "hmc_numerical_rejections": res.hmc_numerical_rejections,
+            "step_size": res.step_size,
+            "k_min": min(kept),
+            "k_max": max(kept),
+            "k_hat_share": kept.count(res.k_hat) / len(kept),
         },
     }
     _write(outdir / "assignments.json", dump_json(assignments_doc))
@@ -302,10 +316,7 @@ def cmd_cluster(args) -> int:
         {"iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha},
         seed=args.seed,
     )
-    # Wall-clock seconds vary from run to run, so they stay out of the
-    # seeded files above.
-    _write(outdir / "timings.json",
-           dump_json({f"{stage}_s": s for stage, s in res.wall_seconds.items()}))
+    _write_timings(outdir, res.wall_seconds)
     return 0
 
 
@@ -526,8 +537,9 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     fit is seeded, so the rows do not depend on the worker count.
     `progress` is called with each row, in order, as it is ready; a row
     of an empty point set has no fit and no scores.
-    A `counters` dict receives `fit_requests`, `fits_run` and `workers`;
-    the last one depends on the machine.
+    A `counters` dict receives `fit_requests`, `fits_run`, `workers` and
+    `wall_seconds`, the distinct fits' `IwmmResult.wall_seconds` summed
+    per stage; the last two depend on the machine.
     """
     if truth_source not in TRUTH_SOURCES:
         raise ValueError(f"unknown truth source {truth_source!r}; "
@@ -596,6 +608,11 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
                                  **{score: getattr(report, score) for score in SCORES}))
                 if progress:
                     progress(rows[-1])
+    if counters is not None:
+        wall_seconds = Counter()
+        for res in fits.values():
+            wall_seconds.update(res.wall_seconds)
+        counters["wall_seconds"] = dict(wall_seconds)
     return rows
 
 
@@ -635,8 +652,10 @@ def cmd_compare(args) -> int:
         truth_source=args.truth_source,
         progress=progress if args.verbose else None, counters=counters,
     )
-    # The worker count depends on the machine, so it stays out of the files.
+    # The worker count and the wall times depend on the machine, so they
+    # stay out of the seeded files.
     workers = counters.pop("workers")
+    wall_seconds = counters.pop("wall_seconds")
     if args.verbose:
         print(f"  {counters['fits_run']} distinct fits of {counters['fit_requests']} "
               f"requests on {workers} worker(s)", file=sys.stderr)
@@ -650,6 +669,7 @@ def cmd_compare(args) -> int:
          "nmi_normalizer": args.nmi_normalizer},
         counters=counters,
     )
+    _write_timings(outdir, wall_seconds)
     return 0
 
 

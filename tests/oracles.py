@@ -11,10 +11,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import blas as _blas
+from scipy.linalg import lapack as _lapack
 from scipy.sparse import csr_array
 
 from waferspr.acfilter import ac_objective
-from waferspr.errors import GenerationError
+from waferspr.errors import GenerationError, NumericalError
 from waferspr.flow import INT32_MAX, FlowNetwork
 from waferspr.synthgen import PatternKind, SynthWafer, wafer_mask
 from waferspr.wafer import CellState, WaferMap, build_graph
@@ -330,8 +332,9 @@ def finite_difference_grad(f, Z, eps=1e-6):
 
 
 # ---------------------------------------------------------------------
-# iwmm: the GPLVM likelihood from its definition, and compositions of
-# iwmm's own pieces that only the tests use
+# iwmm: the GPLVM likelihood from its definition, the exact gradient that
+# the program's Nyström field replaced, and compositions of iwmm's own
+# pieces that only the tests use
 # ---------------------------------------------------------------------
 
 def se_covariance_dense(Z, kern):
@@ -364,12 +367,71 @@ def student_t_predictive_log(z, n_k, sum_z, szz, h):
     )
 
 
-def gplvm(S, Z, kernel):
-    """log p(S|Z) and its gradient in Z as the fit's HMC computes them,
-    on fresh buffers."""
-    from waferspr.iwmm import _gplvm_ll_and_grad, _GplvmWork
+# Largest block tri_inv_lower hands to LAPACK's dtrtri, which runs at a
+# fraction of the speed of the BLAS-3 products the larger blocks use.
+_TRI_INV_LEAF = 64
 
-    return _gplvm_ll_and_grad(S, Z, kernel, _GplvmWork(len(S)))
+
+def tri_inv_lower(L):
+    """Inverse of the lower-triangular Fortran-ordered L, written over L
+    and returned; its strict upper triangle is left as it was.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the diagonal
+    blocks recurse down to dtrtri on at most _TRI_INV_LEAF rows, and the
+    off-diagonal block takes two dtrmm calls.  NumericalError when L is
+    singular.
+    """
+    n = L.shape[0]
+    if n <= _TRI_INV_LEAF:
+        inv, info = _lapack.dtrtri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError("covariance inversion failed")
+        return inv
+    h = n // 2
+    A_inv = tri_inv_lower(np.asfortranarray(L[:h, :h]))
+    C_inv = tri_inv_lower(np.asfortranarray(L[h:, h:]))
+    B = _blas.dtrmm(-1.0, C_inv, L[h:, :h], lower=1)
+    L[h:, :h] = _blas.dtrmm(1.0, A_inv, B, side=1, lower=1, overwrite_b=1)
+    L[:h, :h] = A_inv
+    L[h:, h:] = C_inv
+    return L
+
+
+def gplvm(S, Z, kernel):
+    """log p(S | Z, kernel) for a 2-output GP,
+    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S), and its exact analytic
+    gradient with respect to Z, from one factorization and the full
+    inverse K^-1, on fresh buffers: the reference the program's exact
+    energy and its Nyström field are tested against.  NumericalError when
+    the covariance cannot be factored or either result is not finite."""
+    from waferspr.iwmm import _GplvmWork, _chol_lower, _se_covariance
+
+    S = np.asarray(S, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    n = S.shape[0]
+    if Z.shape != (n, 2):
+        raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
+    work = _GplvmWork(n)
+    K = _se_covariance(Z, kernel, work)
+    c = _chol_lower(K, kernel.jitter, work)
+    logdet = 2.0 * float(np.log(np.diag(c)).sum())
+    # K^-1 = L^-T L^-1, as dpotri forms it; from here on only the lower
+    # triangles of K^-1 and of W are formed and read.
+    inv, _ = _lapack.dlauum(tri_inv_lower(c), lower=1, overwrite_c=1)
+    KinvS = _blas.dsymm(1.0, inv, S, lower=1)
+    ll = -n * math.log(2.0 * math.pi) - logdet - 0.5 * float(np.sum(S * KinvS))
+    # dL/dK = 0.5 K^-1 S S^T K^-1 - K^-1, then chain through the SE kernel
+    W = _blas.dsyrk(0.5, KinvS, beta=-1.0, c=inv, lower=1, overwrite_c=1)
+    W *= K  # diagonal contributes nothing: the (z_l - z_j) factor is 0
+    ZI = work.ZI
+    ZI[:, :2] = Z
+    WZI = _blas.dsymm(1.0, W, ZI, lower=1)  # [W @ Z | row sums of W]
+    grad = -(2.0 / kernel.length_scale**2) * (Z * WZI[:, 2:] - WZI[:, :2])
+    # LAPACK factors a covariance holding NaN without an error, so a
+    # non-finite Z or S shows only here.
+    if not (math.isfinite(ll) and np.isfinite(grad).all()):
+        raise NumericalError("GPLVM likelihood or gradient is not finite")
+    return ll, grad
 
 
 def latent_marginal(Z, A, h):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -728,7 +729,7 @@ def test_improvements_zero_for_identical_methods():
     for wafer in ("w0", "w1"):
         for method, param in (("ac", "0.5"), ("cpf", "5")):
             rows.append(_row(wafer, "two_zone", method, param, 0,
-                             ch=10.0, gdi=0.5, ri=0.9, ari=0.8, nmi=0.7))
+                             ch=10.0, gdi=0.5, ri=0.9, ari=0.8, nmi=0.7, nmi_sqrt=0.6))
     imps = compute_improvements(rows)
     assert imps
     assert all(entry["improvement_pct"] == 0.0 for entry in imps)
@@ -804,41 +805,49 @@ PINNED_IMPROVEMENTS = [
     ("w0", "center_zone", "10", "ri", 0.0),
     ("w0", "center_zone", "10", "ari", 1299.9999999999995),
     ("w0", "center_zone", "10", "nmi", 450.0),
+    ("w0", "center_zone", "10", "nmi_sqrt", 116.66666666666664),
     ("w0", "center_zone", "5", "ch", 29.41176470588235),
     ("w0", "center_zone", "5", "gdi", -25.0),
     ("w0", "center_zone", "5", "ri", -5.555555555555547),
     ("w0", "center_zone", "5", "ari", 16.666666666666664),
     ("w0", "center_zone", "5", "nmi", 37.5),
+    ("w0", "center_zone", "5", "nmi_sqrt", 23.80952380952379),
     ("w1", "two_zone", "10", "ch", None),
     ("w1", "two_zone", "10", "gdi", None),
     ("w1", "two_zone", "10", "ri", None),
     ("w1", "two_zone", "10", "ari", None),
     ("w1", "two_zone", "10", "nmi", None),
+    ("w1", "two_zone", "10", "nmi_sqrt", None),
     ("w1", "two_zone", "5", "ch", 18.75),
     ("w1", "two_zone", "5", "gdi", 100.0),
     ("w1", "two_zone", "5", "ri", 5.555555555555547),
     ("w1", "two_zone", "5", "ari", 26.66666666666666),
     ("w1", "two_zone", "5", "nmi", 36.36363636363637),
+    ("w1", "two_zone", "5", "nmi_sqrt", 26.66666666666666),
     ("w2", "scratch_pair", "10", "ch", 50.0),
     ("w2", "scratch_pair", "10", "gdi", 50.0),
     ("w2", "scratch_pair", "10", "ri", 0.0),
     ("w2", "scratch_pair", "10", "ari", None),
     ("w2", "scratch_pair", "10", "nmi", 150.0),
+    ("w2", "scratch_pair", "10", "nmi_sqrt", -19.999999999999996),
     ("w2", "scratch_pair", "5", "ch", None),
     ("w2", "scratch_pair", "5", "gdi", 50.0),
     ("w2", "scratch_pair", "5", "ri", 0.0),
     ("w2", "scratch_pair", "5", "ari", None),
     ("w2", "scratch_pair", "5", "nmi", 25.0),
+    ("w2", "scratch_pair", "5", "nmi_sqrt", -19.999999999999996),
     ("w3", "donut_partial_ring", "10", "ch", 23.333333333333332),
     ("w3", "donut_partial_ring", "10", "gdi", 0.0),
     ("w3", "donut_partial_ring", "10", "ri", 0.0),
     ("w3", "donut_partial_ring", "10", "ari", None),
     ("w3", "donut_partial_ring", "10", "nmi", 50.0),
+    ("w3", "donut_partial_ring", "10", "nmi_sqrt", 37.49999999999999),
     ("w3", "donut_partial_ring", "5", "ch", 8.823529411764707),
     ("w3", "donut_partial_ring", "5", "gdi", 0.0),
     ("w3", "donut_partial_ring", "5", "ri", 0.0),
     ("w3", "donut_partial_ring", "5", "ari", None),
     ("w3", "donut_partial_ring", "5", "nmi", 50.0),
+    ("w3", "donut_partial_ring", "5", "nmi_sqrt", 13.79310344827586),
 ]
 
 PINNED_WILCOXON = {
@@ -850,6 +859,8 @@ PINNED_WILCOXON = {
     "gdi_m5": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.75, "statistic": 4.5},
     "nmi_m10": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.25, "statistic": 6.0},
     "nmi_m5": {"exact": True, "n_nonzero": 4, "p_two_sided": 0.125, "statistic": 10.0},
+    "nmi_sqrt_m10": {"exact": True, "n_nonzero": 3, "p_two_sided": 0.5, "statistic": 5.0},
+    "nmi_sqrt_m5": {"exact": True, "n_nonzero": 4, "p_two_sided": 0.375, "statistic": 8.5},
     "ri_m10": {"p_two_sided": None, "reason": "all differences are zero", "statistic": None},
     "ri_m5": {"exact": True, "n_nonzero": 2, "p_two_sided": 1.0, "statistic": 1.5},
 }
@@ -915,6 +926,7 @@ def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
         streamed, counters = [], {}
         rows = run_comparison(paths, m_list=(1, 2), seeds=2, iters=12, burn_in=4,
                               progress=streamed.append, counters=counters)
+        assert sorted(counters.pop("wall_seconds")) == ["fit", "gibbs", "hmc"]
         assert counters == {"fit_requests": 12, "fits_run": 6, "workers": workers}
         assert streamed == rows
         runs[workers] = rows
@@ -947,6 +959,41 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     # both wafers: 12 requests, 6 distinct (points, seed) pairs.
     assert counters == {"fit_requests": 12, "fits_run": 6}
     assert len(calls) == len(set(calls)) == counters["fits_run"]
+
+
+def test_compare_timings_sum_the_distinct_fits(tmp_path, monkeypatch):
+    _usable_cores(monkeypatch, 1)
+
+    def timed_fit(points, hyper, mcmc, seed):
+        res = original(points, hyper, mcmc, seed)
+        return dataclasses.replace(res, wall_seconds={"gibbs": 1.0, "hmc": 2.0, "fit": 4.0})
+
+    original = cli.fit_points
+    monkeypatch.setattr(cli, "fit_points", timed_fit)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--m-list", "1,2", "--seeds", "2",
+                   "--iters", "12", "--burn-in", "4", "--out", out) == 0
+    # 6 distinct fits of 12 requests, as in the test above
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings == {"gibbs_s": 6.0, "hmc_s": 12.0, "fit_s": 24.0}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"fit_requests": 12, "fits_run": 6}
+
+
+def test_cluster_reports_step_size_and_k_after_burn_in(tmp_path):
+    gen = tmp_path / "gen"
+    assert run_cli("generate", "--family", "two_zone", "--rows", "20", "--cols", "20",
+                   "--seed", "3", "--out", gen) == 0
+    out = tmp_path / "fit"
+    assert run_cli("cluster", gen / "wafer.txt", "--iters", "30", "--burn-in", "10",
+                   "--seed", "2", "--out", out) == 0
+    doc = json.loads((out / "assignments.json").read_text())
+    summary = doc["trace_summary"]
+    assert 1e-6 <= summary["step_size"] <= 1.0
+    assert summary["k_min"] <= doc["k_hat"] <= summary["k_max"]
+    # the reported partition is a kept iteration's, so its K has a share
+    assert 0 < summary["k_hat_share"] <= 1
+    assert (20 * summary["k_hat_share"]).is_integer()
 
 
 def test_cluster_refits_a_compare_row(tmp_path):

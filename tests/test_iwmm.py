@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,16 @@ from waferspr.iwmm import (
     gibbs_sweep,
     hmc_latent_step,
     iwmm_fit,
+    nystrom_landmarks,
 )
-from waferspr.iwmm import _cluster_members, _marginal_and_grad, _tri_inv_lower
+from waferspr.iwmm import (
+    _GplvmWork,
+    _cluster_members,
+    _gplvm_ll_and_field,
+    _marginal_and_grad,
+    _nystrom_field,
+    _se_covariance,
+)
 from waferspr.synthgen import family_specs, generate
 from waferspr.validation import adjusted_rand_index, evaluation_report
 
@@ -177,7 +186,7 @@ def test_triangular_inverse_matches_numpy(n):
     rng = np.random.default_rng(n)
     L = np.tril(rng.uniform(-1.0, 1.0, (n, n)) / n, -1) + np.diag(rng.uniform(0.5, 2.0, n))
     work = np.asfortranarray(L + np.triu(np.full((n, n), 7.0), 1))
-    inv = _tri_inv_lower(work)
+    inv = oracles.tri_inv_lower(work)
     want = np.linalg.inv(L)
     assert np.abs(np.tril(inv) - want).max() <= 1e-12 * np.abs(want).max()
     # the strict upper triangle is left as it was
@@ -189,7 +198,82 @@ def test_singular_factor_raises(n, zero_at):
     L = np.asfortranarray(np.eye(n))
     L[zero_at, zero_at] = 0.0
     with pytest.raises(NumericalError):
-        _tri_inv_lower(L)
+        oracles.tri_inv_lower(L)
+
+
+# -- the exact energy and the Nyström field ----------------------------------
+
+def _energy_and_field(S, Z, kern, landmarks):
+    return _gplvm_ll_and_field(S, Z, kern, landmarks, _GplvmWork(len(S)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("n", FIT_SIZES)
+def test_exact_energy_matches_dense_oracle_at_fit_sizes(n, kernel):
+    S, Z = _fit_like_inputs(n, seed=2000 + n)
+    kern = KERNELS[kernel]
+    got, _ = _energy_and_field(S, Z, kern, nystrom_landmarks(S))
+    assert got == pytest.approx(gplvm_log_likelihood_dense(S, Z, kern), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 63, 64])
+def test_field_with_every_point_a_landmark_matches_the_exact_gradient(n):
+    # Only Kmm's 1e-6 regularization separates the two: relative to the
+    # pipeline kernel's jitter 0.01 that is about 1e-4 of K^-1.
+    for seed in range(3):
+        S, Z = _fit_like_inputs(n, seed=3000 + 10 * n + seed)
+        ll, grad = gplvm(S, Z, KernelParams())
+        energy, field = _energy_and_field(S, Z, KernelParams(), nystrom_landmarks(S, n))
+        assert energy == pytest.approx(ll, rel=1e-10)
+        assert np.linalg.norm(field - grad) <= 1e-4 * np.linalg.norm(grad)
+
+
+def test_field_at_fit_sizes_is_close_to_the_exact_gradient():
+    errors = []
+    for n in (300, 377, 401):
+        for seed in range(3):
+            S, Z = _fit_like_inputs(n, seed=4000 + n + seed)
+            _, grad = gplvm(S, Z, KernelParams())
+            _, field = _energy_and_field(S, Z, KernelParams(), nystrom_landmarks(S))
+            errors.append(np.linalg.norm(field - grad) / np.linalg.norm(grad))
+    assert np.median(errors) < 5e-3
+
+
+@pytest.mark.parametrize("Z", ["coincident", "scattered"])
+def test_jitter_zero_field_is_finite_or_a_counted_error(Z):
+    rng = np.random.default_rng(21)
+    S, Zs = _fit_like_inputs(50, seed=21)
+    Z = np.zeros_like(S) if Z == "coincident" else Zs
+    state = LatentState(Z, np.ones(50, dtype=int), KernelParams(jitter=0.0),
+                        nystrom_landmarks(S, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10):
+            hmc_latent_step(state, S, GwHyper(), 0.05, 5, rng)
+            try:
+                field = _energy_and_field(S, state.Z + 0.1 * rng.standard_normal(S.shape),
+                                          state.kernel, state.landmarks)[1]
+            except NumericalError:
+                continue
+            assert np.isfinite(field).all()
+    ll, field = state.gplvm_ll_field(S)
+    assert math.isfinite(ll) and np.isfinite(field).all()
+
+
+def test_landmarks_by_farthest_point_traversal():
+    S = np.array([[0.0, 0.0], [4.0, 0.0], [-4.0, 0.0], [0.0, 3.0], [0.0, -3.0], [4.0, 0.0]])
+    # Point 0 is nearest the mean.  Points 1, 2 and 5 are farthest from
+    # it and 1 is the lowest index; then 2, then 3 and 4 tie at 3 from the
+    # chosen set.  Point 5 duplicates point 1: it comes last, and once.
+    for m, want in [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]),
+                    (6, [0, 1, 2, 3, 4, 5]), (10, [0, 1, 2, 3, 4, 5])]:
+        assert nystrom_landmarks(S, m).tolist() == want
+    assert nystrom_landmarks(S[[5, 4, 3, 2, 1, 0]], 3).tolist() == [0, 3, 5]
+    assert nystrom_landmarks(np.zeros((4, 2)), 3).tolist() == [0, 1, 2]
+    S = RNG.standard_normal((200, 2))
+    chosen = nystrom_landmarks(S)
+    assert len(chosen) == iwmm.NYSTROM_LANDMARKS
+    assert chosen.tolist() == sorted(set(chosen.tolist()))
 
 
 # -- numerical event counters ----------------------------------------------
@@ -214,12 +298,12 @@ def test_absurd_step_size_counts_numerical_rejections():
 
 def test_numerical_error_in_trajectory_is_counted(monkeypatch):
     state, S = _toy_state(seed=6)
-    state.gplvm_ll_grad(S)  # the start point is fine; every proposal fails
+    state.gplvm_ll_field(S)  # the start point is fine; every step of a trajectory fails
 
     def failing(*args, **kwargs):
-        raise NumericalError("covariance Cholesky failed after jitter escalation")
+        raise NumericalError("landmark covariance Cholesky failed")
 
-    monkeypatch.setattr(iwmm, "_gplvm_ll_and_grad", failing)
+    monkeypatch.setattr(iwmm, "_nystrom_field", failing)
     rng = np.random.default_rng(3)
     assert not hmc_latent_step(state, S, GwHyper(), 0.01, 3, rng)
     assert state.hmc_numerical_rejections == 1
@@ -630,6 +714,112 @@ def test_hmc_updates_state_only_on_accept():
     accepted = hmc_latent_step(state, S, h, 50.0, 3, rng)  # absurd step
     assert not accepted
     assert np.array_equal(state.Z, Z0)
+
+
+def test_nystrom_leapfrog_is_reversible():
+    # The field depends on the position alone, so the leapfrog map it
+    # drives is reversible even where it is far from the exact gradient
+    # (8 landmarks of 40 points).
+    S, Z0 = _fit_like_inputs(40, seed=40)
+    kern, h = KernelParams(), GwHyper()
+    members = _cluster_members(np.array([1, 2] * 20))
+    landmarks = nystrom_landmarks(S, 8)
+    work = _GplvmWork(40)
+    eps, steps = 0.002, 8
+
+    def force(Z):
+        field = _nystrom_field(S, Z, _se_covariance(Z, kern, work), kern, landmarks, work)
+        return field + _marginal_and_grad(Z, members, h)[1]
+
+    def leapfrog(Z, p):
+        p = p + 0.5 * eps * force(Z)
+        for step in range(steps):
+            Z = Z + eps * p
+            p = p + (eps if step < steps - 1 else 0.5 * eps) * force(Z)
+        return Z, p
+
+    p0 = np.random.default_rng(41).standard_normal(Z0.shape)
+    Z1, p1 = leapfrog(Z0, p0)
+    assert np.abs(Z1 - Z0).max() > 1e-3
+    Z2, p2 = leapfrog(Z1, -p1)
+    assert np.abs(Z2 - Z0).max() < 1e-8
+    assert np.abs(-p2 - p0).max() < 1e-8
+
+
+# The Geweke test's model: five points, a noisier kernel than the
+# pipeline's and a prior with light enough tails that every test
+# function has a variance, so the successive-conditional chain mixes
+# within its budget.
+GEWEKE_KERNEL = KernelParams(jitter=0.05)
+GEWEKE_HYPER = GwHyper(R=3.5 * np.eye(2), r=10.0, alpha=1.0)
+
+
+def _gp_draw(Z, rng):
+    """S drawn from the GP given Z."""
+    K = se_covariance_dense(Z, GEWEKE_KERNEL)
+    return np.linalg.cholesky(K) @ rng.standard_normal((Z.shape[0], 2))
+
+
+def _prior_draw(n, rng):
+    """(A, Z, S) drawn from the model: A from the CRP, each cluster's
+    Gaussian from the Gaussian-Wishart prior (its precision Wishart with
+    scale R^-1 and r degrees of freedom, its mean normal with precision
+    p times that), Z from the clusters and S from the GP."""
+    h = GEWEKE_HYPER
+    counts = []
+    A = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        weights = np.cumsum(counts + [h.alpha])
+        k = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
+        if k == len(counts):
+            counts.append(0)
+        counts[k] += 1
+        A[i] = k + 1
+    Z = np.empty((n, 2))
+    root = np.linalg.cholesky(np.linalg.inv(h.R))
+    for k, size in enumerate(counts, 1):
+        X = rng.standard_normal((int(h.r), 2)) @ root.T
+        cov_root = np.linalg.cholesky(np.linalg.inv(X.T @ X))
+        mean = h.m + cov_root @ rng.standard_normal(2) / math.sqrt(h.p)
+        Z[A == k] = mean + rng.standard_normal((size, 2)) @ cov_root.T
+    return A, Z, _gp_draw(Z, rng)
+
+
+def _geweke_functions(A, Z, S):
+    """K, mean |z|^2, mean s^2 and the mean covariance of two distinct
+    points, which reads the spread of Z on the kernel's scale."""
+    n = Z.shape[0]
+    K = se_covariance_dense(Z, GEWEKE_KERNEL)
+    return (len(set(A.tolist())), float(np.mean(np.sum(Z * Z, axis=1))), float(np.mean(S * S)),
+            float((K.sum() - np.trace(K)) / (n * (n - 1))))
+
+
+def test_geweke_joint_distribution():
+    # Geweke, "Getting It Right: Joint Distribution Tests of Posterior
+    # Simulators", JASA 2004.  Draws of (A, Z, S) from the model itself
+    # must match, in every test function's mean, the draws of a chain
+    # that alternates a Gibbs sweep, one HMC transition at a fixed step
+    # size and a fresh S from the GP given Z: each step leaves the joint
+    # distribution invariant.  The HMC steps run on 3 landmarks of 5
+    # points, so the field is far from the exact gradient and only the
+    # Metropolis test on the exact energy keeps the target.
+    n, draws, batches = 5, 10000, 50
+    rng = np.random.default_rng(2004)
+    marginal = np.array([_geweke_functions(*_prior_draw(n, rng)) for _ in range(draws)])
+    A, Z, S = _prior_draw(n, rng)
+    chain = []
+    for _ in range(draws):
+        state = LatentState(Z, A, GEWEKE_KERNEL, nystrom_landmarks(S, 3))
+        gibbs_sweep(state, GEWEKE_HYPER, rng)
+        hmc_latent_step(state, S, GEWEKE_HYPER, 0.1, 5, rng)
+        A, Z = state.A, state.Z
+        S = _gp_draw(Z, rng)
+        chain.append(_geweke_functions(A, Z, S))
+    chain = np.array(chain)
+    batch_means = chain.reshape(batches, -1, chain.shape[1]).mean(axis=1)
+    z = (marginal.mean(axis=0) - chain.mean(axis=0)) / np.sqrt(
+        marginal.var(axis=0) / draws + batch_means.var(axis=0, ddof=1) / batches)
+    assert np.abs(z).max() < 4.0, z
 
 
 # -- end-to-end fits -------------------------------------------------------

@@ -23,8 +23,8 @@ def test_array_holding_types_compare_by_identity():
         (iwmm.GwHyper(), iwmm.GwHyper()),
         (synthgen.generate(8, 8, synthgen.family_specs("two_zone"), 0.0, 0),
          synthgen.generate(8, 8, synthgen.family_specs("two_zone"), 0.0, 0)),
-        (iwmm.IwmmResult((1, 1), 1, points.coords, (), 1.0, 0, 0),
-         iwmm.IwmmResult((1, 1), 1, points.coords, (), 1.0, 0, 0)),
+        (iwmm.IwmmResult((1, 1), 1, points.coords, (), 1.0, 0, 0, 0.01),
+         iwmm.IwmmResult((1, 1), 1, points.coords, (), 1.0, 0, 0, 0.01)),
     ]
     for a, b in objects:
         assert a == a and a != b
