@@ -252,15 +252,16 @@ def _gplvm_ll(S, K, kern, work):
 NYSTROM_LANDMARKS = 64
 
 
-def nystrom_landmarks(S, m: int = NYSTROM_LANDMARKS) -> np.ndarray:
-    """The sorted indices of min(n, m) points of S, chosen by
-    farthest-point traversal: first the point nearest the mean, then each
-    time the point farthest from those chosen, ties to the lowest index."""
+def nystrom_landmarks(S) -> np.ndarray:
+    """The sorted indices of min(n, NYSTROM_LANDMARKS) points of S, chosen
+    by farthest-point traversal: first the point nearest the mean, then
+    each time the point farthest from those chosen, ties to the lowest
+    index."""
     S = np.asarray(S, dtype=float)
     nearest = np.full(S.shape[0], np.inf)  # squared distance to the chosen set
     chosen = []
     i = int(np.argmin(np.sum((S - S.mean(axis=0)) ** 2, axis=1)))
-    for _ in range(min(S.shape[0], m)):
+    for _ in range(min(S.shape[0], NYSTROM_LANDMARKS)):
         chosen.append(i)
         np.minimum(nearest, np.sum((S - S[i]) ** 2, axis=1), out=nearest)
         nearest[i] = -1.0
@@ -430,14 +431,16 @@ class LatentState:
     are plain floats so the Gibbs inner loop avoids array overhead.
     """
 
-    def __init__(self, Z, A, kernel: KernelParams, landmarks=None):
+    def __init__(self, Z, A, kernel: KernelParams):
         self.Z = np.array(Z, dtype=float)
         self.A = np.array(A, dtype=np.int64)
         self.kernel = kernel
         if self.Z.shape[0] != self.A.shape[0]:
             raise ValueError("Z and A lengths differ")
-        # The Nyström field's landmarks; by default those of the starting Z.
-        self.landmarks = nystrom_landmarks(self.Z) if landmarks is None else landmarks
+        # The Nyström field's landmarks, those of the starting Z.  They stay
+        # fixed for the whole chain: landmarks re-chosen from the current Z
+        # would make the field, and so the leapfrog map, irreversible.
+        self.landmarks = nystrom_landmarks(self.Z)
         self._sums = []
         self._gplvm = None  # (exact ll, Nyström field) of the GPLVM at the current Z
         self._gplvm_work = _GplvmWork(self.Z.shape[0])
@@ -705,7 +708,7 @@ def iwmm_fit(
     sd = np.where(sd == 0, 1.0, sd)
     Sstd = (coords - mu) / sd
 
-    state = LatentState(Sstd.copy(), _component_init(coords), k0, nystrom_landmarks(Sstd))
+    state = LatentState(Sstd.copy(), _component_init(coords), k0)
     rng = np.random.default_rng(seed)
 
     trace = []

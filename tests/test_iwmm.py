@@ -35,6 +35,7 @@ from waferspr.iwmm import (
 from waferspr.iwmm import (
     _GplvmWork,
     _cluster_members,
+    _gplvm_ll,
     _gplvm_ll_and_field,
     _marginal_and_grad,
     _nystrom_field,
@@ -48,9 +49,22 @@ RNG = np.random.default_rng(20240811)
 
 # -- GPLVM likelihood and gradient ---------------------------------------
 
+def _energy_and_field(S, Z, kern):
+    """The program's exact log p(S|Z) and Nyström field at Z, on the
+    landmarks of S and fresh buffers."""
+    S = np.asarray(S, dtype=float)
+    return _gplvm_ll_and_field(S, np.asarray(Z, dtype=float), kern, nystrom_landmarks(S),
+                               _GplvmWork(len(S)))
+
+
 def test_single_point_likelihood_closed_form():
-    val, _ = gplvm(np.array([[0.0, 0.0]]), np.array([[0.7, -0.2]]), KernelParams(1.0, 1.0, 0.0))
-    assert val == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+    S, Z = np.array([[0.0, 0.0]]), np.array([[0.7, -0.2]])
+    kern = KernelParams(1.0, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for val, grad in (gplvm(S, Z, kern), _energy_and_field(S, Z, kern)):
+            assert val == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+            assert (grad == 0.0).all()
 
 
 def test_zero_outputs_leave_only_determinant_terms():
@@ -58,8 +72,8 @@ def test_zero_outputs_leave_only_determinant_terms():
     kern = KernelParams(1.4, 0.9, 1e-6)
     K = se_covariance_dense(Z, kern)
     expected = -5 * math.log(2 * math.pi) - np.linalg.slogdet(K)[1]
-    got, _ = gplvm(np.zeros((5, 2)), Z, kern)
-    assert got == pytest.approx(expected, rel=1e-12)
+    for got, _ in (gplvm(np.zeros((5, 2)), Z, kern), _energy_and_field(np.zeros((5, 2)), Z, kern)):
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_kernel_validation():
@@ -88,12 +102,14 @@ def test_gradient_matches_finite_differences():
 def test_gradient_finite_for_coincident_points():
     Z = np.zeros((4, 2))
     S = RNG.standard_normal((4, 2))
-    _, g = gplvm(S, Z, KernelParams(jitter=1e-6))
-    assert np.isfinite(g).all()
+    for _, g in (gplvm(S, Z, KernelParams(jitter=1e-6)),
+                 _energy_and_field(S, Z, KernelParams(jitter=1e-6))):
+        assert np.isfinite(g).all()
 
 
-# The likelihood and its gradient come from one computation, which
-# returns neither when either is not finite.
+# The oracle's likelihood and gradient come from one computation, which
+# returns neither when either is not finite; the program's exact
+# likelihood and its field each check their own result.
 @pytest.mark.parametrize("part", [0, 1], ids=["gplvm_log_likelihood", "gplvm_grad"])
 @pytest.mark.parametrize("S,Z", [
     (np.zeros((3, 2)), [[1e200, 0.0], [0.0, 0.0], [1.0, 1.0]]),  # NaN in the covariance
@@ -101,9 +117,20 @@ def test_gradient_finite_for_coincident_points():
     ([[np.inf, 0.0], [0.0, 0.0], [1.0, 1.0]], np.zeros((3, 2))),
 ])
 def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
+    S, Z, kern = np.asarray(S, dtype=float), np.asarray(Z, dtype=float), KernelParams()
+    work = _GplvmWork(3)
+    program = [lambda: _gplvm_ll(S, _se_covariance(Z, kern, work), kern, work),
+               lambda: _nystrom_field(S, Z, _se_covariance(Z, kern, work), kern,
+                                      nystrom_landmarks(S), work)][part]
     # LAPACK factors a covariance holding NaN without an error
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
-        gplvm(S, Z, KernelParams())[part]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            gplvm(S, Z, kern)[part]
+        with pytest.raises(NumericalError,
+                           match=["GPLVM likelihood", "GPLVM field"][part] + " is not finite"):
+            program()
+        with pytest.raises(NumericalError, match="not finite"):
+            _energy_and_field(S, Z, kern)
 
 
 def test_gradient_antisymmetric_for_symmetric_pair():
@@ -126,6 +153,7 @@ def test_likelihood_matches_dense_oracle():
         )
         want = gplvm_log_likelihood_dense(S, Z, kern)
         assert gplvm(S, Z, kern)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert _energy_and_field(S, Z, kern)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_shape_mismatch_rejected():
@@ -203,16 +231,12 @@ def test_singular_factor_raises(n, zero_at):
 
 # -- the exact energy and the Nyström field ----------------------------------
 
-def _energy_and_field(S, Z, kern, landmarks):
-    return _gplvm_ll_and_field(S, Z, kern, landmarks, _GplvmWork(len(S)))
-
-
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("n", FIT_SIZES)
 def test_exact_energy_matches_dense_oracle_at_fit_sizes(n, kernel):
     S, Z = _fit_like_inputs(n, seed=2000 + n)
     kern = KERNELS[kernel]
-    got, _ = _energy_and_field(S, Z, kern, nystrom_landmarks(S))
+    got, _ = _energy_and_field(S, Z, kern)
     assert got == pytest.approx(gplvm_log_likelihood_dense(S, Z, kern), rel=1e-9, abs=1e-9)
 
 
@@ -223,7 +247,7 @@ def test_field_with_every_point_a_landmark_matches_the_exact_gradient(n):
     for seed in range(3):
         S, Z = _fit_like_inputs(n, seed=3000 + 10 * n + seed)
         ll, grad = gplvm(S, Z, KernelParams())
-        energy, field = _energy_and_field(S, Z, KernelParams(), nystrom_landmarks(S, n))
+        energy, field = _energy_and_field(S, Z, KernelParams())
         assert energy == pytest.approx(ll, rel=1e-10)
         assert np.linalg.norm(field - grad) <= 1e-4 * np.linalg.norm(grad)
 
@@ -234,25 +258,26 @@ def test_field_at_fit_sizes_is_close_to_the_exact_gradient():
         for seed in range(3):
             S, Z = _fit_like_inputs(n, seed=4000 + n + seed)
             _, grad = gplvm(S, Z, KernelParams())
-            _, field = _energy_and_field(S, Z, KernelParams(), nystrom_landmarks(S))
+            _, field = _energy_and_field(S, Z, KernelParams())
             errors.append(np.linalg.norm(field - grad) / np.linalg.norm(grad))
     assert np.median(errors) < 5e-3
 
 
 @pytest.mark.parametrize("Z", ["coincident", "scattered"])
-def test_jitter_zero_field_is_finite_or_a_counted_error(Z):
+def test_jitter_zero_field_is_finite_or_a_counted_error(Z, monkeypatch):
+    monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 8)
     rng = np.random.default_rng(21)
     S, Zs = _fit_like_inputs(50, seed=21)
     Z = np.zeros_like(S) if Z == "coincident" else Zs
-    state = LatentState(Z, np.ones(50, dtype=int), KernelParams(jitter=0.0),
-                        nystrom_landmarks(S, 8))
+    state = LatentState(Z, np.ones(50, dtype=int), KernelParams(jitter=0.0))
+    state.landmarks = nystrom_landmarks(S)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(10):
             hmc_latent_step(state, S, GwHyper(), 0.05, 5, rng)
             try:
                 field = _energy_and_field(S, state.Z + 0.1 * rng.standard_normal(S.shape),
-                                          state.kernel, state.landmarks)[1]
+                                          state.kernel)[1]
             except NumericalError:
                 continue
             assert np.isfinite(field).all()
@@ -260,20 +285,45 @@ def test_jitter_zero_field_is_finite_or_a_counted_error(Z):
     assert math.isfinite(ll) and np.isfinite(field).all()
 
 
-def test_landmarks_by_farthest_point_traversal():
+def test_landmarks_by_farthest_point_traversal(monkeypatch):
+    many = RNG.standard_normal((200, 2))
+    chosen = nystrom_landmarks(many)
+    assert len(chosen) == iwmm.NYSTROM_LANDMARKS
+    assert chosen.tolist() == sorted(set(chosen.tolist()))
     S = np.array([[0.0, 0.0], [4.0, 0.0], [-4.0, 0.0], [0.0, 3.0], [0.0, -3.0], [4.0, 0.0]])
     # Point 0 is nearest the mean.  Points 1, 2 and 5 are farthest from
     # it and 1 is the lowest index; then 2, then 3 and 4 tie at 3 from the
     # chosen set.  Point 5 duplicates point 1: it comes last, and once.
     for m, want in [(1, [0]), (2, [0, 1]), (3, [0, 1, 2]), (4, [0, 1, 2, 3]),
                     (6, [0, 1, 2, 3, 4, 5]), (10, [0, 1, 2, 3, 4, 5])]:
-        assert nystrom_landmarks(S, m).tolist() == want
-    assert nystrom_landmarks(S[[5, 4, 3, 2, 1, 0]], 3).tolist() == [0, 3, 5]
-    assert nystrom_landmarks(np.zeros((4, 2)), 3).tolist() == [0, 1, 2]
-    S = RNG.standard_normal((200, 2))
-    chosen = nystrom_landmarks(S)
-    assert len(chosen) == iwmm.NYSTROM_LANDMARKS
-    assert chosen.tolist() == sorted(set(chosen.tolist()))
+        monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", m)
+        assert nystrom_landmarks(S).tolist() == want
+    monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 3)
+    assert nystrom_landmarks(S[[5, 4, 3, 2, 1, 0]]).tolist() == [0, 3, 5]
+    assert nystrom_landmarks(np.zeros((4, 2))).tolist() == [0, 1, 2]
+
+
+def test_fit_keeps_the_landmarks_of_the_standardized_points(monkeypatch):
+    # The leapfrog map is reversible only while the field's landmarks
+    # stay put: every transition of a fit must see the landmarks of the
+    # standardized points it started from, whatever Z has become.
+    coords = np.random.default_rng(8).standard_normal((100, 2)) * [3.0, 1.0] + 5.0
+    want = nystrom_landmarks((coords - coords.mean(axis=0)) / coords.std(axis=0))
+    step = iwmm.hmc_latent_step
+    seen = []
+
+    def recording_step(state, *args):
+        seen.append(state.landmarks.copy())
+        accepted = step(state, *args)
+        seen.append(state.landmarks.copy())
+        return accepted
+
+    monkeypatch.setattr(iwmm, "hmc_latent_step", recording_step)
+    res = iwmm_fit(PointSet(coords), mcmc=McmcConfig(iters=20, burn_in=10), seed=4)
+    assert len(seen) == 40 and res.hmc_acceptance_rate > 0
+    assert not np.array_equal(nystrom_landmarks(np.asarray(res.latent_coords)), want)
+    for landmarks in seen:
+        assert landmarks.tolist() == want.tolist()
 
 
 # -- numerical event counters ----------------------------------------------
@@ -716,14 +766,15 @@ def test_hmc_updates_state_only_on_accept():
     assert np.array_equal(state.Z, Z0)
 
 
-def test_nystrom_leapfrog_is_reversible():
+def test_nystrom_leapfrog_is_reversible(monkeypatch):
     # The field depends on the position alone, so the leapfrog map it
     # drives is reversible even where it is far from the exact gradient
     # (8 landmarks of 40 points).
+    monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 8)
     S, Z0 = _fit_like_inputs(40, seed=40)
     kern, h = KernelParams(), GwHyper()
     members = _cluster_members(np.array([1, 2] * 20))
-    landmarks = nystrom_landmarks(S, 8)
+    landmarks = nystrom_landmarks(S)
     work = _GplvmWork(40)
     eps, steps = 0.002, 8
 
@@ -794,7 +845,7 @@ def _geweke_functions(A, Z, S):
             float((K.sum() - np.trace(K)) / (n * (n - 1))))
 
 
-def test_geweke_joint_distribution():
+def test_geweke_joint_distribution(monkeypatch):
     # Geweke, "Getting It Right: Joint Distribution Tests of Posterior
     # Simulators", JASA 2004.  Draws of (A, Z, S) from the model itself
     # must match, in every test function's mean, the draws of a chain
@@ -803,13 +854,17 @@ def test_geweke_joint_distribution():
     # distribution invariant.  The HMC steps run on 3 landmarks of 5
     # points, so the field is far from the exact gradient and only the
     # Metropolis test on the exact energy keeps the target.
+    # The landmarks are those of the current S, which the HMC transition
+    # holds fixed; landmarks of Z would change along the chain.
+    monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 3)
     n, draws, batches = 5, 10000, 50
     rng = np.random.default_rng(2004)
     marginal = np.array([_geweke_functions(*_prior_draw(n, rng)) for _ in range(draws)])
     A, Z, S = _prior_draw(n, rng)
     chain = []
     for _ in range(draws):
-        state = LatentState(Z, A, GEWEKE_KERNEL, nystrom_landmarks(S, 3))
+        state = LatentState(Z, A, GEWEKE_KERNEL)
+        state.landmarks = nystrom_landmarks(S)
         gibbs_sweep(state, GEWEKE_HYPER, rng)
         hmc_latent_step(state, S, GEWEKE_HYPER, 0.1, 5, rng)
         A, Z = state.A, state.Z
