@@ -537,9 +537,11 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     fit is seeded, so the rows do not depend on the worker count.
     `progress` is called with each row, in order, as it is ready; a row
     of an empty point set has no fit and no scores.
-    A `counters` dict receives `fit_requests`, `fits_run`, `workers` and
-    `wall_seconds`, the distinct fits' `IwmmResult.wall_seconds` summed
-    per stage; the last two depend on the machine.
+    A `counters` dict receives `fit_requests`, `fits_run`, the sums over
+    the distinct fits of their accepted HMC transitions (`hmc_accepted`),
+    `jitter_escalations` and `hmc_numerical_rejections`, and `workers`
+    and `wall_seconds`, the distinct fits' `IwmmResult.wall_seconds`
+    summed per stage; the last two depend on the machine.
     """
     if truth_source not in TRUTH_SOURCES:
         raise ValueError(f"unknown truth source {truth_source!r}; "
@@ -609,10 +611,15 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
                 if progress:
                     progress(rows[-1])
     if counters is not None:
+        results = list(fits.values())
         wall_seconds = Counter()
-        for res in fits.values():
+        for res in results:
             wall_seconds.update(res.wall_seconds)
-        counters["wall_seconds"] = dict(wall_seconds)
+        counters.update(
+            hmc_accepted=sum(round(res.hmc_acceptance_rate * mcmc.iters) for res in results),
+            jitter_escalations=sum(res.jitter_escalations for res in results),
+            hmc_numerical_rejections=sum(res.hmc_numerical_rejections for res in results),
+            wall_seconds=dict(wall_seconds))
     return rows
 
 

@@ -165,9 +165,10 @@ class IwmmResult:
 # ---------------------------------------------------------------------
 
 class _GplvmWork:
-    """Reusable n x n buffers for the GPLVM covariance, its Cholesky
-    factor and the Nyström field's weights, and the count of Cholesky
-    jitter escalations made with them.
+    """Reusable buffers for the GPLVM: the n x n covariance and its
+    Cholesky factor, which the exact energy needs once per HMC
+    transition, and the n x m landmark columns of the Nyström field;
+    and the count of Cholesky jitter escalations made with them.
 
     Freshly allocated n x n temporaries go back to the OS when freed and
     are page-faulted in again on the next call; at a few hundred points
@@ -178,12 +179,16 @@ class _GplvmWork:
     def __init__(self, n: int):
         self.n = n
         self.K = np.empty((n, n), order="F")
-        # The Cholesky factor, or between factorizations the field's
-        # weights.  Both fill only the lower triangle; the strict upper
-        # one stays zero, so elementwise products over it stay finite.
-        self.factor = np.zeros((n, n), order="F")
+        self.factor = np.empty((n, n), order="F")
+        self.Knm = np.empty((n, 0), order="F")
         self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
         self.jitter_escalations = 0
+
+    def landmark_columns(self, m: int) -> np.ndarray:
+        """The n x m buffer of the field's landmark columns."""
+        if self.Knm.shape[1] != m:
+            self.Knm = np.empty((self.n, m), order="F")
+        return self.Knm
 
 
 def _noise_floor(jitter):
@@ -192,16 +197,22 @@ def _noise_floor(jitter):
     return jitter if jitter > 0 else 1e-10
 
 
-def _se_covariance(Z, kern, work):
-    """The KernelParams covariance of Z, written into work.K."""
-    sq = np.sum(Z * Z, axis=1)
-    K = np.add.outer(sq, sq, out=work.K)
-    K = _blas.dgemm(-2.0, Z, Z, beta=1.0, c=K, trans_b=1, overwrite_c=1)
+def _se_kernel(Z, Y, kern, out):
+    """signal_variance * exp(-|z_i - y_j|^2 / (2 l^2)) for the rows z_i
+    of Z and y_j of Y, written into `out`."""
+    K = np.add.outer(np.sum(Z * Z, axis=1), np.sum(Y * Y, axis=1), out=out)
+    K = _blas.dgemm(-2.0, Z, Y, beta=1.0, c=K, trans_b=1, overwrite_c=1)
     np.maximum(K, 0.0, out=K)
     K *= -0.5 / kern.length_scale**2
     np.exp(K, out=K)
     if kern.signal_variance != 1.0:
         K *= kern.signal_variance
+    return K
+
+
+def _se_covariance(Z, kern, work):
+    """The KernelParams covariance of Z, written into work.K."""
+    K = _se_kernel(Z, Z, kern, work.K)
     K.flat[:: work.n + 1] += kern.jitter
     return K
 
@@ -247,8 +258,8 @@ def _gplvm_ll(S, K, kern, work):
 # Most landmarks of the Nyström field that drives the HMC trajectories.
 # The squared-exponential covariance of a standardized point set has low
 # effective rank: over ten states of a 377-point corpus fit, 64 landmarks
-# leave the field within 2.6e-2 of the exact gradient (median 1.1e-2),
-# where 32 leave it within 0.81 (median 0.12).
+# leave the field within 2.3e-2 of the exact gradient (median 1.0e-2),
+# where 32 leave it within 0.14 (median 4.7e-2).
 NYSTROM_LANDMARKS = 64
 
 
@@ -269,60 +280,76 @@ def nystrom_landmarks(S) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.intp))
 
 
-def _nystrom_field(S, Z, K, kern, landmarks, work):
-    """The gradient of log p(S | Z) with respect to Z, with K^-1 replaced
-    by the inverse of a Nyström approximation of K, the covariance of Z
-    that _se_covariance wrote, on the columns `landmarks`.
+def _nystrom_field(S, Z, kern, landmarks, work):
+    """The gradient with respect to Z of the Nyström log-likelihood
+    log N(S | 0, Knm Kmm^-1 Kmn + s^2 I), the subset-of-regressors (DTC)
+    approximation of log p(S | Z) (Quiñonero-Candela & Rasmussen, JMLR
+    2005), in O(n m^2) for m landmarks and with no n x n array.
 
-    With s^2 the jitter (see _noise_floor), K's noise-free landmark
-    columns Knm and Kmm + 1e-6 signal_variance I give
-    Bt = Knm chol(Kmm)^-T, whose Bt Bt^T stands in for K - s^2 I, and
-    B = Bt chol(s^2 I + Bt^T Bt)^-T.  By Woodbury, P = s^-2 (I - B B^T)
-    inverts Bt Bt^T + s^2 I.  With alpha = P S, dL/dK's off-diagonal is
-    0.5 alpha alpha^T + s^-2 B B^T, one dsyrk into work.factor, and it
-    chains through the SE kernel as the exact gradient does.  The field
-    depends on Z alone, as a leapfrog step needs (see hmc_latent_step).
-    NumericalError when a factorization fails or the field is not finite.
+    Knm is the noise-free SE covariance of Z with Z[landmarks], Kmm its
+    landmark rows plus 1e-6 signal_variance I, and s^2 the jitter (see
+    _noise_floor).  With Lm = chol(Kmm), Phi = Knm Lm^-T,
+    A = s^2 I + Phi^T Phi = Lc Lc^T, w = A^-1 Phi^T S and
+    alpha = (S - Phi w) / s^2, the log-likelihood's derivatives are
+    dL/dKnm = (alpha w^T - 2 Phi A^-1) Lm^-1 and
+    dL/dKmm = Lm^-T (A^-1 Phi^T Phi - w w^T / 2) Lm^-1.  In the whitened
+    B = Phi Lc^-T, c = B^T S and R = (Lm Lc)^-1 = Lc^-1 Lm^-1 they read
+    (alpha c^T - 2 B) R and R^T Y R, Y = Lc^T Lc - s^2 I - c c^T / 2.
+    Every factor comes from the whitened Phi, whose A is well
+    conditioned: inverting Kmm and s^2 Kmm + Kmn Knm directly put the
+    field 1-7% off at fitted states.  Kmm is Knm's landmark rows, so
+    dL/dKmm adds onto those rows, and the sum chains through the SE
+    kernel of each pair.  The field depends on Z alone, as a leapfrog
+    step needs (see hmc_latent_step).  NumericalError when a
+    factorization fails or the field is not finite.
     """
-    n, m = K.shape[0], len(landmarks)
+    m = len(landmarks)
     s2 = _noise_floor(kern.jitter)
-    Knm = K[:, landmarks]
-    Knm[landmarks, np.arange(m)] -= kern.jitter
+    ZI = work.ZI
+    ZI[:, :2] = Z
+    ZL1 = ZI[landmarks]  # [Z[landmarks] | 1]
+    ZL = ZL1[:, :2]
+    Knm = _se_kernel(Z, ZL, kern, work.landmark_columns(m))
     Kmm = Knm[landmarks]
     Kmm.flat[:: m + 1] += 1e-6 * kern.signal_variance
     Lm, info = _lapack.dpotrf(Kmm, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("landmark covariance Cholesky failed")
-    Bt = _blas.dtrsm(1.0, Lm, Knm, side=1, lower=1, trans_a=1)
-    inner = _blas.dsyrk(1.0, Bt, trans=1, lower=1)
-    inner.flat[:: m + 1] += s2
-    Lc, info = _lapack.dpotrf(inner, lower=1, clean=1, overwrite_a=1)
+    # The m x m triangular inverses are cheap, and a product with one
+    # runs at about twice the speed of a triangular solve of n rows.
+    Lm_inv, _ = _lapack.dtrtri(Lm, lower=1, overwrite_c=1)
+    Phi = _blas.dtrmm(1.0, Lm_inv, Knm, side=1, lower=1, trans_a=1)
+    A = _blas.dsyrk(1.0, Phi, trans=1, lower=1)
+    A.flat[:: m + 1] += s2
+    Lc, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("Nyström inner Cholesky failed")
-    C = np.empty((n, m + 2), order="F")  # [alpha / sqrt 2 | B / s]
-    B = C[:, 2:]
-    B[...] = _blas.dtrsm(1.0 / math.sqrt(s2), Lc, Bt, side=1, lower=1, trans_a=1)
-    # B here is B / s, so alpha = (S - B B^T S) / s^2 reads S / s^2 - B (B^T S)
-    C[:, :2] = math.sqrt(0.5) * (S / s2 - B @ (B.T @ S))
-    W = _blas.dsyrk(1.0, C, c=work.factor, lower=1, overwrite_c=1)
-    W.flat[:: n + 1] = 0.0  # the (z_l - z_j) factor of the diagonal is 0
-    W *= K
-    ZI = work.ZI
-    ZI[:, :2] = Z
-    WZI = _blas.dsymm(1.0, W, ZI, lower=1)  # [W @ Z | row sums of W]
-    grad = -(2.0 / kern.length_scale**2) * (Z * WZI[:, 2:] - WZI[:, :2])
+    Lc_inv, _ = _lapack.dtrtri(Lc, lower=1)
+    B = _blas.dtrmm(1.0, Lc_inv, Phi, side=1, lower=1, trans_a=1, overwrite_b=1)
+    R = _blas.dtrmm(1.0, Lc_inv, Lm_inv, lower=1, overwrite_b=1)
+    c = B.T @ S
+    alpha = (S - B @ c) / s2
+    E = _blas.dgemm(1.0, alpha, c, beta=-2.0, c=B, trans_b=1, overwrite_c=1)
+    Y, _ = _lapack.dlauum(Lc, lower=1, overwrite_c=1)  # lower triangle of Lc^T Lc
+    Y -= 0.5 * (c @ c.T)
+    Y.flat[:: m + 1] -= s2
+    E[landmarks] += _blas.dsymm(1.0, Y, R, lower=1).T
+    M = _blas.dtrmm(1.0, R, E, side=1, lower=1, overwrite_b=1)
+    M *= Knm
+    MZ = M @ ZL1  # [M @ Z[landmarks] | row sums of M]
+    MtZ = M.T @ ZI  # [M^T @ Z | column sums of M]
+    grad = MZ[:, :2] - Z * MZ[:, 2:]
+    grad[landmarks] += MtZ[:, :2] - ZL * MtZ[:, 2:]
+    grad *= kern.length_scale**-2
     if not np.isfinite(grad).all():
         raise NumericalError("GPLVM field is not finite")
     return grad
 
 
 def _gplvm_ll_and_field(S, Z, kern, landmarks, work):
-    """(log p(S | Z), the Nyström field) at Z, from one covariance: the
-    field is formed first, since the factorization overwrites its
-    weights."""
-    K = _se_covariance(Z, kern, work)
-    field = _nystrom_field(S, Z, K, kern, landmarks, work)
-    return _gplvm_ll(S, K, kern, work), field
+    """(log p(S | Z), the Nyström field) at Z."""
+    ll = _gplvm_ll(S, _se_covariance(Z, kern, work), kern, work)
+    return ll, _nystrom_field(S, Z, kern, landmarks, work)
 
 
 # ---------------------------------------------------------------------
@@ -625,14 +652,18 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
     log p(S|Z, kernel) + log p(Z|A, ...), with `leapfrog_steps` leapfrog
     steps of size `eps`.  Returns True on acceptance.
 
-    The steps follow the Nyström field of the GPLVM term (see
-    _nystrom_field) plus the exact gradient of the latent marginal.  For
-    any field that depends on the position alone the leapfrog map is
-    reversible and preserves volume, so a Metropolis test on the exact
-    energy at the trajectory's two ends keeps the target exact (Neal,
-    "MCMC using Hamiltonian dynamics", 2011): the field changes only how
-    often proposals are accepted.  The exact log p(S|Z) is computed once,
-    at the end point, and the state caches it with the field there.
+    The steps follow the gradient of the GPLVM term's Nyström
+    approximation (see _nystrom_field) plus the exact gradient of the
+    latent marginal, as in surrogate HMC (Rasmussen, "Gaussian processes
+    to speed up hybrid Monte Carlo for expensive Bayesian integrals",
+    2003).  For any field that depends on the position alone the
+    leapfrog map is reversible and preserves volume, so a Metropolis
+    test on the exact energy at the trajectory's two ends keeps the
+    target exact (Neal, "MCMC using Hamiltonian dynamics", 2011): the
+    field changes only how often proposals are accepted.  The exact
+    log p(S|Z), and with it the transition's one n x n covariance, is
+    computed once, at the end point, and the state caches it with the
+    field there.
 
     A proposal whose energy cannot be computed (a NumericalError, or a
     non-finite value) is rejected and counted in the state's
@@ -649,7 +680,7 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
         p = momentum + 0.5 * eps * (gll0 + gmarg0)
         for _ in range(leapfrog_steps - 1):
             Z = Z + eps * p
-            field = _nystrom_field(S, Z, _se_covariance(Z, kern, work), kern, landmarks, work)
+            field = _nystrom_field(S, Z, kern, landmarks, work)
             p = p + eps * (field + _marginal_and_grad(Z, members, h)[1])
         Z = Z + eps * p
         ll1, gll1 = _gplvm_ll_and_field(S, Z, kern, landmarks, work)

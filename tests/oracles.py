@@ -6,6 +6,7 @@ third-party references) and stays independent of the code paths it
 checks.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -332,9 +333,9 @@ def finite_difference_grad(f, Z, eps=1e-6):
 
 
 # ---------------------------------------------------------------------
-# iwmm: the GPLVM likelihood from its definition, the exact gradient that
-# the program's Nyström field replaced, and compositions of iwmm's own
-# pieces that only the tests use
+# iwmm: the GPLVM and Nyström likelihoods from their definitions, the
+# exact gradient that the program's Nyström field replaced, and
+# compositions of iwmm's own pieces that only the tests use
 # ---------------------------------------------------------------------
 
 def se_covariance_dense(Z, kern):
@@ -352,6 +353,22 @@ def gplvm_log_likelihood_dense(S, Z, kern):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return -n * math.log(2.0 * math.pi) - logdet - 0.5 * float(np.sum(S * np.linalg.solve(K, S)))
+
+
+def nystrom_log_likelihood_dense(S, Z, kern, landmarks):
+    """The Nyström (subset-of-regressors) log-likelihood whose gradient
+    the program's HMC steps follow, log N(S | 0, Knm Kmm^-1 Kmn + s^2 I),
+    from its definition with numpy's dense slogdet and solve: Knm is the
+    noise-free SE covariance of Z with Z[landmarks], Kmm its landmark
+    rows plus 1e-6 signal_variance I, and s^2 the jitter (1e-10 when it
+    is 0)."""
+    n, m = Z.shape[0], len(landmarks)
+    Knm = se_covariance_dense(Z, dataclasses.replace(kern, jitter=0.0))[:, landmarks]
+    Kmm = Knm[landmarks] + 1e-6 * kern.signal_variance * np.eye(m)
+    Q = Knm @ np.linalg.solve(Kmm, Knm.T) + (kern.jitter or 1e-10) * np.eye(n)
+    sign, logdet = np.linalg.slogdet(Q)
+    assert sign > 0
+    return -n * math.log(2.0 * math.pi) - logdet - 0.5 * float(np.sum(S * np.linalg.solve(Q, S)))
 
 
 def student_t_predictive_log(z, n_k, sum_z, szz, h):

@@ -918,19 +918,33 @@ def test_compare_two_wafers_schema(tmp_path):
     assert manifest["command"] == "compare"
 
 
+# The counters `compare` sums over its distinct fits.
+_FIT_COUNTERS = ("hmc_accepted", "jitter_escalations", "hmc_numerical_rejections")
+
+
+def _fit_counter_sums(results, iters):
+    """The sums of _FIT_COUNTERS over fit results of `iters` iterations."""
+    return {"hmc_accepted": sum(round(res.hmc_acceptance_rate * iters) for res in results),
+            "jitter_escalations": sum(res.jitter_escalations for res in results),
+            "hmc_numerical_rejections": sum(res.hmc_numerical_rejections for res in results)}
+
+
 def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     paths = _two_wafers(tmp_path)
-    runs = {}
+    runs, fit_counters = {}, {}
     for workers in (1, 2):
         _usable_cores(monkeypatch, workers)
         streamed, counters = [], {}
         rows = run_comparison(paths, m_list=(1, 2), seeds=2, iters=12, burn_in=4,
                               progress=streamed.append, counters=counters)
         assert sorted(counters.pop("wall_seconds")) == ["fit", "gibbs", "hmc"]
+        fit_counters[workers] = {key: counters.pop(key) for key in _FIT_COUNTERS}
         assert counters == {"fit_requests": 12, "fits_run": 6, "workers": workers}
         assert streamed == rows
         runs[workers] = rows
     assert runs[1] == runs[2]
+    assert fit_counters[1] == fit_counters[2]
+    assert 0 < fit_counters[1]["hmc_accepted"] <= 6 * 12
     # Input order: wafer, then AC and CPF at each M, then fit seed.
     assert [(r["wafer"], r["method"], r["param"], r["fit_seed"], r["n_points"])
             for r in runs[1]] == [
@@ -943,11 +957,12 @@ def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
 
 def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     _usable_cores(monkeypatch, 1)  # fits run in this process, where they are counted
-    calls = []
+    calls, results = [], []
 
     def counting_fit(points, hyper, mcmc, seed):
         calls.append((points, seed))
-        return original(points, hyper, mcmc, seed)
+        results.append(original(points, hyper, mcmc, seed))
+        return results[-1]
 
     original = cli.fit_points
     monkeypatch.setattr(cli, "fit_points", counting_fit)
@@ -957,15 +972,17 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     counters = json.loads((out / "manifest.json").read_text())["counters"]
     # CPF at M=1 and M=2 keep the same points, and AC the same square on
     # both wafers: 12 requests, 6 distinct (points, seed) pairs.
-    assert counters == {"fit_requests": 12, "fits_run": 6}
+    assert counters == {"fit_requests": 12, "fits_run": 6, **_fit_counter_sums(results, 12)}
     assert len(calls) == len(set(calls)) == counters["fits_run"]
 
 
 def test_compare_timings_sum_the_distinct_fits(tmp_path, monkeypatch):
     _usable_cores(monkeypatch, 1)
+    results = []
 
     def timed_fit(points, hyper, mcmc, seed):
         res = original(points, hyper, mcmc, seed)
+        results.append(res)
         return dataclasses.replace(res, wall_seconds={"gibbs": 1.0, "hmc": 2.0, "fit": 4.0})
 
     original = cli.fit_points
@@ -977,7 +994,8 @@ def test_compare_timings_sum_the_distinct_fits(tmp_path, monkeypatch):
     timings = json.loads((out / "timings.json").read_text())
     assert timings == {"gibbs_s": 6.0, "hmc_s": 12.0, "fit_s": 24.0}
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["counters"] == {"fit_requests": 12, "fits_run": 6}
+    assert manifest["counters"] == {"fit_requests": 12, "fits_run": 6,
+                                    **_fit_counter_sums(results, 12)}
 
 
 def test_cluster_reports_step_size_and_k_after_burn_in(tmp_path):

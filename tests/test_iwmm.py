@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     gplvm,
     gplvm_log_likelihood_dense,
     latent_marginal,
+    nystrom_log_likelihood_dense,
     potential_and_grad,
     se_covariance_dense,
     set_partitions,
@@ -120,8 +122,7 @@ def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
     S, Z, kern = np.asarray(S, dtype=float), np.asarray(Z, dtype=float), KernelParams()
     work = _GplvmWork(3)
     program = [lambda: _gplvm_ll(S, _se_covariance(Z, kern, work), kern, work),
-               lambda: _nystrom_field(S, Z, _se_covariance(Z, kern, work), kern,
-                                      nystrom_landmarks(S), work)][part]
+               lambda: _nystrom_field(S, Z, kern, nystrom_landmarks(S), work)][part]
     # LAPACK factors a covariance holding NaN without an error
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError, match="not finite"):
@@ -238,6 +239,21 @@ def test_exact_energy_matches_dense_oracle_at_fit_sizes(n, kernel):
     kern = KERNELS[kernel]
     got, _ = _energy_and_field(S, Z, kern)
     assert got == pytest.approx(gplvm_log_likelihood_dense(S, Z, kern), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kernel", ["pipeline", "short"])
+@pytest.mark.parametrize("m", ["3", "n"])
+@pytest.mark.parametrize("n", [5, 20, 40])
+def test_field_is_the_gradient_of_the_nystrom_likelihood(n, m, kernel, monkeypatch):
+    # The field is exact for the likelihood it approximates with: a
+    # gradient, so the leapfrog steps follow a conservative force.
+    monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 3 if m == "3" else n)
+    S, Z = _fit_like_inputs(n, seed=5000 + n)
+    kern, landmarks = KERNELS[kernel], nystrom_landmarks(S)
+    field = _nystrom_field(S, Z, kern, landmarks, _GplvmWork(n))
+    numeric = finite_difference_grad(
+        lambda Zp: nystrom_log_likelihood_dense(S, Zp, kern, landmarks), Z, eps=1e-5)
+    assert np.linalg.norm(field - numeric) <= 1e-6 * np.linalg.norm(numeric)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 63, 64])
@@ -756,6 +772,27 @@ def test_leapfrog_reversibility():
     assert np.abs(-p2 - p0).max() < 1e-8
 
 
+def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
+    # The leapfrog steps read only the field; the n x n covariance is
+    # formed once, for the exact energy at the end point.
+    state, S = _toy_state(seed=6)
+    state.gplvm_ll_field(S)  # the start point's energy and field are cached
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(iwmm, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in ("_se_covariance", "_nystrom_field"):
+        monkeypatch.setattr(iwmm, name, counting(name))
+    hmc_latent_step(state, S, GwHyper(), 0.01, 7, np.random.default_rng(5))
+    assert calls == {"_se_covariance": 1, "_nystrom_field": 7}
+
+
 def test_hmc_updates_state_only_on_accept():
     state, S = _toy_state(seed=6)
     h = GwHyper()
@@ -779,8 +816,7 @@ def test_nystrom_leapfrog_is_reversible(monkeypatch):
     eps, steps = 0.002, 8
 
     def force(Z):
-        field = _nystrom_field(S, Z, _se_covariance(Z, kern, work), kern, landmarks, work)
-        return field + _marginal_and_grad(Z, members, h)[1]
+        return _nystrom_field(S, Z, kern, landmarks, work) + _marginal_and_grad(Z, members, h)[1]
 
     def leapfrog(Z, p):
         p = p + 0.5 * eps * force(Z)
