@@ -44,7 +44,6 @@ from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, w
 # The scores of a compare row, as EvaluationReport names them, on each of
 # which improvements.csv and wilcoxon.json pair AC with CPF.
 SCORES = ("ch", "gdi", "ri", "ari", "nmi", "nmi_sqrt")
-METRICS = SCORES
 
 COMPARISON_COLUMNS = (
     "wafer", "family", "method", "param", "fit_seed", "n_points", "k_hat",
@@ -415,13 +414,13 @@ def _ac_vs_cpf(rows):
     values = {}  # (wafer, None for AC or M for CPF, metric) -> defined values
     for r in rows:
         param = r["param"] if r["method"] == "cpf" else None
-        for metric in METRICS:
+        for metric in SCORES:
             if r[metric] is not None:
                 values.setdefault((r["wafer"], param, metric), []).append(r[metric])
     medians = {key: statistics.median(v) for key, v in values.items()}
     ms = sorted({r["param"] for r in rows if r["method"] == "cpf"})
     for wafer, family in sorted({(r["wafer"], r["family"]) for r in rows}):
-        for m, metric in product(ms, METRICS):
+        for m, metric in product(ms, SCORES):
             yield (wafer, family, m, metric, medians.get((wafer, None, metric)),
                    medians.get((wafer, m, metric)))
 

@@ -165,10 +165,10 @@ class IwmmResult:
 # ---------------------------------------------------------------------
 
 class _GplvmWork:
-    """Reusable buffers for the GPLVM: the n x n covariance and its
-    Cholesky factor, which the exact energy needs once per HMC
-    transition, and the n x m landmark columns of the Nyström field;
-    and the count of Cholesky jitter escalations made with them.
+    """Reusable buffers for the GPLVM: the one n x n array, in which the
+    exact energy forms and factors the covariance once per HMC
+    transition, and the n x m landmark columns of the Nyström field; and
+    the count of Cholesky jitter escalations made with them.
 
     Freshly allocated n x n temporaries go back to the OS when freed and
     are page-faulted in again on the next call; at a few hundred points
@@ -178,7 +178,6 @@ class _GplvmWork:
 
     def __init__(self, n: int):
         self.n = n
-        self.K = np.empty((n, n), order="F")
         self.factor = np.empty((n, n), order="F")
         self.Knm = np.empty((n, 0), order="F")
         self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
@@ -210,44 +209,33 @@ def _se_kernel(Z, Y, kern, out):
     return K
 
 
-def _se_covariance(Z, kern, work):
-    """The KernelParams covariance of Z, written into work.K."""
-    K = _se_kernel(Z, Z, kern, work.K)
-    K.flat[:: work.n + 1] += kern.jitter
-    return K
+def _gplvm_ll(S, Z, kern, work):
+    """log p(S | Z, kernel) for a 2-output GP,
+    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S): one Cholesky
+    factorization and one solve.
 
-
-def _chol_lower(K, jitter, work):
-    """Lower Cholesky factor with deterministic jitter escalation, each
-    escalation counted in work.jitter_escalations.
-
-    The factor is written into work.factor (Fortran order, so LAPACK
-    factors it in place) with its strict upper triangle zeroed.
+    The KernelParams covariance K of Z is written into work.factor and
+    factored there in place (Fortran order, so LAPACK needs no copy).
+    When K is not positive definite it is formed again from Z with more
+    diagonal jitter, each escalation counted in work.jitter_escalations.
+    NumericalError when K cannot be factored or the value is not finite.
     """
-    base = _noise_floor(jitter)
-    n = K.shape[0]
-    A = work.factor
+    n = work.n
+    base = _noise_floor(kern.jitter)
     for extra in (0.0, base * 100.0, base * 10000.0):
-        A[...] = K
+        K = _se_kernel(Z, Z, kern, work.factor)
+        K.flat[:: n + 1] += kern.jitter
         if extra:
             work.jitter_escalations += 1
-            A.flat[:: n + 1] += extra
-        c, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+            K.flat[:: n + 1] += extra
+        c, info = _lapack.dpotrf(K, lower=1, clean=1, overwrite_a=1)
         if info == 0:
-            return c
-    raise NumericalError("covariance Cholesky failed after jitter escalation")
-
-
-def _gplvm_ll(S, K, kern, work):
-    """log p(S | Z, kernel) for a 2-output GP,
-    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S), from the covariance K of
-    Z that _se_covariance wrote: one Cholesky factorization and one
-    solve.  NumericalError when K cannot be factored or the value is not
-    finite."""
-    c = _chol_lower(K, kern.jitter, work)
+            break
+    else:
+        raise NumericalError("covariance Cholesky failed after jitter escalation")
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
     KinvS, _ = _lapack.dpotrs(c, S, lower=1)
-    ll = -K.shape[0] * _LOG_2PI - logdet - 0.5 * float(np.sum(S * KinvS))
+    ll = -n * _LOG_2PI - logdet - 0.5 * float(np.sum(S * KinvS))
     # LAPACK factors a covariance holding NaN without an error, so a
     # non-finite Z or S shows only here.
     if not math.isfinite(ll):
@@ -348,7 +336,7 @@ def _nystrom_field(S, Z, kern, landmarks, work):
 
 def _gplvm_ll_and_field(S, Z, kern, landmarks, work):
     """(log p(S | Z), the Nyström field) at Z."""
-    ll = _gplvm_ll(S, _se_covariance(Z, kern, work), kern, work)
+    ll = _gplvm_ll(S, Z, kern, work)
     return ll, _nystrom_field(S, Z, kern, landmarks, work)
 
 

@@ -73,16 +73,20 @@ class WaferMap:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
-        cells = np.asarray(self.cells, dtype=np.int8)
+        cells = np.asarray(self.cells)
         if cells.ndim != 1 or cells.shape[0] != self.rows * self.cols:
             raise DimensionError(
                 f"cells length {cells.size} != rows*cols = {self.rows * self.cols}"
             )
-        if not np.isin(cells, (0, 1, 2)).all():
+        # Checked before the cast to int8, which would wrap 258 to 2 and
+        # truncate 2.7 to 2.
+        kind = cells.dtype.kind
+        if (kind not in "biuf" or not 0 <= cells.min() <= cells.max() <= 2
+                or kind == "f" and (cells % 1).any()):
             raise ValueError("cell values must be in {0, 1, 2}")
+        cells = cells.astype(np.int8)
         if not (cells != CellState.OUTSIDE).any():
             raise ValueError("wafer has no in-mask cells")
-        cells = cells.copy()
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 

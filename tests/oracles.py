@@ -421,16 +421,20 @@ def gplvm(S, Z, kernel):
     inverse K^-1, on fresh buffers: the reference the program's exact
     energy and its Nyström field are tested against.  NumericalError when
     the covariance cannot be factored or either result is not finite."""
-    from waferspr.iwmm import _GplvmWork, _chol_lower, _se_covariance
+    from waferspr.iwmm import _se_kernel
 
     S = np.asarray(S, dtype=float)
     Z = np.asarray(Z, dtype=float)
     n = S.shape[0]
     if Z.shape != (n, 2):
         raise ValueError(f"Z shape {Z.shape} does not match S ({n}, 2)")
-    work = _GplvmWork(n)
-    K = _se_covariance(Z, kernel, work)
-    c = _chol_lower(K, kernel.jitter, work)
+    # K with the bits of the program's covariance; the factor is a copy,
+    # since the gradient needs K itself.
+    K = _se_kernel(Z, Z, kernel, np.empty((n, n), order="F"))
+    K.flat[:: n + 1] += kernel.jitter
+    c, info = _lapack.dpotrf(K, lower=1, clean=1)
+    if info != 0:
+        raise NumericalError("covariance Cholesky failed")
     logdet = 2.0 * float(np.log(np.diag(c)).sum())
     # K^-1 = L^-T L^-1, as dpotri forms it; from here on only the lower
     # triangles of K^-1 and of W are formed and read.
@@ -440,7 +444,7 @@ def gplvm(S, Z, kernel):
     # dL/dK = 0.5 K^-1 S S^T K^-1 - K^-1, then chain through the SE kernel
     W = _blas.dsyrk(0.5, KinvS, beta=-1.0, c=inv, lower=1, overwrite_c=1)
     W *= K  # diagonal contributes nothing: the (z_l - z_j) factor is 0
-    ZI = work.ZI
+    ZI = np.ones((n, 3), order="F")
     ZI[:, :2] = Z
     WZI = _blas.dsymm(1.0, W, ZI, lower=1)  # [W @ Z | row sums of W]
     grad = -(2.0 / kernel.length_scale**2) * (Z * WZI[:, 2:] - WZI[:, :2])

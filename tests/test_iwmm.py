@@ -41,7 +41,6 @@ from waferspr.iwmm import (
     _gplvm_ll_and_field,
     _marginal_and_grad,
     _nystrom_field,
-    _se_covariance,
 )
 from waferspr.synthgen import family_specs, generate
 from waferspr.validation import adjusted_rand_index, evaluation_report
@@ -121,7 +120,7 @@ def test_gradient_finite_for_coincident_points():
 def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
     S, Z, kern = np.asarray(S, dtype=float), np.asarray(Z, dtype=float), KernelParams()
     work = _GplvmWork(3)
-    program = [lambda: _gplvm_ll(S, _se_covariance(Z, kern, work), kern, work),
+    program = [lambda: _gplvm_ll(S, Z, kern, work),
                lambda: _nystrom_field(S, Z, kern, nystrom_landmarks(S), work)][part]
     # LAPACK factors a covariance holding NaN without an error
     with np.errstate(all="ignore"):
@@ -349,6 +348,27 @@ def test_coincident_points_without_jitter_escalate():
                    mcmc=McmcConfig(iters=6, burn_in=2), seed=0)
     assert res.jitter_escalations > 0
     assert res.k_hat == 1
+
+
+def test_escalated_energy_is_the_density_of_the_next_jitter():
+    # At jitter 0 the covariance of coincident points is the all-ones
+    # matrix, which is singular; the second step of the ladder adds
+    # 100 * 1e-10 to its diagonal.  K + 1e-8 I has condition number 5e8,
+    # so two solves of it agree to about 1e-8 (7e-9 over 300 seeds of S);
+    # a wrong step would move the log-determinant alone by 18.
+    S = np.random.default_rng(8).standard_normal((5, 2))
+    Z = np.zeros((5, 2))
+    work = _GplvmWork(5)
+    got = _gplvm_ll(S, Z, KernelParams(jitter=0.0), work)
+    assert work.jitter_escalations == 1
+    want = gplvm_log_likelihood_dense(S, Z, KernelParams(jitter=1e-8))
+    assert got == pytest.approx(want, rel=1e-7)
+
+
+def test_gplvm_work_holds_one_square_array():
+    work = _GplvmWork(5)
+    square = [a for a in vars(work).values() if isinstance(a, np.ndarray) and a.shape == (5, 5)]
+    assert len(square) == 1
 
 
 def test_absurd_step_size_counts_numerical_rejections():
@@ -774,7 +794,7 @@ def test_leapfrog_reversibility():
 
 def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
     # The leapfrog steps read only the field; the n x n covariance is
-    # formed once, for the exact energy at the end point.
+    # formed once, by the exact energy at the end point.
     state, S = _toy_state(seed=6)
     state.gplvm_ll_field(S)  # the start point's energy and field are cached
     calls = Counter()
@@ -787,10 +807,10 @@ def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
             return inner(*args)
         return wrapper
 
-    for name in ("_se_covariance", "_nystrom_field"):
+    for name in ("_gplvm_ll", "_nystrom_field"):
         monkeypatch.setattr(iwmm, name, counting(name))
     hmc_latent_step(state, S, GwHyper(), 0.01, 7, np.random.default_rng(5))
-    assert calls == {"_se_covariance": 1, "_nystrom_field": 7}
+    assert calls == {"_gplvm_ll": 1, "_nystrom_field": 7}
 
 
 def test_hmc_updates_state_only_on_accept():

@@ -59,6 +59,23 @@ def test_parse_csv_bad_value():
         parse_wafer("0,3\n", fmt="csv")
 
 
+@pytest.mark.parametrize("cells", [
+    np.array([1, 258, 1, 1]),  # 2 in int8
+    np.array([1, -254, 1, 1]),  # 2 in int8
+    np.array([1, 2.7, 1, 1]),  # 2 truncated
+    [1, 258, 1, 1],  # beyond int8
+], ids=["258", "-254", "2.7", "list-258"])
+def test_cell_values_checked_before_narrowing(cells):
+    with pytest.raises(ValueError, match=r"cell values must be in \{0, 1, 2\}"):
+        WaferMap(2, 2, cells)
+
+
+def test_integral_cells_of_any_numeric_type_accepted():
+    for cells in ([1, 2, 0, 1], np.array([1.0, 2.0, 0.0, 1.0]), np.array([1, 2, 0, 1], dtype=np.uint64)):
+        wmap = WaferMap(2, 2, cells)
+        assert wmap.cells.dtype == np.int8 and wmap.cells.tolist() == [1, 2, 0, 1]
+
+
 def test_write_single_defective():
     m = parse_wafer("1\n")
     assert write_wafer(m) == b"1\n"
