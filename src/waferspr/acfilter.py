@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.sparse import csr_array
 
 from .errors import ConfigError, DimensionError
 from .flow import INT32_MAX, FlowNetwork, max_flow_min_cut
-from .wafer import AdjacencyGraph, Neighborhood, WaferMap, build_graph
+from .wafer import GRAPH_CACHE_SIZE, AdjacencyGraph, Neighborhood, WaferMap, build_graph
 
 
 def as_fraction(value) -> Fraction:
@@ -135,32 +136,30 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
             f"solver's limit {INT32_MAX}"
         )
 
+    # The capacity matrix of the network, in the structure FlowNetwork
+    # requires.  Each grid edge becomes two antiparallel arcs of capacity
+    # u; a defective chip (w_i < 0) gets an arc from the source, a
+    # functional one an arc to the sink, both of capacity w_mag.  The chip
+    # rows come from the mask's cached layout; this wafer sets their
+    # terminal columns, the capacities, the source row (the source arcs)
+    # and the sink row (the zero reverses of the sink arcs).
+    chip_indices, chip_indptr, terminal = _chip_rows(graph, u_int > 0)
     s, t = n, n + 1
     d = wmap.defect_bits()
     defective = d == 1
-    # The capacity matrix of the network, built row by row in the
-    # structure FlowNetwork requires.  Each grid edge becomes two
-    # antiparallel arcs of capacity u; a defective chip (w_i < 0) gets an
-    # arc from the source, a functional one an arc to the sink, both of
-    # capacity w_mag.  So a chip's row holds its neighbours at capacity u
-    # (none at u = 0, where they carry no flow), then its terminal entry:
-    # the zero reverse of its source arc, or its sink arc.  Row s holds
-    # the source arcs and row t the zero reverses of the sink arcs.  All
-    # ids ascend along each row, since s and t follow every chip.
-    link = graph.neighbours if u_int > 0 else graph.neighbours[:, :0]
-    row = np.column_stack([link, np.where(defective, s, t)])
-    present = row >= 0
-    heads = row[present]
-    # In a chip's row the capacity follows from the head alone.
-    by_head = np.full(n + 2, u_int, dtype=np.int32)
-    by_head[[s, t]] = 0, w_int
-    from_s, to_t = np.flatnonzero(defective), np.flatnonzero(~defective)
-    data = np.concatenate([by_head[heads], np.full(from_s.size, w_int, dtype=np.int32),
-                           np.zeros(to_t.size, dtype=np.int32)])
-    # SciPy's solver works on int32 indices and would cast others on every call.
-    indices = np.concatenate([heads, from_s, to_t]).astype(np.int32)
-    indptr = np.cumsum(np.concatenate([[0], np.count_nonzero(present, axis=1),
-                                       [from_s.size, to_t.size]]), dtype=np.int32)
+    chips = chip_indices.size
+    from_s = np.flatnonzero(defective)
+    indices = np.empty(chips + n, dtype=np.int32)
+    indices[:chips] = chip_indices
+    indices[terminal] = np.where(defective, s, t)
+    indices[chips:] = np.concatenate([from_s, np.flatnonzero(~defective)])
+    # A chip's terminal entry is the zero reverse of its source arc, or its
+    # sink arc; every other entry of a chip row is a grid arc.
+    data = np.full(chips + n, u_int, dtype=np.int32)
+    data[terminal] = np.where(defective, 0, w_int)
+    data[chips:chips + from_s.size] = w_int
+    data[chips + from_s.size:] = 0
+    indptr = np.concatenate([chip_indptr, chips + np.array([from_s.size, n], dtype=np.int32)])
     capacity = csr_array((data, indices, indptr), shape=(n + 2, n + 2))
     cut = max_flow_min_cut(FlowNetwork(capacity, s, t))
 
@@ -173,6 +172,36 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
                   ("kept_functional", kept_functional),
                   ("dropped_defective", int(defective.sum()) - kept_defective)),
     )
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _chip_rows(graph: AdjacencyGraph, link: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the AC capacity matrix that depends only on the mask.
+
+    Row i of the matrix is chip i's: its neighbours when `link` (u > 0;
+    at u = 0 grid arcs carry no flow and are left out), then one terminal
+    slot, whose column (s or t) and capacity each wafer sets.  All ids
+    ascend along a row, since s = n and t = n + 1 follow every chip.
+    Returns read-only arrays: the chip rows' int32 column indices (the
+    terminal slots hold s), their n + 1 int32 row starts, and the
+    position of each row's terminal slot.  The layouts of the
+    GRAPH_CACHE_SIZE (8) most recently used (graph, link) pairs are kept,
+    with their graphs: at most 4 * (deg + 1) + 8 bytes per chip, 44 for
+    king, plus the graph's 64, so 8 * 108 bytes per in-mask cell of the
+    largest mask used (15.1 MB for 150x150 wafers) beyond the graph
+    cache's own bound.
+    """
+    n = graph.node_count
+    nbr = graph.neighbours if link else graph.neighbours[:, :0]
+    row = np.column_stack([nbr, np.full(n, n)])
+    present = row >= 0
+    indices = row[present].astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    terminal = indptr[1:] - 1
+    for array in (indices, indptr, terminal):
+        array.flags.writeable = False
+    return indices, indptr, terminal
 
 
 def filtered_points(wmap: WaferMap, result: FilterResult) -> list[tuple[int, int]]:

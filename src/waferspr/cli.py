@@ -297,6 +297,7 @@ def cmd_cluster(args) -> int:
             "jitter_escalations": res.jitter_escalations,
             "hmc_numerical_rejections": res.hmc_numerical_rejections,
             "step_size": res.step_size,
+            "step_size_path": res.step_size_path,
             "k_min": min(kept),
             "k_max": max(kept),
             "k_hat_share": kept.count(res.k_hat) / len(kept),

@@ -110,6 +110,9 @@ class GwHyper:
 # HMC step size at the first iteration; burn-in adapts it from there.
 INITIAL_STEP_SIZE = 0.01
 
+# Burn-in iterations between two entries of a fit's step_size_path.
+STEP_SIZE_PATH_EVERY = 25
+
 # Most iterations that move only the warp before assignments are resampled.
 WARP_WARMUP = 40
 
@@ -144,7 +147,10 @@ class IwmmResult:
     `jitter_escalations` counts the times the covariance Cholesky needed
     more jitter, `hmc_numerical_rejections` the HMC proposals rejected
     because their energy could not be computed (see hmc_latent_step), and
-    `step_size` is the HMC step size that burn-in left, frozen after it.
+    `step_size` is the HMC step size that burn-in left, frozen after it;
+    `step_size_path` holds (iteration, step size) pairs, the step size
+    after every STEP_SIZE_PATH_EVERY-th burn-in iteration and after the
+    last one.
     `wall_seconds`, the one field that is not deterministic, holds the
     wall-clock seconds of the Gibbs sweeps ("gibbs"), the HMC
     transitions ("hmc") and the whole fit ("fit")."""
@@ -157,6 +163,7 @@ class IwmmResult:
     jitter_escalations: int
     hmc_numerical_rejections: int
     step_size: float
+    step_size_path: tuple = ()
     wall_seconds: dict = field(default_factory=dict)
 
 
@@ -228,7 +235,7 @@ def _gplvm_ll(S, Z, kern, work):
         if extra:
             work.jitter_escalations += 1
             K.flat[:: n + 1] += extra
-        c, info = _lapack.dpotrf(K, lower=1, clean=1, overwrite_a=1)
+        c, info = _lapack.dpotrf(K, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             break
     else:
@@ -300,6 +307,9 @@ def _nystrom_field(S, Z, kern, landmarks, work):
     Knm = _se_kernel(Z, ZL, kern, work.landmark_columns(m))
     Kmm = Knm[landmarks]
     Kmm.flat[:: m + 1] += 1e-6 * kern.signal_variance
+    # Lm_inv enters a dtrmm below as a full matrix, so the upper triangle
+    # that dtrtri leaves in place must be zero.  The other two factors
+    # are read only as lower triangles.
     Lm, info = _lapack.dpotrf(Kmm, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError("landmark covariance Cholesky failed")
@@ -309,7 +319,7 @@ def _nystrom_field(S, Z, kern, landmarks, work):
     Phi = _blas.dtrmm(1.0, Lm_inv, Knm, side=1, lower=1, trans_a=1)
     A = _blas.dsyrk(1.0, Phi, trans=1, lower=1)
     A.flat[:: m + 1] += s2
-    Lc, info = _lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    Lc, info = _lapack.dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise NumericalError("Nyström inner Cholesky failed")
     Lc_inv, _ = _lapack.dtrtri(Lc, lower=1)
@@ -736,6 +746,7 @@ def iwmm_fit(
     best_Z = state.Z.copy()
     accepted = 0
     step_size = INITIAL_STEP_SIZE
+    step_size_path = []
     gibbs_s = hmc_s = 0.0
     for it in range(1, mcmc.iters + 1):
         t0 = time.perf_counter()
@@ -749,6 +760,8 @@ def iwmm_fit(
             accepted += 1
         if it <= mcmc.burn_in:
             step_size = min(1.0, max(1e-6, step_size * (1.07 if ok else 0.87)))
+            if it % STEP_SIZE_PATH_EVERY == 0 or it == mcmc.burn_in:
+                step_size_path.append((it, step_size))
         joint = (
             state.gplvm_ll_field(Sstd)[0]
             + state.marginal_log(h)
@@ -770,5 +783,6 @@ def iwmm_fit(
         jitter_escalations=state.jitter_escalations,
         hmc_numerical_rejections=state.hmc_numerical_rejections,
         step_size=step_size,
+        step_size_path=tuple(step_size_path),
         wall_seconds={"gibbs": gibbs_s, "hmc": hmc_s, "fit": time.perf_counter() - start},
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -141,7 +142,8 @@ class AdjacencyGraph:
     `neighbours` is a read-only (node_count, deg) int64 matrix: row i holds
     the ids of node i's neighbours in ascending order, one column per grid
     offset in `sorted(nb.offsets)`, with -1 where that neighbour is outside
-    the grid or the mask.
+    the grid or the mask.  `build_graph` hands one graph to every wafer of
+    a mask, so nothing may write to it.
     """
 
     neighbours: np.ndarray
@@ -248,13 +250,32 @@ def write_wafer(wmap: WaferMap, labels=None, fmt: str = "ascii") -> bytes:
     return np.stack([symbols, separators], axis=-1).tobytes()
 
 
+# How many masks' graphs `build_graph` keeps.
+GRAPH_CACHE_SIZE = 8
+
+
 def build_graph(wmap: WaferMap, nb: Neighborhood = Neighborhood.KING) -> AdjacencyGraph:
     """Adjacency graph over in-mask cells under the given neighborhood.
 
     Deterministic: row-major node ids, neighbours in ascending id order.
+    The graph depends only on the mask, so wafers that share a mask share
+    one read-only graph object.  The graphs of the GRAPH_CACHE_SIZE (8)
+    most recently used (grid shape, in-mask cells, neighborhood) keys are
+    kept; a key costs one bit per grid cell.  A graph holds 8 bytes per
+    neighbour slot, 32 (rook) or 64 (king) per in-mask cell, so the cache
+    holds at most 8 * 64 bytes per in-mask cell of the largest mask
+    used: 8.9 MB for 150x150 wafers.
     """
     inside = wmap.in_mask()
-    rows, cols = inside.shape
+    return _mask_graph(inside.shape, np.packbits(inside).tobytes(), nb)
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _mask_graph(shape: tuple[int, int], bits: bytes, nb: Neighborhood) -> AdjacencyGraph:
+    """The graph of the mask whose cells `np.packbits` packed into `bits`."""
+    rows, cols = shape
+    inside = np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
+                           count=rows * cols).astype(bool).reshape(shape)
     # An id grid padded with a ring of -1, so that every offset of an
     # in-grid cell lands inside the padded grid.
     padded = np.full((rows + 2, cols + 2), -1, dtype=np.int64)

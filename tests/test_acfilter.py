@@ -249,3 +249,31 @@ def test_grid_network_matches_generic_builder():
                     # the minimum cut is the objective shifted by w_mag per defective chip
                     scale = lcm(u.denominator, cfg.w_mag.denominator)
                     assert flow_value == scale * (objective + cfg.w_mag * m.n_defective)
+
+
+@pytest.mark.parametrize("nb", list(Neighborhood))
+@pytest.mark.parametrize("w_mag", [1, 2])
+def test_flow_certifies_the_cut_on_wafers_that_share_a_mask(nb, w_mag):
+    """Wafers of one mask, back to back and alternating u = 0 and u > 0,
+    share the mask's graph and chip rows.  Each flow value must equal the
+    scaled capacity of its cut (min-cut duality) and each labeling the
+    one a network built afresh from triples gives."""
+    rng = np.random.default_rng(21)
+    rows, cols = 24, 30
+    inside = wafer_mask(rows, cols) & (rng.random((rows, cols)) > 0.05)
+    graph = build_graph(WaferMap(rows, cols, inside.ravel()), nb)
+    for u in (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(0), Fraction(1)):
+        defect = rng.random((rows, cols)) < rng.uniform(0.1, 0.5)
+        m = WaferMap(rows, cols, np.where(inside, np.where(defect, 2, 1), 0).ravel())
+        assert build_graph(m, nb) is graph
+        cfg = AcConfig(u=u, w_mag=w_mag, nb=nb)
+        res = ac_filter(m, cfg)
+        counts = dict(res.counters)
+        scale = lcm(u.denominator, cfg.w_mag.denominator)
+        cut = (cfg.w_mag * (counts["kept_functional"] + counts["dropped_defective"])
+               + u * counts["cut_edges"])
+        assert counts["max_flow_value"] == scale * cut
+        labels, objective, cross, flow_value = _ac_through_triples(m, cfg)
+        assert tuple(res.labels.tolist()) == labels
+        assert (res.objective_value, counts["cut_edges"], counts["max_flow_value"]) == (
+            objective, cross, flow_value)

@@ -1008,6 +1008,8 @@ def test_cluster_reports_step_size_and_k_after_burn_in(tmp_path):
     doc = json.loads((out / "assignments.json").read_text())
     summary = doc["trace_summary"]
     assert 1e-6 <= summary["step_size"] <= 1.0
+    # burn-in ends before the first 25th iteration
+    assert summary["step_size_path"] == [[10, summary["step_size"]]]
     assert summary["k_min"] <= doc["k_hat"] <= summary["k_max"]
     # the reported partition is a kept iteration's, so its K has a share
     assert 0 < summary["k_hat_share"] <= 1

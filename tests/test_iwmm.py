@@ -969,6 +969,19 @@ def test_fit_trace_finite_and_labels_contiguous():
     assert len(res.trace) == 30
 
 
+def test_fit_reports_the_step_size_path_through_burn_in():
+    pts = PointSet(np.random.default_rng(25).standard_normal((8, 2)))
+    res = iwmm_fit(pts, mcmc=McmcConfig(iters=61, burn_in=60), seed=1)
+    assert [it for it, _ in res.step_size_path] == [25, 50, 60]
+    assert res.step_size_path[-1][1] == res.step_size
+    # After 25 iterations the step has grown on a accepts and shrunk on
+    # 25 - a rejects, with no clipping yet.
+    step = res.step_size_path[0][1]
+    assert any(math.isclose(step, iwmm.INITIAL_STEP_SIZE * 1.07**a * 0.87**(25 - a))
+               for a in range(26))
+    assert iwmm_fit(pts, mcmc=McmcConfig(iters=3, burn_in=0), seed=1).step_size_path == ()
+
+
 def test_fit_two_blobs_quick():
     rng = np.random.default_rng(42)
     pts = np.vstack([

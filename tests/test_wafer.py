@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import edges as grid_edges, grid_components_bfs
 
+from waferspr import wafer
 from waferspr.errors import DimensionError, ParseError
-from waferspr.synthgen import twelve_wafer_corpus
+from waferspr.synthgen import twelve_wafer_corpus, wafer_mask
 from waferspr.wafer import (
+    GRAPH_CACHE_SIZE,
     CellState,
     Neighborhood,
     WaferMap,
@@ -224,6 +226,53 @@ def test_build_graph_matches_naive_loop(rc):
         assert g.neighbours.tolist() == neighbours
         assert tuple(_node_cells(m)) == coords
         assert g.node_count == len(coords)
+
+
+def _wafer_of(inside, defect_rate, rng):
+    defect = rng.random(inside.shape) < defect_rate
+    return WaferMap(*inside.shape, np.where(inside, np.where(defect, 2, 1), 0).ravel())
+
+
+def test_wafers_of_one_mask_share_one_read_only_graph():
+    rng = np.random.default_rng(21)
+    inside = wafer_mask(12, 12)
+    graph = build_graph(_wafer_of(inside, 0.2, rng), Neighborhood.KING)
+    assert build_graph(_wafer_of(inside, 0.6, rng), Neighborhood.KING) is graph
+    with pytest.raises(ValueError):
+        graph.neighbours[0, 0] = 0
+    # The neighbourhood, one cell of the mask and the grid shape each key
+    # a graph of their own.
+    rook = build_graph(_wafer_of(inside, 0.2, rng), Neighborhood.ROOK)
+    assert rook is not graph and rook.neighbours.shape[1] == 4
+    one_less = inside.copy()
+    one_less[6, 6] = False
+    assert build_graph(_wafer_of(one_less, 0.2, rng), Neighborhood.KING).node_count == (
+        graph.node_count - 1)
+    wide, tall = np.ones((4, 6), dtype=bool), np.ones((6, 4), dtype=bool)
+    assert np.packbits(wide).tobytes() == np.packbits(tall).tobytes()
+    g_wide = build_graph(_wafer_of(wide, 0.2, rng), Neighborhood.KING)
+    g_tall = build_graph(_wafer_of(tall, 0.2, rng), Neighborhood.KING)
+    assert g_wide.neighbours.tolist() != g_tall.neighbours.tolist()
+    assert g_tall.neighbours.tolist() == _naive_graph(_wafer_of(tall, 0.2, rng),
+                                                      Neighborhood.KING)[2]
+
+
+def test_graph_cache_keeps_its_bound_of_masks():
+    rng = np.random.default_rng(22)
+    # One-row grids of distinct widths, one mask each.
+    wafers = [_wafer_of(np.ones((1, 100 + k), dtype=bool), 0.3, rng)
+              for k in range(GRAPH_CACHE_SIZE + 1)]
+    graphs = [build_graph(w, Neighborhood.KING) for w in wafers[:GRAPH_CACHE_SIZE]]
+    assert all(build_graph(w, Neighborhood.KING) is g
+               for w, g in zip(wafers[:GRAPH_CACHE_SIZE], graphs))
+    # One mask more evicts the least recently used one, the first.
+    build_graph(wafers[-1], Neighborhood.KING)
+    assert build_graph(wafers[1], Neighborhood.KING) is graphs[1]
+    rebuilt = build_graph(wafers[0], Neighborhood.KING)
+    assert rebuilt is not graphs[0]
+    assert np.array_equal(rebuilt.neighbours, graphs[0].neighbours)
+    info = wafer._mask_graph.cache_info()
+    assert info.maxsize == info.currsize == GRAPH_CACHE_SIZE
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
