@@ -94,6 +94,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    claim = args.claim.partition(":")[::2] if args.claim else None
+    if claim and (claim[0] not in {w["name"] for w in bench["workloads"]}
+                  or claim[1] not in {m["name"] for m in bench["end_to_end"]}):
+        parser.error(f"--claim {args.claim}: not a workload and an end-to-end metric "
+                     "of BENCHMARK.json")
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
@@ -134,8 +141,8 @@ def main(argv=None) -> int:
                 for m in bench["end_to_end"]
             },
         }
-    if args.claim:
-        workload, metric = args.claim.split(":")
+    if claim:
+        workload, metric = claim
         doc["claim"] = {"workload": workload, "metric": metric,
                         "met": claim_met(doc["workloads"][workload], metric)}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

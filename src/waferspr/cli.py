@@ -31,7 +31,8 @@ from .cpf import CpfConfig, cpf_filter
 from .errors import ConfigError, ParseError, UndefinedTest
 from .iwmm import GwHyper, McmcConfig, PointSet, iwmm_fit
 from .render import render_svg
-from .synthgen import FAMILIES, family_specs, generate
+from .synthgen import CORPUS_BASE_SEED, CORPUS_NOISE, CORPUS_SIDE, FAMILIES, family_specs
+from .synthgen import generate, twelve_wafer_corpus
 from .validation import (
     NMI_NORMALIZERS,
     EvaluationReport,
@@ -60,7 +61,7 @@ COMPARE_SEEDS = 3
 TRUTH_SOURCES = ("reconstruction", "sidecar")
 
 
-def dump_json(obj) -> str:
+def _dump_json(obj) -> str:
     """The text of every JSON file the program writes: sorted keys, an
     indent of 2 and a trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -85,7 +86,7 @@ def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=N
            "seed": seed, "version": __version__}
     if counters is not None:
         doc["counters"] = counters
-    _write(outdir / "manifest.json", dump_json(doc))
+    _write(outdir / "manifest.json", _dump_json(doc))
 
 
 def _write_timings(outdir: Path, wall_seconds):
@@ -93,7 +94,7 @@ def _write_timings(outdir: Path, wall_seconds):
     IwmmResult names them.  Wall-clock seconds vary from run to run, so
     they stay out of the seeded files and the manifest."""
     _write(outdir / "timings.json",
-           dump_json({f"{stage}_s": s for stage, s in wall_seconds.items()}))
+           _dump_json({f"{stage}_s": s for stage, s in wall_seconds.items()}))
 
 
 def _read_bytes(path) -> bytes:
@@ -174,36 +175,42 @@ def _sidecar_of(doc: dict, path) -> dict:
 # generate
 # ---------------------------------------------------------------------
 
-def truth_document(sw, family, seed) -> dict:
-    """The truth.json sidecar of a generated wafer: pattern labels of its
-    defective chips and the region of every chip inside a pattern."""
+def _write_generated(outdir: Path, sw, family, seed, fmt="ascii") -> Path:
+    """Write a generated wafer to `outdir`: its map as wafer.txt (wafer.csv
+    for `fmt` "csv") and its truth.json sidecar, which holds the pattern
+    label of each defective chip and the region of every chip inside a
+    pattern.  Returns the map file's path."""
+    path = outdir / ("wafer.csv" if fmt == "csv" else "wafer.txt")
+    _write(path, write_wafer(sw.map, fmt=fmt).decode())
     rows, cols = sw.map.rows, sw.map.cols
     grid_truth = sw.truth_labels.reshape(rows, cols)
     grid_region = sw.region_labels.reshape(rows, cols)
     defect = sw.map.grid() == CellState.DEFECTIVE
-    return {
-        "rows": rows,
-        "cols": cols,
-        "family": family,
-        "noise_rate": sw.noise_rate,
-        "seed": seed,
-        "labels": {
-            _coord_key((r, c)): int(grid_truth[r, c])
-            for r, c in zip(*np.nonzero(defect))
-        },
-        "regions": {
-            _coord_key((r, c)): int(grid_region[r, c])
-            for r, c in zip(*np.nonzero(grid_region > 0))
-        },
+    truth = {
+        "rows": rows, "cols": cols, "family": family, "noise_rate": sw.noise_rate, "seed": seed,
+        "labels": {_coord_key((r, c)): int(grid_truth[r, c])
+                   for r, c in zip(*np.nonzero(defect))},
+        "regions": {_coord_key((r, c)): int(grid_region[r, c])
+                    for r, c in zip(*np.nonzero(grid_region > 0))},
     }
+    _write(outdir / "truth.json", _dump_json(truth))
+    return path
+
+
+def write_corpus(directory, rows=CORPUS_SIDE, noise_rate=CORPUS_NOISE,
+                 base_seed=CORPUS_BASE_SEED) -> list[Path]:
+    """Write the twelve-wafer corpus of `rows` x `rows` wafers, wafer i
+    as `generate` writes it for its family and seed `base_seed` + i, to
+    `directory`/wNN; returns the wafer paths in corpus order."""
+    corpus = twelve_wafer_corpus(rows, rows, noise_rate, base_seed)
+    return [_write_generated(Path(directory) / f"w{idx:02d}", sw, family, base_seed + idx)
+            for idx, (family, sw) in enumerate(corpus)]
 
 
 def cmd_generate(args) -> int:
     outdir = Path(args.out)
     sw = generate(args.rows, args.cols, family_specs(args.family), args.noise, args.seed)
-    ext = "csv" if args.format == "csv" else "txt"
-    _write(outdir / f"wafer.{ext}", write_wafer(sw.map, fmt=args.format).decode())
-    _write(outdir / "truth.json", dump_json(truth_document(sw, args.family, args.seed)))
+    _write_generated(outdir, sw, args.family, args.seed, fmt=args.format)
     _write_manifest(
         outdir, "generate", [],
         {"rows": args.rows, "cols": args.cols, "family": args.family,
@@ -258,7 +265,7 @@ def cmd_filter(args) -> int:
         "n_defective_raw": wmap.n_defective,
         "counters": dict(result.counters),
     }
-    _write(outdir / "summary.json", dump_json(summary))
+    _write(outdir / "summary.json", _dump_json(summary))
     _write_manifest(outdir, "filter", [args.input], config)
     return 0
 
@@ -303,14 +310,14 @@ def cmd_cluster(args) -> int:
             "k_hat_share": kept.count(res.k_hat) / len(kept),
         },
     }
-    _write(outdir / "assignments.json", dump_json(assignments_doc))
+    _write(outdir / "assignments.json", _dump_json(assignments_doc))
     latent_doc = {
         "points": [
             {"row": rc[0], "col": rc[1], "z": [float(z[0]), float(z[1])]}
             for rc, z in zip(points, res.latent_coords)
         ]
     }
-    _write(outdir / "latent.json", dump_json(latent_doc))
+    _write(outdir / "latent.json", _dump_json(latent_doc))
     _write_manifest(
         outdir, "cluster", [args.input],
         {"iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha},
@@ -381,7 +388,7 @@ def cmd_evaluate(args) -> int:
 
     report = evaluation_report(points, predicted, truth, nmi_normalizer=args.nmi_normalizer)
     outdir = Path(args.out)
-    _write(outdir / "report.json", dump_json(report.to_dict()))
+    _write(outdir / "report.json", _dump_json(report.to_dict()))
     _write_manifest(outdir, "evaluate", inputs, {"nmi_normalizer": args.nmi_normalizer})
     return 0
 
@@ -633,13 +640,6 @@ def write_csv(path: Path, columns, rows):
     _write(path, text.getvalue())
 
 
-def write_comparison(outdir: Path, rows):
-    """comparison.csv, improvements.csv and wilcoxon.json of compare's rows."""
-    write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
-    write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
-    _write(outdir / "wilcoxon.json", dump_json(compute_wilcoxon(rows)))
-
-
 def cmd_compare(args) -> int:
     m_list = [int(tok) for tok in args.m_list.split(",") if tok]
     if not m_list or any(m < 1 for m in m_list):
@@ -649,7 +649,7 @@ def cmd_compare(args) -> int:
 
     def progress(row):
         print(f"  {row['wafer']} {row['method']}{row['param']} seed {row['fit_seed']}: "
-              f"k={row['k_hat']} nmi={row['nmi']}", file=sys.stderr)
+              f"k={row['k_hat']} nmi={row['nmi']} nmi_sqrt={row['nmi_sqrt']}", file=sys.stderr)
 
     counters = {}
     rows = run_comparison(
@@ -667,7 +667,9 @@ def cmd_compare(args) -> int:
         print(f"  {counters['fits_run']} distinct fits of {counters['fit_requests']} "
               f"requests on {workers} worker(s)", file=sys.stderr)
     outdir = Path(args.out)
-    write_comparison(outdir, rows)
+    write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
+    write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
+    _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
     _write_manifest(
         outdir, "compare", list(args.wafers),
         {"u": str(args.u), "u_scratch": str(args.u_scratch), "m_list": m_list,

@@ -365,22 +365,12 @@ def test_criterion_08_blob_recovery():
 
 @pytest.fixture(scope="module")
 def comparison_corpus(tmp_path_factory):
-    import json
+    """The twelve-wafer corpus, as `waferspr generate` writes each wafer
+    with its truth.json sidecar, and the (family, SynthWafer) pairs."""
+    from waferspr.cli import write_corpus
 
-    base = tmp_path_factory.mktemp("corpus")
-    from waferspr.wafer import write_wafer
-
-    paths = []
-    corpus = twelve_wafer_corpus(rows=38, cols=38, noise_rate=0.05, base_seed=100)
-    for idx, (family, sw) in enumerate(corpus):
-        d = base / f"w{idx:02d}"
-        d.mkdir()
-        (d / "wafer.txt").write_bytes(write_wafer(sw.map))
-        doc = {"rows": 38, "cols": 38, "family": family, "noise_rate": 0.05,
-               "seed": 100 + idx, "labels": {}, "regions": {}}
-        (d / "truth.json").write_text(json.dumps(doc))
-        paths.append(d / "wafer.txt")
-    return corpus, paths
+    paths = write_corpus(tmp_path_factory.mktemp("corpus"))
+    return twelve_wafer_corpus(), paths
 
 
 def test_criterion_09_directional_comparison(comparison_corpus):

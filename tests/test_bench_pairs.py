@@ -1,10 +1,13 @@
-"""The claim rule of scripts/bench_pairs.py."""
+"""The claim rule and the argument checks of scripts/bench_pairs.py."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -26,3 +29,40 @@ def test_claim_not_met_with_too_few_wins_or_a_small_gap():
 
 def test_claim_not_met_when_a_run_failed():
     assert not bench_pairs.claim_met(_workload([1.0, 1.1] * 5, [2.0] * 10, all_correct=False), "m")
+
+
+@pytest.mark.parametrize("args", [
+    ["--claim", "large_mpa:wafers_per_s"],
+    ["--claim", "large_map:wafers_per_second"],
+    ["--claim", "large_map"],
+    ["--pairs", "0"],
+])
+def test_bad_arguments_stop_before_the_first_run(args, tmp_path, monkeypatch):
+    def run_once(*a):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT),
+                          "--out", str(tmp_path / "bench.json"), *args])
+    assert exc.value.code == 2
+    assert not (tmp_path / "bench.json").exists()
+
+
+class _Started(Exception):
+    pass
+
+
+def test_a_valid_claim_reaches_the_first_run(tmp_path, monkeypatch):
+    started = []
+
+    def run_once(tree, workload, seed, seconds):
+        started.append(workload)
+        raise _Started
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    with pytest.raises(_Started):
+        bench_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1",
+                          "--claim", "large_map:wafers_per_s",
+                          "--out", str(tmp_path / "bench.json")])
+    assert started == ["screen"]

@@ -615,40 +615,70 @@ def _load_script(name):
     return script
 
 
-def test_comparison_script_sidecars_match_generate(tmp_path, monkeypatch):
-    """scripts/run_comparison.py writes each corpus wafer's truth.json
-    with the bytes `waferspr generate` writes for its family and seed."""
-    script = _load_script("run_comparison")
-    # the sidecars are written before the comparison runs, which is skipped
-    monkeypatch.setattr(script, "run_comparison", lambda *args, **kwargs: [])
-    monkeypatch.setattr(script, "write_comparison", lambda *args: None)
-    script.main(["--out", str(tmp_path / "cmp")])
-    for idx, (family, _) in enumerate(twelve_wafer_corpus()):
+def test_comparison_script_sidecars_match_generate(tmp_path):
+    """write_corpus writes each corpus wafer's wafer.txt and truth.json
+    with the bytes `waferspr generate` writes for its family and seed, and
+    scripts/run_comparison.py writes that corpus and runs compare on it."""
+    corpus = tmp_path / "corpus"
+    paths = cli.write_corpus(corpus)
+    assert paths == [corpus / f"w{idx:02d}" / "wafer.txt" for idx in range(12)]
+    for idx, ((family, _), path) in enumerate(zip(twelve_wafer_corpus(), paths)):
         gen = tmp_path / "gen" / str(idx)
         assert run_cli("generate", "--family", family, "--seed", 100 + idx,
                        "--out", gen) == 0
-        sidecar = tmp_path / "cmp" / "wafers" / f"w{idx:02d}" / "truth.json"
-        assert sidecar.read_bytes() == (gen / "truth.json").read_bytes()
+        for name in ("wafer.txt", "truth.json"):
+            assert (path.parent / name).read_bytes() == (gen / name).read_bytes()
+
+    out = tmp_path / "cmp"
+    assert _load_script("run_comparison").main(
+        ["--out", str(out), "--seeds", "1", "--iters", "4", "--burn-in", "2"]) == 0
+    for path in paths:
+        wafer_dir = out / "wafers" / path.parent.name
+        assert sorted(p.name for p in wafer_dir.iterdir()) == [
+            "raw.svg", "truth.json", "wafer.txt"]
+        for name in ("wafer.txt", "truth.json"):
+            assert (wafer_dir / name).read_bytes() == (path.parent / name).read_bytes()
+    for name in ("comparison.csv", "improvements.csv", "wilcoxon.json", "manifest.json",
+                 "timings.json"):
+        assert (out / name).exists()
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["seeds"], config["iters"], config["burn_in"]) == (1, 4, 2)
+    with open(out / "comparison.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 12 * 3
 
 
 def test_comparison_defaults_are_shared(tmp_path, monkeypatch):
     """compare, run_comparison and scripts/run_comparison.py fit the same
-    number of seeds over the same M list, and the script's corpus is
-    twelve_wafer_corpus's default one."""
+    number of seeds over the same M list on the same schedule, and the
+    script's corpus is twelve_wafer_corpus's default one."""
     args = cli.build_parser().parse_args(["compare", "w.txt", "--out", "o"])
     keywords = inspect.signature(run_comparison).parameters
     assert args.seeds == keywords["seeds"].default
     assert tuple(int(m) for m in args.m_list.split(",")) == keywords["m_list"].default
-    script = _load_script("run_comparison")
     calls = {}
-    monkeypatch.setattr(script, "twelve_wafer_corpus", lambda *a: calls.update(corpus=a) or [])
-    monkeypatch.setattr(script, "run_comparison", lambda paths, **kw: calls.update(kw) or [])
-    monkeypatch.setattr(script, "write_comparison", lambda *args: None)
-    script.main(["--out", str(tmp_path / "cmp")])
-    assert calls["seeds"] == keywords["seeds"].default
-    assert "m_list" not in calls
-    corpus_defaults = inspect.signature(twelve_wafer_corpus).parameters.values()
-    assert calls["corpus"] == tuple(p.default for p in corpus_defaults)
+
+    def no_fits(paths, counters, **kw):
+        calls.update(kw, paths=paths)
+        counters.update(fit_requests=0, fits_run=0, workers=1, wall_seconds={})
+        return []
+
+    monkeypatch.setattr(cli, "run_comparison", no_fits)
+    out = tmp_path / "cmp"
+    assert _load_script("run_comparison").main(["--out", str(out)]) == 0
+    for name in ("seeds", "iters", "burn_in"):
+        assert calls[name] == keywords[name].default
+    assert tuple(calls["m_list"]) == keywords["m_list"].default
+    corpus_keywords = inspect.signature(twelve_wafer_corpus).parameters
+    writer_keywords = inspect.signature(cli.write_corpus).parameters
+    for name in ("rows", "noise_rate", "base_seed"):
+        assert writer_keywords[name].default == corpus_keywords[name].default
+    default_corpus = cli.write_corpus(tmp_path / "corpus")
+    assert [Path(p).parent.name for p in calls["paths"]] == [
+        p.parent.name for p in default_corpus]
+    for path, default in zip(calls["paths"], default_corpus):
+        assert Path(path).read_bytes() == default.read_bytes()
+    for name in ("comparison.csv", "improvements.csv", "wilcoxon.json", "manifest.json"):
+        assert (out / name).exists()
 
 
 def test_demo_pipeline_script_writes_its_files(tmp_path):
