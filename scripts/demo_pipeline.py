@@ -1,6 +1,14 @@
 #!/usr/bin/env python3
-"""End-to-end demo on one synthetic wafer: generate, filter both ways,
-cluster, evaluate, and render every stage as SVG.
+"""End-to-end demo on one synthetic wafer: generate, filter both ways
+(AC at its defaults, CPF at M = 5), cluster, evaluate, and render every
+stage as SVG.
+
+Each stage is a `waferspr` command run in process, so the fits run with
+OpenBLAS on one thread as `cluster` runs them.  Each command writes into
+its own directory under --out, next to its own manifest.json: generate/,
+raw/, and filter/, filtered/, cluster/, clusters/ and evaluate/ under
+ac/ and cpf5/.  summary.json collects each method's kept count, k_hat
+and report.
 
 Usage:
     python scripts/demo_pipeline.py --family donut_partial_ring --out runs/demo
@@ -8,18 +16,25 @@ Usage:
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-import numpy as np
+from waferspr.cli import main as waferspr
+from waferspr.iwmm import McmcConfig
+from waferspr.synthgen import FAMILIES
 
-from waferspr.acfilter import AcConfig, ac_filter, filtered_points
-from waferspr.cli import fit_points, truth_lookup_from_reconstruction
-from waferspr.cpf import CpfConfig, cpf_filter
-from waferspr.iwmm import GwHyper, McmcConfig
-from waferspr.render import render_svg
-from waferspr.synthgen import FAMILIES, family_specs, generate
-from waferspr.validation import evaluation_report
-from waferspr.wafer import write_wafer
+# The filter flags of each method the demo runs.
+METHODS = {"ac": ("--method", "ac"), "cpf5": ("--method", "cpf", "--m", "5")}
+
+
+def run(*argv):
+    """Run one waferspr command in process.  A failing command ends the
+    demo with its exit code, except `cluster`'s 4 (no chip to cluster),
+    which is returned."""
+    code = waferspr([str(arg) for arg in argv])
+    if code not in (0, 4):
+        sys.exit(code)
+    return code
 
 
 def main(argv=None):
@@ -32,39 +47,33 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sw = generate(38, 38, family_specs(args.family), args.noise, args.seed)
-    (out / "raw.txt").write_bytes(write_wafer(sw.map))
-    (out / "raw.svg").write_text(render_svg(sw.map))
-    lookup = truth_lookup_from_reconstruction(sw.map)
-    mcmc = McmcConfig(iters=args.iters, burn_in=args.iters // 2)
+    wafer = out / "generate" / "wafer.txt"
+    run("generate", "--family", args.family, "--seed", args.seed, "--noise", args.noise,
+        "--out", wafer.parent)
+    run("render", wafer, "--out", out / "raw" / "raw.svg")
 
     results = {}
-    for name, flt in (
-        ("ac", lambda m: ac_filter(m, AcConfig())),
-        ("cpf5", lambda m: cpf_filter(m, CpfConfig(m_threshold=5))),
-    ):
-        res = flt(sw.map)
-        filtered = sw.map.with_overlay(res.labels)
-        (out / f"filtered_{name}.svg").write_text(render_svg(filtered))
-        points = filtered_points(sw.map, res)
-        if not points:
+    for name, flags in METHODS.items():
+        stage = out / name
+        filtered = stage / "filter" / "filtered.txt"
+        assignments = stage / "cluster" / "assignments.json"
+        run("filter", wafer, *flags, "--out", filtered.parent)
+        run("render", filtered, "--out", stage / "filtered" / "filtered.svg")
+        if run("cluster", filtered, "--iters", args.iters, "--burn-in", args.iters // 2,
+               "--out", assignments.parent) == 4:
             results[name] = {"kept": 0}
             continue
-        fit = fit_points(points, GwHyper(), mcmc, seed=0)
-        assignments = dict(zip(points, fit.assignments))
-        (out / f"clusters_{name}.svg").write_text(render_svg(sw.map, assignments))
-        truth = [lookup(rc) for rc in points]
-        report = evaluation_report(
-            np.array(points, dtype=float), list(fit.assignments), truth
-        )
+        run("render", wafer, "--assignments", assignments,
+            "--out", stage / "clusters" / "clusters.svg")
+        run("evaluate", "--pred", assignments, "--wafer", wafer, "--out", stage / "evaluate")
         results[name] = {
-            "kept": len(points),
-            "k_hat": fit.k_hat,
-            "report": report.to_dict(),
+            "kept": json.loads((filtered.parent / "summary.json").read_text())["kept_count"],
+            "k_hat": json.loads(assignments.read_text())["k_hat"],
+            "report": json.loads((stage / "evaluate" / "report.json").read_text()),
         }
-    (out / "summary.json").write_text(json.dumps(results, sort_keys=True, indent=2))
-    print(json.dumps(results, sort_keys=True, indent=2))
+    summary = json.dumps(results, sort_keys=True, indent=2)
+    (out / "summary.json").write_text(summary)
+    print(summary)
 
 
 if __name__ == "__main__":

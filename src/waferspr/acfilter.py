@@ -145,7 +145,7 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
     # rows come from the mask's cached layout; this wafer sets their
     # terminal columns, the capacities, the source row (the source arcs)
     # and the sink row (the zero reverses of the sink arcs).
-    chip_indices, chip_indptr, terminal = _chip_rows(graph, u_int > 0)
+    chip_indices, chip_indptr, terminal = _chip_rows(graph)
     s, t = n, n + 1
     d = wmap.defect_bits()
     defective = d == 1
@@ -177,25 +177,23 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _chip_rows(graph: AdjacencyGraph, link: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chip_rows(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The part of the AC capacity matrix that depends only on the mask.
 
-    Row i of the matrix is chip i's: its neighbours when `link` (u > 0;
-    at u = 0 grid arcs carry no flow and are left out), then one terminal
-    slot, whose column (s or t) and capacity each wafer sets.  All ids
-    ascend along a row, since s = n and t = n + 1 follow every chip.
-    Returns read-only arrays: the chip rows' int32 column indices (the
-    terminal slots hold s), their n + 1 int32 row starts, and the
+    Row i of the matrix is chip i's: its neighbours, then one terminal
+    slot, whose column (s or t) and capacity each wafer sets.  At u = 0
+    the grid arcs are explicit zeros, which the residual reads as closed.
+    All ids ascend along a row, since s = n and t = n + 1 follow every
+    chip.  Returns read-only arrays: the chip rows' int32 column indices
+    (the terminal slots hold s), their n + 1 int32 row starts, and the
     position of each row's terminal slot.  The layouts of the
-    GRAPH_CACHE_SIZE (8) most recently used (graph, link) pairs are kept,
-    with their graphs: at most 4 * (deg + 1) + 8 bytes per chip, 44 for
-    king, plus the graph's 64, so 8 * 108 bytes per in-mask cell of the
-    largest mask used (15.1 MB for 150x150 wafers) beyond the graph
-    cache's own bound.
+    GRAPH_CACHE_SIZE (8) most recently used graphs are kept, with the
+    graphs: at most 4 * (deg + 1) + 8 bytes per chip, 44 for king, plus
+    the graph's 64, so 8 * 108 bytes per in-mask cell of the largest mask
+    used (15.1 MB for 150x150 wafers) beyond the graph cache's own bound.
     """
     n = graph.node_count
-    nbr = graph.neighbours if link else graph.neighbours[:, :0]
-    row = np.column_stack([nbr, np.full(n, n)])
+    row = np.column_stack([graph.neighbours, np.full(n, n)])
     present = row >= 0
     indices = row[present].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int32)

@@ -533,10 +533,11 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     pass "sidecar" to use the generator metadata in the truth.json next
     to each wafer, which must then exist.  Scratch-family wafers use
     `u_scratch` for the AC filter, mirroring the reduced separation cost
-    the experiments use for scratch patterns.  The MCMC schedule, `alpha`,
-    `u`, `u_scratch` and `truth_source` are checked before any wafer is
-    read, and a bad one raises ValueError; two wafers of one name, or an
-    M given twice, raise ConfigError.
+    the experiments use for scratch patterns.  Every setting is checked
+    before any wafer is read: a bad MCMC schedule, `alpha`, `u`,
+    `u_scratch` or `truth_source` raises ValueError; `seeds` below 1, an
+    empty M list or an M below 1, an M given twice, or two wafers of one
+    name raise ConfigError.
 
     Every wafer is filtered first.  Then each distinct (points, fit seed)
     pair is fitted once, on as many worker processes as the process may
@@ -553,6 +554,13 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     if truth_source not in TRUTH_SOURCES:
         raise ValueError(f"unknown truth source {truth_source!r}; "
                          f"expected one of {', '.join(TRUTH_SOURCES)}")
+    if seeds < 1:
+        raise ConfigError(f"the fit seed count must be >= 1, got {seeds}")
+    listed = ",".join(map(str, m_list))
+    if not m_list or min(m_list) < 1:
+        raise ConfigError(f"the M list {listed!r} must hold integers >= 1")
+    if len(set(m_list)) < len(m_list):
+        raise ConfigError(f"the M list {listed} repeats a value")
     mcmc = McmcConfig(iters=iters, burn_in=burn_in)
     hyper = GwHyper(alpha=alpha)
     ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
@@ -562,8 +570,6 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
         if name in names:
             raise ConfigError(f"{names[name]} and {path} are both named wafer {name!r}")
         names[name] = path
-    if len(set(m_list)) < len(m_list):
-        raise ConfigError(f"the M list {','.join(map(str, m_list))} repeats a value")
 
     cases = []  # (row fields, kept points, truth labels) per wafer and method
     for name, path in names.items():
@@ -641,24 +647,21 @@ def write_csv(path: Path, columns, rows):
 
 
 def cmd_compare(args) -> int:
-    m_list = [int(tok) for tok in args.m_list.split(",") if tok]
-    if not m_list or any(m < 1 for m in m_list):
-        raise ConfigError("--m-list must contain integers >= 1")
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
+    # run_comparison's settings, by keyword; the manifest records them as given.
+    settings = {
+        "u": args.u, "u_scratch": args.u_scratch,
+        "m_list": [int(tok) for tok in args.m_list.split(",") if tok],
+        "seeds": args.seeds, "iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha,
+        "truth_source": args.truth_source, "nmi_normalizer": args.nmi_normalizer,
+    }
 
     def progress(row):
         print(f"  {row['wafer']} {row['method']}{row['param']} seed {row['fit_seed']}: "
               f"k={row['k_hat']} nmi={row['nmi']} nmi_sqrt={row['nmi_sqrt']}", file=sys.stderr)
 
     counters = {}
-    rows = run_comparison(
-        args.wafers, u=args.u, u_scratch=args.u_scratch, m_list=m_list,
-        seeds=args.seeds, iters=args.iters, burn_in=args.burn_in,
-        alpha=args.alpha, nmi_normalizer=args.nmi_normalizer,
-        truth_source=args.truth_source,
-        progress=progress if args.verbose else None, counters=counters,
-    )
+    rows = run_comparison(args.wafers, **settings, progress=progress if args.verbose else None,
+                          counters=counters)
     # The worker count and the wall times depend on the machine, so they
     # stay out of the seeded files.
     workers = counters.pop("workers")
@@ -670,14 +673,7 @@ def cmd_compare(args) -> int:
     write_csv(outdir / "comparison.csv", COMPARISON_COLUMNS, rows)
     write_csv(outdir / "improvements.csv", IMPROVEMENT_COLUMNS, compute_improvements(rows))
     _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
-    _write_manifest(
-        outdir, "compare", list(args.wafers),
-        {"u": str(args.u), "u_scratch": str(args.u_scratch), "m_list": m_list,
-         "seeds": args.seeds, "iters": args.iters, "burn_in": args.burn_in,
-         "alpha": args.alpha, "truth_source": args.truth_source,
-         "nmi_normalizer": args.nmi_normalizer},
-        counters=counters,
-    )
+    _write_manifest(outdir, "compare", list(args.wafers), settings, counters=counters)
     _write_timings(outdir, wall_seconds)
     return 0
 

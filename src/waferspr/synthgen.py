@@ -173,51 +173,47 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
 # The mixed-type families used in the comparison experiments
 # ---------------------------------------------------------------------
 
-FAMILIES = (
-    "donut_partial_ring",
-    "two_zone",
-    "center_zone",
-    "center_partial_ring",
-    "scratch_pair",
-)
+# The pattern menu of each family, mirroring the classic mixed-type
+# defect combinations.
+_FAMILY_SPECS = {
+    "donut_partial_ring": (
+        PatternSpec(PatternKind.DONUT, inner_frac=0.15, outer_frac=0.42, fill_rate=0.94),
+        PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.78, outer_frac=0.99,
+                    arc_start_deg=150.0, arc_extent_deg=170.0, fill_rate=0.94),
+    ),
+    "two_zone": (
+        PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.55, outer_frac=1.0,
+                    arc_start_deg=20.0, arc_extent_deg=100.0),
+        PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.55, outer_frac=1.0,
+                    arc_start_deg=200.0, arc_extent_deg=100.0),
+    ),
+    "center_zone": (
+        PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.35),
+        PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.62, outer_frac=1.0,
+                    arc_start_deg=230.0, arc_extent_deg=120.0),
+    ),
+    "center_partial_ring": (
+        PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.32),
+        PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.72, outer_frac=0.95,
+                    arc_start_deg=30.0, arc_extent_deg=170.0),
+    ),
+    "scratch_pair": (
+        PatternSpec(PatternKind.SCRATCH, offset_frac=0.55, offset_angle_deg=135.0,
+                    angle_deg=-35.0, length_cells=20, width_cells=3.0, fill_rate=0.95),
+        PatternSpec(PatternKind.SCRATCH, offset_frac=0.5, offset_angle_deg=300.0,
+                    angle_deg=60.0, length_cells=14, width_cells=3.0, fill_rate=0.95),
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_SPECS)
 
 
 def family_specs(name: str) -> tuple[PatternSpec, ...]:
-    """Pattern menu mirroring the classic mixed-type defect combinations."""
-    if name == "donut_partial_ring":
-        return (
-            PatternSpec(PatternKind.DONUT, inner_frac=0.15, outer_frac=0.42,
-                        fill_rate=0.94),
-            PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.78, outer_frac=0.99,
-                        arc_start_deg=150.0, arc_extent_deg=170.0, fill_rate=0.94),
-        )
-    if name == "two_zone":
-        return (
-            PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.55, outer_frac=1.0,
-                        arc_start_deg=20.0, arc_extent_deg=100.0),
-            PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.55, outer_frac=1.0,
-                        arc_start_deg=200.0, arc_extent_deg=100.0),
-        )
-    if name == "center_zone":
-        return (
-            PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.35),
-            PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.62, outer_frac=1.0,
-                        arc_start_deg=230.0, arc_extent_deg=120.0),
-        )
-    if name == "center_partial_ring":
-        return (
-            PatternSpec(PatternKind.CENTER_DISK, outer_frac=0.32),
-            PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.72, outer_frac=0.95,
-                        arc_start_deg=30.0, arc_extent_deg=170.0),
-        )
-    if name == "scratch_pair":
-        return (
-            PatternSpec(PatternKind.SCRATCH, offset_frac=0.55, offset_angle_deg=135.0,
-                        angle_deg=-35.0, length_cells=20, width_cells=3.0, fill_rate=0.95),
-            PatternSpec(PatternKind.SCRATCH, offset_frac=0.5, offset_angle_deg=300.0,
-                        angle_deg=60.0, length_cells=14, width_cells=3.0, fill_rate=0.95),
-        )
-    raise ValueError(f"unknown family {name!r}")
+    """The pattern specs of the family `name`; ValueError if unknown."""
+    try:
+        return _FAMILY_SPECS[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 # Family multiplicities of the twelve-wafer comparison corpus.

@@ -27,7 +27,7 @@ from waferspr.cli import (
     run_comparison,
     truth_lookup_from_reconstruction,
 )
-from waferspr.errors import ParseError
+from waferspr.errors import ConfigError, ParseError
 from waferspr.render import PALETTE, cluster_color, render_svg
 from waferspr.synthgen import FAMILIES, twelve_wafer_corpus
 from waferspr.wafer import parse_wafer
@@ -682,15 +682,29 @@ def test_comparison_defaults_are_shared(tmp_path, monkeypatch):
 
 
 def test_demo_pipeline_script_writes_its_files(tmp_path):
+    """The demo runs each stage as a waferspr command, each into its own
+    directory with its own manifest.json, and its summary holds what the
+    commands wrote."""
     _load_script("demo_pipeline").main(["--iters", "6", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert sorted(summary) == ["ac", "cpf5"]
-    assert (tmp_path / "raw.svg").exists()
+    stages = {"generate": "generate", "raw": "render"}
+    for name in summary:
+        stages.update({f"{name}/{stage}": command for stage, command in (
+            ("filter", "filter"), ("filtered", "render"), ("cluster", "cluster"),
+            ("clusters", "render"), ("evaluate", "evaluate"))})
+    for stage, command in stages.items():
+        manifest = json.loads((tmp_path / stage / "manifest.json").read_text())
+        assert manifest["command"] == command, stage
+    assert (tmp_path / "raw" / "raw.svg").exists()
     for name, result in summary.items():
-        assert (tmp_path / f"filtered_{name}.svg").exists()
+        assert (tmp_path / name / "filtered" / "filtered.svg").exists()
+        assert (tmp_path / name / "clusters" / "clusters.svg").exists()
         assert result["kept"] > 0
-        assert result["k_hat"] >= 1
-        assert (tmp_path / f"clusters_{name}.svg").exists()
+        assignments = json.loads((tmp_path / name / "cluster" / "assignments.json").read_text())
+        assert result["k_hat"] == assignments["k_hat"] >= 1
+        assert result["report"] == json.loads(
+            (tmp_path / name / "evaluate" / "report.json").read_text())
 
 
 def test_generate_reproducible(tmp_path):
@@ -1147,6 +1161,44 @@ def test_run_comparison_refuses_an_unknown_truth_source(tmp_path):
     with pytest.raises(ValueError, match="'sidcar'"):
         run_comparison([tmp_path / "missing.txt"], truth_source="sidcar", m_list=(1,),
                        seeds=1, iters=6, burn_in=2)
+
+
+@pytest.mark.parametrize("bad", [{"seeds": 0}, {"m_list": (0,)}, {"m_list": (5, 0)},
+                                 {"m_list": ()}])
+def test_run_comparison_checks_seeds_and_m_before_any_wafer(tmp_path, bad):
+    # the wafer does not exist: the setting is refused before any is read
+    with pytest.raises(ConfigError):
+        run_comparison([tmp_path / "missing.txt"], **{"seeds": 1, "iters": 6, "burn_in": 2, **bad})
+
+
+@pytest.mark.parametrize("flags", [("--seeds", "0"), ("--m-list", "0"), ("--m-list", ",")])
+def test_compare_bad_seeds_or_m_exit_3(tmp_path, capsys, flags):
+    out = tmp_path / "cmp"
+    assert run_cli("compare", tmp_path / "missing.txt", *flags, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_compare_manifest_config_is_run_comparisons_settings(tmp_path, monkeypatch):
+    """compare passes one settings dict to run_comparison and writes the
+    same dict as its manifest's config, keyed by run_comparison's
+    keywords other than the wafers, `progress` and `counters`."""
+    calls = {}
+
+    def no_fits(paths, progress, counters, **kw):
+        calls.update(kw)
+        counters.update(fit_requests=0, fits_run=0, workers=1, wall_seconds={})
+        return []
+
+    monkeypatch.setattr(cli, "run_comparison", no_fits)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", *_two_wafers(tmp_path), "--u", "1/4", "--m-list", "2,7",
+                   "--seeds", "2", "--out", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    keywords = set(inspect.signature(run_comparison).parameters)
+    assert set(config) == keywords - {"wafer_paths", "progress", "counters"}
+    assert config == calls
 
 
 def test_compare_progress_gets_empty_point_sets(tmp_path, monkeypatch):
