@@ -8,7 +8,11 @@ alternates from pair to pair, starting with the parent.  Each run uses
 the benchmark of its own tree.  The summary gives, per end-to-end metric
 of BENCHMARK.json, both sides' medians and inclusive quartiles over the
 pairs and the number of pairs in which the change read better or worse
-(ties count for neither).  Its "notes" list starts empty.
+(ties count for neither).  The end-to-end times are normalized by the
+benchmark's speed probe; under "raw" each workload gets the same summary
+of the un-normalized wafers_per_s and op_p50_ms that each run prints on
+its `# raw` line, so that a gain the normalization adds or hides shows.
+Its "notes" list starts empty.
 
 Usage:
     python scripts/bench_pairs.py --parent ../parent --change . \\
@@ -22,11 +26,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+# The metrics of a run's `# raw` line that the summary reports.
+RAW_METRICS = ("wafers_per_s", "op_p50_ms")
+
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The parsed result of one benchmark run in `tree`: the last output
-    line's JSON object with each metric as its value, and the `# env`
-    line's object under "env"."""
+    line's JSON object with each metric as its value, the `# env` line's
+    object under "env", and the `# raw` line's values under "raw"."""
     proc = subprocess.run(
         [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -39,6 +46,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     env = [line[len("# env "):] for line in lines if line.startswith("# env ")]
     result["env"] = json.loads(env[0]) if env else None
+    raw = [line[len("# raw "):] for line in lines if line.startswith("# raw ")]
+    if not raw:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} printed no '# raw' line")
+    result["raw"] = {name: float(value) for name, value in
+                     (token.split("=") for token in raw[0].split())}
     return result
 
 
@@ -111,7 +123,8 @@ def main(argv=None) -> int:
                    "of the source tree, one run of each per pair on the same seed, "
                    "the side that runs first alternating; medians and quartiles (inclusive "
                    "method) over the pairs; change_better_pairs counts the pairs in which "
-                   "the change reads better, ties counting for neither."),
+                   "the change reads better, ties counting for neither; \"raw\" summarizes "
+                   "the un-normalized times of each run's '# raw' line the same way."),
         "env": None,
         "workloads": {},
         "notes": [],
@@ -139,6 +152,12 @@ def main(argv=None) -> int:
                                      [r["metrics"][m["name"]] for r in runs["parent"]],
                                      [r["metrics"][m["name"]] for r in runs["change"]])
                 for m in bench["end_to_end"]
+            },
+            "raw": {
+                m["name"]: summarize(m["better"],
+                                     [r["raw"][m["name"]] for r in runs["parent"]],
+                                     [r["raw"][m["name"]] for r in runs["change"]])
+                for m in bench["end_to_end"] if m["name"] in RAW_METRICS
             },
         }
     if claim:

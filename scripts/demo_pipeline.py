@@ -5,10 +5,11 @@ stage as SVG.
 
 Each stage is a `waferspr` command run in process, so the fits run with
 OpenBLAS on one thread as `cluster` runs them.  Each command writes into
-its own directory under --out, next to its own manifest.json: generate/,
-raw/, and filter/, filtered/, cluster/, clusters/ and evaluate/ under
-ac/ and cpf5/.  summary.json collects each method's kept count, k_hat
-and report.
+its own directory under --out, next to its own manifest (a render's is
+named after its SVG, raw.svg -> raw.manifest.json): generate/, raw/, and
+filter/, filtered/, cluster/, clusters/ and evaluate/ under ac/ and
+cpf5/.  summary.json collects each method's kept count, k_hat and
+report.
 
 Usage:
     python scripts/demo_pipeline.py --family donut_partial_ring --out runs/demo

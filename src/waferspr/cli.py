@@ -2,7 +2,8 @@
 render -> compare, with deterministic seeds and machine-readable outputs.
 
 Every command writes a manifest.json next to its outputs with the full
-configuration needed to replay the run; a command that fails writes none.
+configuration needed to replay the run (`render` names it after its SVG:
+x.svg -> x.manifest.json); a command that fails writes none.
 Exit codes: 2 input parse error (an unreadable or malformed input, or a
 usage error argparse reports), 3 configuration error (a bad flag value,
 or an `--out` that cannot be written), 4 empty defect set (cluster),
@@ -78,15 +79,16 @@ def _write(path: Path, text: str):
         raise ConfigError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
-def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=None):
-    """manifest.json of a run, with everything needed to replay it
-    bit-for-bit; `counters` (deterministic counts of the work done) are
-    added under their own key when given."""
+def _write_manifest(outdir: Path, command, inputs, config, seed=None, counters=None,
+                    name="manifest.json"):
+    """The manifest of a run, `name` in `outdir`, with everything needed to
+    replay it bit-for-bit; `counters` (deterministic counts of the work
+    done) are added under their own key when given."""
     doc = {"command": command, "inputs": [str(p) for p in inputs], "config": config,
            "seed": seed, "version": __version__}
     if counters is not None:
         doc["counters"] = counters
-    _write(outdir / "manifest.json", _dump_json(doc))
+    _write(outdir / name, _dump_json(doc))
 
 
 def _write_timings(outdir: Path, wall_seconds):
@@ -405,9 +407,11 @@ def cmd_render(args) -> int:
     svg = render_svg(wmap, assignments)
     out = Path(args.out)
     _write(out, svg)
+    # Named after the SVG, so that a render into another command's
+    # directory leaves that command's manifest.json in place.
     _write_manifest(out.parent, "render", [args.input] +
                     ([args.assignments] if args.assignments else []),
-                    {"out": out.name})
+                    {"out": out.name}, name=f"{out.stem}.manifest.json")
     return 0
 
 

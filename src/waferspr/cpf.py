@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import ndimage
 
 from .acfilter import FilterResult
 from .wafer import AdjacencyGraph, CellState, Neighborhood, WaferMap, build_graph, components
@@ -75,8 +74,15 @@ def _extend_path(adj, path, used, need, budget):
         return list(path)
     budget.spend()
     tail = path[-1]
-    # prune: even absorbing every reachable unused node cannot reach `need`
     missing = need - len(path)
+    if missing == 1:
+        # any unused neighbour of the tail ends the path; the search below
+        # would take the first one and return without spending budget
+        for v in adj[tail]:
+            if v not in used:
+                return path + [v]
+        return None
+    # prune: even absorbing every reachable unused node cannot reach `need`
     if _reachable_count(adj, tail, used, missing) < missing:
         return None
     for v in adj[tail]:
@@ -136,7 +142,8 @@ class _LazyAdjacency(dict):
 
     Lists missing from the dict are built on first access from the
     chip's row of `neighbours`, so a search reads only the lists of the
-    chips it reaches.
+    chips it reaches.  `comp` ends in a padding 0, which a missing
+    neighbour (-1) reads.
     """
 
     def __init__(self, lists, neighbours, comp):
@@ -148,7 +155,6 @@ class _LazyAdjacency(dict):
         if not self._comp[i] > 0:
             raise KeyError(i)
         row = self._neighbours[i]
-        row = row[row >= 0]
         self[i] = nbrs = row[self._comp[row] > 0].tolist()
         return nbrs
 
@@ -163,11 +169,13 @@ def _adjacency(graph: AdjacencyGraph, comp: np.ndarray) -> dict[int, list[int]]:
     several hundred small-component chips of a 150x150 wafer costs less
     than building their lists one at a time on access.
     """
+    # A padding 0 after the last node, for the -1 entries of
+    # graph.neighbours to read.
+    comp = np.append(comp, 0)
     sizes = np.bincount(comp)
     alive = np.flatnonzero((comp > 0) & (sizes[comp] <= EXACT_COMPONENT_LIMIT))
     nbr = graph.neighbours[alive]
-    link = nbr >= 0
-    link[link] = comp[nbr[link]] > 0
+    link = comp[nbr] > 0
     flat = nbr[link].tolist()
     ends = np.cumsum(link.sum(axis=1)).tolist()
     lists = {i: flat[a:b] for i, a, b in zip(alive.tolist(), [0] + ends[:-1], ends)}
@@ -186,16 +194,23 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
         cfg = CpfConfig()
     m = cfg.m_threshold
     graph = build_graph(wmap, cfg.nb)
-    comp = components(wmap.grid() == CellState.DEFECTIVE, cfg.nb)[wmap.in_mask()]
+    comp = components(wmap.grid() == CellState.DEFECTIVE.value, cfg.nb)[wmap.in_mask()]
+    sizes = np.bincount(comp)
     # A component of fewer than m chips holds no path of m chips, so its
     # chips are dropped before any adjacency is built.
-    comp[np.bincount(comp)[comp] < m] = 0
+    comp[sizes[comp] < m] = 0
     adj = _adjacency(graph, comp)
 
-    labels = np.zeros(graph.node_count, dtype=bool)
+    # The chips of each searched component in one list, components in
+    # ascending id and each one's nodes in ascending id, so that every
+    # search starts where a per-component scan would start it.
+    chips = np.flatnonzero(comp)
+    chips = chips[np.argsort(comp[chips], kind="stable")].tolist()
+    ends = np.cumsum(sizes[1:][sizes[1:] >= m]).tolist()
+    kept_nodes = []
     exact = approx = spent = 0
-    for (nodes,) in ndimage.value_indices(comp, ignore_value=0).values():
-        nodes = nodes.tolist()
+    for start, end in zip([0] + ends[:-1], ends):
+        nodes = chips[start:end]
         budget = _Budget(SEARCH_BUDGET)
         try:
             if len(nodes) <= EXACT_COMPONENT_LIMIT:
@@ -210,7 +225,9 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
             kept = nodes  # size >= m already checked
             approx += 1
         spent += SEARCH_BUDGET - max(budget.left, 0)
-        labels[list(kept)] = True
+        kept_nodes.extend(kept)
+    labels = np.zeros(graph.node_count, dtype=bool)
+    labels[kept_nodes] = True
     labels.flags.writeable = False
 
     return FilterResult(

@@ -108,12 +108,12 @@ def max_flow_min_cut(net: FlowNetwork) -> CutResult:
         raise InternalError("the solver's flow does not share the capacity matrix's structure; "
                             "every arc of a FlowNetwork needs its reverse arc stored")
     # An arc is open when its residual capacity (capacity - flow) is
-    # positive.  Closed arcs are removed from the search graph, because
-    # SciPy's graph search follows explicit zeros too; the copy keeps that
-    # in-place removal off the network's own index arrays.
-    residual = csr_array(((cap.data > f.data).astype(np.float64), cap.indices, cap.indptr),
-                         shape=cap.shape, copy=True)
-    residual.eliminate_zeros()
+    # positive.  SciPy's graph search follows every stored entry, explicit
+    # zeros too, so in the search graph each closed arc leads back to the
+    # source, which the search visits first; the network's own arrays are
+    # only read.
+    residual = csr_array((np.ones(cap.nnz), np.where(cap.data > f.data, cap.indices, net.source),
+                          cap.indptr), shape=cap.shape)
     source_side = np.zeros(net.node_count, dtype=bool)
     source_side[breadth_first_order(residual, net.source, directed=True,
                                     return_predecessors=False)] = True

@@ -228,10 +228,13 @@ def reconstruct_ground_truth(wmap: WaferMap) -> WaferMap:
     in the input, i.e. the uniform-weight window mean is >= 4/9.  The
     mask is preserved.
     """
-    defect = (wmap.grid() == CellState.DEFECTIVE).astype(np.int64)
-    window = ndimage.correlate(defect, np.ones((3, 3), dtype=np.int64), mode="constant")
-    out = np.where(window >= 4, CellState.DEFECTIVE, CellState.FUNCTIONAL)
-    out = np.where(wmap.in_mask(), out, CellState.OUTSIDE)
+    grid = wmap.grid()
+    # A window counts at most 9 defects, so uint8 holds every count.
+    defect = (grid == CellState.DEFECTIVE.value).view(np.uint8)
+    window = ndimage.correlate(defect, np.ones((3, 3), dtype=np.uint8), mode="constant")
+    # FUNCTIONAL + 1 is DEFECTIVE.
+    out = np.add(window >= 4, CellState.FUNCTIONAL.value, dtype=np.int8)
+    out[grid == CellState.OUTSIDE.value] = CellState.OUTSIDE.value
     return WaferMap(wmap.rows, wmap.cols, out.ravel())
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -51,11 +51,14 @@ class Neighborhood(Enum):
             return rook
         return rook + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
-    @property
+    @cached_property
     def structure(self) -> np.ndarray:
         """3x3 connectivity element for scipy.ndimage: a cross for rook
-        moves, the full square for king moves."""
-        return ndimage.generate_binary_structure(2, 1 if self is Neighborhood.ROOK else 2)
+        moves, the full square for king moves.  Built once per member and
+        read-only, since every caller shares it."""
+        structure = ndimage.generate_binary_structure(2, 1 if self is Neighborhood.ROOK else 2)
+        structure.flags.writeable = False
+        return structure
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,7 @@ class WaferMap:
                 or kind == "f" and (cells % 1).any()):
             raise ValueError("cell values must be in {0, 1, 2}")
         cells = cells.astype(np.int8)
-        if not (cells != CellState.OUTSIDE).any():
+        if not (cells != CellState.OUTSIDE.value).any():
             raise ValueError("wafer has no in-mask cells")
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
@@ -98,7 +101,7 @@ class WaferMap:
 
     def in_mask(self) -> np.ndarray:
         """Boolean grid, True where a die exists."""
-        return self.grid() != CellState.OUTSIDE
+        return self.grid() != CellState.OUTSIDE.value
 
     @property
     def n_in_mask(self) -> int:
@@ -110,8 +113,8 @@ class WaferMap:
 
     def defect_bits(self) -> np.ndarray:
         """d_i in {0,1} for each in-mask cell, row-major order."""
-        inside = self.cells[self.cells != CellState.OUTSIDE]
-        return (inside == CellState.DEFECTIVE).astype(np.int8)
+        inside = self.cells[self.cells != CellState.OUTSIDE.value]
+        return (inside == CellState.DEFECTIVE.value).astype(np.int8)
 
     def defective_coords(self) -> list[tuple[int, int]]:
         rr, cc = np.nonzero(self.grid() == CellState.DEFECTIVE)

@@ -1,6 +1,8 @@
 """The claim rule and the argument checks of scripts/bench_pairs.py."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ _spec = importlib.util.spec_from_file_location(
     "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+METRIC_NAMES = [m["name"] for m in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
 def _workload(parent, change, better="higher", all_correct=True):
@@ -66,3 +70,42 @@ def test_a_valid_claim_reaches_the_first_run(tmp_path, monkeypatch):
                           "--claim", "large_map:wafers_per_s",
                           "--out", str(tmp_path / "bench.json")])
     assert started == ["screen"]
+
+
+def test_raw_times_are_summarized_beside_the_normalized_ones(tmp_path, monkeypatch):
+    """Each run's `# raw` line reaches the summary: raw medians and
+    quartiles of wafers_per_s and op_p50_ms for both sides, per workload."""
+    speeds = {"parent": 100.0, "change": 110.0}
+
+    def run(argv, cwd, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        raw = speeds[cwd.name] + seed
+        normalized = 2 * raw
+        metrics = {"wafers_per_s": normalized, "op_p50_ms": 1e3 / normalized}
+        stdout = "\n".join([
+            '# env {"cpu": "test"}',
+            f"# raw setup_s=0.5 wafers_per_s={raw:g} op_p50_ms={1e3 / raw:g} op_p90_ms=20",
+            json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                        "metrics": {name: {"value": metrics.get(name, 1.0), "unit": "u"}
+                                    for name in METRIC_NAMES}}),
+        ])
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    for side in speeds:
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--pairs", "3",
+                             "--first-seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for workload in doc["workloads"].values():
+        assert sorted(workload["raw"]) == ["op_p50_ms", "wafers_per_s"]
+        raw, normalized = workload["raw"]["wafers_per_s"], workload["metrics"]["wafers_per_s"]
+        assert raw["parent_median"] == 101.0 and raw["change_median"] == 111.0
+        assert raw["parent_quartiles"] == [100.5, 101.5]
+        assert raw["change_better_pairs"] == 3
+        assert normalized["parent_median"] == 202.0
+        assert workload["raw"]["op_p50_ms"]["change_median"] == round(1e3 / 111, 4)
+        assert workload["raw"]["op_p50_ms"]["better"] == "lower"

@@ -131,15 +131,19 @@ FILTER_RUNS = (
     ("--method", "cpf", "--m", "5", "--neighborhood", "king"),
     ("--method", "cpf", "--m", "10", "--neighborhood", "rook"),
     ("--method", "cpf", "--m", "10", "--neighborhood", "king"),
+    ("--method", "cpf", "--m", "3", "--neighborhood", "rook"),
+    ("--method", "cpf", "--m", "3", "--neighborhood", "king"),
+    ("--method", "ac", "--u", "0"),
 )
 
 
 def test_filter_outputs_pinned(tmp_path):
     """SHA-256 of `filter`'s summary.json and filtered.txt on a seeded
-    38x38 wafer of every family, for AC and CPF at M = 5 and 10, rook and
-    king.  The outputs come from exact integer and rational arithmetic,
-    so the digest does not depend on the machine; it guards the labels
-    and the solver counters, CPF's `budget_spent` among them."""
+    38x38 wafer of every family, for AC at its defaults and at u = 0 and
+    CPF at M = 3, 5 and 10, rook and king.  The outputs come from exact
+    integer and rational arithmetic, so the digest does not depend on the
+    machine; it guards the labels and the solver counters, CPF's
+    `budget_spent` among them."""
     digest = hashlib.sha256()
     for family in FAMILIES:
         gen = tmp_path / family
@@ -151,7 +155,7 @@ def test_filter_outputs_pinned(tmp_path):
             for name in ("summary.json", "filtered.txt"):
                 digest.update((out / name).read_bytes())
     assert digest.hexdigest() == (
-        "aac1df3935eac6770ba9b77446590c5b2c007d885c1b39e221dbdfda2e00c67c")
+        "1cb83a444719cad09a2a90dd62d65343fc35b9d9daa2553abc5de017a7d4014e")
 
 
 @pytest.mark.parametrize("flags,flag", [
@@ -683,19 +687,20 @@ def test_comparison_defaults_are_shared(tmp_path, monkeypatch):
 
 def test_demo_pipeline_script_writes_its_files(tmp_path):
     """The demo runs each stage as a waferspr command, each into its own
-    directory with its own manifest.json, and its summary holds what the
+    directory with its own manifest, and its summary holds what the
     commands wrote."""
     _load_script("demo_pipeline").main(["--iters", "6", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert sorted(summary) == ["ac", "cpf5"]
-    stages = {"generate": "generate", "raw": "render"}
+    manifests = {"generate/manifest.json": "generate", "raw/raw.manifest.json": "render"}
     for name in summary:
-        stages.update({f"{name}/{stage}": command for stage, command in (
-            ("filter", "filter"), ("filtered", "render"), ("cluster", "cluster"),
-            ("clusters", "render"), ("evaluate", "evaluate"))})
-    for stage, command in stages.items():
-        manifest = json.loads((tmp_path / stage / "manifest.json").read_text())
-        assert manifest["command"] == command, stage
+        manifests.update({f"{name}/{path}": command for path, command in (
+            ("filter/manifest.json", "filter"), ("filtered/filtered.manifest.json", "render"),
+            ("cluster/manifest.json", "cluster"), ("clusters/clusters.manifest.json", "render"),
+            ("evaluate/manifest.json", "evaluate"))})
+    for path, command in manifests.items():
+        manifest = json.loads((tmp_path / path).read_text())
+        assert manifest["command"] == command, path
     assert (tmp_path / "raw" / "raw.svg").exists()
     for name, result in summary.items():
         assert (tmp_path / name / "filtered" / "filtered.svg").exists()
@@ -724,6 +729,22 @@ def test_render_single_defective(tmp_path):
     svg = out.read_text()
     assert svg.count("<rect") == 2  # background + the one cell
     assert "#c62828" in svg
+
+
+def test_render_keeps_the_manifest_of_the_directory_it_writes_into(tmp_path):
+    """A render into a filter's output directory writes its manifest beside
+    its SVG, named after it, and leaves the filter's manifest.json."""
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(CROSS)
+    refit = tmp_path / "refit"
+    assert run_cli("filter", wafer, "--out", refit) == 0
+    filtered = (refit / "manifest.json").read_bytes()
+    assert run_cli("render", wafer, "--out", refit / "x.svg") == 0
+    assert (refit / "manifest.json").read_bytes() == filtered
+    assert json.loads(filtered)["command"] == "filter"
+    manifest = json.loads((refit / "x.manifest.json").read_text())
+    assert manifest["command"] == "render" and manifest["config"] == {"out": "x.svg"}
+    assert manifest["inputs"] == [str(wafer)]
 
 
 def test_render_deterministic_and_palette(tmp_path):
@@ -1368,7 +1389,8 @@ def test_unwritable_out_exits_3(tmp_path, capsys, command, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cannot write" in err and "Traceback" not in err
     assert not (out / "manifest.json").is_file()
-    assert not (tmp_path / "manifest.json").exists()
+    # render's manifest would sit beside its file: o.manifest.json
+    assert not list(tmp_path.glob("*manifest.json"))
 
 
 # ---------------------------------------------------------------------
@@ -1499,8 +1521,9 @@ def _run_contract(files, argv, kind, noise, out_kind):
                 code = main([names.get(arg, arg) for arg in argv] + ["--out", str(out)])
             except SystemExit as exc:
                 code = exc.code
-        manifest_dir = out.parent if argv[0] == "render" else out
-        return code, stderr.getvalue(), (manifest_dir / "manifest.json").exists()
+        manifest = (out.parent / f"{out.stem}.manifest.json" if argv[0] == "render"
+                    else out / "manifest.json")
+        return code, stderr.getvalue(), manifest.exists()
 
 
 @given(run=contract_runs())

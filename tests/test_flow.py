@@ -171,6 +171,19 @@ def test_duality_property(case):
     assert r.max_flow_value == brute_force_min_cut(n, net.arcs, 0, n - 1)
 
 
+def test_cut_leaves_the_capacity_matrix_as_it_was():
+    # 0 -> 1 saturates, and 2 -> 0 leads into the source: the residual
+    # search redirects closed arcs and never writes to the network.
+    net = network_from_arcs(4, ((0, 1, 2), (1, 3, 5), (1, 2, 1), (2, 0, 4), (2, 3, 1)), 0, 3)
+    cap = net.capacity
+    before = [a.copy() for a in (cap.data, cap.indices, cap.indptr)]
+    r = max_flow_min_cut(net)
+    assert r.max_flow_value == 2 and _side(r) == {0}
+    for array, copy in zip((cap.data, cap.indices, cap.indptr), before):
+        assert np.array_equal(array, copy)
+    assert cap.has_canonical_format
+
+
 def test_arcs_stored_as_readonly_int64_array():
     net = network_from_arcs(3, ((0, 1, 3), (1, 2, 5)), 0, 2)
     assert net.arcs.dtype == np.int64 and net.arcs.shape == (2, 3)

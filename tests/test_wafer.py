@@ -275,6 +275,18 @@ def test_graph_cache_keeps_its_bound_of_masks():
     assert info.maxsize == info.currsize == GRAPH_CACHE_SIZE
 
 
+@pytest.mark.parametrize("nb", list(Neighborhood))
+def test_structure_is_one_read_only_array_per_neighborhood(nb):
+    structure = nb.structure
+    assert nb.structure is structure
+    assert not structure.flags.writeable
+    with pytest.raises(ValueError):
+        structure[0, 0] = not structure[0, 0]
+    # the centre and one cell per offset
+    assert np.count_nonzero(structure) == 1 + len(nb.offsets)
+    assert all(structure[1 + dr, 1 + dc] for dr, dc in nb.offsets)
+
+
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 @settings(max_examples=200)
 def test_components_match_bfs(rows, cols, data):
