@@ -7,7 +7,11 @@ x.svg -> x.manifest.json); a command that fails writes none.
 Exit codes: 2 input parse error (an unreadable or malformed input, or a
 usage error argparse reports), 3 configuration error (a bad flag value,
 or an `--out` that cannot be written), 4 empty defect set (cluster),
-5 mismatched coordinates (evaluate).
+5 mismatched coordinates (evaluate: a truth assignments document that
+names other chips than the prediction, or a predicted chip that is not
+an in-mask chip of `--wafer`).  Every "row,col" -> label JSON table
+(assignments, and a sidecar's labels and regions) is written by
+`_chip_object` and read by `_chip_table`.
 """
 
 from __future__ import annotations
@@ -116,10 +120,6 @@ def _read_wafer(path) -> WaferMap:
     return parse_wafer(data, fmt="csv" if csv_file else "ascii")
 
 
-def _coord_key(rc) -> str:
-    return f"{rc[0]},{rc[1]}"
-
-
 def _read_json_object(path) -> dict:
     """The JSON object in `path`; ParseError naming the file when it
     cannot be read or holds anything else."""
@@ -133,17 +133,18 @@ def _read_json_object(path) -> dict:
     return doc
 
 
-def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
-    """The ((row, col), cluster label) entries of an assignments document
-    (as `cluster` writes it) read from `path`, in (row, col) order;
+def _chip_table(doc: dict, name: str, path, default=None) -> dict:
+    """The {(row, col): label} table `doc[name]` of a document read from
+    `path`, an object of "row,col" keys and integer labels as
+    `_chip_object` writes it (`default` where `doc` has no `name`);
     ParseError naming the file when it is malformed or two keys name one
     chip ("1,1" and "01,1")."""
-    assignments = doc.get("assignments")
-    if not isinstance(assignments, dict):
-        raise ParseError(f'{path}: no "assignments" object')
+    table = doc.get(name, default)
+    if not isinstance(table, dict):
+        raise ParseError(f'{path}: no "{name}" object')
     keys = {}  # (row, col) -> its key
-    entries = []
-    for key, label in assignments.items():
+    chips = {}
+    for key, label in table.items():
         try:
             r, c = key.split(",")
             rc = (int(r), int(c))
@@ -154,23 +155,28 @@ def _assignments_of(doc: dict, path) -> list[tuple[tuple[int, int], int]]:
         if rc in keys:
             raise ParseError(f"{path}: keys {keys[rc]!r} and {key!r} name one chip")
         keys[rc] = key
-        entries.append((rc, label))
-    entries.sort(key=lambda entry: entry[0])
-    return entries
+        chips[rc] = label
+    return chips
 
 
-def _sidecar_of(doc: dict, path) -> dict:
-    """`doc`, a truth.json sidecar (as `generate` writes it) read from
-    `path`; ParseError naming the file unless its "regions" and "labels",
-    where present, are objects of integer labels and its "family", where
-    present, is a string."""
-    for name in ("regions", "labels"):
-        table = doc.get(name, {})
-        if not isinstance(table, dict) or any(type(v) is not int for v in table.values()):
-            raise ParseError(f'{path}: "{name}" is not an object of integer labels')
-    if not isinstance(doc.get("family", ""), str):
+def _chip_object(chips, labels) -> dict:
+    """The JSON object `_chip_table` reads: "row,col" of each (row, col)
+    chip -> its integer label."""
+    return {f"{r},{c}": int(label) for (r, c), label in zip(chips, labels)}
+
+
+def _sidecar_of(doc: dict, path) -> tuple[str, dict]:
+    """(family, {(row, col): truth label}) of `doc`, a truth.json sidecar
+    (as `generate` writes it) read from `path`: a chip's region, else its
+    pattern label; ParseError naming the file unless its "regions" and
+    "labels", where present, are chip tables (see `_chip_table`) and its
+    "family", where present, is a string."""
+    labels = _chip_table(doc, "labels", path, default={})
+    regions = _chip_table(doc, "regions", path, default={})
+    family = doc.get("family", "")
+    if not isinstance(family, str):
         raise ParseError(f'{path}: "family" is not a string')
-    return doc
+    return family, {**labels, **regions}
 
 
 # ---------------------------------------------------------------------
@@ -188,12 +194,11 @@ def _write_generated(outdir: Path, sw, family, seed, fmt="ascii") -> Path:
     grid_truth = sw.truth_labels.reshape(rows, cols)
     grid_region = sw.region_labels.reshape(rows, cols)
     defect = sw.map.grid() == CellState.DEFECTIVE
+    region = grid_region > 0
     truth = {
         "rows": rows, "cols": cols, "family": family, "noise_rate": sw.noise_rate, "seed": seed,
-        "labels": {_coord_key((r, c)): int(grid_truth[r, c])
-                   for r, c in zip(*np.nonzero(defect))},
-        "regions": {_coord_key((r, c)): int(grid_region[r, c])
-                    for r, c in zip(*np.nonzero(grid_region > 0))},
+        "labels": _chip_object(zip(*np.nonzero(defect)), grid_truth[defect]),
+        "regions": _chip_object(zip(*np.nonzero(region)), grid_region[region]),
     }
     _write(outdir / "truth.json", _dump_json(truth))
     return path
@@ -293,9 +298,7 @@ def cmd_cluster(args) -> int:
         "k_hat": res.k_hat,
         "n": len(points),
         "seed": args.seed,
-        "assignments": {
-            _coord_key(rc): int(k) for rc, k in zip(points, res.assignments)
-        },
+        "assignments": _chip_object(points, res.assignments),
         "trace_summary": {
             "iters": args.iters,
             "burn_in": args.burn_in,
@@ -333,62 +336,43 @@ def cmd_cluster(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------
 
-def _truth_lookup_from_sidecar(doc):
-    """Truth label of a (row, col) chip from a checked truth.json sidecar
-    (see `_sidecar_of`): its region, else its pattern label, else 0."""
-    regions = doc.get("regions", {})
-    labels = doc.get("labels", {})
-
-    def lookup(rc):
-        key = _coord_key(rc)
-        return regions.get(key, labels.get(key, 0))
-
-    return lookup
-
-
-def truth_lookup_from_reconstruction(wmap: WaferMap):
-    """Truth label of a (row, col) chip: the king-connected component of
-    the reconstructed map that holds the chip, or 0 off every component."""
+def reconstructed_truth(wmap: WaferMap) -> dict:
+    """{(row, col): truth label} of every in-mask chip of `wmap`: the
+    king-connected component of the reconstructed map that holds the
+    chip, or 0 off every component."""
     comp = components(reconstruct_ground_truth(wmap).grid() == CellState.DEFECTIVE,
                       Neighborhood.KING)
-
-    def lookup(rc):
-        r, c = rc
-        if 0 <= r < wmap.rows and 0 <= c < wmap.cols:
-            return int(comp[r, c])
-        return 0
-
-    return lookup
+    inside = wmap.in_mask()
+    rows, cols = np.nonzero(inside)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), comp[inside].tolist()))
 
 
 def cmd_evaluate(args) -> int:
     if bool(args.truth) == bool(args.wafer):
         raise ConfigError("evaluate takes one of --truth and --wafer")
 
-    pred = _assignments_of(_read_json_object(args.pred), args.pred)
-    points = np.array([rc for rc, _ in pred], dtype=float)
-    predicted = [label for _, label in pred]
-
-    inputs = [args.pred]
+    pred = _chip_table(_read_json_object(args.pred), "assignments", args.pred)
+    inputs = [args.pred, args.truth or args.wafer]
     if args.truth:
-        inputs.append(args.truth)
         truth_doc = _read_json_object(args.truth)
         if "assignments" in truth_doc:
-            truth_entries = _assignments_of(truth_doc, args.truth)
-            if [rc for rc, _ in truth_entries] != [rc for rc, _ in pred]:
-                print("error: prediction and truth cover different coordinates",
-                      file=sys.stderr)
-                return 5
-            truth = [label for _, label in truth_entries]
+            truth = _chip_table(truth_doc, "assignments", args.truth)
+            covered = truth.keys() == pred.keys()
         else:
-            lookup = _truth_lookup_from_sidecar(_sidecar_of(truth_doc, args.truth))
-            truth = [lookup(rc) for rc, _ in pred]
+            # A sidecar has no mask: a chip it does not name is truth 0.
+            truth = _sidecar_of(truth_doc, args.truth)[1]
+            covered = True
     else:
-        inputs.append(args.wafer)
-        lookup = truth_lookup_from_reconstruction(_read_wafer(args.wafer))
-        truth = [lookup(rc) for rc, _ in pred]
+        truth = reconstructed_truth(_read_wafer(args.wafer))
+        covered = pred.keys() <= truth.keys()
+    if not covered:
+        print("error: prediction and truth cover different coordinates", file=sys.stderr)
+        return 5
 
-    report = evaluation_report(points, predicted, truth, nmi_normalizer=args.nmi_normalizer)
+    chips = sorted(pred)
+    report = evaluation_report(np.array(chips, dtype=float), [pred[rc] for rc in chips],
+                               [truth.get(rc, 0) for rc in chips],
+                               nmi_normalizer=args.nmi_normalizer)
     outdir = Path(args.out)
     _write(outdir / "report.json", _dump_json(report.to_dict()))
     _write_manifest(outdir, "evaluate", inputs, {"nmi_normalizer": args.nmi_normalizer})
@@ -403,7 +387,8 @@ def cmd_render(args) -> int:
     wmap = _read_wafer(args.input)
     assignments = {}
     if args.assignments:
-        assignments = dict(_assignments_of(_read_json_object(args.assignments), args.assignments))
+        assignments = _chip_table(_read_json_object(args.assignments), "assignments",
+                                  args.assignments)
     svg = render_svg(wmap, assignments)
     out = Path(args.out)
     _write(out, svg)
@@ -533,15 +518,17 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
 
     A wafer is named by its file's stem, or by its directory when the
     stem is "wafer".  External truth comes from connected components of
-    the reconstructed raw map by default (`truth_source="reconstruction"`);
-    pass "sidecar" to use the generator metadata in the truth.json next
-    to each wafer, which must then exist.  Scratch-family wafers use
-    `u_scratch` for the AC filter, mirroring the reduced separation cost
-    the experiments use for scratch patterns.  Every setting is checked
-    before any wafer is read: a bad MCMC schedule, `alpha`, `u`,
-    `u_scratch` or `truth_source` raises ValueError; `seeds` below 1, an
-    empty M list or an M below 1, an M given twice, or two wafers of one
-    name raise ConfigError.
+    the reconstructed raw map by default (`truth_source="reconstruction"`,
+    see `reconstructed_truth`); pass "sidecar" to use the generator
+    metadata in the truth.json next to each wafer, which must then exist.
+    Either way a wafer's truth is one {(row, col): label} table, as
+    `evaluate` reads it, and a kept chip it does not name scores 0.
+    Scratch-family wafers use `u_scratch` for the AC filter, mirroring
+    the reduced separation cost the experiments use for scratch
+    patterns.  Every setting is checked before any wafer is read: a bad
+    MCMC schedule, `alpha`, `u`, `u_scratch` or `truth_source` raises
+    ValueError; `seeds` below 1, an empty M list or an M below 1, an M
+    given twice, or two wafers of one name raise ConfigError.
 
     Every wafer is filtered first.  Then each distinct (points, fit seed)
     pair is fitted once, on as many worker processes as the process may
@@ -579,12 +566,11 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     for name, path in names.items():
         wmap = _read_wafer(path)
         sidecar = path.parent / "truth.json"
-        sidecar_doc = None
+        family, truth = "", None
         if truth_source == "sidecar" or sidecar.exists():
-            sidecar_doc = _sidecar_of(_read_json_object(sidecar), sidecar)
-        family = (sidecar_doc or {}).get("family") or ""
-        lookup = (_truth_lookup_from_sidecar(sidecar_doc) if truth_source == "sidecar"
-                  else truth_lookup_from_reconstruction(wmap))
+            family, truth = _sidecar_of(_read_json_object(sidecar), sidecar)
+        if truth_source == "reconstruction":
+            truth = reconstructed_truth(wmap)
 
         u_eff = u_scratch if family == "scratch_pair" else u
         results = [("ac", str(u_eff), ac_filter(wmap, ac_configs[u_eff]))] + [
@@ -592,7 +578,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
         for method, param, result in results:
             points = tuple(filtered_points(wmap, result))
             fields = {"wafer": name, "family": family, "method": method, "param": param}
-            cases.append((fields, points, [lookup(rc) for rc in points]))
+            cases.append((fields, points, [truth.get(rc, 0) for rc in points]))
 
     # Identical filtered sets (e.g. CPF M=5 and M=10) share their fits.
     # The largest point sets go first, so no worker is left with a long

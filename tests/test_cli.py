@@ -24,13 +24,14 @@ from waferspr.cli import (
     compute_improvements,
     compute_wilcoxon,
     main,
+    reconstructed_truth,
     run_comparison,
-    truth_lookup_from_reconstruction,
 )
 from waferspr.errors import ConfigError, ParseError
 from waferspr.render import PALETTE, cluster_color, render_svg
-from waferspr.synthgen import FAMILIES, twelve_wafer_corpus
-from waferspr.wafer import parse_wafer
+from waferspr.synthgen import FAMILIES, family_specs, generate, twelve_wafer_corpus
+from waferspr.validation import reconstruct_ground_truth
+from waferspr.wafer import CellState, Neighborhood, components, parse_wafer
 
 CROSS = "010\n111\n010\n"
 HOLE = "111\n101\n111\n"
@@ -365,7 +366,7 @@ def test_malformed_assignments_exit_2(tmp_path, capsys, role, case):
 def test_assignments_naming_one_chip_twice_name_both_keys():
     doc = json.loads(MALFORMED_ASSIGNMENTS["repeated_chip"])
     with pytest.raises(ParseError, match=r"a\.json: keys '1,1' and '01,1' name one chip"):
-        cli._assignments_of(doc, "a.json")
+        cli._chip_table(doc, "assignments", "a.json")
 
 
 MALFORMED_SIDECARS = {
@@ -378,6 +379,8 @@ MALFORMED_SIDECARS = {
     "bool_region": '{"regions": {"0,1": true}}',
     "list_family": '{"family": ["x"]}',
     "number_family": '{"family": 3}',
+    "bad_key": '{"labels": {"0,1": 1, "junk": 7}}',
+    "repeated_chip": '{"regions": {"1,1": 2, "1,01": 2}}',
 }
 
 
@@ -491,9 +494,10 @@ def test_single_column_csv_wafer_reads_as_csv(tmp_path, name):
 
 
 def test_sidecar_lookup_prefers_region_to_label():
-    lookup = cli._truth_lookup_from_sidecar(
-        {"regions": {"0,0": 2, "0,1": 4}, "labels": {"0,0": 1, "1,1": 3}})
-    assert [lookup(rc) for rc in ((0, 0), (0, 1), (1, 1), (2, 2))] == [2, 4, 3, 0]
+    family, truth = cli._sidecar_of(
+        {"regions": {"0,0": 2, "0,1": 4}, "labels": {"0,0": 1, "1,1": 3}}, "t.json")
+    assert family == ""
+    assert [truth.get(rc, 0) for rc in ((0, 0), (0, 1), (1, 1), (2, 2))] == [2, 4, 3, 0]
 
 
 @pytest.mark.parametrize("extra", [("--wafer", "WAFER")])
@@ -562,10 +566,41 @@ def test_evaluate_with_reconstruction(tmp_path):
 
 
 def test_truth_lookup_outside_grid_is_zero():
-    lookup = truth_lookup_from_reconstruction(parse_wafer("111\n111\n111\n"))
-    assert lookup((0, 0)) == lookup((2, 2)) == 1
+    truth = reconstructed_truth(parse_wafer("111\n111\n111\n"))
+    assert truth[0, 0] == truth[2, 2] == 1
     for rc in ((-1, -1), (-1, 0), (0, -1), (3, 0), (0, 3), (-3, -3)):
-        assert lookup(rc) == 0
+        assert rc not in truth
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reconstructed_truth_covers_exactly_the_in_mask_chips(family):
+    for seed in (0, 1):
+        wmap = generate(24, 30, family_specs(family), 0.1, seed).map
+        truth = reconstructed_truth(wmap)
+        inside = wmap.in_mask()
+        assert set(truth) == set(zip(*np.nonzero(inside)))
+        comp = components(reconstruct_ground_truth(wmap).grid() == CellState.DEFECTIVE,
+                          Neighborhood.KING)
+        assert all(truth[r, c] == comp[r, c] for r, c in truth)
+        assert (~inside).any() and max(truth.values()) > 0
+
+
+@pytest.mark.parametrize("chips", [
+    {"50,50": 2, "-1,-1": 2},  # off the grid
+    {"0,0": 2},                # on the grid, outside the mask
+])
+def test_evaluate_wafer_refuses_chips_off_the_wafer(tmp_path, capsys, chips):
+    wafer = tmp_path / "w.txt"
+    wafer.write_text(".11\n111\n111\n")
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"assignments": {"1,1": 1, "2,2": 1, **chips}}))
+    out = tmp_path / "o"
+    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 5
+    assert "cover different coordinates" in capsys.readouterr().err
+    assert not out.exists()
+    # the same prediction on its in-mask chips alone is scored
+    pred.write_text(json.dumps({"assignments": {"1,1": 1, "2,2": 1}}))
+    assert run_cli("evaluate", "--pred", pred, "--wafer", wafer, "--out", out) == 0
 
 
 def test_evaluate_single_cluster_pred_ch_undefined(tmp_path):
