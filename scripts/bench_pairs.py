@@ -77,20 +77,28 @@ def summarize(better: str, parent: list, change: list) -> dict:
     }
 
 
+def _median_gain(summary: dict) -> float:
+    """How far the change's median beats the parent's, signed so that a
+    gain is positive."""
+    gap = summary["change_median"] - summary["parent_median"]
+    return -gap if summary["better"] == "lower" else gap
+
+
 def claim_met(workload: dict, metric: str) -> bool:
     """The claim rule on one workload summary: every run of both sides
     was correct with no failed operation (a gain that comes with failures
     does not count), the change reads better in at least nine tenths of
-    the pairs, and its median beats the parent's by more than the
-    parent's interquartile range."""
+    the pairs, its median beats the parent's by more than the parent's
+    interquartile range, and, where "raw" reports the metric, its raw
+    median moves the same way (a gain that only the speed-probe
+    normalization shows does not count)."""
     summary = workload["metrics"][metric]
     q1, q3 = summary["parent_quartiles"]
-    gap = summary["change_median"] - summary["parent_median"]
-    if summary["better"] == "lower":
-        gap = -gap
+    raw = workload.get("raw", {}).get(metric)
     return (workload["all_correct"]
             and 10 * summary["change_better_pairs"] >= 9 * workload["pairs"]
-            and gap > q3 - q1)
+            and _median_gain(summary) > q3 - q1
+            and (raw is None or _median_gain(raw) > 0))
 
 
 def main(argv=None) -> int:

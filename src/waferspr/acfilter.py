@@ -15,7 +15,9 @@ All costs are exact rationals; capacities are scaled by the LCM of the
 denominators before solving, so optimality is exact rather than
 tolerance-based.  Costs whose scaled capacities exceed the solver's int32
 range, which bounds w_mag and 2u (a grid arc's largest residual), raise
-ConfigError; they are never rounded.
+ConfigError; they are never rounded.  Every solve is certified by strong
+duality: the cut's capacity, counted in integers from the labels, must
+equal the max-flow value, or ac_filter raises InternalError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import lcm
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, InternalError
 from .flow import INT32_MAX, FlowNetwork, max_flow_min_cut
 from .wafer import GRAPH_CACHE_SIZE, AdjacencyGraph, Neighborhood, WaferMap, build_graph
 
@@ -167,12 +169,21 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
 
     labels = cut.source_side[:n]
     kept_functional, kept_defective, cut_edges = _label_counts(graph, d, labels)
+    dropped_defective = from_s.size - kept_defective
+    # Strong duality: the cut's capacity, counted from the labels (the
+    # sink arcs of kept functional chips, the source arcs of dropped
+    # defective ones, one u per cut grid edge), equals the flow value.
+    if u_int * cut_edges + w_int * (kept_functional + dropped_defective) != cut.max_flow_value:
+        raise InternalError(
+            f"the cut's capacity under u={cfg.u}, w_mag={cfg.w_mag} differs from the "
+            f"max-flow value {cut.max_flow_value}: the network is not the AC objective's"
+        )
     return FilterResult(
         labels=labels,
         objective_value=_objective(cfg, kept_functional, kept_defective, cut_edges),
         counters=(("max_flow_value", cut.max_flow_value), ("cut_edges", cut_edges),
                   ("kept_functional", kept_functional),
-                  ("dropped_defective", int(defective.sum()) - kept_defective)),
+                  ("dropped_defective", dropped_defective)),
     )
 
 

@@ -11,7 +11,10 @@ or an `--out` that cannot be written), 4 empty defect set (cluster),
 names other chips than the prediction, or a predicted chip that is not
 an in-mask chip of `--wafer`).  Every "row,col" -> label JSON table
 (assignments, and a sidecar's labels and regions) is written by
-`_chip_object` and read by `_chip_table`.
+`_chip_object` and read by `_chip_table`, which takes only the canonical
+decimal keys `_chip_object` writes ("1,1", never "01,1" or "+1,1"), so
+each chip has one key; a JSON input that repeats a key in one object
+exits 2.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import csv
 import io
 import json
 import os
+import re
 import statistics
 import sys
 from collections import Counter
@@ -122,10 +126,10 @@ def _read_wafer(path) -> WaferMap:
 
 def _read_json_object(path) -> dict:
     """The JSON object in `path`; ParseError naming the file when it
-    cannot be read or holds anything else."""
+    cannot be read, repeats a key in one object, or holds anything else."""
     data = _read_bytes(path)
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_object_of_unique_keys)
     except ValueError as exc:
         raise ParseError(f"{path}: not a JSON document ({exc})") from None
     if not isinstance(doc, dict):
@@ -133,29 +137,37 @@ def _read_json_object(path) -> dict:
     return doc
 
 
+def _object_of_unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's (key, value) pairs; ValueError when a
+    key repeats, which `json.loads` would read as its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key, _ = Counter(key for key, _ in pairs).most_common(1)[0]
+        raise ValueError(f"duplicate key {key!r}")
+    return doc
+
+
+# A chip key as `_chip_object` writes it: canonical decimal "row,col".
+# [0-9], not \d, which matches every Unicode digit.
+_CHIP_KEY = re.compile(r"(0|-?[1-9][0-9]*),(0|-?[1-9][0-9]*)")
+
+
 def _chip_table(doc: dict, name: str, path, default=None) -> dict:
     """The {(row, col): label} table `doc[name]` of a document read from
-    `path`, an object of "row,col" keys and integer labels as
+    `path`, an object of canonical "row,col" keys and integer labels as
     `_chip_object` writes it (`default` where `doc` has no `name`);
-    ParseError naming the file when it is malformed or two keys name one
-    chip ("1,1" and "01,1")."""
+    ParseError naming the file when it is malformed."""
     table = doc.get(name, default)
     if not isinstance(table, dict):
         raise ParseError(f'{path}: no "{name}" object')
-    keys = {}  # (row, col) -> its key
     chips = {}
     for key, label in table.items():
-        try:
-            r, c = key.split(",")
-            rc = (int(r), int(c))
-        except ValueError:
-            raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"') from None
+        match = _CHIP_KEY.fullmatch(key)
+        if match is None:
+            raise ParseError(f'{path}: coordinate key {key!r} is not "row,col"')
         if type(label) is not int:
             raise ParseError(f"{path}: label {label!r} of {key!r} is not an integer")
-        if rc in keys:
-            raise ParseError(f"{path}: keys {keys[rc]!r} and {key!r} name one chip")
-        keys[rc] = key
-        chips[rc] = label
+        chips[int(match[1]), int(match[2])] = label
     return chips
 
 

@@ -7,12 +7,14 @@ formats are supported:
 * ASCII: one row per line, characters ``.`` / ``0`` / ``1`` for
   outside-mask / functional / defective, newline-terminated.
 * CSV: comma-separated integers ``0`` / ``1`` / ``2`` for
-  no-die / pass / fail (the public wafer-dataset convention).
+  no-die / pass / fail (the public wafer-dataset convention), each cell
+  exactly one digit, with spaces and carriage returns allowed around it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 
@@ -32,10 +34,14 @@ class CellState(IntEnum):
 
 # The symbol of each cell state, indexed by state, per file format.
 _SYMBOLS = {"ascii": b".01", "csv": b"012"}
-# Cell state of each ASCII code point, -1 for a symbol that is no cell; the
-# last entry (DEL) stands for every code point beyond the table.
-_ASCII_LUT = np.full(128, -1, dtype=np.int8)
-_ASCII_LUT[list(_SYMBOLS["ascii"])] = np.arange(len(CellState))
+# Per format, the kind of each ASCII code point: its cell state, a field or
+# row separator, skipped (around a CSV cell) or refused.  The last entry
+# (DEL, refused) stands for every code point beyond the table.
+_REFUSED, _FIELD, _ROW, _SKIPPED = -1, -2, -3, -4
+_CODE_TABLES = {fmt: np.full(128, _REFUSED, dtype=np.int8) for fmt in _SYMBOLS}
+for _fmt, _table in _CODE_TABLES.items():
+    _table[list(_SYMBOLS[_fmt] + b"\n")] = [*range(len(CellState)), _ROW]
+_CODE_TABLES["csv"][list(b", \r")] = [_FIELD, _SKIPPED, _SKIPPED]
 
 
 class Neighborhood(Enum):
@@ -156,27 +162,49 @@ class AdjacencyGraph:
         return self.neighbours.shape[0]
 
 
-def _parse_ascii(body: str) -> tuple[np.ndarray, list[int]]:
-    """Cell states and per-line cell counts of ASCII rows joined by newlines.
-
-    One table lookup over the code points; the first character that is
-    neither a cell symbol nor a newline raises ParseError.
+def _parse_cells(body: str, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell states and per-row cell counts of `fmt` rows joined by newlines,
+    from one lookup in the format's code-point table.  ASCII must hold
+    cells and newlines only.  CSV, once its skipped code points are
+    dropped, must alternate cell and separator, starting and ending with a
+    cell, and then reads as ASCII without its commas.  The first refused
+    code point raises ParseError.
     """
+    table = _CODE_TABLES[fmt]
     codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    newline = codes == ord("\n")
-    states = _ASCII_LUT[np.minimum(codes, _ASCII_LUT.size - 1)]
-    bad = (states < 0) & ~newline
-    if bad.any():
-        at = int(bad.argmax())
-        lineno = body.count("\n", 0, at) + 1
-        col = at - (body.rfind("\n", 0, at) + 1)
-        ch = body[at]
-        raise ParseError(
-            f"unknown symbol {ch!r} at line {lineno}, column {col}",
-            line=lineno, symbol=ch, position=col,
-        )
-    lengths = np.diff(np.flatnonzero(newline), prepend=-1, append=codes.size) - 1
-    return states[~newline], lengths.tolist()
+    kinds = table[np.minimum(codes, table.size - 1)]
+    if fmt == "csv":
+        at = np.flatnonzero(kinds != _SKIPPED)
+        kinds = kinds[at]
+        bad = kinds == _REFUSED
+        bad[::2] |= kinds[::2] < 0
+        bad[1::2] |= kinds[1::2] >= 0
+        # The first misplaced code point lies in the first refused field;
+        # with none, an even count ends on a separator, in an empty field.
+        if bad.any() or kinds.size % 2 == 0:
+            raise _refusal(body, int(at[bad.argmax()]) if bad.any() else len(body), fmt)
+        kinds = kinds[kinds != _FIELD]
+    elif (kinds == _REFUSED).any():
+        raise _refusal(body, int((kinds == _REFUSED).argmax()), fmt)
+    newline = kinds == _ROW
+    lengths = np.diff(np.flatnonzero(newline), prepend=-1, append=kinds.size) - 1
+    return kinds[~newline], lengths
+
+
+def _refusal(body: str, at: int, fmt: str) -> ParseError:
+    """The ParseError of the refused code point at index `at` of `body`:
+    the symbol at its line and column (ASCII), or the field that holds it,
+    spaces and carriage returns stripped, at its line and field number."""
+    lineno = body.count("\n", 0, at) + 1
+    start = body.rfind("\n", 0, at) + 1
+    if fmt == "ascii":
+        symbol, where, position = body[at], "column", at - start
+    else:
+        position = body.count(",", start, at)
+        start = max(start, body.rfind(",", start, at) + 1)
+        symbol, where = re.match("[^,\n]*", body[start:]).group().strip(" \r"), "field"
+    return ParseError(f"unknown symbol {symbol!r} at line {lineno}, {where} {position}",
+                      line=lineno, symbol=symbol, position=position)
 
 
 def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
@@ -186,51 +214,18 @@ def parse_wafer(text, fmt: str = "ascii") -> WaferMap:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8 text: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines or all(line == "" for line in lines):
-        raise ParseError("empty grid")
-
-    if fmt == "ascii":
-        cells, lengths = _parse_ascii(text[:-1] if text.endswith("\n") else text)
-    elif fmt == "csv":
-        rows = []
-        for lineno, line in enumerate(lines, start=1):
-            states = []
-            for col, tok in enumerate(line.split(",")):
-                tok = tok.strip()
-                try:
-                    val = int(tok)
-                except ValueError:
-                    raise ParseError(
-                        f"unknown symbol {tok!r} at line {lineno}, field {col}",
-                        line=lineno, symbol=tok, position=col,
-                    ) from None
-                if val not in (0, 1, 2):
-                    raise ParseError(
-                        f"value {val} out of range at line {lineno}, field {col}",
-                        line=lineno, symbol=tok, position=col,
-                    )
-                states.append(val)
-            rows.append(states)
-        cells = [s for row in rows for s in row]
-        lengths = [len(row) for row in rows]
-    else:
+    if fmt not in _CODE_TABLES:
         raise ValueError(f"unknown format {fmt!r}")
-
-    width = lengths[0]
-    for lineno, length in enumerate(lengths, start=1):
-        if length != width:
-            raise ParseError(
-                f"ragged rows: line {lineno} has {length} cells, expected {width}",
-                line=lineno,
-            )
-    if width == 0:
+    if not text.strip("\n"):
         raise ParseError("empty grid")
-
+    cells, lengths = _parse_cells(text[:-1] if text.endswith("\n") else text, fmt)
+    ragged = lengths != lengths[0]
+    if ragged.any():
+        row = int(ragged.argmax())
+        raise ParseError(f"ragged rows: line {row + 1} has {lengths[row]} cells, "
+                         f"expected {lengths[0]}", line=row + 1)
     try:
-        return WaferMap(len(lengths), width, np.asarray(cells, dtype=np.int8))
+        return WaferMap(lengths.size, int(lengths[0]), cells)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import edges as grid_edges
 from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum, network_from_arcs
+from waferspr import acfilter
 from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
 from waferspr.cpf import CpfConfig, cpf_filter
-from waferspr.errors import ConfigError, DimensionError
+from waferspr.errors import ConfigError, DimensionError, InternalError
 from waferspr.flow import max_flow_min_cut
-from waferspr.synthgen import wafer_mask
+from waferspr.synthgen import FAMILIES, family_specs, generate, wafer_mask
 from waferspr.wafer import Neighborhood, WaferMap, build_graph, parse_wafer
 
 HOLE = "111\n101\n111\n"  # all defective except functional center
@@ -277,3 +278,23 @@ def test_flow_certifies_the_cut_on_wafers_that_share_a_mask(nb, w_mag):
         assert tuple(res.labels.tolist()) == labels
         assert (res.objective_value, counts["cut_edges"], counts["max_flow_value"]) == (
             objective, cross, flow_value)
+
+
+def test_a_network_that_is_not_the_objective_fails_the_certificate(monkeypatch):
+    """ac_filter checks strong duality against its own costs: a network
+    whose source arcs carry w_mag + 1 (scaled) gives a flow value that no
+    cut of the AC objective's network has, and raises InternalError."""
+    m = generate(38, 38, family_specs(FAMILIES[0]), 0.1, seed=3).map
+    ac_filter(m)
+    real = acfilter.csr_array
+
+    def perturbed(arg, shape):
+        data, indices, indptr = arg
+        source = shape[0] - 2
+        data = data.copy()
+        data[indptr[source]:indptr[source + 1]] += 1
+        return real((data, indices, indptr), shape=shape)
+
+    monkeypatch.setattr(acfilter, "csr_array", perturbed)
+    with pytest.raises(InternalError, match="max-flow value"):
+        ac_filter(m)

@@ -16,9 +16,12 @@ METRIC_NAMES = [m["name"] for m in
                 json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
 
-def _workload(parent, change, better="higher", all_correct=True):
-    return {"pairs": len(parent), "all_correct": all_correct,
-            "metrics": {"m": bench_pairs.summarize(better, parent, change)}}
+def _workload(parent, change, better="higher", all_correct=True, raw=None):
+    workload = {"pairs": len(parent), "all_correct": all_correct,
+                "metrics": {"m": bench_pairs.summarize(better, parent, change)}}
+    if raw is not None:
+        workload["raw"] = {"m": bench_pairs.summarize(better, *raw)}
+    return workload
 
 
 def test_claim_met_by_wins_beyond_the_parent_spread():
@@ -33,6 +36,24 @@ def test_claim_not_met_with_too_few_wins_or_a_small_gap():
 
 def test_claim_not_met_when_a_run_failed():
     assert not bench_pairs.claim_met(_workload([1.0, 1.1] * 5, [2.0] * 10, all_correct=False), "m")
+
+
+def test_claim_met_only_when_the_raw_median_moves_the_claimed_way_too():
+    win, loss = ([1.0, 1.1] * 5, [2.0] * 10), ([1.0] * 10, [0.99] * 10)
+    assert bench_pairs.claim_met(_workload(*win, raw=win), "m")
+    assert bench_pairs.claim_met(_workload(*win, raw=([1.0] * 10, [1.01] * 10)), "m")
+    assert not bench_pairs.claim_met(_workload(*win, raw=loss), "m")
+    assert not bench_pairs.claim_met(_workload(*win, raw=([1.0] * 10, [1.0] * 10)), "m")
+    lower_win, lower_loss = ([2.0, 2.1] * 5, [1.0] * 10), ([1.0] * 10, [1.5] * 10)
+    assert bench_pairs.claim_met(_workload(*lower_win, better="lower", raw=lower_win), "m")
+    assert not bench_pairs.claim_met(
+        _workload(*lower_win, better="lower", raw=lower_loss), "m")
+
+
+def test_claim_on_a_metric_raw_does_not_report_needs_no_raw_median():
+    workload = _workload([1.0, 1.1] * 5, [2.0] * 10, raw=([1.0] * 10, [0.5] * 10))
+    workload["metrics"]["ok"] = workload["metrics"].pop("m")
+    assert bench_pairs.claim_met(workload, "ok")
 
 
 @pytest.mark.parametrize("args", [

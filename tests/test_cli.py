@@ -120,6 +120,13 @@ def test_filter_parse_error_exits_2(tmp_path):
     assert run_cli("filter", wafer, "--out", tmp_path / "o") == 2
 
 
+def test_filter_csv_cell_no_writer_writes_exits_2(tmp_path, capsys):
+    wafer = tmp_path / "in.csv"
+    wafer.write_text("0,1,0\n1,+1,1\n0,1,0\n")
+    assert run_cli("filter", wafer, "--out", tmp_path / "o") == 2
+    assert "unknown symbol '+1' at line 2, field 1" in capsys.readouterr().err
+
+
 def test_filter_non_utf8_exits_2(tmp_path):
     wafer = tmp_path / "in.txt"
     wafer.write_bytes(b"010\n1\xff1\n010\n")
@@ -331,6 +338,12 @@ MALFORMED_ASSIGNMENTS = {
     "not_utf8": b"\xff\xfe{",
     "utf16": '{"assignments": {"0,1": 1}}'.encode("utf-16"),
     "repeated_chip": '{"assignments": {"1,1": 1, "01,1": 2, "0,1": 1}}',
+    "duplicate_key": '{"assignments": {"1,1": 1, "1,1": 2}}',
+    "underscore_key": '{"assignments": {"1_0,2": 1}}',
+    "spaced_signed_key": '{"assignments": {" 3 ,+4": 1}}',
+    "arabic_indic_key": '{"assignments": {"\u0663,1": 1}}',
+    "leading_zero_key": '{"assignments": {"01,1": 1}}',
+    "negative_zero_key": '{"assignments": {"-0,1": 1}}',
 }
 
 
@@ -363,9 +376,9 @@ def test_malformed_assignments_exit_2(tmp_path, capsys, role, case):
     assert not out.exists()
 
 
-def test_assignments_naming_one_chip_twice_name_both_keys():
+def test_a_second_key_for_a_chip_is_not_row_col():
     doc = json.loads(MALFORMED_ASSIGNMENTS["repeated_chip"])
-    with pytest.raises(ParseError, match=r"a\.json: keys '1,1' and '01,1' name one chip"):
+    with pytest.raises(ParseError, match="a.json: coordinate key '01,1' is not \"row,col\""):
         cli._chip_table(doc, "assignments", "a.json")
 
 
@@ -381,6 +394,7 @@ MALFORMED_SIDECARS = {
     "number_family": '{"family": 3}',
     "bad_key": '{"labels": {"0,1": 1, "junk": 7}}',
     "repeated_chip": '{"regions": {"1,1": 2, "1,01": 2}}',
+    "duplicate_key": '{"regions": {"1,1": 2, "1,1": 3}}',
 }
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -309,10 +311,8 @@ def _reference_parse_ascii(text):
     Returns ("ok", rows, cols, cells) or ("error", message, line, symbol,
     position) of the ParseError it raises.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines or all(line == "" for line in lines):
+    lines = _reference_lines(text)
+    if not lines:
         return ("error", "empty grid", None, None, None)
     symbols = {".": 0, "0": 1, "1": 2}
     rows = []
@@ -322,6 +322,44 @@ def _reference_parse_ascii(text):
                 return ("error", f"unknown symbol {ch!r} at line {lineno}, column {col}",
                         lineno, ch, col)
         rows.append([symbols[ch] for ch in line])
+    return _reference_grid(rows)
+
+
+# A CSV field: one cell symbol, with spaces and carriage returns around it.
+_REFERENCE_CSV_FIELD = re.compile(r"[ \r]*([012])[ \r]*")
+
+
+def _reference_parse_csv(text):
+    """Reference CSV parser, a regex match per field over the lines; its
+    outcome as `_reference_parse_ascii` gives it."""
+    lines = _reference_lines(text)
+    if not lines:
+        return ("error", "empty grid", None, None, None)
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        row = []
+        for col, field in enumerate(line.split(",")):
+            match = _REFERENCE_CSV_FIELD.fullmatch(field)
+            if match is None:
+                symbol = field.strip(" \r")
+                return ("error", f"unknown symbol {symbol!r} at line {lineno}, field {col}",
+                        lineno, symbol, col)
+            row.append("012".index(match[1]))
+        rows.append(row)
+    return _reference_grid(rows)
+
+
+def _reference_lines(text):
+    """The lines of a newline-terminated text, none for an empty grid."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if all(line == "" for line in lines):
+        return []
+    return lines
+
+
+def _reference_grid(rows):
     width = len(rows[0])
     for lineno, row in enumerate(rows, start=1):
         if len(row) != width:
@@ -335,21 +373,33 @@ def _reference_parse_ascii(text):
     return ("ok", len(rows), width, cells)
 
 
-def _parse_outcome(text):
+_REFERENCE_PARSERS = {"ascii": _reference_parse_ascii, "csv": _reference_parse_csv}
+
+
+def _parse_outcome(text, fmt="ascii"):
     try:
-        m = parse_wafer(text)
+        m = parse_wafer(text, fmt=fmt)
     except ParseError as exc:
         return ("error", str(exc), exc.line, exc.symbol, exc.position)
     return ("ok", m.rows, m.cols, tuple(m.cells.tolist()))
 
 
-def test_parse_every_single_character_corruption():
-    text = write_wafer(twelve_wafer_corpus()[0][1].map).decode()
-    assert _parse_outcome(text) == _reference_parse_ascii(text)
+def _check_every_single_character_corruption(fmt, replacements):
+    reference = _REFERENCE_PARSERS[fmt]
+    text = write_wafer(twelve_wafer_corpus()[0][1].map, fmt=fmt).decode()
+    assert _parse_outcome(text, fmt) == reference(text)
     for k in range(len(text)):
-        for replacement in ("x", "\n", "é", ""):
+        for replacement in replacements:
             corrupt = text[:k] + replacement + text[k + 1 :]
-            assert _parse_outcome(corrupt) == _reference_parse_ascii(corrupt), (k, replacement)
+            assert _parse_outcome(corrupt, fmt) == reference(corrupt), (k, replacement)
+
+
+def test_parse_every_single_character_corruption():
+    _check_every_single_character_corruption("ascii", ("x", "\n", "é", ""))
+
+
+def test_parse_every_single_character_corruption_csv():
+    _check_every_single_character_corruption("csv", ("\u0661", "\n", ",", ""))
 
 
 @given(st.binary(max_size=64), st.sampled_from(("ascii", "csv")))
@@ -368,13 +418,20 @@ def test_parse_ascii_matches_reference(text):
     assert _parse_outcome(text) == _reference_parse_ascii(text)
 
 
-def test_parse_csv_accepts_what_int_accepts():
-    m = parse_wafer(" 1 ,+2,-0\n0_0,\uff11,2\r\n", fmt="csv")
+@given(st.text(alphabet="012,\n\r +x\u0661", max_size=40))
+@settings(max_examples=300)
+def test_parse_csv_matches_reference(text):
+    assert _parse_outcome(text, "csv") == _reference_parse_csv(text)
+
+
+def test_parse_csv_refuses_what_no_writer_writes():
+    m = parse_wafer(" 1 ,2\r, 0\n0 ,\r1\r,2\r\n", fmt="csv")
     assert m.cells.tolist() == [1, 2, 0, 0, 1, 2]
-    with pytest.raises(ParseError) as exc:
-        parse_wafer("0,1\n2,+3\n", fmt="csv")
-    assert (str(exc.value), exc.value.line, exc.value.symbol, exc.value.position) == (
-        "value 3 out of range at line 2, field 1", 2, "+3", 1)
+    for token in ("+2", "-0", "0_0", "01", "\uff11", "\u0661", "\t1", "1\xa0"):
+        with pytest.raises(ParseError) as exc:
+            parse_wafer(f"0,1,2\n1, {token} ,0\r\n", fmt="csv")
+        assert (str(exc.value), exc.value.line, exc.value.symbol, exc.value.position) == (
+            f"unknown symbol {token!r} at line 2, field 1", 2, token, 1), token
 
 
 def test_wafermap_validations():
