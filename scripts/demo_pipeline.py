@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from waferspr.cli import main as waferspr
+from waferspr.cli import _dump_json, main as waferspr
 from waferspr.iwmm import McmcConfig
 from waferspr.synthgen import FAMILIES
 
@@ -72,9 +72,9 @@ def main(argv=None):
             "k_hat": json.loads(assignments.read_text())["k_hat"],
             "report": json.loads((stage / "evaluate" / "report.json").read_text()),
         }
-    summary = json.dumps(results, sort_keys=True, indent=2)
+    summary = _dump_json(results)
     (out / "summary.json").write_text(summary)
-    print(summary)
+    print(summary, end="")
 
 
 if __name__ == "__main__":

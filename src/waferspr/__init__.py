@@ -8,7 +8,7 @@ validation suite used to compare the two filters head to head.
 
 __version__ = "0.1.0"
 
-from .acfilter import AcConfig, FilterResult, ac_filter, ac_objective, filtered_points
+from .acfilter import AcConfig, FilterResult, ac_filter, ac_objective
 from .cpf import CpfConfig, cpf_filter
 from .flow import CutResult, FlowNetwork, max_flow_min_cut
 from .iwmm import (
@@ -47,7 +47,7 @@ __all__ = [
     "KernelParams", "McmcConfig", "Neighborhood", "PatternKind", "PatternSpec",
     "PointSet", "SynthWafer", "WaferMap", "ac_filter", "ac_objective",
     "adjusted_rand_index", "build_graph", "ch_index", "cpf_filter",
-    "evaluation_report", "filtered_points", "gdi_index", "generate",
+    "evaluation_report", "gdi_index", "generate",
     "iwmm_fit", "max_flow_min_cut", "nmi_index", "parse_wafer", "rand_index",
     "reconstruct_ground_truth", "wilcoxon_signed_rank", "write_wafer",
 ]

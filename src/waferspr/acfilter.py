@@ -213,11 +213,3 @@ def _chip_rows(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for array in (indices, indptr, terminal):
         array.flags.writeable = False
     return indices, indptr, terminal
-
-
-def filtered_points(wmap: WaferMap, result: FilterResult) -> list[tuple[int, int]]:
-    """(row, col) of every kept chip, in row-major order."""
-    rows, cols = np.nonzero(wmap.in_mask())
-    if result.labels.shape != rows.shape:
-        raise DimensionError("filter result does not match this wafer")
-    return list(zip(rows[result.labels].tolist(), cols[result.labels].tolist()))

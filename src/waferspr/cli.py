@@ -3,18 +3,20 @@ render -> compare, with deterministic seeds and machine-readable outputs.
 
 Every command writes a manifest.json next to its outputs with the full
 configuration needed to replay the run (`render` names it after its SVG:
-x.svg -> x.manifest.json); a command that fails writes none.
-Exit codes: 2 input parse error (an unreadable or malformed input, or a
-usage error argparse reports), 3 configuration error (a bad flag value,
-or an `--out` that cannot be written), 4 empty defect set (cluster),
-5 mismatched coordinates (evaluate: a truth assignments document that
-names other chips than the prediction, or a predicted chip that is not
-an in-mask chip of `--wafer`).  Every "row,col" -> label JSON table
-(assignments, and a sidecar's labels and regions) is written by
-`_chip_object` and read by `_chip_table`, which takes only the canonical
-decimal keys `_chip_object` writes ("1,1", never "01,1" or "+1,1"), so
-each chip has one key; a JSON input that repeats a key in one object
-exits 2.
+x.svg -> x.manifest.json).  A command that fails writes none and raises;
+`main` prints the error as one `error:` line and exits with the code
+`EXIT_CODES` gives its type: 2 input parse error (an unreadable or
+malformed input; argparse exits 2 on a usage error too), 3 configuration
+error (a bad flag value, or an `--out` that cannot be written), 4 empty
+defect set (cluster), 5 mismatched coordinates (evaluate: a truth
+assignments document that names other chips than the prediction, or a
+predicted chip that is not an in-mask chip of `--wafer`).  An option
+left out takes the default of the config or function it feeds.  Every
+"row,col" -> label JSON table (assignments, and a sidecar's labels and
+regions) is written by `_chip_object` and read by `_chip_table`, which
+takes only the canonical decimal keys `_chip_object` writes ("1,1",
+never "01,1" or "+1,1"), so each chip has one key; a JSON input that
+repeats a key in one object exits 2.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -35,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acfilter import AcConfig, ac_filter, filtered_points
+from .acfilter import AcConfig, ac_filter
 from .cpf import CpfConfig, cpf_filter
-from .errors import ConfigError, ParseError, UndefinedTest
+from .errors import ConfigError, CoordinateMismatchError, EmptyInputError, ParseError, UndefinedTest
 from .iwmm import GwHyper, McmcConfig, PointSet, iwmm_fit
 from .render import render_svg
 from .synthgen import CORPUS_BASE_SEED, CORPUS_NOISE, CORPUS_SIDE, FAMILIES, family_specs
@@ -60,11 +63,6 @@ COMPARISON_COLUMNS = (
 ) + SCORES
 
 IMPROVEMENT_COLUMNS = ("wafer", "family", "metric", "m", "improvement_pct")
-
-# compare's defaults: the CPF M thresholds it runs, and the fits per
-# filtered point set, seeded 0, 1, ...
-COMPARE_M_LIST = (5, 10)
-COMPARE_SEEDS = 3
 
 # Where compare's external truth comes from (see `run_comparison`).
 TRUTH_SOURCES = ("reconstruction", "sidecar")
@@ -226,7 +224,7 @@ def write_corpus(directory, rows=CORPUS_SIDE, noise_rate=CORPUS_NOISE,
             for idx, (family, sw) in enumerate(corpus)]
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     outdir = Path(args.out)
     sw = generate(args.rows, args.cols, family_specs(args.family), args.noise, args.seed)
     _write_generated(outdir, sw, args.family, args.seed, fmt=args.format)
@@ -236,7 +234,6 @@ def cmd_generate(args) -> int:
          "noise": args.noise, "format": args.format},
         seed=args.seed,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------
@@ -260,17 +257,18 @@ def _run_filter(wmap: WaferMap, args):
                 raise ConfigError(f"--{dest.replace('_', '-')} does not apply to "
                                   f"--method {args.method}")
             options[name] = value
-    nb = Neighborhood(args.neighborhood)
+    if args.neighborhood is not None:
+        options["nb"] = Neighborhood(args.neighborhood)
     if args.method == "ac":
-        cfg = AcConfig(nb=nb, **options)
+        cfg = AcConfig(**options)
         return ac_filter(wmap, cfg), {"method": "ac", "u": str(cfg.u), "w_mag": str(cfg.w_mag),
-                                      "neighborhood": nb.value}
-    cfg = CpfConfig(nb=nb, **options)
+                                      "neighborhood": cfg.nb.value}
+    cfg = CpfConfig(**options)
     return cpf_filter(wmap, cfg), {"method": "cpf", "m": cfg.m_threshold,
-                                   "neighborhood": nb.value}
+                                   "neighborhood": cfg.nb.value}
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args):
     wmap = _read_wafer(args.input)
     result, config = _run_filter(wmap, args)
     outdir = Path(args.out)
@@ -286,19 +284,17 @@ def cmd_filter(args) -> int:
     }
     _write(outdir / "summary.json", _dump_json(summary))
     _write_manifest(outdir, "filter", [args.input], config)
-    return 0
 
 
 # ---------------------------------------------------------------------
 # cluster
 # ---------------------------------------------------------------------
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args):
     wmap = _read_wafer(args.input)
     points = wmap.defective_coords()
     if not points:
-        print("error: input wafer has no defective cells to cluster", file=sys.stderr)
-        return 4
+        raise EmptyInputError("input wafer has no defective cells to cluster")
     hyper = GwHyper(alpha=args.alpha)
     mcmc = McmcConfig(iters=args.iters, burn_in=args.burn_in)
     _one_blas_thread()
@@ -341,7 +337,6 @@ def cmd_cluster(args) -> int:
         seed=args.seed,
     )
     _write_timings(outdir, res.wall_seconds)
-    return 0
 
 
 # ---------------------------------------------------------------------
@@ -359,7 +354,7 @@ def reconstructed_truth(wmap: WaferMap) -> dict:
     return dict(zip(zip(rows.tolist(), cols.tolist()), comp[inside].tolist()))
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     if bool(args.truth) == bool(args.wafer):
         raise ConfigError("evaluate takes one of --truth and --wafer")
 
@@ -378,8 +373,7 @@ def cmd_evaluate(args) -> int:
         truth = reconstructed_truth(_read_wafer(args.wafer))
         covered = pred.keys() <= truth.keys()
     if not covered:
-        print("error: prediction and truth cover different coordinates", file=sys.stderr)
-        return 5
+        raise CoordinateMismatchError("prediction and truth cover different coordinates")
 
     chips = sorted(pred)
     report = evaluation_report(np.array(chips, dtype=float), [pred[rc] for rc in chips],
@@ -388,14 +382,13 @@ def cmd_evaluate(args) -> int:
     outdir = Path(args.out)
     _write(outdir / "report.json", _dump_json(report.to_dict()))
     _write_manifest(outdir, "evaluate", inputs, {"nmi_normalizer": args.nmi_normalizer})
-    return 0
 
 
 # ---------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     wmap = _read_wafer(args.input)
     assignments = {}
     if args.assignments:
@@ -409,7 +402,6 @@ def cmd_render(args) -> int:
     _write_manifest(out.parent, "render", [args.input] +
                     ([args.assignments] if args.assignments else []),
                     {"out": out.name}, name=f"{out.stem}.manifest.json")
-    return 0
 
 
 # ---------------------------------------------------------------------
@@ -464,6 +456,11 @@ def compute_wilcoxon(rows):
         except UndefinedTest as exc:
             out[key] = {"p_two_sided": None, "statistic": None, "reason": str(exc)}
     return out
+
+
+def filtered_points(wmap: WaferMap, result) -> list[tuple[int, int]]:
+    """The (row, col) chips `result` keeps, as `cluster` reads `filter`'s."""
+    return wmap.with_overlay(result.labels).defective_coords()
 
 
 def fit_points(points, hyper, mcmc, seed):
@@ -522,8 +519,8 @@ def _fit_map(workers):
         pool.shutdown(cancel_futures=True)
 
 
-def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LIST,
-                   seeds=COMPARE_SEEDS, iters=McmcConfig.iters, burn_in=McmcConfig.burn_in,
+def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10),
+                   seeds=3, iters=McmcConfig.iters, burn_in=McmcConfig.burn_in,
                    alpha=GwHyper.alpha, nmi_normalizer="paper",
                    truth_source="reconstruction", progress=None, counters=None):
     """Full AC vs CPF pipeline over a set of wafers; returns result rows.
@@ -542,10 +539,11 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     ValueError; `seeds` below 1, an empty M list or an M below 1, an M
     given twice, or two wafers of one name raise ConfigError.
 
-    Every wafer is filtered first.  Then each distinct (points, fit seed)
-    pair is fitted once, on as many worker processes as the process may
-    use cores and there are fits.  Rows come in input order, and each
-    fit is seeded, so the rows do not depend on the worker count.
+    Every wafer is filtered first, by AC and by CPF at each M of
+    `m_list`.  Then each distinct (points, fit seed) pair, fit seeds 0 to
+    `seeds` - 1, is fitted once, on as many worker processes as the
+    process may use cores and there are fits.  Rows come in input order,
+    and each fit is seeded, so the rows do not depend on the worker count.
     `progress` is called with each row, in order, as it is ready; a row
     of an empty point set has no fit and no scores.
     A `counters` dict receives `fit_requests`, `fits_run`, the sums over
@@ -638,6 +636,14 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=COMPARE_M_LI
     return rows
 
 
+# The defaults evaluate's and compare's options take: evaluation_report's
+# NMI normalizer and run_comparison's settings.  Read once, so that a
+# stand-in for either function leaves them be.
+EVALUATE_NMI_NORMALIZER = inspect.signature(evaluation_report).parameters["nmi_normalizer"].default
+COMPARE_SETTINGS = {name: default for name, default in run_comparison.__kwdefaults__.items()
+                    if name not in ("progress", "counters")}
+
+
 def write_csv(path: Path, columns, rows):
     """Write dict rows as CSV in column order; None becomes an empty cell."""
     text = io.StringIO()
@@ -648,14 +654,13 @@ def write_csv(path: Path, columns, rows):
     _write(path, text.getvalue())
 
 
-def cmd_compare(args) -> int:
-    # run_comparison's settings, by keyword; the manifest records them as given.
-    settings = {
-        "u": args.u, "u_scratch": args.u_scratch,
-        "m_list": [int(tok) for tok in args.m_list.split(",") if tok],
-        "seeds": args.seeds, "iters": args.iters, "burn_in": args.burn_in, "alpha": args.alpha,
-        "truth_source": args.truth_source, "nmi_normalizer": args.nmi_normalizer,
-    }
+def cmd_compare(args):
+    # The manifest records the settings as given.
+    settings = {name: getattr(args, name) for name in COMPARE_SETTINGS}
+    try:
+        settings["m_list"] = [int(tok) for tok in args.m_list.split(",") if tok]
+    except ValueError as exc:  # names the token
+        raise ConfigError(f"--m-list: {exc}") from None
 
     def progress(row):
         print(f"  {row['wafer']} {row['method']}{row['param']} seed {row['fit_seed']}: "
@@ -677,7 +682,6 @@ def cmd_compare(args) -> int:
     _write(outdir / "wilcoxon.json", _dump_json(compute_wilcoxon(rows)))
     _write_manifest(outdir, "compare", list(args.wafers), settings, counters=counters)
     _write_timings(outdir, wall_seconds)
-    return 0
 
 
 # ---------------------------------------------------------------------
@@ -708,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u")
     p.add_argument("--w-mag", dest="w_mag")
     p.add_argument("--m", type=int)
-    p.add_argument("--neighborhood", choices=("rook", "king"), default="king")
+    p.add_argument("--neighborhood", choices=("rook", "king"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
@@ -726,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
     p.add_argument("--wafer", help="score against the wafer's reconstructed truth")
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
-                   choices=NMI_NORMALIZERS, default="paper")
+                   choices=NMI_NORMALIZERS, default=EVALUATE_NMI_NORMALIZER)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -738,18 +742,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="AC vs CPF head-to-head over wafers")
     p.add_argument("wafers", nargs="+")
-    p.add_argument("--u", default="0.5")
-    p.add_argument("--u-scratch", dest="u_scratch", default="0.4",
+    d = COMPARE_SETTINGS
+    p.add_argument("--u", default=d["u"])
+    p.add_argument("--u-scratch", dest="u_scratch", default=d["u_scratch"],
                    help="AC separation cost for scratch-family wafers")
-    p.add_argument("--m-list", dest="m_list", default=",".join(map(str, COMPARE_M_LIST)))
-    p.add_argument("--seeds", type=int, default=COMPARE_SEEDS)
-    p.add_argument("--iters", type=int, default=McmcConfig.iters)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
-    p.add_argument("--alpha", type=float, default=GwHyper.alpha)
+    p.add_argument("--m-list", dest="m_list", default=",".join(map(str, d["m_list"])))
+    p.add_argument("--seeds", type=int, default=d["seeds"])
+    p.add_argument("--iters", type=int, default=d["iters"])
+    p.add_argument("--burn-in", dest="burn_in", type=int, default=d["burn_in"])
+    p.add_argument("--alpha", type=float, default=d["alpha"])
     p.add_argument("--truth", dest="truth_source", choices=TRUTH_SOURCES,
-                   default="reconstruction")
+                   default=d["truth_source"])
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",
-                   choices=NMI_NORMALIZERS, default="paper")
+                   choices=NMI_NORMALIZERS, default=d["nmi_normalizer"])
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
@@ -757,17 +762,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error type a command may raise (see the module
+# docstring).
+EXIT_CODES = {ParseError: 2, ConfigError: 3, ValueError: 3, EmptyInputError: 4,
+              CoordinateMismatchError: 5}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
+        args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,11 @@ class EmptyInputError(WaferSprError):
     """An operation received an empty point set."""
 
 
+class CoordinateMismatchError(WaferSprError):
+    """Two inputs that must name the same chips name different ones (a
+    prediction and the truth it is scored against)."""
+
+
 class GenerationError(WaferSprError):
     """A synthetic pattern spec rasterized to nothing."""
 

@@ -83,15 +83,9 @@ def gdi_index(points, labels) -> float:
     K = len(groups)
     if K < 2:
         raise UndefinedIndex("GDI requires >= 2 clusters")
-    spreads = []
-    for g in groups:
-        centroid = g.mean(axis=0)
-        spreads.append(float(np.sum(np.linalg.norm(g - centroid, axis=1))))
-    diameter = 0.0
-    for g in groups:
-        if g.shape[0] >= 2:
-            diff = g[:, None, :] - g[None, :, :]
-            diameter = max(diameter, float(np.sqrt((diff**2).sum(-1)).max()))
+    spreads = [float(np.sum(np.linalg.norm(g - g.mean(axis=0), axis=1))) for g in groups]
+    diameter = max((float(np.sqrt(((g[:, None] - g) ** 2).sum(-1)).max())
+                    for g in groups if g.shape[0] >= 2), default=0.0)
     if diameter == 0:
         raise UndefinedIndex("zero max diameter")
     num = min(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import edges as grid_edges
 from oracles import exhaustive_ac_argmin, exhaustive_ac_minimum, network_from_arcs
 from waferspr import acfilter
-from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction, filtered_points
+from waferspr.acfilter import AcConfig, ac_filter, ac_objective, as_fraction
 from waferspr.cpf import CpfConfig, cpf_filter
 from waferspr.errors import ConfigError, DimensionError, InternalError
 from waferspr.flow import max_flow_min_cut
@@ -99,18 +99,6 @@ def test_objective_length_mismatch():
     m = parse_wafer(HOLE)
     with pytest.raises(DimensionError):
         ac_objective(m, AcConfig(u=1), [1, 0])
-
-
-def test_filtered_points():
-    m = parse_wafer(HOLE)
-    res = ac_filter(m, AcConfig(u=Fraction(1, 2)))
-    pts = filtered_points(m, res)
-    assert len(pts) == 9
-    assert pts == sorted(pts)
-    res0 = ac_filter(m, AcConfig(u=0))
-    assert filtered_points(m, res0) == m.defective_coords()
-    empty = ac_filter(parse_wafer(CENTER5), AcConfig(u=Fraction(1, 2)))
-    assert filtered_points(parse_wafer(CENTER5), empty) == []
 
 
 def _random_wafer(rng, rows, cols, p_defect, p_mask=0.0):

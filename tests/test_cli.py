@@ -27,10 +27,11 @@ from waferspr.cli import (
     reconstructed_truth,
     run_comparison,
 )
-from waferspr.errors import ConfigError, ParseError
+from waferspr.acfilter import AcConfig, ac_filter
+from waferspr.errors import ConfigError, CoordinateMismatchError, EmptyInputError, ParseError
 from waferspr.render import PALETTE, cluster_color, render_svg
 from waferspr.synthgen import FAMILIES, family_specs, generate, twelve_wafer_corpus
-from waferspr.validation import reconstruct_ground_truth
+from waferspr.validation import evaluation_report, reconstruct_ground_truth
 from waferspr.wafer import CellState, Neighborhood, components, parse_wafer
 
 CROSS = "010\n111\n010\n"
@@ -182,8 +183,8 @@ def test_filter_flag_of_other_method_exits_3(tmp_path, capsys, flags, flag):
 
 
 @pytest.mark.parametrize("method,defaults", [
-    ("ac", ("--u", "0.5", "--w-mag", "1")),
-    ("cpf", ("--m", "5")),
+    ("ac", ("--u", "0.5", "--w-mag", "1", "--neighborhood", "king")),
+    ("cpf", ("--m", "5", "--neighborhood", "king")),
 ])
 def test_filter_flags_left_out_take_config_defaults(tmp_path, method, defaults):
     wafer = tmp_path / "in.txt"
@@ -193,6 +194,54 @@ def test_filter_flags_left_out_take_config_defaults(tmp_path, method, defaults):
     assert run_cli("filter", wafer, "--method", method, *defaults, "--out", explicit) == 0
     for name in ("summary.json", "filtered.txt", "manifest.json"):
         assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+    # an explicit --neighborhood still overrides the config's
+    rook = tmp_path / "rook"
+    assert run_cli("filter", wafer, "--method", method, "--neighborhood", "rook",
+                   "--out", rook) == 0
+    assert json.loads((rook / "manifest.json").read_text())["config"]["neighborhood"] == "rook"
+    assert (rook / "summary.json").read_bytes() != (implicit / "summary.json").read_bytes()
+
+
+def test_options_left_out_take_the_defaults_of_what_they_feed():
+    """The parser writes no default of its own for an option that feeds a
+    config or a function: left out, the option is None (filter) or that
+    config's or function's default."""
+    parse = build_parser().parse_args
+    args = parse(["filter", "w.txt", "--out", "o"])
+    assert (args.u, args.w_mag, args.m, args.neighborhood) == (None, None, None, None)
+    args = parse(["cluster", "w.txt", "--out", "o"])
+    mcmc, hyper = iwmm.McmcConfig(), iwmm.GwHyper()
+    assert (args.iters, args.burn_in, args.alpha) == (mcmc.iters, mcmc.burn_in, hyper.alpha)
+    args = parse(["evaluate", "--pred", "p.json", "--out", "o"])
+    report_keywords = inspect.signature(evaluation_report).parameters
+    assert args.nmi_normalizer == report_keywords["nmi_normalizer"].default
+    args = parse(["compare", "w.txt", "--out", "o"])
+    keywords = inspect.signature(run_comparison).parameters
+    settings = set(keywords) - {"wafer_paths", "progress", "counters"}
+    assert settings == set(cli.COMPARE_SETTINGS)
+    for name in settings:
+        value = getattr(args, name)
+        if name == "m_list":
+            value = tuple(int(m) for m in value.split(","))
+        assert value == keywords[name].default, name
+
+
+@pytest.mark.parametrize("error,code", [
+    (ParseError("x.txt: not a wafer"), 2),
+    (ConfigError("--u: bad"), 3),
+    (ValueError("bad value"), 3),
+    (EmptyInputError("no chips"), 4),
+    (CoordinateMismatchError("other chips"), 5),
+])
+def test_main_exits_with_the_code_of_each_error(tmp_path, monkeypatch, capsys, error, code):
+    """A command that fails raises; main prints one error line and exits
+    with the code of the error's type."""
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_render", failing)
+    assert run_cli("render", "w.txt", "--out", tmp_path / "r.svg") == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_cluster_and_evaluate_roundtrip(tmp_path):
@@ -1130,6 +1179,18 @@ def test_cluster_reports_step_size_and_k_after_burn_in(tmp_path):
     assert (20 * summary["k_hat_share"]).is_integer()
 
 
+def test_filtered_points():
+    """compare fits the chips a filter keeps, in row-major order, as
+    `cluster` reads them from the filter's overlay."""
+    m = parse_wafer(HOLE)
+    pts = cli.filtered_points(m, ac_filter(m, AcConfig(u="1/2")))
+    assert len(pts) == 9
+    assert pts == sorted(pts)
+    assert cli.filtered_points(m, ac_filter(m, AcConfig(u=0))) == m.defective_coords()
+    center = parse_wafer("00000\n00000\n00100\n00000\n00000\n")
+    assert cli.filtered_points(center, ac_filter(center, AcConfig(u="1/2"))) == []
+
+
 def test_cluster_refits_a_compare_row(tmp_path):
     """`filter` at the defaults, then `cluster` with compare's schedule
     and a fit seed, scored by `evaluate --wafer`, gives compare's AC row."""
@@ -1241,12 +1302,15 @@ def test_run_comparison_checks_seeds_and_m_before_any_wafer(tmp_path, bad):
         run_comparison([tmp_path / "missing.txt"], **{"seeds": 1, "iters": 6, "burn_in": 2, **bad})
 
 
-@pytest.mark.parametrize("flags", [("--seeds", "0"), ("--m-list", "0"), ("--m-list", ",")])
+@pytest.mark.parametrize("flags", [("--seeds", "0"), ("--m-list", "0"), ("--m-list", ","),
+                                   ("--m-list", "5,x")])
 def test_compare_bad_seeds_or_m_exit_3(tmp_path, capsys, flags):
     out = tmp_path / "cmp"
     assert run_cli("compare", tmp_path / "missing.txt", *flags, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if flags[1] == "5,x":  # the error names the flag and the token
+        assert err.startswith("error: --m-list: ") and "'x'" in err
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ from oracles import (
     student_t_predictive_log,
 )
 from waferspr import iwmm, validation
-from waferspr.acfilter import ac_filter, filtered_points
+from waferspr.acfilter import ac_filter
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
     GwHyper,
@@ -999,7 +999,7 @@ def test_seeded_fit_and_report_do_not_depend_on_float_summation(monkeypatch):
     # summation; math.fsum stands in for it here.  A seeded fit and its
     # report keep the bytes of plain left-to-right addition under either.
     sw = generate(24, 24, family_specs("two_zone"), 0.05, 0)
-    kept = filtered_points(sw.map, ac_filter(sw.map))
+    kept = sw.map.with_overlay(ac_filter(sw.map).labels).defective_coords()
     points = np.array(kept, dtype=float)
     truth = [int(sw.truth_labels[r * 24 + c]) for r, c in kept]
 
