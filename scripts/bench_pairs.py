@@ -10,8 +10,9 @@ of BENCHMARK.json, both sides' medians and inclusive quartiles over the
 pairs and the number of pairs in which the change read better or worse
 (ties count for neither).  The end-to-end times are normalized by the
 benchmark's speed probe; under "raw" each workload gets the same summary
-of the un-normalized wafers_per_s and op_p50_ms that each run prints on
-its `# raw` line, so that a gain the normalization adds or hides shows.
+of the un-normalized setup_s, wafers_per_s, op_p50_ms and op_p90_ms that
+each run prints on its `# raw` line, so that a gain the normalization adds
+or hides shows.
 Its "notes" list starts empty.
 
 Usage:
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 # The metrics of a run's `# raw` line that the summary reports.
-RAW_METRICS = ("wafers_per_s", "op_p50_ms")
+RAW_METRICS = ("setup_s", "wafers_per_s", "op_p50_ms", "op_p90_ms")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:

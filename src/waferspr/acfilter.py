@@ -39,8 +39,10 @@ def as_fraction(value) -> Fraction:
     """Exact rational from int, Fraction, str, or float.
 
     Floats go through their shortest decimal repr, so 0.4 becomes 2/5
-    rather than the binary expansion of 0.4.  A malformed value or a zero
-    denominator ("1/0") raises ValueError.
+    rather than the binary expansion of 0.4.  A malformed value, a zero
+    denominator ("1/0") or a str that is not ASCII or holds a '_' (which
+    Fraction() alone reads: "1_0", the digits of other scripts) raises
+    ValueError.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,6 +50,8 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         value = str(value)
+    elif isinstance(value, str) and not (value.isascii() and "_" not in value):
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

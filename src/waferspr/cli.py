@@ -657,10 +657,11 @@ def write_csv(path: Path, columns, rows):
 def cmd_compare(args):
     # The manifest records the settings as given.
     settings = {name: getattr(args, name) for name in COMPARE_SETTINGS}
-    try:
-        settings["m_list"] = [int(tok) for tok in args.m_list.split(",") if tok]
-    except ValueError as exc:  # names the token
-        raise ConfigError(f"--m-list: {exc}") from None
+    tokens = [tok for tok in args.m_list.split(",") if tok]
+    for tok in tokens:
+        if not INT_TOKEN.fullmatch(tok):
+            raise ConfigError(f"--m-list: invalid literal for int() with base 10: {tok!r}")
+    settings["m_list"] = list(map(int, tokens))
 
     def progress(row):
         print(f"  {row['wafer']} {row['method']}{row['param']} seed {row['fit_seed']}: "
@@ -688,6 +689,27 @@ def cmd_compare(args):
 # argument parsing
 # ---------------------------------------------------------------------
 
+# An integer flag or `--m-list` token: ASCII digits after an optional '-'.
+# int() alone also reads '+', '_', spaces and the digits of other scripts.
+INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _int_flag(text: str) -> int:
+    if not INT_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _float_flag(text: str) -> float:
+    """float() of ASCII text with no '_', which float() alone would read."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waferspr",
@@ -697,11 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic mixed-type wafer")
-    p.add_argument("--rows", type=int, default=38)
-    p.add_argument("--cols", type=int, default=38)
+    p.add_argument("--rows", type=_int_flag, default=38)
+    p.add_argument("--cols", type=_int_flag, default=38)
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=_float_flag, default=0.05)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--format", choices=("ascii", "csv"), default="ascii")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -711,17 +733,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ac", "cpf"), default="ac")
     p.add_argument("--u")
     p.add_argument("--w-mag", dest="w_mag")
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=_int_flag)
     p.add_argument("--neighborhood", choices=("rook", "king"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("cluster", help="iWMM sub-clustering of a filtered wafer")
     p.add_argument("input")
-    p.add_argument("--iters", type=int, default=McmcConfig.iters)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=McmcConfig.burn_in)
-    p.add_argument("--alpha", type=float, default=GwHyper.alpha)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=_int_flag, default=McmcConfig.iters)
+    p.add_argument("--burn-in", dest="burn_in", type=_int_flag, default=McmcConfig.burn_in)
+    p.add_argument("--alpha", type=_float_flag, default=GwHyper.alpha)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -747,10 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-scratch", dest="u_scratch", default=d["u_scratch"],
                    help="AC separation cost for scratch-family wafers")
     p.add_argument("--m-list", dest="m_list", default=",".join(map(str, d["m_list"])))
-    p.add_argument("--seeds", type=int, default=d["seeds"])
-    p.add_argument("--iters", type=int, default=d["iters"])
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=d["burn_in"])
-    p.add_argument("--alpha", type=float, default=d["alpha"])
+    p.add_argument("--seeds", type=_int_flag, default=d["seeds"])
+    p.add_argument("--iters", type=_int_flag, default=d["iters"])
+    p.add_argument("--burn-in", dest="burn_in", type=_int_flag, default=d["burn_in"])
+    p.add_argument("--alpha", type=_float_flag, default=d["alpha"])
     p.add_argument("--truth", dest="truth_source", choices=TRUTH_SOURCES,
                    default=d["truth_source"])
     p.add_argument("--nmi-normalizer", dest="nmi_normalizer",

@@ -57,6 +57,11 @@ class PatternSpec:
         if self.kind in (PatternKind.DONUT, PatternKind.PARTIAL_RING, PatternKind.EDGE_ZONE):
             if not self.inner_frac < self.outer_frac:
                 raise ValueError("annular patterns need inner_frac < outer_frac")
+        for name in ("offset_angle_deg", "arc_start_deg", "arc_extent_deg", "length_cells",
+                     "width_cells", "angle_deg"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.kind is PatternKind.SCRATCH and self.length_cells < 1:
             raise ValueError("scratch needs length_cells >= 1")
         if self.width_cells <= 0:
@@ -91,17 +96,44 @@ def wafer_mask(rows: int, cols: int) -> np.ndarray:
     """Circular mask inscribed in the grid."""
     cr, cc = (rows - 1) / 2.0, (cols - 1) / 2.0
     radius = (min(rows, cols) - 1) / 2.0
-    rr, cc_idx = np.mgrid[0:rows, 0:cols]
-    return (rr - cr) ** 2 + (cc_idx - cc) ** 2 <= radius**2 + 1e-9
+    row_d2 = (np.arange(rows) - cr) ** 2
+    col_d2 = (np.arange(cols) - cc) ** 2
+    return row_d2[:, None] + col_d2 <= radius**2 + 1e-9
+
+
+# numpy's hypot and arctan2 differ from libm's by at most a few ulp, that is
+# a few times 2.2e-16 of the value's scale.  A value further than
+# _LIBM_WINDOW times that scale (about 4.5e6 ulp) from a decision boundary
+# therefore lands on the same side under either.
+_LIBM_WINDOW = 1e-9
+
+
+def _near(values, edges, tol):
+    """Indices of the `values` within `tol` of any of `edges`."""
+    return np.flatnonzero(np.logical_or.reduce([np.abs(values - e) < tol for e in edges]))
+
+
+def _mod360(x):
+    """`x % 360.0` bit for bit, from the exact fmod, which numpy computes
+    far faster than its floor remainder: plus 360 where fmod is negative,
+    which also turns -0.0 into 0.0."""
+    out = np.fmod(x, 360.0)
+    out += 360.0 * (out < 0)
+    return out
 
 
 def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) index arrays of the in-mask cells covered by the pattern,
     in row-major order; GenerationError if none.
 
-    Distances and angles of annular patterns come from libm's `math.hypot`
-    and `math.atan2`: numpy's vectorised versions differ from them in the
-    last bit on some inputs, which moves cells on a pattern's boundary.
+    Distances and arc angles of annular patterns come from numpy's `hypot`
+    and `arctan2`, one array operation each.  Those differ from libm's
+    `math.hypot` and `math.atan2` in the last bit on some inputs, which
+    would move a cell lying on a pattern's boundary.  So every cell whose
+    array value lies within a small window of a decision boundary (`lo` and
+    `hi` for distances; the start ray, `start + extent` and the 0/360 wrap
+    for arcs) is recomputed with libm, and every cell lands on the side
+    libm puts it.
     """
     if mask is None:
         mask = wafer_mask(rows, cols)
@@ -122,12 +154,24 @@ def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> tuple[np.nd
         keep = (r - (pr + t * dr)) ** 2 + (c - (pc + t * dc)) ** 2 <= half_width**2 + 1e-9
     else:
         lo = 0.0 if spec.kind is PatternKind.CENTER_DISK else spec.inner_frac * radius
-        d = np.fromiter(map(math.hypot, dy, dx), float, dy.size)
-        keep = (lo <= d) & (d <= spec.outer_frac * radius)
+        hi = spec.outer_frac * radius
+        d = np.hypot(dy, dx)
+        # libm decides the distances that lie near `lo` or `hi`.
+        at = _near(d, (lo, hi), _LIBM_WINDOW * (1.0 + hi))
+        d[at] = list(map(math.hypot, dy[at], dx[at]))
+        keep = (lo <= d) & (d <= hi)
         if spec.arc_extent_deg < 360.0:
+            start, extent = spec.arc_start_deg, spec.arc_extent_deg
             at = np.flatnonzero(keep)
-            cell_ang = np.degrees(np.fromiter(map(math.atan2, -dy[at], dx[at]), float, at.size))
-            keep[at] = (cell_ang - spec.arc_start_deg) % 360.0 <= spec.arc_extent_deg
+            ady, adx = -dy[at], dx[at]
+            # How far counterclockwise of the start ray each cell lies.
+            turn = _mod360(np.degrees(np.arctan2(ady, adx)) - start)
+            # Between numpy and libm, `angle - start` moves by a few ulp of
+            # 360 + |start|, and `% 360` folds it exactly but for the wrap.
+            fix = _near(turn, (0.0, extent, 360.0), _LIBM_WINDOW * (360.0 + abs(start)))
+            libm_ang = np.array(list(map(math.atan2, ady[fix], adx[fix])), dtype=float)
+            turn[fix] = _mod360(np.degrees(libm_ang) - start)
+            keep[at] = turn <= extent
     if not keep.any():
         raise GenerationError(f"pattern {spec.kind.value} rasterized to nothing")
     return r[keep], c[keep]

@@ -93,36 +93,46 @@ def test_a_valid_claim_reaches_the_first_run(tmp_path, monkeypatch):
     assert started == ["screen"]
 
 
-def test_raw_times_are_summarized_beside_the_normalized_ones(tmp_path, monkeypatch):
-    """Each run's `# raw` line reaches the summary: raw medians and
-    quartiles of wafers_per_s and op_p50_ms for both sides, per workload."""
-    speeds = {"parent": 100.0, "change": 110.0}
-
+def _stub_runs(tmp_path, monkeypatch, results):
+    """Point bench_pairs at two empty trees whose benchmark runs print
+    `results(side, seed)`: the (raw, normalized) metric dicts of the run."""
     def run(argv, cwd, **kwargs):
-        seed = int(argv[argv.index("--seed") + 1])
-        raw = speeds[cwd.name] + seed
-        normalized = 2 * raw
-        metrics = {"wafers_per_s": normalized, "op_p50_ms": 1e3 / normalized}
+        raw, metrics = results(cwd.name, int(argv[argv.index("--seed") + 1]))
         stdout = "\n".join([
             '# env {"cpu": "test"}',
-            f"# raw setup_s=0.5 wafers_per_s={raw:g} op_p50_ms={1e3 / raw:g} op_p90_ms=20",
+            "# raw " + " ".join(f"{k}={v:g}" for k, v in raw.items()),
             json.dumps({"correct": True, "attempted": 3, "failed": 0,
                         "metrics": {name: {"value": metrics.get(name, 1.0), "unit": "u"}
                                     for name in METRIC_NAMES}}),
         ])
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
-    for side in speeds:
+    for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def test_raw_times_are_summarized_beside_the_normalized_ones(tmp_path, monkeypatch):
+    """Each run's `# raw` line reaches the summary: raw medians and
+    quartiles of setup_s, wafers_per_s, op_p50_ms and op_p90_ms for both
+    sides, per workload."""
+    speeds = {"parent": 100.0, "change": 110.0}
+
+    def results(side, seed):
+        raw = speeds[side] + seed
+        normalized = 2 * raw
+        return ({"setup_s": 0.5, "wafers_per_s": raw, "op_p50_ms": 1e3 / raw,
+                 "op_p90_ms": 20},
+                {"wafers_per_s": normalized, "op_p50_ms": 1e3 / normalized})
+
+    trees = _stub_runs(tmp_path, monkeypatch, results)
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
-                             "--change", str(tmp_path / "change"), "--pairs", "3",
-                             "--first-seed", "0", "--out", str(out)]) == 0
+    assert bench_pairs.main([*trees, "--pairs", "3", "--first-seed", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     for workload in doc["workloads"].values():
-        assert sorted(workload["raw"]) == ["op_p50_ms", "wafers_per_s"]
+        assert sorted(workload["raw"]) == ["op_p50_ms", "op_p90_ms", "setup_s", "wafers_per_s"]
         raw, normalized = workload["raw"]["wafers_per_s"], workload["metrics"]["wafers_per_s"]
         assert raw["parent_median"] == 101.0 and raw["change_median"] == 111.0
         assert raw["parent_quartiles"] == [100.5, 101.5]
@@ -130,3 +140,25 @@ def test_raw_times_are_summarized_beside_the_normalized_ones(tmp_path, monkeypat
         assert normalized["parent_median"] == 202.0
         assert workload["raw"]["op_p50_ms"]["change_median"] == round(1e3 / 111, 4)
         assert workload["raw"]["op_p50_ms"]["better"] == "lower"
+        assert workload["raw"]["setup_s"]["parent_median"] == 0.5
+
+
+def test_a_setup_claim_needs_its_raw_median_too(tmp_path, monkeypatch):
+    """A set-up gain that only the probe normalization shows is no claim:
+    the change's normalized setup_s wins every pair by far, but its raw
+    setup_s loses."""
+    def results(side, seed):
+        raw = {"parent": 0.40, "change": 0.42}[side] + seed / 1000
+        normalized = {"parent": 0.40, "change": 0.30}[side] + seed / 1000
+        return ({"setup_s": raw, "wafers_per_s": 10, "op_p50_ms": 10, "op_p90_ms": 20},
+                {"setup_s": normalized})
+
+    trees = _stub_runs(tmp_path, monkeypatch, results)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([*trees, "--pairs", "10", "--claim", "large_map:setup_s",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    setup = doc["workloads"]["large_map"]["metrics"]["setup_s"]
+    assert setup["change_better_pairs"] == 10
+    assert doc["workloads"]["large_map"]["raw"]["setup_s"]["change_worse_pairs"] == 10
+    assert doc["claim"] == {"workload": "large_map", "metric": "setup_s", "met": False}

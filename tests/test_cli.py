@@ -1314,6 +1314,59 @@ def test_compare_bad_seeds_or_m_exit_3(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+# Numeric flag values that Python's int(), float() and Fraction() read but
+# that are not ASCII decimal numbers: other scripts' digits, '_' and, for
+# integers, '+' and spaces.
+_NON_ASCII_INT_FLAGS = [
+    ("generate", "--rows", "٣٨"), ("generate", "--cols", "3_8"), ("generate", "--seed", "٧"),
+    ("generate", "--seed", "+7"), ("generate", "--rows", " 38"),
+    ("filter", "--m", "٥"), ("cluster", "--iters", "1_0"), ("cluster", "--burn-in", "٢"),
+    ("cluster", "--seed", "+0"), ("compare", "--seeds", "٣"), ("compare", "--iters", "1_2"),
+    ("compare", "--burn-in", "+4"),
+]
+_NON_ASCII_FLOAT_FLAGS = [
+    ("generate", "--noise", "٠.٠٥"), ("generate", "--noise", "0.0_5"),
+    ("cluster", "--alpha", "١"), ("compare", "--alpha", "1_0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _NON_ASCII_INT_FLAGS + _NON_ASCII_FLOAT_FLAGS)
+def test_numeric_flags_read_ascii_decimals_only_exit_2(tmp_path, capsys, command, flag, value):
+    """An integer flag takes `-?[0-9]+` and a float flag ASCII text with no
+    '_'; argparse refuses anything else with exit 2, as it refuses 'x'."""
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    head = {"generate": ("--family", "two_zone"), "filter": (wafer, "--method", "cpf")}
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *head.get(command, (wafer,)), flag, value, "--out", out)
+    assert exc.value.code == 2
+    kind = "float" if (command, flag, value) in _NON_ASCII_FLOAT_FLAGS else "int"
+    assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("filter", "--u", "٠.٥"), ("filter", "--w-mag", "1_0"), ("filter", "--u", "١/٤"),
+    ("compare", "--u", "0.2_5"), ("compare", "--u-scratch", "٠.٤"),
+    ("compare", "--m-list", "+5,1_0"), ("compare", "--m-list", "٥"),
+    ("compare", "--m-list", "5, 10"),
+])
+def test_cost_and_m_list_values_read_ascii_decimals_only_exit_3(tmp_path, capsys, argv):
+    command, flag, value = argv
+    wafer = tmp_path / "in.txt"
+    wafer.write_text(HOLE)
+    out = tmp_path / "o"
+    extra = ("--seeds", "1", "--iters", "3", "--burn-in", "1") if command == "compare" else ()
+    assert run_cli(command, wafer, flag, value, *extra, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if flag == "--m-list":  # the error names the flag and the first bad token
+        bad = next(tok for tok in value.split(",") if not cli.INT_TOKEN.fullmatch(tok))
+        assert err.startswith("error: --m-list: ") and repr(bad) in err
+    assert not out.exists()
+
+
 def test_compare_manifest_config_is_run_comparisons_settings(tmp_path, monkeypatch):
     """compare passes one settings dict to run_comparison and writes the
     same dict as its manifest's config, keyed by run_comparison's

@@ -40,6 +40,16 @@ def test_spec_validation():
         PatternSpec(PatternKind.SCRATCH, length_cells=0)
     with pytest.raises(ValueError):
         PatternSpec(PatternKind.CENTER_DISK, fill_rate=0.0)
+    # A NaN arc extent would rasterize the full annulus, an infinite width
+    # every in-mask cell, an infinite length a scratch to the wafer's edge,
+    # and a NaN angle nothing.
+    for name in ("offset_angle_deg", "arc_start_deg", "arc_extent_deg", "length_cells",
+                 "width_cells", "angle_deg"):
+        for value in (math.nan, math.inf, -math.inf):
+            for kind in (PatternKind.PARTIAL_RING, PatternKind.SCRATCH):
+                with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                    PatternSpec(kind, **{"inner_frac": 0.7, "outer_frac": 0.9,
+                                         "length_cells": 5, name: value})
 
 
 def test_generate_validation():
@@ -205,6 +215,19 @@ _DONUT_B = PatternSpec(PatternKind.DONUT, offset_frac=0.5, offset_angle_deg=315.
                        arc_extent_deg=90.0)
 
 
+# Cells exactly on a boundary, where the libm window decides: the mask
+# circle's cells at d == radius (35 x 35, radius 17 = |(8, 15)| = |(0, 17)|),
+# cells on the start ray of arcs starting on a grid axis through an odd
+# grid's center cell, and an arc whose end, 270 + 180, passes 360 onto the
+# 90-degree axis.
+_RIM = PatternSpec(PatternKind.EDGE_ZONE, inner_frac=0.6, outer_frac=1.0)
+_AXIS_STARTS = [PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.2, outer_frac=0.9,
+                            arc_start_deg=start, arc_extent_deg=90.0)
+                for start in (0.0, 90.0, 180.0)]
+_PAST_360 = PatternSpec(PatternKind.PARTIAL_RING, inner_frac=0.3, outer_frac=1.0,
+                        arc_start_deg=270.0, arc_extent_deg=180.0)
+
+
 @given(
     rows=st.integers(8, 90),
     cols=st.integers(8, 90),
@@ -215,6 +238,9 @@ _DONUT_B = PatternSpec(PatternKind.DONUT, offset_frac=0.5, offset_angle_deg=315.
 @example(rows=34, cols=34, specs=[_DISK], noise=0.05, seed=0)
 @example(rows=90, cols=24, specs=[_DONUT_A], noise=0.05, seed=0)
 @example(rows=84, cols=82, specs=[_DONUT_B], noise=0.05, seed=0)
+@example(rows=35, cols=35, specs=[_RIM], noise=0.0, seed=0)
+@example(rows=35, cols=35, specs=_AXIS_STARTS, noise=0.05, seed=0)
+@example(rows=35, cols=35, specs=[_PAST_360], noise=0.05, seed=0)
 @settings(max_examples=150, deadline=None)
 def test_generator_matches_per_cell_oracle(rows, cols, specs, noise, seed):
     mask = wafer_mask(rows, cols)
