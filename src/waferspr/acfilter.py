@@ -96,7 +96,7 @@ class FilterResult:
 
 def ac_objective(wmap: WaferMap, cfg: AcConfig, labels) -> Fraction:
     """Exact rational objective of a labeling; the recomputation check."""
-    return _objective(cfg, *_label_counts(build_graph(wmap, cfg.nb), wmap.defect_bits(), labels))
+    return _objective(cfg, *_label_counts(wmap, cfg.nb, wmap.defect_bits(), labels))
 
 
 def _objective(cfg: AcConfig, kept_functional: int, kept_defective: int,
@@ -104,21 +104,25 @@ def _objective(cfg: AcConfig, kept_functional: int, kept_defective: int,
     return cfg.w_mag * (kept_functional - kept_defective) + cfg.u * cut_edges
 
 
-def _label_counts(graph: AdjacencyGraph, d: np.ndarray, labels) -> tuple[int, int, int]:
+def _label_counts(wmap: WaferMap, nb: Neighborhood, d: np.ndarray, labels) -> tuple[int, int, int]:
     """Kept functional chips, kept defective chips and grid edges whose
     ends differ, under a labeling."""
     labels = np.asarray(labels)
-    if labels.shape != (graph.node_count,):
-        raise DimensionError(
-            f"labels length {labels.size} != node count {graph.node_count}"
-        )
+    if labels.shape != d.shape:
+        raise DimensionError(f"labels length {labels.size} != node count {d.size}")
     kept = labels == 1
-    # The last deg/2 columns are the forward offsets of the symmetric
-    # `sorted(nb.offsets)`: each grid edge once, from its lower end.  A
-    # 1-D compare per column beats one 2-D gather of the strided half.
-    forward = graph.neighbours.T[graph.neighbours.shape[1] // 2:]
-    cut_edges = sum(int(np.count_nonzero((labels != labels[nbr]) & (nbr >= 0)))
-                    for nbr in forward)
+    inside = wmap.in_mask()
+    grid = np.zeros(inside.shape, dtype=bool)
+    grid[inside] = kept
+    # Each grid edge once, from its lower end: the forward half of the
+    # symmetric `sorted(nb.offsets)`, each as two shifted views of the grid.
+    rows, cols = grid.shape
+    cut_edges = 0
+    for dr, dc in sorted(nb.offsets)[len(nb.offsets) // 2:]:
+        here = np.s_[:rows - dr, max(0, -dc):cols - max(0, dc)]
+        there = np.s_[dr:, max(0, dc):cols - max(0, -dc)]
+        cut_edges += int(np.count_nonzero(
+            (grid[here] != grid[there]) & inside[here] & inside[there]))
     return int(np.sum(kept & (d == 0))), int(np.sum(kept & (d == 1))), cut_edges
 
 
@@ -145,34 +149,33 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
         )
 
     # The capacity matrix of the network, in the structure FlowNetwork
-    # requires.  Each grid edge becomes two antiparallel arcs of capacity
-    # u; a defective chip (w_i < 0) gets an arc from the source, a
-    # functional one an arc to the sink, both of capacity w_mag.  The chip
-    # rows come from the mask's cached layout; this wafer sets their
-    # terminal columns, the capacities, the source row (the source arcs)
-    # and the sink row (the zero reverses of the sink arcs).
-    chip_indices, chip_indptr, terminal = _chip_rows(graph)
-    s, t = n, n + 1
+    # requires: the source is node 0, the sink node 1 and chip i node i + 2.
+    # Each grid edge becomes two antiparallel arcs of capacity u; a
+    # defective chip (w_i < 0) gets an arc from the source, a functional
+    # one an arc to the sink, both of capacity w_mag.  The chip rows come
+    # from the mask's cached layout; this wafer sets their terminal slots,
+    # the capacities, the source row (the source arcs) and the sink row
+    # (the zero reverses of the sink arcs).
+    chip_indices, chip_indptr = _chip_rows(graph)
     d = wmap.defect_bits()
     defective = d == 1
-    chips = chip_indices.size
     from_s = np.flatnonzero(defective)
-    indices = np.empty(chips + n, dtype=np.int32)
-    indices[:chips] = chip_indices
-    indices[terminal] = np.where(defective, s, t)
-    indices[chips:] = np.concatenate([from_s, np.flatnonzero(~defective)])
-    # A chip's terminal entry is the zero reverse of its source arc, or its
-    # sink arc; every other entry of a chip row is a grid arc.
-    data = np.full(chips + n, u_int, dtype=np.int32)
+    indices = np.concatenate([from_s + 2, np.flatnonzero(~defective) + 2, chip_indices],
+                             dtype=np.int32)
+    # A chip row's first entry is the zero reverse of its source arc
+    # (column 0) or its sink arc (column 1); every other one is a grid arc.
+    terminal = n + chip_indptr[:-1]
+    indices[terminal] = 1 - d
+    data = np.full(indices.size, u_int, dtype=np.int32)
+    data[:from_s.size] = w_int
+    data[from_s.size:n] = 0
     data[terminal] = np.where(defective, 0, w_int)
-    data[chips:chips + from_s.size] = w_int
-    data[chips + from_s.size:] = 0
-    indptr = np.concatenate([chip_indptr, chips + np.array([from_s.size, n], dtype=np.int32)])
+    indptr = np.concatenate([np.array([0, from_s.size], dtype=np.int32), n + chip_indptr])
     capacity = csr_array((data, indices, indptr), shape=(n + 2, n + 2))
-    cut = max_flow_min_cut(FlowNetwork(capacity, s, t))
+    cut = max_flow_min_cut(FlowNetwork(capacity, 0, 1))
 
-    labels = cut.source_side[:n]
-    kept_functional, kept_defective, cut_edges = _label_counts(graph, d, labels)
+    labels = cut.source_side[2:]
+    kept_functional, kept_defective, cut_edges = _label_counts(wmap, cfg.nb, d, labels)
     dropped_defective = from_s.size - kept_defective
     # Strong duality: the cut's capacity, counted from the labels (the
     # sink arcs of kept functional chips, the source arcs of dropped
@@ -192,28 +195,28 @@ def ac_filter(wmap: WaferMap, cfg: AcConfig | None = None) -> FilterResult:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _chip_rows(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chip_rows(graph: AdjacencyGraph) -> tuple[np.ndarray, np.ndarray]:
     """The part of the AC capacity matrix that depends only on the mask.
 
-    Row i of the matrix is chip i's: its neighbours, then one terminal
-    slot, whose column (s or t) and capacity each wafer sets.  At u = 0
-    the grid arcs are explicit zeros, which the residual reads as closed.
-    All ids ascend along a row, since s = n and t = n + 1 follow every
-    chip.  Returns read-only arrays: the chip rows' int32 column indices
-    (the terminal slots hold s), their n + 1 int32 row starts, and the
-    position of each row's terminal slot.  The layouts of the
+    Row i of the matrix is chip i's, node i + 2: one terminal slot, whose
+    column (s = 0 or t = 1) and capacity each wafer sets, then its
+    neighbours.  At u = 0 the grid arcs are explicit zeros, which the
+    residual reads as closed.  All ids ascend along a row, since s and t
+    precede every chip.  Returns read-only arrays: the chip rows' int32
+    column indices (the terminal slots hold s) and their n + 1 int32 row
+    starts, so row i's terminal slot is at its start.  The layouts of the
     GRAPH_CACHE_SIZE (8) most recently used graphs are kept, with the
-    graphs: at most 4 * (deg + 1) + 8 bytes per chip, 44 for king, plus
-    the graph's 64, so 8 * 108 bytes per in-mask cell of the largest mask
-    used (15.1 MB for 150x150 wafers) beyond the graph cache's own bound.
+    graphs: at most 4 * (deg + 1) + 4 bytes per chip, 40 for king, plus
+    the graph's 64, so 8 * 104 bytes per in-mask cell of the largest mask
+    used (14.6 MB for 150x150 wafers) beyond the graph cache's own bound.
     """
     n = graph.node_count
-    row = np.column_stack([graph.neighbours, np.full(n, n)])
-    present = row >= 0
+    # s = 0 in the terminal slots; a missing neighbour (-1) reads t = 1.
+    row = np.column_stack([np.full(n, -2), graph.neighbours]) + 2
+    present = row != 1
     indices = row[present].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    terminal = indptr[1:] - 1
-    for array in (indices, indptr, terminal):
+    for array in (indices, indptr):
         array.flags.writeable = False
-    return indices, indptr, terminal
+    return indices, indptr

@@ -9,6 +9,11 @@ whole-component retention by longest-path search within a node budget,
 with component size >= M as the last resort (marked approximate).  The
 two readings agree on line/scratch components, whose longest simple path
 equals their size.
+
+The search runs on Python int bitmasks: bit k of a component's masks
+stands for its k-th chip in ascending id order, the order a search visits
+them in.  It recurses through module-level functions, since a closure
+calling itself would hold the masks in a reference cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .acfilter import FilterResult
-from .wafer import AdjacencyGraph, CellState, Neighborhood, WaferMap, build_graph, components
+from .wafer import CellState, Neighborhood, WaferMap, build_graph, components, whole_number
 
 EXACT_COMPONENT_LIMIT = 24
 SEARCH_BUDGET = 2_000_000
@@ -31,8 +36,10 @@ class CpfConfig:
     nb: Neighborhood = Neighborhood.KING
 
     def __post_init__(self):
-        if self.m_threshold < 1:
-            raise ValueError("M must be >= 1")
+        m = whole_number("m_threshold", self.m_threshold)
+        if m < 1:
+            raise ValueError(f"m_threshold must be >= 1, got {m}")
+        object.__setattr__(self, "m_threshold", m)
 
 
 class _BudgetExceeded(Exception):
@@ -52,134 +59,95 @@ class _Budget:
             raise _BudgetExceeded
 
 
-def _reachable_count(adj, start, blocked, limit):
-    """Nodes reachable from `start` without entering `blocked`, not counting
-    `start` itself; the search stops once `limit` of them are found."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen and v not in blocked:
-                seen.add(v)
-                if len(seen) > limit:
-                    return limit
-                stack.append(v)
-    return len(seen) - 1
+def _enough(nbr, tail, used, k):
+    """Whether at least k chips are reachable from chip `tail` outside mask `used`."""
+    free = ~used
+    reach = todo = nbr[tail] & free
+    while todo and reach.bit_count() < k:
+        low = todo & -todo
+        todo ^= low
+        new = nbr[low.bit_length() - 1] & free & ~reach
+        reach |= new
+        todo |= new
+    return reach.bit_count() >= k
 
 
-def _extend_path(adj, path, used, need, budget):
-    """Depth-first right-extension; returns a full path once len >= need."""
-    if len(path) >= need:
-        return list(path)
+def _extend(nbr, tail, used, missing, budget):
+    """The chips of a simple path that extends the path `used`, ending at
+    `tail`, by `missing` more chips, as a mask, or 0: depth-first, pruned
+    where even every chip reachable from the tail would not be enough."""
+    if missing <= 0:
+        return used
     budget.spend()
-    tail = path[-1]
-    missing = need - len(path)
+    free = nbr[tail] & ~used
     if missing == 1:
         # any unused neighbour of the tail ends the path; the search below
         # would take the first one and return without spending budget
-        for v in adj[tail]:
-            if v not in used:
-                return path + [v]
-        return None
-    # prune: even absorbing every reachable unused node cannot reach `need`
-    if _reachable_count(adj, tail, used, missing) < missing:
-        return None
-    for v in adj[tail]:
-        if v not in used:
-            path.append(v)
-            used.add(v)
-            found = _extend_path(adj, path, used, need, budget)
-            if found:
-                return found
-            used.discard(v)
-            path.pop()
-    return None
+        return used | (free & -free) if free else 0
+    if not _enough(nbr, tail, used, missing):
+        return 0
+    while free:
+        low = free & -free
+        free ^= low
+        found = _extend(nbr, low.bit_length() - 1, used | low, missing - 1, budget)
+        if found:
+            return found
+    return 0
 
 
-def _path_through(adj, left, used, need, budget):
-    """Some simple path with >= need nodes passing through left[0], or None.
-
-    `left` is a left arm rooted at left[0], its nodes in `used`; call with
-    ([v], {v}).  Grows left arms depth-first, exhaustively, and for each
-    arm searches for a right arm among the remaining nodes.  The found
-    path is returned so callers can mark every node on it as kept.  The
-    recursion is a module-level function, not a closure calling itself,
-    which would form a reference cycle holding `adj` until the cyclic
-    collector runs.
-    """
-    remaining = need - len(left) + 1  # right arm includes left[0]
-    right = _extend_path(adj, [left[0]], set(used), remaining, budget)
-    if right:
-        return list(reversed(left[1:])) + right
+def _path_through(nbr, root, last, used, missing, budget):
+    """The chips of some simple path through chip `root` with `missing`
+    more chips than the left arm `used`, a path from `root` to `last`, as
+    a mask, or 0.  Grows left arms depth-first, exhaustively, and for each
+    one searches for a right arm from `root` among the remaining chips."""
+    found = _extend(nbr, root, used, missing, budget)
+    if found:
+        return found
     budget.spend()
-    for w in adj[left[-1]]:
-        if w not in used:
-            left.append(w)
-            used.add(w)
-            found = _path_through(adj, left, used, need, budget)
-            if found:
-                return found
-            used.discard(w)
-            left.pop()
-    return None
+    free = nbr[last] & ~used
+    while free:
+        low = free & -free
+        free ^= low
+        found = _path_through(nbr, root, low.bit_length() - 1, used | low, missing - 1, budget)
+        if found:
+            return found
+    return 0
 
 
-def _exact_kept(adj, comp, m, budget):
-    """Nodes of `comp` lying on some simple path of >= m nodes (exact)."""
-    kept = set()
-    for v in comp:
-        if v in kept:
-            continue
-        path = _path_through(adj, [v], {v}, m, budget)
-        if path:
-            kept.update(path)
+def _exact_kept(nbr, size, m, budget):
+    """The chips of a component of `size` chips that lie on some simple
+    path of >= m chips, as a mask (exact)."""
+    kept = 0
+    for k in range(size):
+        if not kept >> k & 1:
+            kept |= _path_through(nbr, k, k, 1 << k, m - 1, budget)
     return kept
 
 
-class _LazyAdjacency(dict):
-    """Neighbour lists of the chips with comp > 0, keyed by node id.
+class _LazyMasks(dict):
+    """Neighbour masks of one component's chips, keyed by bit, each built
+    on first access from the chip's row of `neighbours`, so a search
+    builds only the masks of the chips it reaches.  `bit` maps node ids
+    to their bits, -1 for unsearched chips and at its padding end, which
+    a missing neighbour (-1) reads."""
 
-    Lists missing from the dict are built on first access from the
-    chip's row of `neighbours`, so a search reads only the lists of the
-    chips it reaches.  `comp` ends in a padding 0, which a missing
-    neighbour (-1) reads.
-    """
-
-    def __init__(self, lists, neighbours, comp):
-        super().__init__(lists)
+    def __init__(self, neighbours, bit, nodes):
+        super().__init__()
         self._neighbours = neighbours
-        self._comp = comp
+        self._bit = bit
+        self._nodes = nodes
 
-    def __missing__(self, i):
-        if not self._comp[i] > 0:
-            raise KeyError(i)
-        row = self._neighbours[i]
-        self[i] = nbrs = row[self._comp[row] > 0].tolist()
-        return nbrs
+    def __missing__(self, k):
+        bits = self._bit[self._neighbours[self._nodes[k]]].tolist()
+        self[k] = mask = sum(1 << b for b in bits if b >= 0)
+        return mask
 
 
-def _adjacency(graph: AdjacencyGraph, comp: np.ndarray) -> dict[int, list[int]]:
-    """Adjacency among the chips with comp > 0: each one's neighbour list in
-    ascending id order, which is the order the path search visits them in.
-
-    Only the chips of components small enough for the exact search, which
-    reads every list of its component, get their lists up front; the
-    others get theirs on first access.  One vectorised pass over the
-    several hundred small-component chips of a 150x150 wafer costs less
-    than building their lists one at a time on access.
-    """
-    # A padding 0 after the last node, for the -1 entries of
-    # graph.neighbours to read.
-    comp = np.append(comp, 0)
-    sizes = np.bincount(comp)
-    alive = np.flatnonzero((comp > 0) & (sizes[comp] <= EXACT_COMPONENT_LIMIT))
-    nbr = graph.neighbours[alive]
-    link = comp[nbr] > 0
-    flat = nbr[link].tolist()
-    ends = np.cumsum(link.sum(axis=1)).tolist()
-    lists = {i: flat[a:b] for i, a, b in zip(alive.tolist(), [0] + ends[:-1], ends)}
-    return _LazyAdjacency(lists, graph.neighbours, comp)
+def _small_masks(neighbours, bit, nodes):
+    """The neighbour masks of `nodes`, chips of components small enough
+    that their bits fit an int64, in one vectorised pass."""
+    # 1 << (b + 1) >> 1 is 1 << b for a bit b, and 0 for a -1.
+    return (np.left_shift(1, bit[neighbours[nodes]] + 1) >> 1).sum(axis=1).tolist()
 
 
 def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
@@ -196,38 +164,45 @@ def cpf_filter(wmap: WaferMap, cfg: CpfConfig | None = None) -> FilterResult:
     graph = build_graph(wmap, cfg.nb)
     comp = components(wmap.grid() == CellState.DEFECTIVE.value, cfg.nb)[wmap.in_mask()]
     sizes = np.bincount(comp)
-    # A component of fewer than m chips holds no path of m chips, so its
-    # chips are dropped before any adjacency is built.
+    # A component of fewer than m chips holds no path of m chips: unsearched.
     comp[sizes[comp] < m] = 0
-    adj = _adjacency(graph, comp)
-
-    # The chips of each searched component in one list, components in
-    # ascending id and each one's nodes in ascending id, so that every
-    # search starts where a per-component scan would start it.
+    # The chips of each searched component in one array, components in
+    # ascending id and each one's nodes in ascending id, and each chip's
+    # bit: its place in its component.
     chips = np.flatnonzero(comp)
-    chips = chips[np.argsort(comp[chips], kind="stable")].tolist()
-    ends = np.cumsum(sizes[1:][sizes[1:] >= m]).tolist()
-    kept_nodes = []
-    exact = approx = spent = 0
-    for start, end in zip([0] + ends[:-1], ends):
-        nodes = chips[start:end]
+    chips = chips[np.argsort(comp[chips], kind="stable")]
+    counts = sizes[1:][sizes[1:] >= m]
+    starts = np.cumsum(counts) - counts
+    bit = np.full(graph.node_count + 1, -1)
+    bit[chips] = np.arange(chips.size) - np.repeat(starts, counts)
+    small = np.repeat(counts <= EXACT_COMPONENT_LIMIT, counts)
+    masks = _small_masks(graph.neighbours, bit, chips[small])
+
+    kept_masks = []
+    exact = approx = spent = at = 0
+    for start, size in zip(starts.tolist(), counts.tolist()):
         budget = _Budget(SEARCH_BUDGET)
         try:
-            if len(nodes) <= EXACT_COMPONENT_LIMIT:
-                kept = _exact_kept(adj, nodes, m, budget)
+            if size <= EXACT_COMPONENT_LIMIT:
+                at += size
+                kept = _exact_kept(masks[at - size:at], size, m, budget)
             else:
                 # component retention: keep everything iff a long path
                 # starts at one of its chips
-                long_path = any(_extend_path(adj, [v], {v}, m, budget) for v in nodes)
-                kept = nodes if long_path else []
+                nbr = _LazyMasks(graph.neighbours, bit, chips[start:start + size])
+                kept = -any(_extend(nbr, k, 1 << k, m - 1, budget) for k in range(size))
             exact += 1
         except _BudgetExceeded:
-            kept = nodes  # size >= m already checked
+            kept = -1  # size >= m already checked
             approx += 1
         spent += SEARCH_BUDGET - max(budget.left, 0)
-        kept_nodes.extend(kept)
+        kept_masks.append(kept)
+    # A chip is kept where its bit is set in its component's mask.  A
+    # large component's mask is 0 or -1 (-True: every bit), which reads
+    # the same at bit 63 as at any higher bit.
+    on = np.repeat(np.array(kept_masks, dtype=np.int64), counts) >> np.minimum(bit[chips], 63) & 1
     labels = np.zeros(graph.node_count, dtype=bool)
-    labels[kept_nodes] = True
+    labels[chips] = on
     labels.flags.writeable = False
 
     return FilterResult(

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GenerationError
-from .wafer import CellState, WaferMap
+from .wafer import CellState, WaferMap, whole_number
 
 
 class PatternKind(Enum):
@@ -62,6 +62,7 @@ class PatternSpec:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+        object.__setattr__(self, "length_cells", whole_number("length_cells", self.length_cells))
         if self.kind is PatternKind.SCRATCH and self.length_cells < 1:
             raise ValueError("scratch needs length_cells >= 1")
         if self.width_cells <= 0:
@@ -135,15 +136,20 @@ def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> tuple[np.nd
     for arcs) is recomputed with libm, and every cell lands on the side
     libm puts it.
     """
-    if mask is None:
-        mask = wafer_mask(rows, cols)
+    r, c = np.nonzero(wafer_mask(rows, cols) if mask is None else mask)
+    keep = _covered(spec, rows, cols, r, c)
+    return r[keep], c[keep]
+
+
+def _covered(spec: PatternSpec, rows: int, cols: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which of the in-mask cells (r, c) the pattern covers, as a bool mask;
+    GenerationError if none.  See `rasterize`."""
     cr, cc = (rows - 1) / 2.0, (cols - 1) / 2.0
     radius = (min(rows, cols) - 1) / 2.0
     ang = math.radians(spec.offset_angle_deg)
     pr = cr - spec.offset_frac * radius * math.sin(ang)
     pc = cc + spec.offset_frac * radius * math.cos(ang)
 
-    r, c = np.nonzero(mask)
     dy, dx = r - pr, c - pc
     if spec.kind is PatternKind.SCRATCH:
         theta = math.radians(spec.angle_deg)
@@ -174,7 +180,7 @@ def rasterize(spec: PatternSpec, rows: int, cols: int, mask=None) -> tuple[np.nd
             keep[at] = turn <= extent
     if not keep.any():
         raise GenerationError(f"pattern {spec.kind.value} rasterized to nothing")
-    return r[keep], c[keep]
+    return keep
 
 
 def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> SynthWafer:
@@ -188,17 +194,20 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     if not 0.0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    mask = wafer_mask(rows, cols)
+    mask = wafer_mask(rows, cols).ravel()
+    # The in-mask cells, found once: flat indices and (row, col) pairs.
+    inside = np.flatnonzero(mask)
+    r, c = np.divmod(inside, cols)
 
-    region = np.zeros((rows, cols), dtype=np.int64)
-    truth = np.zeros((rows, cols), dtype=np.int64)
-    defect = np.zeros((rows, cols), dtype=bool)
+    region = np.zeros(rows * cols, dtype=np.int64)
+    truth = np.zeros(rows * cols, dtype=np.int64)
+    defect = np.zeros(rows * cols, dtype=bool)
     for pid, spec in enumerate(specs, start=1):
-        r, c = rasterize(spec, rows, cols, mask)
-        region[r, c] = pid  # later pattern wins on overlap
-        kept = rng.random(r.size) < spec.fill_rate
-        defect[r[kept], c[kept]] = True
-        truth[r[kept], c[kept]] = pid
+        at = inside[_covered(spec, rows, cols, r, c)]
+        region[at] = pid  # later pattern wins on overlap
+        at = at[rng.random(at.size) < spec.fill_rate]
+        defect[at] = True
+        truth[at] = pid
     if noise_rate > 0:
         clean = mask & ~defect
         defect[clean] = rng.random(np.count_nonzero(clean)) < noise_rate
@@ -206,9 +215,9 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     cells = np.where(mask, np.where(defect, CellState.DEFECTIVE, CellState.FUNCTIONAL),
                      CellState.OUTSIDE)
     return SynthWafer(
-        map=WaferMap(rows, cols, cells.ravel()),
-        truth_labels=truth.ravel(),
-        region_labels=region.ravel(),
+        map=WaferMap(rows, cols, cells),
+        truth_labels=truth,
+        region_labels=region,
         noise_rate=noise_rate,
     )
 

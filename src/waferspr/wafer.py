@@ -13,6 +13,8 @@ formats are supported:
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -22,6 +24,16 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionError, ParseError
+
+
+def whole_number(name: str, value) -> int:
+    """A count field's value as an int; ValueError naming the field for a
+    bool (True would read as 1), a non-number, or a non-finite or
+    fractional value."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 class CellState(IntEnum):

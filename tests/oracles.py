@@ -195,6 +195,138 @@ def nodes_on_paths_at_least(nodes, edges, m):
     return kept
 
 
+class SearchBudgetExceeded(Exception):
+    pass
+
+
+class SearchBudget:
+    """A step budget; spend() raises SearchBudgetExceeded once none is left."""
+
+    def __init__(self, n):
+        self.left = n
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceeded
+
+
+def _reachable_count(adj, start, blocked, limit):
+    """Nodes reachable from `start` without entering `blocked`, not counting
+    `start` itself; the search stops once `limit` of them are found."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                if len(seen) > limit:
+                    return limit
+                stack.append(v)
+    return len(seen) - 1
+
+
+def _extend_path(adj, path, used, need, budget):
+    """Depth-first right-extension; returns a full path once len >= need."""
+    if len(path) >= need:
+        return list(path)
+    budget.spend()
+    tail = path[-1]
+    missing = need - len(path)
+    if missing == 1:
+        for v in adj[tail]:
+            if v not in used:
+                return path + [v]
+        return None
+    if _reachable_count(adj, tail, used, missing) < missing:
+        return None
+    for v in adj[tail]:
+        if v not in used:
+            path.append(v)
+            used.add(v)
+            found = _extend_path(adj, path, used, need, budget)
+            if found:
+                return found
+            used.discard(v)
+            path.pop()
+    return None
+
+
+def _path_through(adj, left, used, need, budget):
+    """Some simple path with >= need nodes passing through left[0], or None:
+    left arms grown depth-first, a right arm searched for each."""
+    remaining = need - len(left) + 1
+    right = _extend_path(adj, [left[0]], set(used), remaining, budget)
+    if right:
+        return list(reversed(left[1:])) + right
+    budget.spend()
+    for w in adj[left[-1]]:
+        if w not in used:
+            left.append(w)
+            used.add(w)
+            found = _path_through(adj, left, used, need, budget)
+            if found:
+                return found
+            used.discard(w)
+            left.pop()
+    return None
+
+
+def cpf_list_search(wmap, m, nb, exact_limit, budget_steps):
+    """CPF by the list-and-set search on dict adjacency lists: labels and
+    the (components_exact, components_approx, budget_spent) counters.
+
+    The reference for the bitmask search: it visits neighbours in ascending
+    id order and spends a budget step at the same points.  Components of
+    at most `exact_limit` chips keep the chips on a path of >= m chips;
+    larger ones are kept whole iff a path of m chips starts at one of
+    their chips; a component whose search spends more than `budget_steps`
+    steps is kept whole and counted approximate.
+    """
+    graph = build_graph(wmap, nb)
+    d = wmap.defect_bits()
+    adj = {i: [] for i in np.flatnonzero(d).tolist()}
+    for i, j in edges(graph).tolist():
+        if d[i] and d[j]:
+            adj[i].append(j)
+            adj[j].append(i)
+    labels = np.zeros(graph.node_count, dtype=bool)
+    exact = approx = spent = 0
+    seen = set()
+    for v in sorted(adj):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        nodes = sorted(comp)
+        if len(nodes) < m:
+            continue
+        budget = SearchBudget(budget_steps)
+        try:
+            if len(nodes) <= exact_limit:
+                kept = set()
+                for u in nodes:
+                    if u not in kept:
+                        kept.update(_path_through(adj, [u], {u}, m, budget) or ())
+            else:
+                long_path = any(_extend_path(adj, [u], {u}, m, budget) for u in nodes)
+                kept = nodes if long_path else []
+            exact += 1
+        except SearchBudgetExceeded:
+            kept = nodes
+            approx += 1
+        spent += budget_steps - max(budget.left, 0)
+        labels[list(kept)] = True
+    return labels, (("components_exact", exact), ("components_approx", approx),
+                    ("budget_spent", spent))
+
+
 # ---------------------------------------------------------------------
 # validation: pair counting, Hubert-Arabie ARI, direct NMI
 # ---------------------------------------------------------------------

@@ -278,9 +278,8 @@ def test_a_network_that_is_not_the_objective_fails_the_certificate(monkeypatch):
 
     def perturbed(arg, shape):
         data, indices, indptr = arg
-        source = shape[0] - 2
         data = data.copy()
-        data[indptr[source]:indptr[source + 1]] += 1
+        data[indptr[0]:indptr[1]] += 1  # the source row
         return real((data, indices, indptr), shape=shape)
 
     monkeypatch.setattr(acfilter, "csr_array", perturbed)

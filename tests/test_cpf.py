@@ -1,11 +1,14 @@
 import gc
+import hashlib
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import edges as grid_edges, longest_simple_path_nodes, nodes_on_paths_at_least
+from oracles import (
+    cpf_list_search, edges as grid_edges, longest_simple_path_nodes, nodes_on_paths_at_least,
+)
 from waferspr import cpf, synthgen
 from waferspr.acfilter import ac_filter
 from waferspr.cpf import CpfConfig, cpf_filter
@@ -86,8 +89,14 @@ def test_pendant_excluded_in_exact_mode():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CpfConfig(m_threshold=0)
+    # a bool is an int to Python, but True is no threshold; NaN passes a
+    # `< 1` check and would search every component to its budget
+    for m in (0, -3, True, False, np.True_, 2.5, float("inf"), float("nan"), "5", None):
+        with pytest.raises(ValueError, match="m_threshold"):
+            CpfConfig(m_threshold=m)
+    for m in (5, 5.0, np.int64(5), np.float64(5.0)):
+        cfg = CpfConfig(m_threshold=m)
+        assert cfg.m_threshold == 5 and type(cfg.m_threshold) is int
 
 
 def test_longest_path_examples():
@@ -181,8 +190,8 @@ def _dict_adjacency(graph, comp):
 
 
 def test_adjacency_matches_dict_build(monkeypatch):
-    # A small budget makes some searches run out, so that the approximate
-    # results, which depend on the DFS order, are compared too.
+    # A small budget makes some searches run out, so that the counters of
+    # approximate components are checked too.
     monkeypatch.setattr(cpf, "SEARCH_BUDGET", 300)
     rng = random.Random(31)
     approx = 0
@@ -191,17 +200,25 @@ def test_adjacency_matches_dict_build(monkeypatch):
         for nb in (Neighborhood.ROOK, Neighborhood.KING):
             graph = build_graph(m, nb)
             comp = components(m.grid() == CellState.DEFECTIVE, nb)[m.in_mask()]
-            adj = cpf._adjacency(graph, comp)
-            assert {v: adj[v] for v in np.flatnonzero(comp).tolist()} == _dict_adjacency(
-                graph, comp)
-            sizes = np.bincount(comp)[1:]
+            adj = _dict_adjacency(graph, comp)
+            # a chip's bit is its place among its component's chips
+            bit = np.full(graph.node_count + 1, -1)
+            for label in range(1, comp.max() + 1):
+                nodes = np.flatnonzero(comp == label)
+                bit[nodes] = np.arange(nodes.size)
+            sizes = np.bincount(comp)
+            small = np.array([v for v in adj if sizes[comp[v]] <= cpf.EXACT_COMPONENT_LIMIT],
+                             dtype=np.int64)
+            assert cpf._small_masks(graph.neighbours, bit, small) == [
+                sum(1 << int(bit[j]) for j in adj[v]) for v in small.tolist()]
+            for label in (np.flatnonzero(sizes[1:] > cpf.EXACT_COMPONENT_LIMIT) + 1).tolist():
+                nodes = np.flatnonzero(comp == label)
+                masks = cpf._LazyMasks(graph.neighbours, bit, nodes)
+                assert [masks[k] for k in range(nodes.size)] == [
+                    sum(1 << int(bit[j]) for j in adj[v]) for v in nodes.tolist()]
+            sizes = sizes[1:]
             for thr in (1, 3, 5, 10):
-                cfg = CpfConfig(m_threshold=thr, nb=nb)
-                res = cpf_filter(m, cfg)
-                with monkeypatch.context() as patched:
-                    patched.setattr(cpf, "_adjacency", _dict_adjacency)
-                    ref = cpf_filter(m, cfg)
-                assert np.array_equal(res.labels, ref.labels) and res.approx == ref.approx
+                res = cpf_filter(m, CpfConfig(m_threshold=thr, nb=nb))
                 counters = dict(res.counters)
                 assert counters["components_exact"] + counters["components_approx"] == int(
                     (sizes >= thr).sum())
@@ -212,18 +229,40 @@ def test_adjacency_matches_dict_build(monkeypatch):
     assert approx > 0
 
 
+def test_bitmask_search_matches_list_search(monkeypatch):
+    """Labels and all three counters equal those of the list-and-set
+    search, which visits chips in the same order and spends its budget at
+    the same points, on random wafers and budgets small enough that many
+    components are kept whole as approximate."""
+    rng = random.Random(2029)
+    approx = 0
+    for _ in range(60):
+        m = _random_defect_map(rng, rng.randint(8, 30), rng.randint(8, 30), rng.uniform(0.25, 0.6))
+        for nb in (Neighborhood.ROOK, Neighborhood.KING):
+            for budget in (1, 7, 40, 300, cpf.SEARCH_BUDGET):
+                thr = rng.randint(1, 12)
+                with monkeypatch.context() as patched:
+                    patched.setattr(cpf, "SEARCH_BUDGET", budget)
+                    res = cpf_filter(m, CpfConfig(m_threshold=thr, nb=nb))
+                labels, counters = cpf_list_search(m, thr, nb, cpf.EXACT_COMPONENT_LIMIT, budget)
+                assert np.array_equal(res.labels, labels)
+                assert res.counters == counters
+                approx += dict(counters)["components_approx"]
+    assert approx > 0
+
+
 @pytest.mark.parametrize("nb", [Neighborhood.ROOK, Neighborhood.KING])
 def test_large_component_reads_few_neighbour_lists(monkeypatch, nb):
     # one 3600-chip component: its retention search stops at the first
-    # long path, so only the lists along that path are ever built
-    build = cpf._adjacency
+    # long path, so only the masks along that path are ever built
     built = []
 
-    def recording(graph, comp):
-        built.append(build(graph, comp))
-        return built[-1]
+    class Recording(cpf._LazyMasks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    monkeypatch.setattr(cpf, "_adjacency", recording)
+    monkeypatch.setattr(cpf, "_LazyMasks", Recording)
     m = WaferMap(60, 60, np.full(3600, 2, dtype=np.int8))
     for thr in (5, 10):
         res = cpf_filter(m, CpfConfig(m_threshold=thr, nb=nb))
@@ -261,3 +300,21 @@ def test_counters_when_budget_runs_out(monkeypatch):
     assert res.approx and res.kept_count == 3
     assert dict(res.counters) == {"components_exact": 0, "components_approx": 1,
                                   "budget_spent": 1}
+
+
+def test_filter_outputs_pinned_at_150x150():
+    """SHA-256 of the labels, objective and counters of AC at its defaults
+    and of CPF at M = 5 and 10, rook and king, on a seeded 150x150 wafer of
+    every family at noise 0.15.  Labels and counters are exact, so the
+    digest does not depend on the machine; it guards the search order that
+    CPF's `budget_spent` and its approximate components read."""
+    digest = hashlib.sha256()
+    for seed, family in enumerate(synthgen.FAMILIES):
+        wmap = synthgen.generate(150, 150, synthgen.family_specs(family), 0.15, seed).map
+        results = [ac_filter(wmap)] + [cpf_filter(wmap, CpfConfig(thr, nb))
+                                       for thr in (5, 10) for nb in Neighborhood]
+        for res in results:
+            digest.update(np.packbits(res.labels).tobytes())
+            digest.update(repr((res.objective_value, res.approx, res.counters)).encode())
+    assert digest.hexdigest() == (
+        "a7fc5e5355c24136626c5b6546e1d55e7628e028205c90eb3e022bf05ddf8a97")

@@ -50,6 +50,13 @@ def test_spec_validation():
                 with pytest.raises(ValueError, match=f"^{name} must be finite"):
                     PatternSpec(kind, **{"inner_frac": 0.7, "outer_frac": 0.9,
                                          "length_cells": 5, name: value})
+    # length_cells is a count: 2.5 rasterized a 6-cell scratch and True a
+    # 2-cell one
+    for value in (2.5, 14.000001, True, np.True_):
+        with pytest.raises(ValueError, match="^length_cells must be a whole number"):
+            PatternSpec(PatternKind.SCRATCH, length_cells=value)
+    for value in (14, 14.0, np.int64(14)):
+        assert type(PatternSpec(PatternKind.SCRATCH, length_cells=value).length_cells) is int
 
 
 def test_generate_validation():
