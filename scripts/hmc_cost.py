@@ -2,19 +2,18 @@
 """The cost of iWMM's HMC transitions by fit size.
 
 For each size n, n distinct chips of a seeded random grid, standardized
-as `iwmm_fit` does, start a `LatentState` in two clusters, the chips left
-and right of the mean (a fit's Gibbs sweeps leave a few).  Every repeat
-then runs `--transitions` HMC transitions at each size in turn (the
-sizes interleaved, so drift of a shared machine reaches them alike),
-with the default kernel, leapfrog count and initial step size, and
-OpenBLAS on one thread.  The table gives, per size, the
-median over repeats of the milliseconds per transition and per call of
-the GPLVM field and of the exact energy (`_gplvm_ll`: the n x n
-covariance, its factorization and the solve), and the calls of each per
-transition.  It reads only `hmc_latent_step`, `_nystrom_field` and
-`_gplvm_ll`, so it times any tree that has them; in trees where
-`_gplvm_ll` takes the covariance K as an argument, its time excludes
-forming K.
+by `iwmm.standardized` as `iwmm_fit` does, start a `LatentState` in two
+clusters, the chips left and right of the mean (a fit's Gibbs sweeps
+leave a few).  Every repeat then runs `--transitions` HMC transitions at
+each size in turn (the sizes interleaved, so drift of a shared machine
+reaches them alike), with the default kernel, `LEAPFROG_STEPS` and the
+initial step size, and OpenBLAS on one thread.  The table gives, per
+size, the median over repeats of the milliseconds per transition and
+per call of the GPLVM field and of the exact energy (`_gplvm_ll`: the
+n x n covariance, its factorization and the solve), and the calls of
+each per transition.  It times `_nystrom_field` and `_gplvm_ll` through
+their module attributes, in trees whose `LatentState(S, Z, A, kernel)`
+holds S and whose `hmc_latent_step(state, h, eps, rng)` takes no S.
 
 Usage:
     python scripts/hmc_cost.py [--sizes 32,64,106,160,240,377] [--repeats 7]
@@ -30,7 +29,7 @@ import numpy as np
 
 from waferspr import iwmm
 from waferspr.cli import _one_blas_thread
-from waferspr.iwmm import INITIAL_STEP_SIZE, GwHyper, KernelParams, LatentState, McmcConfig
+from waferspr.iwmm import INITIAL_STEP_SIZE, GwHyper, KernelParams, LatentState, standardized
 
 SIZES = (32, 64, 106, 160, 240, 377)
 TIMED = ("_nystrom_field", "_gplvm_ll")
@@ -38,12 +37,10 @@ TIMED = ("_nystrom_field", "_gplvm_ll")
 
 def grid_chips(n, rng):
     """n distinct chips of a random side x side grid, side = ceil(sqrt(3 n)),
-    standardized per axis."""
+    standardized as `iwmm_fit` standardizes its points."""
     side = math.ceil(math.sqrt(3 * n))
     cells = rng.choice(side * side, size=n, replace=False)
-    coords = np.stack([cells // side, cells % side], axis=1).astype(float)
-    sd = coords.std(axis=0)
-    return (coords - coords.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
+    return standardized(np.stack([cells // side, cells % side], axis=1).astype(float))
 
 
 def _timed(name, seconds, calls):
@@ -67,13 +64,13 @@ def measure(sizes=SIZES, repeats=7, transitions=20, seed=0):
     transitions at each size."""
     _one_blas_thread()
     rng = np.random.default_rng(seed)
-    h, kern, steps = GwHyper(), KernelParams(), McmcConfig().leapfrog_steps
+    h, kern = GwHyper(), KernelParams()
     runs = {}
     for n in sizes:
         S = grid_chips(n, rng)
-        state = LatentState(S.copy(), 1 + (S[:, 0] > 0), kern)
-        state.gplvm_ll_field(S)  # every transition starts from a cached field
-        runs[n] = (state, S, np.random.default_rng(seed + n))
+        state = LatentState(S, S, 1 + (S[:, 0] > 0), kern)
+        state.gplvm_ll_field()  # every transition starts from a cached field
+        runs[n] = (state, np.random.default_rng(seed + n))
     samples = {n: [] for n in sizes}
     originals = {}
     seconds, calls = Counter(), Counter()
@@ -83,12 +80,12 @@ def measure(sizes=SIZES, repeats=7, transitions=20, seed=0):
     try:
         for _ in range(repeats):
             for n in sizes:
-                state, S, step_rng = runs[n]
+                state, step_rng = runs[n]
                 seconds.clear()
                 calls.clear()
                 t0 = time.perf_counter()
                 for _ in range(transitions):
-                    iwmm.hmc_latent_step(state, S, h, INITIAL_STEP_SIZE, steps, step_rng)
+                    iwmm.hmc_latent_step(state, h, INITIAL_STEP_SIZE, step_rng)
                 row = {"transition_ms": 1e3 * (time.perf_counter() - t0) / transitions}
                 for name in TIMED:
                     row[f"{name}_ms"] = 1e3 * seconds[name] / calls[name] if calls[name] else 0.0

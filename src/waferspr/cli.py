@@ -52,7 +52,8 @@ from .validation import (
     reconstruct_ground_truth,
     wilcoxon_signed_rank,
 )
-from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, write_wafer
+from .wafer import CellState, Neighborhood, WaferMap, components, parse_wafer, whole_number
+from .wafer import write_wafer
 
 # The scores of a compare row, as EvaluationReport names them, on each of
 # which improvements.csv and wilcoxon.json pair AC with CPF.
@@ -535,9 +536,10 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10),
     Scratch-family wafers use `u_scratch` for the AC filter, mirroring
     the reduced separation cost the experiments use for scratch
     patterns.  Every setting is checked before any wafer is read: a bad
-    MCMC schedule, `alpha`, `u`, `u_scratch` or `truth_source` raises
-    ValueError; `seeds` below 1, an empty M list or an M below 1, an M
-    given twice, or two wafers of one name raise ConfigError.
+    MCMC schedule, `alpha`, `u`, `u_scratch` or `truth_source`, or a
+    `seeds` or M that is not a whole number, raises ValueError; `seeds`
+    below 1, an empty M list or an M below 1, an M given twice, or two
+    wafers of one name raise ConfigError.
 
     Every wafer is filtered first, by AC and by CPF at each M of
     `m_list`.  Then each distinct (points, fit seed) pair, fit seeds 0 to
@@ -555,16 +557,19 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10),
     if truth_source not in TRUTH_SOURCES:
         raise ValueError(f"unknown truth source {truth_source!r}; "
                          f"expected one of {', '.join(TRUTH_SOURCES)}")
+    seeds = whole_number("seeds", seeds)
     if seeds < 1:
         raise ConfigError(f"the fit seed count must be >= 1, got {seeds}")
-    listed = ",".join(map(str, m_list))
-    if not m_list or min(m_list) < 1:
+    m_values = [whole_number("m_list", m) for m in m_list]
+    listed = ",".join(map(str, m_values))
+    if not m_values or min(m_values) < 1:
         raise ConfigError(f"the M list {listed!r} must hold integers >= 1")
-    if len(set(m_list)) < len(m_list):
+    if len(set(m_values)) < len(m_values):
         raise ConfigError(f"the M list {listed} repeats a value")
     mcmc = McmcConfig(iters=iters, burn_in=burn_in)
     hyper = GwHyper(alpha=alpha)
     ac_configs = {value: AcConfig(u=value) for value in (u, u_scratch)}
+    cpf_configs = [CpfConfig(m_threshold=m) for m in m_values]
     names = {}
     for path in map(Path, wafer_paths):
         name = path.stem if path.stem != "wafer" else path.parent.name
@@ -584,7 +589,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10),
 
         u_eff = u_scratch if family == "scratch_pair" else u
         results = [("ac", str(u_eff), ac_filter(wmap, ac_configs[u_eff]))] + [
-            ("cpf", str(m), cpf_filter(wmap, CpfConfig(m_threshold=int(m)))) for m in m_list]
+            ("cpf", str(cfg.m_threshold), cpf_filter(wmap, cfg)) for cfg in cpf_configs]
         for method, param, result in results:
             points = tuple(filtered_points(wmap, result))
             fields = {"wafer": name, "family": family, "method": method, "param": param}
@@ -629,7 +634,7 @@ def run_comparison(wafer_paths, *, u="0.5", u_scratch="0.4", m_list=(5, 10),
         for res in results:
             wall_seconds.update(res.wall_seconds)
         counters.update(
-            hmc_accepted=sum(round(res.hmc_acceptance_rate * mcmc.iters) for res in results),
+            hmc_accepted=sum(res.hmc_accepted for res in results),
             jitter_escalations=sum(res.jitter_escalations for res in results),
             hmc_numerical_rejections=sum(res.hmc_numerical_rejections for res in results),
             wall_seconds=dict(wall_seconds))

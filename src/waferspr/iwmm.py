@@ -29,6 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyInputError, InternalError, NumericalError
 from .validation import canonical_labels
+from .wafer import whole_number
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -116,6 +117,9 @@ STEP_SIZE_PATH_EVERY = 25
 # Most iterations that move only the warp before assignments are resampled.
 WARP_WARMUP = 40
 
+# Leapfrog steps of an HMC transition.
+LEAPFROG_STEPS = 5
+
 
 @dataclass(frozen=True)
 class McmcConfig:
@@ -125,13 +129,12 @@ class McmcConfig:
 
     iters: int = 300
     burn_in: int = 150
-    leapfrog_steps: int = 5
 
     def __post_init__(self):
+        for name in ("iters", "burn_in"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.iters <= self.burn_in or self.burn_in < 0:
             raise ValueError("need iters > burn_in >= 0")
-        if self.leapfrog_steps < 1:
-            raise ValueError("need leapfrog_steps >= 1")
 
     @property
     def gibbs_start(self) -> int:
@@ -144,8 +147,9 @@ class McmcConfig:
 @dataclass(frozen=True, eq=False)
 class IwmmResult:
     """A fit's kept state and its deterministic counters:
-    `jitter_escalations` counts the times the covariance Cholesky needed
-    more jitter, `hmc_numerical_rejections` the HMC proposals rejected
+    `hmc_accepted` counts the accepted HMC transitions,
+    `jitter_escalations` the times the covariance Cholesky needed more
+    jitter, `hmc_numerical_rejections` the HMC proposals rejected
     because their energy could not be computed (see hmc_latent_step), and
     `step_size` is the HMC step size that burn-in left, frozen after it;
     `step_size_path` holds (iteration, step size) pairs, the step size
@@ -159,12 +163,17 @@ class IwmmResult:
     k_hat: int
     latent_coords: np.ndarray
     trace: tuple
-    hmc_acceptance_rate: float
+    hmc_accepted: int
     jitter_escalations: int
     hmc_numerical_rejections: int
     step_size: float
     step_size_path: tuple = ()
     wall_seconds: dict = field(default_factory=dict)
+
+    @property
+    def hmc_acceptance_rate(self) -> float:
+        """The share of iterations whose HMC transition was accepted."""
+        return self.hmc_accepted / len(self.trace)
 
 
 # ---------------------------------------------------------------------
@@ -172,10 +181,11 @@ class IwmmResult:
 # ---------------------------------------------------------------------
 
 class _GplvmWork:
-    """Reusable buffers for the GPLVM: the one n x n array, in which the
-    exact energy forms and factors the covariance once per HMC
-    transition, and the n x m landmark columns of the Nyström field; and
-    the count of Cholesky jitter escalations made with them.
+    """Reusable buffers for the GPLVM of n points with m landmarks: the
+    one n x n array, in which the exact energy forms and factors the
+    covariance once per HMC transition, and the n x m landmark columns of
+    the Nyström field; and the count of Cholesky jitter escalations made
+    with them.
 
     Freshly allocated n x n temporaries go back to the OS when freed and
     are page-faulted in again on the next call; at a few hundred points
@@ -183,18 +193,12 @@ class _GplvmWork:
     are in Fortran order, so BLAS and LAPACK write into them in place.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, m: int):
         self.n = n
         self.factor = np.empty((n, n), order="F")
-        self.Knm = np.empty((n, 0), order="F")
+        self.Knm = np.empty((n, m), order="F")
         self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
         self.jitter_escalations = 0
-
-    def landmark_columns(self, m: int) -> np.ndarray:
-        """The n x m buffer of the field's landmark columns."""
-        if self.Knm.shape[1] != m:
-            self.Knm = np.empty((self.n, m), order="F")
-        return self.Knm
 
 
 def _noise_floor(jitter):
@@ -304,7 +308,7 @@ def _nystrom_field(S, Z, kern, landmarks, work):
     ZI[:, :2] = Z
     ZL1 = ZI[landmarks]  # [Z[landmarks] | 1]
     ZL = ZL1[:, :2]
-    Knm = _se_kernel(Z, ZL, kern, work.landmark_columns(m))
+    Knm = _se_kernel(Z, ZL, kern, work.Knm)
     Kmm = Knm[landmarks]
     Kmm.flat[:: m + 1] += 1e-6 * kern.signal_variance
     # Lm_inv enters a dtrmm below as a full matrix, so the upper triangle
@@ -342,12 +346,6 @@ def _nystrom_field(S, Z, kern, landmarks, work):
     if not np.isfinite(grad).all():
         raise NumericalError("GPLVM field is not finite")
     return grad
-
-
-def _gplvm_ll_and_field(S, Z, kern, landmarks, work):
-    """(log p(S | Z), the Nyström field) at Z."""
-    ll = _gplvm_ll(S, Z, kern, work)
-    return ll, _nystrom_field(S, Z, kern, landmarks, work)
 
 
 # ---------------------------------------------------------------------
@@ -450,50 +448,44 @@ def _marginal_and_grad(Z, members, h: GwHyper):
 # ---------------------------------------------------------------------
 
 class LatentState:
-    """Mutable MCMC state: latent coordinates, assignments, cluster sums.
+    """One chain's MCMC state: its fixed observations S, kernel and
+    landmarks, and its moving latent coordinates, assignments and
+    cluster sums.
 
     Cluster labels stay contiguous 1..K with every cluster nonempty; sums
     are plain floats so the Gibbs inner loop avoids array overhead.
     """
 
-    def __init__(self, Z, A, kernel: KernelParams):
+    def __init__(self, S, Z, A, kernel: KernelParams):
+        self.S = np.array(S, dtype=float)
+        self.S.flags.writeable = False
         self.Z = np.array(Z, dtype=float)
         self.A = np.array(A, dtype=np.int64)
         self.kernel = kernel
-        if self.Z.shape[0] != self.A.shape[0]:
-            raise ValueError("Z and A lengths differ")
-        # The Nyström field's landmarks, those of the starting Z.  They stay
-        # fixed for the whole chain: landmarks re-chosen from the current Z
-        # would make the field, and so the leapfrog map, irreversible.
-        self.landmarks = nystrom_landmarks(self.Z)
+        if self.S.shape != self.Z.shape or self.Z.shape[0] != self.A.shape[0]:
+            raise ValueError("S, Z and A sizes differ")
+        # The Nyström field's landmarks, those of S.  They stay fixed for
+        # the whole chain: landmarks re-chosen from the current Z would make
+        # the field, and so the leapfrog map, irreversible.
+        self.landmarks = nystrom_landmarks(self.S)
         self._sums = []
         self._gplvm = None  # (exact ll, Nyström field) of the GPLVM at the current Z
-        self._gplvm_work = _GplvmWork(self.Z.shape[0])
+        self._gplvm_work = _GplvmWork(len(self.Z), len(self.landmarks))
         self.hmc_numerical_rejections = 0
         self.refresh()
 
-    def set_Z(self, Z, gplvm):
-        """Move to Z, whose GPLVM (ll, field) is `gplvm`."""
-        self.Z = Z
-        self._gplvm = gplvm
-        self.refresh()
-
-    def gplvm_ll_field(self, S):
+    def gplvm_ll_field(self):
         """The exact GPLVM log-likelihood and the Nyström field at the
         current Z, computed once per Z."""
         if self._gplvm is None:
-            self._gplvm = _gplvm_ll_and_field(S, self.Z, self.kernel, self.landmarks,
-                                              self._gplvm_work)
+            S, Z, kern, work = self.S, self.Z, self.kernel, self._gplvm_work
+            self._gplvm = (_gplvm_ll(S, Z, kern, work),
+                           _nystrom_field(S, Z, kern, self.landmarks, work))
         return self._gplvm
 
     @property
     def K(self) -> int:
         return len(self._sums)
-
-    @property
-    def jitter_escalations(self) -> int:
-        """Cholesky jitter escalations made by this state's GPLVM calls."""
-        return self._gplvm_work.jitter_escalations
 
     def refresh(self):
         """Rebuild cluster sums from scratch (labels must be 1..K)."""
@@ -644,10 +636,9 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng):
     state.A[:] = A
 
 
-def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_steps: int,
-                    rng) -> bool:
+def hmc_latent_step(state: LatentState, h: GwHyper, eps: float, rng) -> bool:
     """One hybrid Monte Carlo transition of Z targeting
-    log p(S|Z, kernel) + log p(Z|A, ...), with `leapfrog_steps` leapfrog
+    log p(S|Z, kernel) + log p(Z|A, ...), with LEAPFROG_STEPS leapfrog
     steps of size `eps`.  Returns True on acceptance.
 
     The steps follow the gradient of the GPLVM term's Nyström
@@ -669,19 +660,19 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
     momentum = rng.standard_normal(state.Z.shape)
     u = rng.random()
     members = _cluster_members(state.A)  # A is fixed along the trajectory
-    kern, landmarks, work = state.kernel, state.landmarks, state._gplvm_work
+    S, kern, landmarks, work = state.S, state.kernel, state.landmarks, state._gplvm_work
     try:
-        ll0, gll0 = state.gplvm_ll_field(S)
+        ll0, gll0 = state.gplvm_ll_field()
         marg0, gmarg0 = _marginal_and_grad(state.Z, members, h)
         U0 = -(ll0 + marg0)
         Z = state.Z.copy()
         p = momentum + 0.5 * eps * (gll0 + gmarg0)
-        for _ in range(leapfrog_steps - 1):
+        for _ in range(LEAPFROG_STEPS - 1):
             Z = Z + eps * p
             field = _nystrom_field(S, Z, kern, landmarks, work)
             p = p + eps * (field + _marginal_and_grad(Z, members, h)[1])
         Z = Z + eps * p
-        ll1, gll1 = _gplvm_ll_and_field(S, Z, kern, landmarks, work)
+        ll1, gll1 = _gplvm_ll(S, Z, kern, work), _nystrom_field(S, Z, kern, landmarks, work)
         marg1, gmarg1 = _marginal_and_grad(Z, members, h)
         U1 = -(ll1 + marg1)
         p = p + 0.5 * eps * (gll1 + gmarg1)
@@ -695,9 +686,17 @@ def hmc_latent_step(state: LatentState, S, h: GwHyper, eps: float, leapfrog_step
         return False
     log_u = math.log(u) if u > 0 else -math.inf
     if log_u < H0 - H1:
-        state.set_Z(Z, (ll1, gll1))
+        state.Z, state._gplvm = Z, (ll1, gll1)
+        state.refresh()
         return True
     return False
+
+
+def standardized(coords) -> np.ndarray:
+    """`coords` shifted to zero mean and scaled to unit variance per axis,
+    an axis of zero variance left unscaled, as iwmm_fit sees them."""
+    sd = coords.std(axis=0)
+    return (coords - coords.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
 
 
 def _component_init(coords) -> np.ndarray:
@@ -730,14 +729,8 @@ def iwmm_fit(
     highest joint log density p(S|Z) p(Z|A) p(A).
     """
     start = time.perf_counter()
-    coords = S.coords
-
-    mu = coords.mean(axis=0)
-    sd = coords.std(axis=0)
-    sd = np.where(sd == 0, 1.0, sd)
-    Sstd = (coords - mu) / sd
-
-    state = LatentState(Sstd.copy(), _component_init(coords), k0)
+    Sstd = standardized(S.coords)
+    state = LatentState(Sstd, Sstd, _component_init(S.coords), k0)
     rng = np.random.default_rng(seed)
 
     trace = []
@@ -753,7 +746,7 @@ def iwmm_fit(
         if it > mcmc.gibbs_start:
             gibbs_sweep(state, h, rng)
         t1 = time.perf_counter()
-        ok = hmc_latent_step(state, Sstd, h, step_size, mcmc.leapfrog_steps, rng)
+        ok = hmc_latent_step(state, h, step_size, rng)
         gibbs_s += t1 - t0
         hmc_s += time.perf_counter() - t1
         if ok:
@@ -763,7 +756,7 @@ def iwmm_fit(
             if it % STEP_SIZE_PATH_EVERY == 0 or it == mcmc.burn_in:
                 step_size_path.append((it, step_size))
         joint = (
-            state.gplvm_ll_field(Sstd)[0]
+            state.gplvm_ll_field()[0]
             + state.marginal_log(h)
             + crp_log_prior(state.A, h.alpha)
         )
@@ -779,8 +772,8 @@ def iwmm_fit(
         k_hat=len(set(assignments)),
         latent_coords=best_Z,
         trace=tuple(trace),
-        hmc_acceptance_rate=accepted / mcmc.iters,
-        jitter_escalations=state.jitter_escalations,
+        hmc_accepted=accepted,
+        jitter_escalations=state._gplvm_work.jitter_escalations,
         hmc_numerical_rejections=state.hmc_numerical_rejections,
         step_size=step_size,
         step_size_path=tuple(step_size_path),

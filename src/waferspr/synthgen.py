@@ -189,6 +189,7 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     One uniform draw per covered cell of each pattern and then one per
     in-mask cell not yet defective, each in row-major order.
     """
+    rows, cols = whole_number("rows", rows), whole_number("cols", cols)
     if rows < 8 or cols < 8:
         raise ValueError("rows and cols must be >= 8")
     if not 0.0 <= noise_rate < 0.5:

@@ -300,7 +300,7 @@ def test_criterion_07b_gibbs_matches_enumeration():
     assert len(exact) == 52
 
     rng = np.random.default_rng(1007)
-    state = LatentState(Z, np.ones(5, dtype=np.int64), KernelParams())
+    state = LatentState(Z, Z, np.ones(5, dtype=np.int64), KernelParams())
     counts = {}
     sweeps = 100_000
     burn = 1000

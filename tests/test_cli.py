@@ -1085,11 +1085,26 @@ def test_compare_two_wafers_schema(tmp_path):
 _FIT_COUNTERS = ("hmc_accepted", "jitter_escalations", "hmc_numerical_rejections")
 
 
-def _fit_counter_sums(results, iters):
-    """The sums of _FIT_COUNTERS over fit results of `iters` iterations."""
-    return {"hmc_accepted": sum(round(res.hmc_acceptance_rate * iters) for res in results),
-            "jitter_escalations": sum(res.jitter_escalations for res in results),
-            "hmc_numerical_rejections": sum(res.hmc_numerical_rejections for res in results)}
+def _fit_counter_sums(results):
+    """The sums of _FIT_COUNTERS over fit results."""
+    return {key: sum(getattr(res, key) for res in results) for key in _FIT_COUNTERS}
+
+
+def test_compare_outputs_pinned(tmp_path):
+    """SHA-256 of a seeded two-seed `compare` run's comparison.csv and
+    manifest counters on corpus wafers w07 and w10 at a short schedule.
+    Its fits run with OpenBLAS on one thread, but their floats depend on
+    the BLAS and libm builds, so the digest guards a refactor on one
+    machine rather than the arithmetic everywhere."""
+    paths = cli.write_corpus(tmp_path / "corpus")
+    out = tmp_path / "cmp"
+    assert run_cli("compare", paths[7], paths[10], "--seeds", "2", "--iters", "30",
+                   "--burn-in", "10", "--out", out) == 0
+    digest = hashlib.sha256((out / "comparison.csv").read_bytes())
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    digest.update(json.dumps(counters, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "acc475a9f250f85ee4c8d46e243f3be3d7e4c752538eed209bc00bd8af35ae39")
 
 
 def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
@@ -1135,7 +1150,7 @@ def test_compare_fits_equal_point_sets_once(tmp_path, monkeypatch):
     counters = json.loads((out / "manifest.json").read_text())["counters"]
     # CPF at M=1 and M=2 keep the same points, and AC the same square on
     # both wafers: 12 requests, 6 distinct (points, seed) pairs.
-    assert counters == {"fit_requests": 12, "fits_run": 6, **_fit_counter_sums(results, 12)}
+    assert counters == {"fit_requests": 12, "fits_run": 6, **_fit_counter_sums(results)}
     assert len(calls) == len(set(calls)) == counters["fits_run"]
 
 
@@ -1158,7 +1173,7 @@ def test_compare_timings_sum_the_distinct_fits(tmp_path, monkeypatch):
     assert timings == {"gibbs_s": 6.0, "hmc_s": 12.0, "fit_s": 24.0}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["counters"] == {"fit_requests": 12, "fits_run": 6,
-                                    **_fit_counter_sums(results, 12)}
+                                    **_fit_counter_sums(results)}
 
 
 def test_cluster_reports_step_size_and_k_after_burn_in(tmp_path):
@@ -1300,6 +1315,27 @@ def test_run_comparison_checks_seeds_and_m_before_any_wafer(tmp_path, bad):
     # the wafer does not exist: the setting is refused before any is read
     with pytest.raises(ConfigError):
         run_comparison([tmp_path / "missing.txt"], **{"seeds": 1, "iters": 6, "burn_in": 2, **bad})
+
+
+@pytest.mark.parametrize("bad,name", [({"seeds": 1.5}, "seeds"), ({"seeds": True}, "seeds"),
+                                      ({"m_list": (5.5,)}, "m_list"),
+                                      ({"m_list": (True,)}, "m_list"),
+                                      ({"m_list": (5, np.True_)}, "m_list"),
+                                      ({"m_list": (0.5,)}, "m_list")])
+def test_run_comparison_refuses_fractional_or_bool_counts(tmp_path, bad, name):
+    # 5.5 ran CPF at M = 5 but wrote "5.5", True wrote "True", seeds=1.5
+    # ended in a TypeError and seeds=True ran one seed; the wafer does not
+    # exist, so the setting is refused before any is read
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        run_comparison([tmp_path / "missing.txt"], **{"seeds": 1, "iters": 6, "burn_in": 2, **bad})
+
+
+def test_run_comparison_writes_the_m_it_filtered_with(tmp_path, monkeypatch):
+    _usable_cores(monkeypatch, 1)
+    rows = run_comparison(_two_wafers(tmp_path)[:1], m_list=(np.int64(2), 1.0), seeds=1.0,
+                          iters=12, burn_in=4)
+    assert [(r["method"], r["param"], r["n_points"]) for r in rows] == [
+        ("ac", "0.5", 9), ("cpf", "2", 5), ("cpf", "1", 5)]
 
 
 @pytest.mark.parametrize("flags", [("--seeds", "0"), ("--m-list", "0"), ("--m-list", ","),

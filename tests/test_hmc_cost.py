@@ -21,6 +21,6 @@ def test_table_counts_one_covariance_and_a_field_per_leapfrog_step(capsys):
             cell.strip() for cell in line.strip("|").split("|"))
         assert size == str(n)
         assert float(transition_ms) > float(field_ms) > 0 and float(energy_ms) > 0
-        assert (field_calls, energy_calls) == (str(iwmm.McmcConfig().leapfrog_steps), "1")
+        assert (field_calls, energy_calls) == (str(iwmm.LEAPFROG_STEPS), "1")
     # the timers are taken off again
     assert iwmm._nystrom_field is fields and iwmm._gplvm_ll is energies

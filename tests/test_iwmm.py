@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -19,7 +20,7 @@ from oracles import (
     set_partitions,
     student_t_predictive_log,
 )
-from waferspr import iwmm, validation
+from waferspr import cli, iwmm, validation
 from waferspr.acfilter import ac_filter
 from waferspr.errors import EmptyInputError, NumericalError
 from waferspr.iwmm import (
@@ -38,11 +39,10 @@ from waferspr.iwmm import (
     _GplvmWork,
     _cluster_members,
     _gplvm_ll,
-    _gplvm_ll_and_field,
     _marginal_and_grad,
     _nystrom_field,
 )
-from waferspr.synthgen import family_specs, generate
+from waferspr.synthgen import family_specs, generate, twelve_wafer_corpus
 from waferspr.validation import adjusted_rand_index, evaluation_report
 
 RNG = np.random.default_rng(20240811)
@@ -51,11 +51,9 @@ RNG = np.random.default_rng(20240811)
 # -- GPLVM likelihood and gradient ---------------------------------------
 
 def _energy_and_field(S, Z, kern):
-    """The program's exact log p(S|Z) and Nyström field at Z, on the
-    landmarks of S and fresh buffers."""
-    S = np.asarray(S, dtype=float)
-    return _gplvm_ll_and_field(S, np.asarray(Z, dtype=float), kern, nystrom_landmarks(S),
-                               _GplvmWork(len(S)))
+    """The program's exact log p(S|Z) and Nyström field at Z, as a fresh
+    chain state of S holds them."""
+    return LatentState(S, Z, np.ones(len(S), dtype=np.int64), kern).gplvm_ll_field()
 
 
 def test_single_point_likelihood_closed_form():
@@ -119,7 +117,7 @@ def test_gradient_finite_for_coincident_points():
 ])
 def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
     S, Z, kern = np.asarray(S, dtype=float), np.asarray(Z, dtype=float), KernelParams()
-    work = _GplvmWork(3)
+    work = _GplvmWork(3, 3)
     program = [lambda: _gplvm_ll(S, Z, kern, work),
                lambda: _nystrom_field(S, Z, kern, nystrom_landmarks(S), work)][part]
     # LAPACK factors a covariance holding NaN without an error
@@ -249,7 +247,7 @@ def test_field_is_the_gradient_of_the_nystrom_likelihood(n, m, kernel, monkeypat
     monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 3 if m == "3" else n)
     S, Z = _fit_like_inputs(n, seed=5000 + n)
     kern, landmarks = KERNELS[kernel], nystrom_landmarks(S)
-    field = _nystrom_field(S, Z, kern, landmarks, _GplvmWork(n))
+    field = _nystrom_field(S, Z, kern, landmarks, _GplvmWork(n, len(landmarks)))
     numeric = finite_difference_grad(
         lambda Zp: nystrom_log_likelihood_dense(S, Zp, kern, landmarks), Z, eps=1e-5)
     assert np.linalg.norm(field - numeric) <= 1e-6 * np.linalg.norm(numeric)
@@ -284,19 +282,18 @@ def test_jitter_zero_field_is_finite_or_a_counted_error(Z, monkeypatch):
     rng = np.random.default_rng(21)
     S, Zs = _fit_like_inputs(50, seed=21)
     Z = np.zeros_like(S) if Z == "coincident" else Zs
-    state = LatentState(Z, np.ones(50, dtype=int), KernelParams(jitter=0.0))
-    state.landmarks = nystrom_landmarks(S)
+    state = LatentState(S, Z, np.ones(50, dtype=int), KernelParams(jitter=0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(10):
-            hmc_latent_step(state, S, GwHyper(), 0.05, 5, rng)
+            hmc_latent_step(state, GwHyper(), 0.05, rng)
             try:
                 field = _energy_and_field(S, state.Z + 0.1 * rng.standard_normal(S.shape),
                                           state.kernel)[1]
             except NumericalError:
                 continue
             assert np.isfinite(field).all()
-    ll, field = state.gplvm_ll_field(S)
+    ll, field = state.gplvm_ll_field()
     assert math.isfinite(ll) and np.isfinite(field).all()
 
 
@@ -358,7 +355,7 @@ def test_escalated_energy_is_the_density_of_the_next_jitter():
     # a wrong step would move the log-determinant alone by 18.
     S = np.random.default_rng(8).standard_normal((5, 2))
     Z = np.zeros((5, 2))
-    work = _GplvmWork(5)
+    work = _GplvmWork(5, 5)
     got = _gplvm_ll(S, Z, KernelParams(jitter=0.0), work)
     assert work.jitter_escalations == 1
     want = gplvm_log_likelihood_dense(S, Z, KernelParams(jitter=1e-8))
@@ -366,8 +363,9 @@ def test_escalated_energy_is_the_density_of_the_next_jitter():
 
 
 def test_gplvm_work_holds_one_square_array():
-    work = _GplvmWork(5)
-    square = [a for a in vars(work).values() if isinstance(a, np.ndarray) and a.shape == (5, 5)]
+    work = _GplvmWork(100, 64)
+    square = [a for a in vars(work).values()
+              if isinstance(a, np.ndarray) and a.shape == (100, 100)]
     assert len(square) == 1
 
 
@@ -376,7 +374,7 @@ def test_absurd_step_size_counts_numerical_rejections():
     rng = np.random.default_rng(17)
     Z0 = state.Z.copy()
     with np.errstate(all="ignore"):
-        accepted = [hmc_latent_step(state, S, GwHyper(), 1e200, 3, rng) for _ in range(4)]
+        accepted = [hmc_latent_step(state, GwHyper(), 1e200, rng) for _ in range(4)]
     assert accepted == [False] * 4
     assert state.hmc_numerical_rejections == 4
     assert np.array_equal(state.Z, Z0)
@@ -384,14 +382,14 @@ def test_absurd_step_size_counts_numerical_rejections():
 
 def test_numerical_error_in_trajectory_is_counted(monkeypatch):
     state, S = _toy_state(seed=6)
-    state.gplvm_ll_field(S)  # the start point is fine; every step of a trajectory fails
+    state.gplvm_ll_field()  # the start point is fine; every step of a trajectory fails
 
     def failing(*args, **kwargs):
         raise NumericalError("landmark covariance Cholesky failed")
 
     monkeypatch.setattr(iwmm, "_nystrom_field", failing)
     rng = np.random.default_rng(3)
-    assert not hmc_latent_step(state, S, GwHyper(), 0.01, 3, rng)
+    assert not hmc_latent_step(state, GwHyper(), 0.01, rng)
     assert state.hmc_numerical_rejections == 1
 
 
@@ -611,7 +609,7 @@ def test_crp_label_invariance():
 # -- cluster bookkeeping and Gibbs ----------------------------------------
 
 def _state(Z, A):
-    return LatentState(Z, A, KernelParams())
+    return LatentState(Z, Z, A, KernelParams())
 
 
 def test_incremental_stats_match_scratch_recompute():
@@ -621,7 +619,7 @@ def test_incremental_stats_match_scratch_recompute():
     A = np.array([1, 2, 3] + list(A[3:]))  # ensure all labels present
     state = _state(Z, A)
     gibbs_sweep(state, GwHyper(), rng)
-    reference = LatentState(state.Z, state.A.copy(), KernelParams())
+    reference = _state(state.Z, state.A.copy())
     for got, want in zip(state._sums, reference._sums):
         assert got[0] == want[0]
         assert np.allclose(got[1:], want[1:], atol=1e-9)
@@ -637,7 +635,7 @@ def _gibbs_sums_drift(Z, alpha, sweeps, rng):
     drifted = np.array(state._sums)
     state.refresh()
     fresh = np.array(state._sums)
-    scale = np.array(LatentState(np.abs(Z), state.A, KernelParams())._sums)
+    scale = np.array(_state(np.abs(Z), state.A)._sums)
     assert np.array_equal(drifted[:, 0], fresh[:, 0])
     return float(np.max(np.abs(drifted - fresh)[:, 1:] / scale[:, 1:]))
 
@@ -735,14 +733,15 @@ def _toy_state(n=6, seed=4):
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, 2))
     A = np.array([1, 2] * (n // 2))
-    return LatentState(Z, A, KernelParams()), rng.standard_normal((n, 2))
+    S = rng.standard_normal((n, 2))
+    return LatentState(S, Z, A, KernelParams()), S
 
 
 def test_hmc_zero_step_size_accepts_identity():
     state, S = _toy_state()
     Z0 = state.Z.copy()
     rng = np.random.default_rng(9)
-    accepted = hmc_latent_step(state, S, GwHyper(), 0.0, 5, rng)
+    accepted = hmc_latent_step(state, GwHyper(), 0.0, rng)
     assert accepted
     assert np.array_equal(state.Z, Z0)
 
@@ -796,7 +795,7 @@ def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
     # The leapfrog steps read only the field; the n x n covariance is
     # formed once, by the exact energy at the end point.
     state, S = _toy_state(seed=6)
-    state.gplvm_ll_field(S)  # the start point's energy and field are cached
+    state.gplvm_ll_field()  # the start point's energy and field are cached
     calls = Counter()
 
     def counting(name):
@@ -809,7 +808,8 @@ def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
 
     for name in ("_gplvm_ll", "_nystrom_field"):
         monkeypatch.setattr(iwmm, name, counting(name))
-    hmc_latent_step(state, S, GwHyper(), 0.01, 7, np.random.default_rng(5))
+    monkeypatch.setattr(iwmm, "LEAPFROG_STEPS", 7)
+    hmc_latent_step(state, GwHyper(), 0.01, np.random.default_rng(5))
     assert calls == {"_gplvm_ll": 1, "_nystrom_field": 7}
 
 
@@ -818,7 +818,7 @@ def test_hmc_updates_state_only_on_accept():
     h = GwHyper()
     rng = np.random.default_rng(17)
     Z0 = state.Z.copy()
-    accepted = hmc_latent_step(state, S, h, 50.0, 3, rng)  # absurd step
+    accepted = hmc_latent_step(state, h, 50.0, rng)  # absurd step
     assert not accepted
     assert np.array_equal(state.Z, Z0)
 
@@ -832,7 +832,7 @@ def test_nystrom_leapfrog_is_reversible(monkeypatch):
     kern, h = KernelParams(), GwHyper()
     members = _cluster_members(np.array([1, 2] * 20))
     landmarks = nystrom_landmarks(S)
-    work = _GplvmWork(40)
+    work = _GplvmWork(40, len(landmarks))
     eps, steps = 0.002, 8
 
     def force(Z):
@@ -919,10 +919,9 @@ def test_geweke_joint_distribution(monkeypatch):
     A, Z, S = _prior_draw(n, rng)
     chain = []
     for _ in range(draws):
-        state = LatentState(Z, A, GEWEKE_KERNEL)
-        state.landmarks = nystrom_landmarks(S)
+        state = LatentState(S, Z, A, GEWEKE_KERNEL)
         gibbs_sweep(state, GEWEKE_HYPER, rng)
-        hmc_latent_step(state, S, GEWEKE_HYPER, 0.1, 5, rng)
+        hmc_latent_step(state, GEWEKE_HYPER, 0.1, rng)
         A, Z = state.A, state.Z
         S = _gp_draw(Z, rng)
         chain.append(_geweke_functions(A, Z, S))
@@ -958,6 +957,28 @@ def test_fit_deterministic_per_seed():
     assert a.assignments == b.assignments
     assert a.trace == b.trace
     assert np.array_equal(a.latent_coords, b.latent_coords)
+
+
+def test_fits_pinned():
+    """SHA-256 of every deterministic IwmmResult field of seeded short fits
+    to the AC-kept chips of corpus wafers w00 and w07, seeds 0 and 1, with
+    OpenBLAS on one thread.  The fits' floats depend on the BLAS and libm
+    builds, so the digest guards a refactor on one machine rather than
+    the arithmetic everywhere."""
+    cli._one_blas_thread()
+    corpus = twelve_wafer_corpus()
+    digest = hashlib.sha256()
+    for idx in (0, 7):
+        wmap = corpus[idx][1].map
+        points = PointSet(np.array(cli.filtered_points(wmap, ac_filter(wmap)), dtype=float))
+        for seed in (0, 1):
+            res = iwmm_fit(points, mcmc=McmcConfig(iters=30, burn_in=10), seed=seed)
+            digest.update(repr((res.assignments, res.k_hat, res.trace, res.hmc_acceptance_rate,
+                                res.jitter_escalations, res.hmc_numerical_rejections,
+                                res.step_size, res.step_size_path)).encode())
+            digest.update(np.ascontiguousarray(res.latent_coords).tobytes())
+    assert digest.hexdigest() == (
+        "f9d6be8c218af31586a7181bcdf0c53025d7b9a4f95085e367407cfea62a530d")
 
 
 def test_fit_trace_finite_and_labels_contiguous():
@@ -1031,14 +1052,17 @@ def test_component_init():
 
 
 def test_mcmc_config_validation():
-    with pytest.raises(ValueError):
-        McmcConfig(iters=10, burn_in=10)
-    with pytest.raises(ValueError):
-        McmcConfig(leapfrog_steps=0)
-
-
-def test_leapfrog_steps_validated():
-    for steps in (0, -3):
-        with pytest.raises(ValueError, match="leapfrog_steps"):
-            McmcConfig(iters=10, burn_in=5, leapfrog_steps=steps)
-    assert McmcConfig(iters=10, burn_in=5, leapfrog_steps=1).leapfrog_steps == 1
+    for iters, burn_in in ((10, 10), (10, 11), (10, -1), (0, 0)):
+        with pytest.raises(ValueError, match="^need iters > burn_in >= 0"):
+            McmcConfig(iters=iters, burn_in=burn_in)
+    # Both are counts: iters=10.0 and NaN ended in a TypeError, burn_in=2.5
+    # ran a fractional burn-in and iters=True one iteration.
+    for name, value in (("iters", 10.5), ("iters", math.nan), ("iters", math.inf),
+                        ("iters", True), ("iters", "10"), ("burn_in", 2.5),
+                        ("burn_in", np.True_), ("burn_in", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            McmcConfig(**{"iters": 10, "burn_in": 2, name: value})
+    mcmc = McmcConfig(iters=10.0, burn_in=np.int64(4))
+    assert (mcmc.iters, mcmc.burn_in) == (10, 4)
+    assert (type(mcmc.iters), type(mcmc.burn_in)) == (int, int)
+    assert iwmm_fit(PointSet([[0.0, 0.0], [1.0, 0.0]]), mcmc=mcmc).hmc_accepted <= 10

@@ -64,6 +64,15 @@ def test_generate_validation():
         generate(4, 20, [], 0.1, 0)
     with pytest.raises(ValueError):
         generate(20, 20, [], 0.5, 0)
+    # rows and cols are counts: 10.0 ended in a TypeError from np.zeros
+    for name, rows, cols in (("rows", 20.5, 20), ("cols", 20, True), ("rows", math.nan, 20),
+                             ("cols", 20, "20"), ("rows", np.True_, 20)):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            generate(rows, cols, [], 0.1, 0)
+    specs = family_specs("two_zone")
+    sw = generate(20.0, np.int64(20), specs, 0.1, 0)
+    assert (type(sw.map.rows), type(sw.map.cols)) == (int, int)
+    assert np.array_equal(sw.map.grid(), generate(20, 20, specs, 0.1, 0).map.grid())
 
 
 def _raster_cells(spec, rows, cols, mask=None):
