@@ -8,7 +8,9 @@ alternates from pair to pair, starting with the parent.  Each run uses
 the benchmark of its own tree.  The summary gives, per end-to-end metric
 of BENCHMARK.json, both sides' medians and inclusive quartiles over the
 pairs and the number of pairs in which the change read better or worse
-(ties count for neither).  The end-to-end times are normalized by the
+(ties count for neither), and `within_bound`, false when the change's
+median is worse than the parent's by more than the metric's `bound` times
+the parent's median's magnitude.  The end-to-end times are normalized by the
 benchmark's speed probe; under "raw" each workload gets the same summary
 of the un-normalized setup_s, wafers_per_s, op_p50_ms and op_p90_ms that
 each run prints on its `# raw` line, so that a gain the normalization adds
@@ -62,8 +64,10 @@ def quartiles(values):
     return [q1, q3]
 
 
-def summarize(better: str, parent: list, change: list) -> dict:
-    """One metric over the pairs, in the shape of the BENCH files."""
+def summarize(metric: dict, parent: list, change: list) -> dict:
+    """One metric over the pairs, in the shape of the BENCH files;
+    `metric` is its end-to-end entry of BENCHMARK.json."""
+    better, bound = metric["better"], metric["bound"]
     sign = 1 if better == "higher" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
     return {
@@ -75,6 +79,8 @@ def summarize(better: str, parent: list, change: list) -> dict:
         "change_pct": round(100.0 * (c_med - p_med) / p_med, 1) if p_med else None,
         "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
         "change_worse_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+        "bound": bound,
+        "within_bound": sign * (c_med - p_med) >= -bound * abs(p_med),
     }
 
 
@@ -132,7 +138,9 @@ def main(argv=None) -> int:
                    "of the source tree, one run of each per pair on the same seed, "
                    "the side that runs first alternating; medians and quartiles (inclusive "
                    "method) over the pairs; change_better_pairs counts the pairs in which "
-                   "the change reads better, ties counting for neither; \"raw\" summarizes "
+                   "the change reads better, ties counting for neither; within_bound is false "
+                   "when the change's median is worse than the parent's by more than the "
+                   "metric's bound times |parent median|; \"raw\" summarizes "
                    "the un-normalized times of each run's '# raw' line the same way."),
         "env": None,
         "workloads": {},
@@ -157,14 +165,12 @@ def main(argv=None) -> int:
             "all_correct": all(r["correct"] and r["failed"] == 0
                                for side in runs.values() for r in side),
             "metrics": {
-                m["name"]: summarize(m["better"],
-                                     [r["metrics"][m["name"]] for r in runs["parent"]],
+                m["name"]: summarize(m, [r["metrics"][m["name"]] for r in runs["parent"]],
                                      [r["metrics"][m["name"]] for r in runs["change"]])
                 for m in bench["end_to_end"]
             },
             "raw": {
-                m["name"]: summarize(m["better"],
-                                     [r["raw"][m["name"]] for r in runs["parent"]],
+                m["name"]: summarize(m, [r["raw"][m["name"]] for r in runs["parent"]],
                                      [r["raw"][m["name"]] for r in runs["change"]])
                 for m in bench["end_to_end"] if m["name"] in RAW_METRICS
             },

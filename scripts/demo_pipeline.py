@@ -3,8 +3,8 @@
 (AC at its defaults, CPF at M = 5), cluster, evaluate, and render every
 stage as SVG.
 
-Each stage is a `waferspr` command run in process, so the fits run with
-OpenBLAS on one thread as `cluster` runs them.  Each command writes into
+Each stage is a `waferspr` command run in process, and each fit runs
+with OpenBLAS on one thread, as `iwmm_fit` sets it.  Each command writes into
 its own directory under --out, next to its own manifest (a render's is
 named after its SVG, raw.svg -> raw.manifest.json): generate/, raw/, and
 filter/, filtered/, cluster/, clusters/ and evaluate/ under ac/ and

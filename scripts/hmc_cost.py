@@ -12,8 +12,9 @@ size, the median over repeats of the milliseconds per transition and
 per call of the GPLVM field and of the exact energy (`_gplvm_ll`: the
 n x n covariance, its factorization and the solve), and the calls of
 each per transition.  It times `_nystrom_field` and `_gplvm_ll` through
-their module attributes, in trees whose `LatentState(S, Z, A, kernel)`
-holds S and whose `hmc_latent_step(state, h, eps, rng)` takes no S.
+their module attributes, in trees whose `LatentState(S, Z, A, kernel, h)`
+holds the prior and whose `hmc_latent_step(state, eps, rng)` takes only
+the state, its step size and the generator.
 
 Usage:
     python scripts/hmc_cost.py [--sizes 32,64,106,160,240,377] [--repeats 7]
@@ -28,8 +29,8 @@ from collections import Counter
 import numpy as np
 
 from waferspr import iwmm
-from waferspr.cli import _one_blas_thread
 from waferspr.iwmm import INITIAL_STEP_SIZE, GwHyper, KernelParams, LatentState, standardized
+from waferspr.iwmm import _one_blas_thread
 
 SIZES = (32, 64, 106, 160, 240, 377)
 TIMED = ("_nystrom_field", "_gplvm_ll")
@@ -62,13 +63,13 @@ def measure(sizes=SIZES, repeats=7, transitions=20, seed=0):
     """{n: {"transition_ms", "<name>_ms", "<name>_calls" per TIMED name}},
     the medians over `repeats` interleaved rounds of `transitions` HMC
     transitions at each size."""
-    _one_blas_thread()
+    _one_blas_thread()  # as iwmm_fit does; these transitions run outside a fit
     rng = np.random.default_rng(seed)
     h, kern = GwHyper(), KernelParams()
     runs = {}
     for n in sizes:
         S = grid_chips(n, rng)
-        state = LatentState(S, S, 1 + (S[:, 0] > 0), kern)
+        state = LatentState(S, S, 1 + (S[:, 0] > 0), kern, h)
         state.gplvm_ll_field()  # every transition starts from a cached field
         runs[n] = (state, np.random.default_rng(seed + n))
     samples = {n: [] for n in sizes}
@@ -85,7 +86,7 @@ def measure(sizes=SIZES, repeats=7, transitions=20, seed=0):
                 calls.clear()
                 t0 = time.perf_counter()
                 for _ in range(transitions):
-                    iwmm.hmc_latent_step(state, h, INITIAL_STEP_SIZE, step_rng)
+                    iwmm.hmc_latent_step(state, INITIAL_STEP_SIZE, step_rng)
                 row = {"transition_ms": 1e3 * (time.perf_counter() - t0) / transitions}
                 for name in TIMED:
                     row[f"{name}_ms"] = 1e3 * seconds[name] / calls[name] if calls[name] else 0.0

@@ -298,7 +298,6 @@ def cmd_cluster(args):
         raise EmptyInputError("input wafer has no defective cells to cluster")
     hyper = GwHyper(alpha=args.alpha)
     mcmc = McmcConfig(iters=args.iters, burn_in=args.burn_in)
-    _one_blas_thread()
     res = fit_points(points, hyper, mcmc, args.seed)
     outdir = Path(args.out)
     ks = [k for k, _ in res.trace]
@@ -470,50 +469,24 @@ def fit_points(points, hyper, mcmc, seed):
     return iwmm_fit(PointSet(np.array(points, dtype=float)), hyper, mcmc=mcmc, seed=seed)
 
 
-def _one_blas_thread():
-    """Run the OpenBLAS libraries loaded in this process on one thread.
-
-    Every fit runs under it, in process or in a pool worker.  By default
-    OpenBLAS adds a helper thread per core that busy-waits: 2 such workers
-    on 2 cores took 4 times as long as one process.  Without /proc
-    (macOS) it does nothing.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in product(("", "scipy_"), ("", "64_")):
-            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
 @contextlib.contextmanager
 def _fit_map(workers):
     """A `map` for the fits: the builtin one in process for one worker,
     else the `map` of a pool of `workers` forked processes.  Either way
-    the fits run with OpenBLAS on one thread.
+    each fit sets OpenBLAS to one thread in the process it runs in (see
+    iwmm_fit).
 
     Forked workers start in milliseconds and inherit the imported
     modules; the pool forks all of them before it starts its own thread.
     Leaving the block cancels the fits not yet started.
     """
     if workers <= 1:
-        _one_blas_thread()
         yield map
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         yield pool.map
     finally:

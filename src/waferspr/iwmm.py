@@ -14,12 +14,13 @@ across wafer sizes; assignments are unaffected by this affine change.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import add
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyInputError, InternalError, NumericalError
 from .validation import canonical_labels
-from .wafer import whole_number
+from .wafer import real_number, whole_number
 
 _LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -67,8 +68,8 @@ class KernelParams:
     jitter: float = 0.01
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.signal_variance, self.length_scale, self.jitter))):
-            raise ValueError("kernel parameters must be finite")
+        for name in ("signal_variance", "length_scale", "jitter"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if self.signal_variance <= 0 or self.length_scale <= 0:
             raise ValueError("signal_variance and length_scale must be positive")
         if self.jitter < 0:
@@ -89,10 +90,11 @@ class GwHyper:
     alpha: float = 0.3
 
     def __post_init__(self):
+        for name in ("p", "r", "alpha"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         m = np.asarray(self.m, dtype=float).reshape(2)
         R = np.asarray(self.R, dtype=float).reshape(2, 2)
-        scalars = (self.p, self.r, self.alpha)
-        if not (np.isfinite(m).all() and np.isfinite(R).all() and all(map(math.isfinite, scalars))):
+        if not (np.isfinite(m).all() and np.isfinite(R).all()):
             raise ValueError("Gaussian-Wishart hyperparameters must be finite")
         if not np.allclose(R, R.T):
             raise ValueError("R must be symmetric")
@@ -180,33 +182,6 @@ class IwmmResult:
 # GPLVM warp likelihood
 # ---------------------------------------------------------------------
 
-class _GplvmWork:
-    """Reusable buffers for the GPLVM of n points with m landmarks: the
-    one n x n array, in which the exact energy forms and factors the
-    covariance once per HMC transition, and the n x m landmark columns of
-    the Nyström field; and the count of Cholesky jitter escalations made
-    with them.
-
-    Freshly allocated n x n temporaries go back to the OS when freed and
-    are page-faulted in again on the next call; at a few hundred points
-    that costs about as much as the Cholesky factorization.  The buffers
-    are in Fortran order, so BLAS and LAPACK write into them in place.
-    """
-
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.factor = np.empty((n, n), order="F")
-        self.Knm = np.empty((n, m), order="F")
-        self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
-        self.jitter_escalations = 0
-
-
-def _noise_floor(jitter):
-    """The diagonal noise a covariance factorization starts from: the
-    kernel's jitter, or 1e-10 when the jitter is 0."""
-    return jitter if jitter > 0 else 1e-10
-
-
 def _se_kernel(Z, Y, kern, out):
     """signal_variance * exp(-|z_i - y_j|^2 / (2 l^2)) for the rows z_i
     of Z and y_j of Y, written into `out`."""
@@ -220,24 +195,24 @@ def _se_kernel(Z, Y, kern, out):
     return K
 
 
-def _gplvm_ll(S, Z, kern, work):
-    """log p(S | Z, kernel) for a 2-output GP,
-    -n log(2 pi) - log|K| - 0.5 tr(S^T K^-1 S): one Cholesky
-    factorization and one solve.
+def _gplvm_ll(state, Z):
+    """log p(S | Z, kernel) for a 2-output GP at the position Z of
+    `state`'s chain (its S and kernel), -n log(2 pi) - log|K|
+    - 0.5 tr(S^T K^-1 S): one Cholesky factorization and one solve.
 
-    The KernelParams covariance K of Z is written into work.factor and
+    The kernel's covariance K of Z is written into state.factor and
     factored there in place (Fortran order, so LAPACK needs no copy).
     When K is not positive definite it is formed again from Z with more
-    diagonal jitter, each escalation counted in work.jitter_escalations.
+    diagonal jitter, steps of 100 and 10000 times the state's noise
+    floor, each escalation counted in state.jitter_escalations.
     NumericalError when K cannot be factored or the value is not finite.
     """
-    n = work.n
-    base = _noise_floor(kern.jitter)
-    for extra in (0.0, base * 100.0, base * 10000.0):
-        K = _se_kernel(Z, Z, kern, work.factor)
+    S, kern, n = state.S, state.kernel, len(state.S)
+    for extra in (0.0, state.noise_floor * 100.0, state.noise_floor * 10000.0):
+        K = _se_kernel(Z, Z, kern, state.factor)
         K.flat[:: n + 1] += kern.jitter
         if extra:
-            work.jitter_escalations += 1
+            state.jitter_escalations += 1
             K.flat[:: n + 1] += extra
         c, info = _lapack.dpotrf(K, lower=1, clean=0, overwrite_a=1)
         if info == 0:
@@ -279,15 +254,16 @@ def nystrom_landmarks(S) -> np.ndarray:
     return np.sort(np.array(chosen, dtype=np.intp))
 
 
-def _nystrom_field(S, Z, kern, landmarks, work):
+def _nystrom_field(state, Z):
     """The gradient with respect to Z of the Nyström log-likelihood
     log N(S | 0, Knm Kmm^-1 Kmn + s^2 I), the subset-of-regressors (DTC)
     approximation of log p(S | Z) (Quiñonero-Candela & Rasmussen, JMLR
     2005), in O(n m^2) for m landmarks and with no n x n array.
 
+    S, the kernel and the landmarks are `state`'s, and Z is any position.
     Knm is the noise-free SE covariance of Z with Z[landmarks], Kmm its
-    landmark rows plus 1e-6 signal_variance I, and s^2 the jitter (see
-    _noise_floor).  With Lm = chol(Kmm), Phi = Knm Lm^-T,
+    landmark rows plus 1e-6 signal_variance I, and s^2 the state's noise
+    floor.  With Lm = chol(Kmm), Phi = Knm Lm^-T,
     A = s^2 I + Phi^T Phi = Lc Lc^T, w = A^-1 Phi^T S and
     alpha = (S - Phi w) / s^2, the log-likelihood's derivatives are
     dL/dKnm = (alpha w^T - 2 Phi A^-1) Lm^-1 and
@@ -302,13 +278,14 @@ def _nystrom_field(S, Z, kern, landmarks, work):
     step needs (see hmc_latent_step).  NumericalError when a
     factorization fails or the field is not finite.
     """
+    S, kern, landmarks = state.S, state.kernel, state.landmarks
     m = len(landmarks)
-    s2 = _noise_floor(kern.jitter)
-    ZI = work.ZI
+    s2 = state.noise_floor
+    ZI = state.ZI
     ZI[:, :2] = Z
     ZL1 = ZI[landmarks]  # [Z[landmarks] | 1]
     ZL = ZL1[:, :2]
-    Knm = _se_kernel(Z, ZL, kern, work.Knm)
+    Knm = _se_kernel(Z, ZL, kern, state.Knm)
     Kmm = Knm[landmarks]
     Kmm.flat[:: m + 1] += 1e-6 * kern.signal_variance
     # Lm_inv enters a dtrmm below as a full matrix, so the upper triangle
@@ -448,39 +425,50 @@ def _marginal_and_grad(Z, members, h: GwHyper):
 # ---------------------------------------------------------------------
 
 class LatentState:
-    """One chain's MCMC state: its fixed observations S, kernel and
-    landmarks, and its moving latent coordinates, assignments and
-    cluster sums.
+    """One chain's MCMC state: its fixed observations S, kernel, prior h,
+    landmarks and noise floor; its moving latent coordinates, assignments
+    and cluster sums; and the GPLVM's buffers (see _gplvm_ll and
+    _nystrom_field) with the count of jitter escalations made in them.
 
     Cluster labels stay contiguous 1..K with every cluster nonempty; sums
     are plain floats so the Gibbs inner loop avoids array overhead.
     """
 
-    def __init__(self, S, Z, A, kernel: KernelParams):
+    def __init__(self, S, Z, A, kernel: KernelParams, h: GwHyper):
         self.S = np.array(S, dtype=float)
         self.S.flags.writeable = False
         self.Z = np.array(Z, dtype=float)
         self.A = np.array(A, dtype=np.int64)
         self.kernel = kernel
+        self.h = h
         if self.S.shape != self.Z.shape or self.Z.shape[0] != self.A.shape[0]:
             raise ValueError("S, Z and A sizes differ")
         # The Nyström field's landmarks, those of S.  They stay fixed for
         # the whole chain: landmarks re-chosen from the current Z would make
         # the field, and so the leapfrog map, irreversible.
         self.landmarks = nystrom_landmarks(self.S)
+        # Freshly allocated n x n temporaries go back to the OS when freed
+        # and are page-faulted in again on the next call; at a few hundred
+        # points that costs about as much as the Cholesky factorization.
+        # The buffers are in Fortran order, so BLAS and LAPACK write into
+        # them in place.
+        n, m = len(self.Z), len(self.landmarks)
+        self.factor = np.empty((n, n), order="F")  # the covariance, factored in place
+        self.Knm = np.empty((n, m), order="F")  # the landmark columns
+        self.ZI = np.ones((n, 3), order="F")  # [Z | 1]
+        # The diagonal noise a covariance factorization starts from.
+        self.noise_floor = kernel.jitter if kernel.jitter > 0 else 1e-10
+        self.jitter_escalations = 0
+        self.hmc_numerical_rejections = 0
         self._sums = []
         self._gplvm = None  # (exact ll, Nyström field) of the GPLVM at the current Z
-        self._gplvm_work = _GplvmWork(len(self.Z), len(self.landmarks))
-        self.hmc_numerical_rejections = 0
         self.refresh()
 
     def gplvm_ll_field(self):
         """The exact GPLVM log-likelihood and the Nyström field at the
         current Z, computed once per Z."""
         if self._gplvm is None:
-            S, Z, kern, work = self.S, self.Z, self.kernel, self._gplvm_work
-            self._gplvm = (_gplvm_ll(S, Z, kern, work),
-                           _nystrom_field(S, Z, kern, self.landmarks, work))
+            self._gplvm = (_gplvm_ll(self, self.Z), _nystrom_field(self, self.Z))
         return self._gplvm
 
     @property
@@ -504,22 +492,23 @@ class LatentState:
             ])
         self._sums = sums
 
-    def marginal_log(self, h: GwHyper) -> float:
+    def marginal_log(self) -> float:
         """log p(Z | A, ...) of the current state, as _marginal_and_grad
         gives it, from the cluster sums."""
-        prior = _prior_scalars(h)
+        prior = _prior_scalars(self.h)
         total = 0.0
         for n, sx, sy, sxx, sxy, syy in self._sums:
             total += _cluster_posterior(n, sx, sy, sxx, sxy, sxy, syy, prior)[0]
         return total
 
 
-def gibbs_sweep(state: LatentState, h: GwHyper, rng):
+def gibbs_sweep(state: LatentState, rng):
     """Resample the assignment of each point, in order, from its
     collapsed conditional.
 
-    Weights: n_k^{-i} * t-predictive(z_i | cluster k) for existing
-    clusters, alpha * t-predictive(z_i | prior) for a new one.  The
+    Weights, under the state's prior h: n_k^{-i} * t-predictive(z_i |
+    cluster k) for existing clusters, alpha * t-predictive(z_i | h) for a
+    new one.  The
     t-predictive of Gaussian-Wishart parameters (p, r, m, R) has
     nu = r - 1 degrees of freedom, location m and scale
     R (p + 1) / (p nu).
@@ -530,6 +519,7 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng):
     only when a point leaves or joins the cluster; the terms that depend
     only on a cluster's size are kept per size.
     """
+    h = state.h
     Z = state.Z.tolist()
     A = state.A.tolist()
     sums = state._sums
@@ -546,9 +536,7 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng):
         log weight, p_k, nu, factor, (nu + 2)/2, lgamma((nu + 2)/2)
         - lgamma(nu/2) - log nu - log pi, and 2 log factor."""
         p_k = p0 + n
-        nu = r0 + n - 1.0
-        if nu <= 0:
-            raise NumericalError("invalid Student-t parameters")
+        nu = r0 + n - 1.0  # positive: GwHyper holds r > 1
         factor = (p_k + 1.0) / (p_k * nu)
         lead = math.lgamma(0.5 * (nu + 2.0)) - math.lgamma(0.5 * nu) - log(nu) - _LOG_PI
         return log_weight, p_k, nu, factor, 0.5 * (nu + 2.0), lead, 2.0 * log(factor)
@@ -636,10 +624,11 @@ def gibbs_sweep(state: LatentState, h: GwHyper, rng):
     state.A[:] = A
 
 
-def hmc_latent_step(state: LatentState, h: GwHyper, eps: float, rng) -> bool:
+def hmc_latent_step(state: LatentState, eps: float, rng) -> bool:
     """One hybrid Monte Carlo transition of Z targeting
-    log p(S|Z, kernel) + log p(Z|A, ...), with LEAPFROG_STEPS leapfrog
-    steps of size `eps`.  Returns True on acceptance.
+    log p(S|Z, kernel) + log p(Z|A, h) under the state's kernel and prior
+    h, with LEAPFROG_STEPS leapfrog steps of size `eps`.  Returns True on
+    acceptance.
 
     The steps follow the gradient of the GPLVM term's Nyström
     approximation (see _nystrom_field) plus the exact gradient of the
@@ -659,8 +648,7 @@ def hmc_latent_step(state: LatentState, h: GwHyper, eps: float, rng) -> bool:
     `hmc_numerical_rejections`."""
     momentum = rng.standard_normal(state.Z.shape)
     u = rng.random()
-    members = _cluster_members(state.A)  # A is fixed along the trajectory
-    S, kern, landmarks, work = state.S, state.kernel, state.landmarks, state._gplvm_work
+    members, h = _cluster_members(state.A), state.h  # A is fixed along the trajectory
     try:
         ll0, gll0 = state.gplvm_ll_field()
         marg0, gmarg0 = _marginal_and_grad(state.Z, members, h)
@@ -669,10 +657,10 @@ def hmc_latent_step(state: LatentState, h: GwHyper, eps: float, rng) -> bool:
         p = momentum + 0.5 * eps * (gll0 + gmarg0)
         for _ in range(LEAPFROG_STEPS - 1):
             Z = Z + eps * p
-            field = _nystrom_field(S, Z, kern, landmarks, work)
+            field = _nystrom_field(state, Z)
             p = p + eps * (field + _marginal_and_grad(Z, members, h)[1])
         Z = Z + eps * p
-        ll1, gll1 = _gplvm_ll(S, Z, kern, work), _nystrom_field(S, Z, kern, landmarks, work)
+        ll1, gll1 = _gplvm_ll(state, Z), _nystrom_field(state, Z)
         marg1, gmarg1 = _marginal_and_grad(Z, members, h)
         U1 = -(ll1 + marg1)
         p = p + 0.5 * eps * (gll1 + gmarg1)
@@ -713,6 +701,26 @@ def _component_init(coords) -> np.ndarray:
     return labels.astype(np.int64) + 1
 
 
+def _one_blas_thread():
+    """Run the OpenBLAS libraries loaded in this process on one thread; by
+    default OpenBLAS adds a busy-waiting helper thread per core, and 2
+    fitting processes on 2 cores took 4 times as long as one.  Without
+    /proc (macOS) it does nothing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in product(("", "scipy_"), ("", "64_")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def iwmm_fit(
     S: PointSet,
     h: GwHyper = GwHyper(),
@@ -722,15 +730,20 @@ def iwmm_fit(
 ) -> IwmmResult:
     """Fit the warped mixture by alternating Gibbs sweeps and HMC moves.
 
-    Deterministic given `seed`.  The assignments start from the
-    Chebyshev-adjacency connected components of the points (natural for
-    grid point sets coming out of a spatial filter).  The reported
-    assignments come from the kept iteration (after burn-in) with the
-    highest joint log density p(S|Z) p(Z|A) p(A).
+    Deterministic given `seed`, a whole number (ValueError otherwise):
+    first the fit sets every OpenBLAS library loaded in the process to one
+    thread, for the whole process, since on more threads OpenBLAS moves
+    the last bits of the GPLVM's sums and with them the chain.  The
+    assignments start from the Chebyshev-adjacency connected components
+    of the points (natural for grid point sets coming out of a spatial
+    filter).  The reported assignments come from the kept iteration
+    (after burn-in) with the highest joint log density p(S|Z) p(Z|A) p(A).
     """
     start = time.perf_counter()
+    seed = whole_number("seed", seed)
+    _one_blas_thread()
     Sstd = standardized(S.coords)
-    state = LatentState(Sstd, Sstd, _component_init(S.coords), k0)
+    state = LatentState(Sstd, Sstd, _component_init(S.coords), k0, h)
     rng = np.random.default_rng(seed)
 
     trace = []
@@ -744,9 +757,9 @@ def iwmm_fit(
     for it in range(1, mcmc.iters + 1):
         t0 = time.perf_counter()
         if it > mcmc.gibbs_start:
-            gibbs_sweep(state, h, rng)
+            gibbs_sweep(state, rng)
         t1 = time.perf_counter()
-        ok = hmc_latent_step(state, h, step_size, rng)
+        ok = hmc_latent_step(state, step_size, rng)
         gibbs_s += t1 - t0
         hmc_s += time.perf_counter() - t1
         if ok:
@@ -757,7 +770,7 @@ def iwmm_fit(
                 step_size_path.append((it, step_size))
         joint = (
             state.gplvm_ll_field()[0]
-            + state.marginal_log(h)
+            + state.marginal_log()
             + crp_log_prior(state.A, h.alpha)
         )
         trace.append((state.K, joint))
@@ -773,7 +786,7 @@ def iwmm_fit(
         latent_coords=best_Z,
         trace=tuple(trace),
         hmc_accepted=accepted,
-        jitter_escalations=state._gplvm_work.jitter_escalations,
+        jitter_escalations=state.jitter_escalations,
         hmc_numerical_rejections=state.hmc_numerical_rejections,
         step_size=step_size,
         step_size_path=tuple(step_size_path),

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GenerationError
-from .wafer import CellState, WaferMap, whole_number
+from .wafer import CellState, WaferMap, real_number, whole_number
 
 
 class PatternKind(Enum):
@@ -50,6 +50,9 @@ class PatternSpec:
     fill_rate: float = 0.9
 
     def __post_init__(self):
+        for name in ("offset_frac", "offset_angle_deg", "inner_frac", "outer_frac",
+                     "arc_start_deg", "arc_extent_deg", "width_cells", "angle_deg", "fill_rate"):
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         for name in ("offset_frac", "inner_frac", "outer_frac"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -57,11 +60,8 @@ class PatternSpec:
         if self.kind in (PatternKind.DONUT, PatternKind.PARTIAL_RING, PatternKind.EDGE_ZONE):
             if not self.inner_frac < self.outer_frac:
                 raise ValueError("annular patterns need inner_frac < outer_frac")
-        for name in ("offset_angle_deg", "arc_start_deg", "arc_extent_deg", "length_cells",
-                     "width_cells", "angle_deg"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        if isinstance(self.length_cells, float) and not math.isfinite(self.length_cells):
+            raise ValueError(f"length_cells must be finite, got {self.length_cells}")
         object.__setattr__(self, "length_cells", whole_number("length_cells", self.length_cells))
         if self.kind is PatternKind.SCRATCH and self.length_cells < 1:
             raise ValueError("scratch needs length_cells >= 1")
@@ -187,14 +187,16 @@ def generate(rows: int, cols: int, specs, noise_rate: float, seed: int) -> Synth
     """Rasterize the specs, thin by fill rate, add Bernoulli noise defects.
 
     One uniform draw per covered cell of each pattern and then one per
-    in-mask cell not yet defective, each in row-major order.
+    in-mask cell not yet defective, each in row-major order.  ValueError
+    for a `noise_rate` outside [0, 0.5) or a `seed` that is not whole.
     """
     rows, cols = whole_number("rows", rows), whole_number("cols", cols)
     if rows < 8 or cols < 8:
         raise ValueError("rows and cols must be >= 8")
+    noise_rate = real_number("noise_rate", noise_rate)
     if not 0.0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_number("seed", seed))
     mask = wafer_mask(rows, cols).ravel()
     # The in-mask cells, found once: flat indices and (row, col) pairs.
     inside = np.flatnonzero(mask)

@@ -36,6 +36,16 @@ def whole_number(name: str, value) -> int:
     return int(value)
 
 
+def real_number(name: str, value) -> float:
+    """A real-valued field's value as a float; ValueError naming the field
+    for a bool (True would read as 1.0), a non-number, or a non-finite
+    value."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
+    return float(value)
+
+
 class CellState(IntEnum):
     """Per-cell state; integer values follow the public CSV convention."""
 

@@ -300,12 +300,12 @@ def test_criterion_07b_gibbs_matches_enumeration():
     assert len(exact) == 52
 
     rng = np.random.default_rng(1007)
-    state = LatentState(Z, Z, np.ones(5, dtype=np.int64), KernelParams())
+    state = LatentState(Z, Z, np.ones(5, dtype=np.int64), KernelParams(), h)
     counts = {}
     sweeps = 100_000
     burn = 1000
     for sweep in range(sweeps + burn):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state, rng)
         if sweep >= burn:
             key = _canonical(state.A)
             counts[key] = counts.get(key, 0) + 1

@@ -17,11 +17,29 @@ METRIC_NAMES = [m["name"] for m in
 
 
 def _workload(parent, change, better="higher", all_correct=True, raw=None):
+    metric = {"better": better, "bound": 0.25}
     workload = {"pairs": len(parent), "all_correct": all_correct,
-                "metrics": {"m": bench_pairs.summarize(better, parent, change)}}
+                "metrics": {"m": bench_pairs.summarize(metric, parent, change)}}
     if raw is not None:
-        workload["raw"] = {"m": bench_pairs.summarize(better, *raw)}
+        workload["raw"] = {"m": bench_pairs.summarize(metric, *raw)}
     return workload
+
+
+@pytest.mark.parametrize("better,parent,change,within", [
+    ("higher", [10.0, 9.0, 11.0], [7.5, 20.0, 7.0], True),  # worse by exactly the bound
+    ("higher", [10.0, 9.0, 11.0], [7.4, 20.0, 7.0], False),
+    ("lower", [10.0] * 3, [12.5] * 3, True),
+    ("lower", [10.0] * 3, [12.6] * 3, False),
+    ("lower", [10.0] * 3, [1.0] * 3, True),  # better by far
+    ("higher", [-10.0] * 3, [-12.6] * 3, False),  # the bound scales |parent median|
+    ("higher", [-10.0] * 3, [-12.4] * 3, True),
+    ("higher", [0.0] * 3, [-0.001] * 3, False),
+])
+def test_within_bound_judges_the_medians_against_the_metrics_bound(better, parent, change,
+                                                                    within):
+    summary = bench_pairs.summarize({"better": better, "bound": 0.25}, parent, change)
+    assert summary["bound"] == 0.25
+    assert summary["within_bound"] is within
 
 
 def test_claim_met_by_wins_beyond_the_parent_spread():
@@ -141,6 +159,30 @@ def test_raw_times_are_summarized_beside_the_normalized_ones(tmp_path, monkeypat
         assert workload["raw"]["op_p50_ms"]["change_median"] == round(1e3 / 111, 4)
         assert workload["raw"]["op_p50_ms"]["better"] == "lower"
         assert workload["raw"]["setup_s"]["parent_median"] == 0.5
+
+
+def test_each_summary_carries_the_bound_verdict_of_benchmark_json(tmp_path, monkeypatch):
+    """Every normalized and raw summary says whether the change stays
+    within its metric's bound: here the raw wafers_per_s falls 30%
+    against a bound of 25%, while the normalized one holds."""
+    bounds = {m["name"]: m["bound"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    def results(side, seed):
+        raw = {"parent": 100.0, "change": 70.0}[side]
+        return ({"setup_s": 0.5, "wafers_per_s": raw, "op_p50_ms": 10, "op_p90_ms": 20},
+                {"wafers_per_s": 100.0})
+
+    trees = _stub_runs(tmp_path, monkeypatch, results)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([*trees, "--pairs", "2", "--out", str(out)]) == 0
+    for workload in json.loads(out.read_text())["workloads"].values():
+        for name, summary in [*workload["metrics"].items(), *workload["raw"].items()]:
+            assert summary["bound"] == bounds[name]
+        assert workload["raw"]["wafers_per_s"]["within_bound"] is False
+        assert all(summary["within_bound"] for name, summary in workload["raw"].items()
+                   if name != "wafers_per_s")
+        assert all(summary["within_bound"] for summary in workload["metrics"].values())
 
 
 def test_a_setup_claim_needs_its_raw_median_too(tmp_path, monkeypatch):

@@ -333,9 +333,9 @@ def test_cluster_timings_beside_the_bytes_of_the_per_point_oracles(tmp_path, mon
     assert sorted(timings) == ["fit_s", "gibbs_s", "hmc_s"]
     assert 0 < timings["gibbs_s"] + timings["hmc_s"] <= timings["fit_s"]
 
-    def per_point_sweep(state, h, rng):
+    def per_point_sweep(state, rng):
         for i in range(state.A.shape[0]):
-            oracles.gibbs_assignment_step(state, i, h, rng)
+            oracles.gibbs_assignment_step(state, i, state.h, rng)
 
     def numpy_marginal(Z, members, h):
         A = np.zeros(Z.shape[0], dtype=np.int64)
@@ -346,7 +346,7 @@ def test_cluster_timings_beside_the_bytes_of_the_per_point_oracles(tmp_path, mon
     monkeypatch.setattr(iwmm, "gibbs_sweep", per_point_sweep)
     monkeypatch.setattr(iwmm, "_marginal_and_grad", numpy_marginal)
     monkeypatch.setattr(iwmm.LatentState, "marginal_log",
-                        lambda state, h: oracles.marginal_log_from_sums(state._sums, h))
+                        lambda state: oracles.marginal_log_from_sums(state._sums, state.h))
     assert run_cli(*run, tmp_path / "oracle") == 0
     for name in ("assignments.json", "latent.json", "manifest.json"):
         assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
@@ -1469,19 +1469,38 @@ def _openblas_thread_counts(_):
     return counts
 
 
+# A short fit, as `compare` maps it: (points, prior, schedule, seed).
+_SHORT_FIT = ([(0, 0), (0, 1), (1, 1), (6, 6), (6, 7)], iwmm.GwHyper(),
+              iwmm.McmcConfig(iters=6, burn_in=2), 0)
+
+
+def _short_fit_then_openblas_thread_counts(seed):
+    """Thread count of each OpenBLAS library loaded in this process, read
+    after a short `cli.fit_points` fit with fit seed `seed`."""
+    points, hyper, mcmc, _ = _SHORT_FIT
+    cli.fit_points(points, hyper, mcmc, seed)
+    return _openblas_thread_counts(None)
+
+
 def test_pool_workers_run_openblas_on_one_thread():
     if not _openblas_thread_counts(None):
         pytest.skip("numpy and scipy do not use OpenBLAS here")
-    with cli._fit_map(2) as fit_map:
-        per_worker = list(fit_map(_openblas_thread_counts, range(2)))
+
+    def pool_fits():
+        with cli._fit_map(2) as fit_map:
+            return list(fit_map(_short_fit_then_openblas_thread_counts, range(2)))
+
+    before, per_worker, _ = _openblas_counts_after(pool_fits)
+    assert before == [2] * len(before)
     assert per_worker == [[1] * len(per_worker[0])] * 2
     assert per_worker[0]
 
 
 def _openblas_counts_after(action):
-    """OpenBLAS thread counts before and after `action()`, run in a forked
-    child in which every OpenBLAS library was first set to two threads,
-    so that this process keeps its own setting."""
+    """OpenBLAS thread counts before `action()`, its result, and the
+    counts after it, run in a forked child in which every OpenBLAS library
+    was first set to two threads, so that this process keeps its own
+    setting and a fit that does not pin shows."""
     import ctypes
     import multiprocessing
 
@@ -1498,8 +1517,8 @@ def _openblas_counts_after(action):
                         setter(2)
                         break
             before = _openblas_thread_counts(None)
-            action()
-            send.send((before, _openblas_thread_counts(None)))
+            result = action()
+            send.send((before, result, _openblas_thread_counts(None)))
         except Exception as exc:
             send.send(repr(exc))
 
@@ -1530,10 +1549,10 @@ def test_in_process_fits_run_openblas_on_one_thread(tmp_path):
 
     def one_worker_compare():
         with cli._fit_map(1) as fit_map:
-            list(fit_map(abs, [-1]))
+            list(fit_map(cli.fit_points, *([arg] for arg in _SHORT_FIT)))
 
     for action in (cluster, one_worker_compare):
-        before, after = _openblas_counts_after(action)
+        before, _, after = _openblas_counts_after(action)
         assert before == [2] * len(before)
         assert after == [1] * len(before)
 

@@ -1,7 +1,12 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +41,6 @@ from waferspr.iwmm import (
     nystrom_landmarks,
 )
 from waferspr.iwmm import (
-    _GplvmWork,
     _cluster_members,
     _gplvm_ll,
     _marginal_and_grad,
@@ -53,7 +57,13 @@ RNG = np.random.default_rng(20240811)
 def _energy_and_field(S, Z, kern):
     """The program's exact log p(S|Z) and Nyström field at Z, as a fresh
     chain state of S holds them."""
-    return LatentState(S, Z, np.ones(len(S), dtype=np.int64), kern).gplvm_ll_field()
+    return _unclustered_state(S, Z, kern).gplvm_ll_field()
+
+
+def _unclustered_state(S, Z, kern):
+    """A chain state of S at Z with every point in one cluster, under the
+    default prior."""
+    return LatentState(S, Z, np.ones(len(S), dtype=np.int64), kern, GwHyper())
 
 
 def test_single_point_likelihood_closed_form():
@@ -117,16 +127,15 @@ def test_gradient_finite_for_coincident_points():
 ])
 def test_non_finite_likelihood_or_gradient_is_numerical_error(part, S, Z):
     S, Z, kern = np.asarray(S, dtype=float), np.asarray(Z, dtype=float), KernelParams()
-    work = _GplvmWork(3, 3)
-    program = [lambda: _gplvm_ll(S, Z, kern, work),
-               lambda: _nystrom_field(S, Z, kern, nystrom_landmarks(S), work)][part]
+    program = [_gplvm_ll, _nystrom_field][part]
     # LAPACK factors a covariance holding NaN without an error
     with np.errstate(all="ignore"):
+        state = _unclustered_state(S, Z, kern)
         with pytest.raises(NumericalError, match="not finite"):
             gplvm(S, Z, kern)[part]
         with pytest.raises(NumericalError,
                            match=["GPLVM likelihood", "GPLVM field"][part] + " is not finite"):
-            program()
+            program(state, Z)
         with pytest.raises(NumericalError, match="not finite"):
             _energy_and_field(S, Z, kern)
 
@@ -247,7 +256,7 @@ def test_field_is_the_gradient_of_the_nystrom_likelihood(n, m, kernel, monkeypat
     monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 3 if m == "3" else n)
     S, Z = _fit_like_inputs(n, seed=5000 + n)
     kern, landmarks = KERNELS[kernel], nystrom_landmarks(S)
-    field = _nystrom_field(S, Z, kern, landmarks, _GplvmWork(n, len(landmarks)))
+    field = _nystrom_field(_unclustered_state(S, Z, kern), Z)
     numeric = finite_difference_grad(
         lambda Zp: nystrom_log_likelihood_dense(S, Zp, kern, landmarks), Z, eps=1e-5)
     assert np.linalg.norm(field - numeric) <= 1e-6 * np.linalg.norm(numeric)
@@ -282,11 +291,11 @@ def test_jitter_zero_field_is_finite_or_a_counted_error(Z, monkeypatch):
     rng = np.random.default_rng(21)
     S, Zs = _fit_like_inputs(50, seed=21)
     Z = np.zeros_like(S) if Z == "coincident" else Zs
-    state = LatentState(S, Z, np.ones(50, dtype=int), KernelParams(jitter=0.0))
+    state = _unclustered_state(S, Z, KernelParams(jitter=0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(10):
-            hmc_latent_step(state, GwHyper(), 0.05, rng)
+            hmc_latent_step(state, 0.05, rng)
             try:
                 field = _energy_and_field(S, state.Z + 0.1 * rng.standard_normal(S.shape),
                                           state.kernel)[1]
@@ -355,16 +364,18 @@ def test_escalated_energy_is_the_density_of_the_next_jitter():
     # a wrong step would move the log-determinant alone by 18.
     S = np.random.default_rng(8).standard_normal((5, 2))
     Z = np.zeros((5, 2))
-    work = _GplvmWork(5, 5)
-    got = _gplvm_ll(S, Z, KernelParams(jitter=0.0), work)
-    assert work.jitter_escalations == 1
+    state = _unclustered_state(S, Z, KernelParams(jitter=0.0))
+    got = _gplvm_ll(state, Z)
+    assert state.jitter_escalations == 1
     want = gplvm_log_likelihood_dense(S, Z, KernelParams(jitter=1e-8))
     assert got == pytest.approx(want, rel=1e-7)
 
 
 def test_gplvm_work_holds_one_square_array():
-    work = _GplvmWork(100, 64)
-    square = [a for a in vars(work).values()
+    S = RNG.standard_normal((100, 2))
+    state = _unclustered_state(S, S, KernelParams())
+    assert len(state.landmarks) == 64
+    square = [a for a in vars(state).values()
               if isinstance(a, np.ndarray) and a.shape == (100, 100)]
     assert len(square) == 1
 
@@ -374,7 +385,7 @@ def test_absurd_step_size_counts_numerical_rejections():
     rng = np.random.default_rng(17)
     Z0 = state.Z.copy()
     with np.errstate(all="ignore"):
-        accepted = [hmc_latent_step(state, GwHyper(), 1e200, rng) for _ in range(4)]
+        accepted = [hmc_latent_step(state, 1e200, rng) for _ in range(4)]
     assert accepted == [False] * 4
     assert state.hmc_numerical_rejections == 4
     assert np.array_equal(state.Z, Z0)
@@ -389,7 +400,7 @@ def test_numerical_error_in_trajectory_is_counted(monkeypatch):
 
     monkeypatch.setattr(iwmm, "_nystrom_field", failing)
     rng = np.random.default_rng(3)
-    assert not hmc_latent_step(state, GwHyper(), 0.01, rng)
+    assert not hmc_latent_step(state, 0.01, rng)
     assert state.hmc_numerical_rejections == 1
 
 
@@ -509,8 +520,8 @@ def test_marginal_bit_identical_to_numpy_oracle(n, clusters, singletons, alpha, 
     value, grad = _marginal_and_grad(Z, _cluster_members(A), h)
     assert value == want
     assert np.array_equal(grad, want_grad)
-    state = _state(Z, A)
-    assert state.marginal_log(h) == oracles.marginal_log_from_sums(state._sums, h)
+    state = _state(Z, A, h)
+    assert state.marginal_log() == oracles.marginal_log_from_sums(state._sums, h)
 
 
 @given(sweeps=st.integers(1, 3), **LATENT_CASES)
@@ -518,11 +529,11 @@ def test_marginal_bit_identical_to_numpy_oracle(n, clusters, singletons, alpha, 
 def test_gibbs_sweep_bit_identical_to_per_point_oracle(n, clusters, singletons, alpha,
                                                        random_prior, seed, sweeps):
     _, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
-    state, oracle_state = _state(Z, A), _state(Z, A)
+    state, oracle_state = _state(Z, A, h), _state(Z, A)
     rng_state, rng_oracle = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
 
     for _ in range(sweeps):
-        gibbs_sweep(state, h, rng_state)
+        gibbs_sweep(state, rng_state)
         for i in range(n):
             oracles.gibbs_assignment_step(oracle_state, i, h, rng_oracle)
         assert state.A.tolist() == oracle_state.A.tolist()
@@ -549,7 +560,7 @@ def test_gibbs_sweep_weights_bit_identical_at_decision_boundaries(n, clusters, s
     # cumulative weights, so a weight that differs in its last bit can
     # change the sweep's choice.
     rng, Z, A, h = _latent_case(seed, n, clusters, singletons, alpha, random_prior)
-    state, oracle_state = _state(Z, A), _state(Z, A)
+    state, oracle_state = _state(Z, A, h), _state(Z, A)
     draws = []
     for i in range(n):
         oracles.remove_point(oracle_state, i)
@@ -558,7 +569,7 @@ def test_gibbs_sweep_weights_bit_identical_at_decision_boundaries(n, clusters, s
         u = oracles.gibbs_boundary_uniform(logs, boundary)
         draws.append(rng.random() if u is None else u)
         oracles.assign_point(oracle_state, i, oracles.gibbs_choice(logs, draws[-1]) + 1)
-    gibbs_sweep(state, h, _Uniforms(draws))
+    gibbs_sweep(state, _Uniforms(draws))
     assert state.A.tolist() == oracle_state.A.tolist()
     assert state._sums == oracle_state._sums
 
@@ -575,6 +586,24 @@ def test_non_finite_parameters_rejected(bad):
         GwHyper(m=np.array([0.0, bad]))
     with pytest.raises(ValueError, match="finite"):
         GwHyper(R=np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_real_parameters_refuse_bools_and_non_numbers():
+    # signal_variance=True and alpha=True were stored as bools and used as
+    # 1.0; jitter="0" and p=None ended in a TypeError.
+    for cls, names in ((KernelParams, ("signal_variance", "length_scale", "jitter")),
+                       (GwHyper, ("p", "r", "alpha"))):
+        for name in names:
+            for value in (True, np.True_, "1", None):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and real"):
+                    cls(**{name: value})
+    kern = KernelParams(1, np.float32(1.5), Fraction(1, 100))
+    assert kern == KernelParams()
+    assert {type(getattr(kern, name)) for name in ("signal_variance", "length_scale",
+                                                   "jitter")} == {float}
+    h = GwHyper(p=1, r=np.int64(3), alpha=Fraction(3, 10))
+    assert (h.p, h.r, h.alpha) == (1.0, 3.0, 0.3)
+    assert {type(h.p), type(h.r), type(h.alpha)} == {float}
 
 
 def test_hyper_validation():
@@ -608,8 +637,8 @@ def test_crp_label_invariance():
 
 # -- cluster bookkeeping and Gibbs ----------------------------------------
 
-def _state(Z, A):
-    return LatentState(Z, Z, A, KernelParams())
+def _state(Z, A, h=GwHyper()):
+    return LatentState(Z, Z, A, KernelParams(), h)
 
 
 def test_incremental_stats_match_scratch_recompute():
@@ -618,7 +647,7 @@ def test_incremental_stats_match_scratch_recompute():
     A = rng.integers(1, 4, size=20)
     A = np.array([1, 2, 3] + list(A[3:]))  # ensure all labels present
     state = _state(Z, A)
-    gibbs_sweep(state, GwHyper(), rng)
+    gibbs_sweep(state, rng)
     reference = _state(state.Z, state.A.copy())
     for got, want in zip(state._sums, reference._sums):
         assert got[0] == want[0]
@@ -628,10 +657,9 @@ def test_incremental_stats_match_scratch_recompute():
 def _gibbs_sums_drift(Z, alpha, sweeps, rng):
     """Worst drift of the running cluster sums after `sweeps` Gibbs sweeps
     without an HMC move, relative to the sums of |terms| they add up."""
-    state = _state(Z, np.ones(Z.shape[0], dtype=int))
-    h = GwHyper(alpha=alpha)
+    state = _state(Z, np.ones(Z.shape[0], dtype=int), GwHyper(alpha=alpha))
     for _ in range(sweeps):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state, rng)
     drifted = np.array(state._sums)
     state.refresh()
     fresh = np.array(state._sums)
@@ -661,7 +689,7 @@ def test_gibbs_single_point_forms_cluster_one():
     rng = np.random.default_rng(0)
     state = _state(np.array([[0.3, 0.4]]), np.array([1]))
     for _ in range(5):
-        gibbs_sweep(state, GwHyper(), rng)
+        gibbs_sweep(state, rng)
         assert state.A.tolist() == [1]
     assert state.K == 1
 
@@ -670,20 +698,18 @@ def test_gibbs_tiny_alpha_joins_existing_cluster():
     rng = np.random.default_rng(1)
     Z = np.vstack([np.zeros((8, 2)), [[0.01, 0.01]]])
     A = np.array([1] * 8 + [1])
-    state = _state(Z, A)
-    h = GwHyper(alpha=1e-12)
+    state = _state(Z, A, GwHyper(alpha=1e-12))
     for _ in range(50):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state, rng)
         assert state.A.tolist() == [1] * 9
 
 
 def test_gibbs_labels_stay_contiguous():
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((12, 2)) * 2.0
-    state = _state(Z, np.ones(12, dtype=int))
-    h = GwHyper(alpha=2.0)
+    state = _state(Z, np.ones(12, dtype=int), GwHyper(alpha=2.0))
     for sweep in range(30):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state, rng)
         labels = sorted(set(state.A.tolist()))
         assert labels == list(range(1, len(labels) + 1))
         assert all(s[0] >= 1 for s in state._sums)
@@ -702,11 +728,11 @@ def test_gibbs_fixed_z_posterior_small_tv():
     total = sum(math.exp(v - mx) for v in exact.values())
     exact = {k: math.exp(v - mx) / total for k, v in exact.items()}
 
-    state = _state(Z, np.ones(4, dtype=int))
+    state = _state(Z, np.ones(4, dtype=int), h)
     counts = {}
     sweeps = 40578
     for sweep in range(sweeps + 500):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state, rng)
         if sweep >= 500:
             key = tuple(_canonical(state.A))
             counts[key] = counts.get(key, 0) + 1
@@ -734,14 +760,14 @@ def _toy_state(n=6, seed=4):
     Z = rng.standard_normal((n, 2))
     A = np.array([1, 2] * (n // 2))
     S = rng.standard_normal((n, 2))
-    return LatentState(S, Z, A, KernelParams()), S
+    return LatentState(S, Z, A, KernelParams(), GwHyper()), S
 
 
 def test_hmc_zero_step_size_accepts_identity():
     state, S = _toy_state()
     Z0 = state.Z.copy()
     rng = np.random.default_rng(9)
-    accepted = hmc_latent_step(state, GwHyper(), 0.0, rng)
+    accepted = hmc_latent_step(state, 0.0, rng)
     assert accepted
     assert np.array_equal(state.Z, Z0)
 
@@ -809,16 +835,15 @@ def test_transition_forms_one_covariance_and_steps_on_the_field(monkeypatch):
     for name in ("_gplvm_ll", "_nystrom_field"):
         monkeypatch.setattr(iwmm, name, counting(name))
     monkeypatch.setattr(iwmm, "LEAPFROG_STEPS", 7)
-    hmc_latent_step(state, GwHyper(), 0.01, np.random.default_rng(5))
+    hmc_latent_step(state, 0.01, np.random.default_rng(5))
     assert calls == {"_gplvm_ll": 1, "_nystrom_field": 7}
 
 
 def test_hmc_updates_state_only_on_accept():
     state, S = _toy_state(seed=6)
-    h = GwHyper()
     rng = np.random.default_rng(17)
     Z0 = state.Z.copy()
-    accepted = hmc_latent_step(state, h, 50.0, rng)  # absurd step
+    accepted = hmc_latent_step(state, 50.0, rng)  # absurd step
     assert not accepted
     assert np.array_equal(state.Z, Z0)
 
@@ -830,13 +855,13 @@ def test_nystrom_leapfrog_is_reversible(monkeypatch):
     monkeypatch.setattr(iwmm, "NYSTROM_LANDMARKS", 8)
     S, Z0 = _fit_like_inputs(40, seed=40)
     kern, h = KernelParams(), GwHyper()
-    members = _cluster_members(np.array([1, 2] * 20))
-    landmarks = nystrom_landmarks(S)
-    work = _GplvmWork(40, len(landmarks))
+    A = np.array([1, 2] * 20)
+    members = _cluster_members(A)
+    state = LatentState(S, Z0, A, kern, h)
     eps, steps = 0.002, 8
 
     def force(Z):
-        return _nystrom_field(S, Z, kern, landmarks, work) + _marginal_and_grad(Z, members, h)[1]
+        return _nystrom_field(state, Z) + _marginal_and_grad(Z, members, h)[1]
 
     def leapfrog(Z, p):
         p = p + 0.5 * eps * force(Z)
@@ -919,9 +944,9 @@ def test_geweke_joint_distribution(monkeypatch):
     A, Z, S = _prior_draw(n, rng)
     chain = []
     for _ in range(draws):
-        state = LatentState(S, Z, A, GEWEKE_KERNEL)
-        gibbs_sweep(state, GEWEKE_HYPER, rng)
-        hmc_latent_step(state, GEWEKE_HYPER, 0.1, rng)
+        state = LatentState(S, Z, A, GEWEKE_KERNEL, GEWEKE_HYPER)
+        gibbs_sweep(state, rng)
+        hmc_latent_step(state, 0.1, rng)
         A, Z = state.A, state.Z
         S = _gp_draw(Z, rng)
         chain.append(_geweke_functions(A, Z, S))
@@ -950,6 +975,21 @@ def test_fit_rejects_empty():
         PointSet(np.zeros((0, 2)))
 
 
+def test_fit_seed_is_a_whole_number():
+    # seed=None ran an unseeded fit from OS entropy, True ran seed 1 and
+    # 1.5 ended in a TypeError.
+    pts = PointSet([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    mcmc = McmcConfig(iters=6, burn_in=2)
+    for seed in (None, True, np.True_, 1.5, "1", math.nan):
+        with pytest.raises(ValueError, match="^seed must be a whole number"):
+            iwmm_fit(pts, mcmc=mcmc, seed=seed)
+    want = iwmm_fit(pts, mcmc=mcmc, seed=3)
+    for seed in (np.int64(3), 3.0):
+        got = iwmm_fit(pts, mcmc=mcmc, seed=seed)
+        assert got.trace == want.trace
+        assert np.array_equal(got.latent_coords, want.latent_coords)
+
+
 def test_fit_deterministic_per_seed():
     pts = PointSet(RNG.standard_normal((15, 2)))
     a = iwmm_fit(pts, mcmc=McmcConfig(iters=20, burn_in=10), seed=3)
@@ -965,7 +1005,6 @@ def test_fits_pinned():
     OpenBLAS on one thread.  The fits' floats depend on the BLAS and libm
     builds, so the digest guards a refactor on one machine rather than
     the arithmetic everywhere."""
-    cli._one_blas_thread()
     corpus = twelve_wafer_corpus()
     digest = hashlib.sha256()
     for idx in (0, 7):
@@ -979,6 +1018,43 @@ def test_fits_pinned():
             digest.update(np.ascontiguousarray(res.latent_coords).tobytes())
     assert digest.hexdigest() == (
         "f9d6be8c218af31586a7181bcdf0c53025d7b9a4f95085e367407cfea62a530d")
+
+
+# A seeded fit to the AC-kept chips of corpus wafer w07 through the Python
+# API, by a caller that pins no BLAS threads; it prints the fit's digest.
+_UNPINNED_FIT = """
+import hashlib
+import numpy as np
+from waferspr import cli
+from waferspr.acfilter import ac_filter
+from waferspr.iwmm import McmcConfig, PointSet, iwmm_fit
+from waferspr.synthgen import twelve_wafer_corpus
+
+wmap = twelve_wafer_corpus()[7][1].map
+points = PointSet(np.array(cli.filtered_points(wmap, ac_filter(wmap)), dtype=float))
+res = iwmm_fit(points, mcmc=McmcConfig(iters=30, burn_in=10), seed=0)
+digest = hashlib.sha256(repr((res.assignments, res.trace, res.step_size_path)).encode())
+digest.update(np.ascontiguousarray(res.latent_coords).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fit_does_not_depend_on_the_callers_openblas_threads():
+    """The same seeded fit, run in two fresh processes under
+    OPENBLAS_NUM_THREADS=1 and =2 with no pin by the caller, gives the
+    same bytes, since the fit sets OpenBLAS to one thread itself.  On a
+    machine with one core OpenBLAS runs one thread either way, so there
+    the test passes with or without that pin."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", _UNPINNED_FIT], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_fit_trace_finite_and_labels_contiguous():

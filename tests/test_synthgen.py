@@ -57,6 +57,16 @@ def test_spec_validation():
             PatternSpec(PatternKind.SCRATCH, length_cells=value)
     for value in (14, 14.0, np.int64(14)):
         assert type(PatternSpec(PatternKind.SCRATCH, length_cells=value).length_cells) is int
+    # The other fields are reals: offset_frac="0.5" ended in a TypeError and
+    # fill_rate=True was stored as a bool.
+    for name in ("offset_frac", "offset_angle_deg", "inner_frac", "outer_frac", "arc_start_deg",
+                 "arc_extent_deg", "width_cells", "angle_deg", "fill_rate"):
+        for value in ("0.5", None, True, np.True_):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and real"):
+                PatternSpec(PatternKind.PARTIAL_RING, **{"inner_frac": 0.1, name: value})
+    spec = PatternSpec(PatternKind.DONUT, inner_frac=0, outer_frac=np.float32(0.5), fill_rate=1)
+    assert spec == PatternSpec(PatternKind.DONUT, inner_frac=0.0, outer_frac=0.5, fill_rate=1.0)
+    assert type(spec.inner_frac) is type(spec.outer_frac) is type(spec.fill_rate) is float
 
 
 def test_generate_validation():
@@ -73,6 +83,18 @@ def test_generate_validation():
     sw = generate(20.0, np.int64(20), specs, 0.1, 0)
     assert (type(sw.map.rows), type(sw.map.cols)) == (int, int)
     assert np.array_equal(sw.map.grid(), generate(20, 20, specs, 0.1, 0).map.grid())
+    # noise_rate is a real: None and "0.1" ended in a TypeError.
+    for noise_rate in (None, "0.1", True, math.nan):
+        with pytest.raises(ValueError, match="^noise_rate must be finite and real"):
+            generate(20, 20, specs, noise_rate, 0)
+    assert type(generate(20, 20, specs, 0, 0).noise_rate) is float
+    # The seed is a whole number: None drew from OS entropy, True ran
+    # seed 1 and 1.5 ended in a TypeError.
+    for seed in (None, True, np.True_, 1.5, "1"):
+        with pytest.raises(ValueError, match="^seed must be a whole number"):
+            generate(20, 20, specs, 0.1, seed)
+    assert np.array_equal(generate(20, 20, specs, 0.1, np.int64(3)).map.grid(),
+                          generate(20, 20, specs, 0.1, 3).map.grid())
 
 
 def _raster_cells(spec, rows, cols, mask=None):
