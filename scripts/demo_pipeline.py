@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end demo on one synthetic wafer: generate, filter both ways
-(AC at its defaults, CPF at M = 5), cluster, evaluate, and render every
-stage as SVG.
+(AC as `compare` runs it, CPF at M = 5), cluster, evaluate, and render
+every stage as SVG.  AC takes its defaults, except on the scratch_pair
+family, where it takes `compare`'s --u-scratch separation cost.
 
 Each stage is a `waferspr` command run in process, and each fit runs
 with OpenBLAS on one thread, as `iwmm_fit` sets it.  Each command writes into
@@ -20,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from waferspr.cli import _dump_json, main as waferspr
+from waferspr.cli import COMPARE_SETTINGS, _dump_json, main as waferspr
 from waferspr.iwmm import McmcConfig
 from waferspr.synthgen import FAMILIES
 
@@ -57,6 +58,8 @@ def main(argv=None):
     for name, flags in METHODS.items():
         stage = out / name
         filtered = stage / "filter" / "filtered.txt"
+        if name == "ac" and args.family == "scratch_pair":
+            flags += ("--u", COMPARE_SETTINGS["u_scratch"])
         assignments = stage / "cluster" / "assignments.json"
         run("filter", wafer, *flags, "--out", filtered.parent)
         run("render", filtered, "--out", stage / "filtered" / "filtered.svg")

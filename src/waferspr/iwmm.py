@@ -159,7 +159,12 @@ class IwmmResult:
     last one.
     `wall_seconds`, the one field that is not deterministic, holds the
     wall-clock seconds of the Gibbs sweeps ("gibbs"), the HMC
-    transitions ("hmc") and the whole fit ("fit")."""
+    transitions ("hmc") and the whole fit ("fit"), and, within "hmc",
+    those of the exact GPLVM log-likelihood ("gplvm_ll", see _gplvm_ll)
+    and of its Nyström field ("gplvm_field", see _nystrom_field).  A
+    transition calls the first once and the second LEAPFROG_STEPS times,
+    and the fit's first transition calls each once more to fill the
+    state's cache, so these counts give a fit's seconds per call."""
 
     assignments: tuple
     k_hat: int
@@ -207,6 +212,7 @@ def _gplvm_ll(state, Z):
     floor, each escalation counted in state.jitter_escalations.
     NumericalError when K cannot be factored or the value is not finite.
     """
+    start = time.perf_counter()
     S, kern, n = state.S, state.kernel, len(state.S)
     for extra in (0.0, state.noise_floor * 100.0, state.noise_floor * 10000.0):
         K = _se_kernel(Z, Z, kern, state.factor)
@@ -226,6 +232,7 @@ def _gplvm_ll(state, Z):
     # non-finite Z or S shows only here.
     if not math.isfinite(ll):
         raise NumericalError("GPLVM likelihood is not finite")
+    state.seconds["gplvm_ll"] += time.perf_counter() - start
     return ll
 
 
@@ -278,6 +285,7 @@ def _nystrom_field(state, Z):
     step needs (see hmc_latent_step).  NumericalError when a
     factorization fails or the field is not finite.
     """
+    start = time.perf_counter()
     S, kern, landmarks = state.S, state.kernel, state.landmarks
     m = len(landmarks)
     s2 = state.noise_floor
@@ -322,6 +330,7 @@ def _nystrom_field(state, Z):
     grad *= kern.length_scale**-2
     if not np.isfinite(grad).all():
         raise NumericalError("GPLVM field is not finite")
+    state.seconds["gplvm_field"] += time.perf_counter() - start
     return grad
 
 
@@ -428,7 +437,8 @@ class LatentState:
     """One chain's MCMC state: its fixed observations S, kernel, prior h,
     landmarks and noise floor; its moving latent coordinates, assignments
     and cluster sums; and the GPLVM's buffers (see _gplvm_ll and
-    _nystrom_field) with the count of jitter escalations made in them.
+    _nystrom_field) with the count of jitter escalations made in them and
+    the wall-clock seconds of the calls of each that returned (`seconds`).
 
     Cluster labels stay contiguous 1..K with every cluster nonempty; sums
     are plain floats so the Gibbs inner loop avoids array overhead.
@@ -459,6 +469,7 @@ class LatentState:
         # The diagonal noise a covariance factorization starts from.
         self.noise_floor = kernel.jitter if kernel.jitter > 0 else 1e-10
         self.jitter_escalations = 0
+        self.seconds = {"gplvm_ll": 0.0, "gplvm_field": 0.0}
         self.hmc_numerical_rejections = 0
         self._sums = []
         self._gplvm = None  # (exact ll, Nyström field) of the GPLVM at the current Z
@@ -680,13 +691,6 @@ def hmc_latent_step(state: LatentState, eps: float, rng) -> bool:
     return False
 
 
-def standardized(coords) -> np.ndarray:
-    """`coords` shifted to zero mean and scaled to unit variance per axis,
-    an axis of zero variance left unscaled, as iwmm_fit sees them."""
-    sd = coords.std(axis=0)
-    return (coords - coords.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
-
-
 def _component_init(coords) -> np.ndarray:
     """Initial assignments from Chebyshev-adjacency connected components.
 
@@ -742,7 +746,8 @@ def iwmm_fit(
     start = time.perf_counter()
     seed = whole_number("seed", seed)
     _one_blas_thread()
-    Sstd = standardized(S.coords)
+    sd = S.coords.std(axis=0)
+    Sstd = (S.coords - S.coords.mean(axis=0)) / np.where(sd == 0, 1.0, sd)
     state = LatentState(Sstd, Sstd, _component_init(S.coords), k0, h)
     rng = np.random.default_rng(seed)
 
@@ -790,5 +795,6 @@ def iwmm_fit(
         hmc_numerical_rejections=state.hmc_numerical_rejections,
         step_size=step_size,
         step_size_path=tuple(step_size_path),
-        wall_seconds={"gibbs": gibbs_s, "hmc": hmc_s, "fit": time.perf_counter() - start},
+        wall_seconds={"gibbs": gibbs_s, "hmc": hmc_s, **state.seconds,
+                      "fit": time.perf_counter() - start},
     )

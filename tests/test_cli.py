@@ -330,8 +330,10 @@ def test_cluster_timings_beside_the_bytes_of_the_per_point_oracles(tmp_path, mon
     run = ("cluster", wafer, "--iters", "30", "--burn-in", "10", "--seed", "3", "--out")
     assert run_cli(*run, tmp_path / "fast") == 0
     timings = json.loads((tmp_path / "fast" / "timings.json").read_text())
-    assert sorted(timings) == ["fit_s", "gibbs_s", "hmc_s"]
+    assert sorted(timings) == ["fit_s", "gibbs_s", "gplvm_field_s", "gplvm_ll_s", "hmc_s"]
     assert 0 < timings["gibbs_s"] + timings["hmc_s"] <= timings["fit_s"]
+    assert timings["gplvm_ll_s"] > 0 and timings["gplvm_field_s"] > 0
+    assert timings["gplvm_ll_s"] + timings["gplvm_field_s"] <= timings["hmc_s"]
 
     def per_point_sweep(state, rng):
         for i in range(state.A.shape[0]):
@@ -786,28 +788,32 @@ def test_comparison_defaults_are_shared(tmp_path, monkeypatch):
 def test_demo_pipeline_script_writes_its_files(tmp_path):
     """The demo runs each stage as a waferspr command, each into its own
     directory with its own manifest, and its summary holds what the
-    commands wrote."""
-    _load_script("demo_pipeline").main(["--iters", "6", "--out", str(tmp_path)])
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert sorted(summary) == ["ac", "cpf5"]
-    manifests = {"generate/manifest.json": "generate", "raw/raw.manifest.json": "render"}
-    for name in summary:
-        manifests.update({f"{name}/{path}": command for path, command in (
-            ("filter/manifest.json", "filter"), ("filtered/filtered.manifest.json", "render"),
-            ("cluster/manifest.json", "cluster"), ("clusters/clusters.manifest.json", "render"),
-            ("evaluate/manifest.json", "evaluate"))})
-    for path, command in manifests.items():
-        manifest = json.loads((tmp_path / path).read_text())
-        assert manifest["command"] == command, path
-    assert (tmp_path / "raw" / "raw.svg").exists()
-    for name, result in summary.items():
-        assert (tmp_path / name / "filtered" / "filtered.svg").exists()
-        assert (tmp_path / name / "clusters" / "clusters.svg").exists()
-        assert result["kept"] > 0
-        assignments = json.loads((tmp_path / name / "cluster" / "assignments.json").read_text())
-        assert result["k_hat"] == assignments["k_hat"] >= 1
-        assert result["report"] == json.loads(
-            (tmp_path / name / "evaluate" / "report.json").read_text())
+    commands wrote.  On scratch_pair AC takes compare's u_scratch: at
+    u = 1/2 it kept none of that wafer's 139 defective chips."""
+    for family in ("donut_partial_ring", "scratch_pair"):
+        out = tmp_path / family
+        _load_script("demo_pipeline").main(["--family", family, "--iters", "6",
+                                            "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary) == ["ac", "cpf5"]
+        manifests = {"generate/manifest.json": "generate", "raw/raw.manifest.json": "render"}
+        for name in summary:
+            manifests.update({f"{name}/{path}": command for path, command in (
+                ("filter/manifest.json", "filter"), ("filtered/filtered.manifest.json", "render"),
+                ("cluster/manifest.json", "cluster"), ("clusters/clusters.manifest.json", "render"),
+                ("evaluate/manifest.json", "evaluate"))})
+        for path, command in manifests.items():
+            manifest = json.loads((out / path).read_text())
+            assert manifest["command"] == command, path
+        assert (out / "raw" / "raw.svg").exists()
+        for name, result in summary.items():
+            assert (out / name / "filtered" / "filtered.svg").exists()
+            assert (out / name / "clusters" / "clusters.svg").exists()
+            assert result["kept"] > 0
+            assignments = json.loads((out / name / "cluster" / "assignments.json").read_text())
+            assert result["k_hat"] == assignments["k_hat"] >= 1
+            assert result["report"] == json.loads(
+                (out / name / "evaluate" / "report.json").read_text())
 
 
 def test_generate_reproducible(tmp_path):
@@ -1079,6 +1085,9 @@ def test_compare_two_wafers_schema(tmp_path):
     assert (out / "wilcoxon.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "compare"
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings["gplvm_ll_s"] > 0 and timings["gplvm_field_s"] > 0
+    assert timings["gplvm_ll_s"] + timings["gplvm_field_s"] <= timings["hmc_s"]
 
 
 # The counters `compare` sums over its distinct fits.
@@ -1115,7 +1124,8 @@ def test_compare_rows_do_not_depend_on_worker_count(tmp_path, monkeypatch):
         streamed, counters = [], {}
         rows = run_comparison(paths, m_list=(1, 2), seeds=2, iters=12, burn_in=4,
                               progress=streamed.append, counters=counters)
-        assert sorted(counters.pop("wall_seconds")) == ["fit", "gibbs", "hmc"]
+        assert sorted(counters.pop("wall_seconds")) == [
+            "fit", "gibbs", "gplvm_field", "gplvm_ll", "hmc"]
         fit_counters[workers] = {key: counters.pop(key) for key in _FIT_COUNTERS}
         assert counters == {"fit_requests": 12, "fits_run": 6, "workers": workers}
         assert streamed == rows

@@ -1064,6 +1064,10 @@ def test_fit_trace_finite_and_labels_contiguous():
     labels = sorted(set(res.assignments))
     assert labels == list(range(1, res.k_hat + 1))
     assert len(res.trace) == 30
+    # the GPLVM's two parts are timed within the HMC transitions
+    seconds = res.wall_seconds
+    assert seconds["gplvm_ll"] > 0 and seconds["gplvm_field"] > 0
+    assert seconds["gplvm_ll"] + seconds["gplvm_field"] <= seconds["hmc"]
 
 
 def test_fit_reports_the_step_size_path_through_burn_in():
